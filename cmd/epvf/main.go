@@ -325,7 +325,7 @@ func run(args []string) error {
 		dot := a.Graph.Dot(ddg.DotOptions{
 			MaxEvents: *dotEvents,
 			ACEMask:   a.ACEMask,
-			CrashDefs: a.CrashResult.DefCrashBits,
+			CrashDefs: a.CrashResult.DefMask,
 		})
 		if err := os.WriteFile(*dotFile, []byte(dot), 0o644); err != nil {
 			return err

@@ -216,7 +216,7 @@ func DotDDG(res *Result, maxEvents int64) string {
 	return res.Analysis.Graph.Dot(ddg.DotOptions{
 		MaxEvents: maxEvents,
 		ACEMask:   res.Analysis.ACEMask,
-		CrashDefs: res.Analysis.CrashResult.DefCrashBits,
+		CrashDefs: res.Analysis.CrashResult.DefMask,
 	})
 }
 

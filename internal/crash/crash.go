@@ -103,19 +103,61 @@ func (m *Model) WouldFault(tr *trace.Trace, ev int64, addr uint64) bool {
 // given width) that escape the bound under the signed interpretation — the
 // "bits that make the value of op outside (new_max, new_min)" step of
 // Algorithm 2.
+//
+// Below the sign bit, flipping bit k moves the signed value s by exactly
+// 2^k: up when the bit is clear, down when it is set. The move grows with
+// k, so in each direction the flips that cross the far side of the bound
+// are all k from one threshold up, and those still short of the near side
+// are all k below another; each threshold is the bit length of a distance
+// between s and a bound.
 func MaskFromBound(v uint64, width int, b Bound) uint64 {
-	if b.IsUnconstrained() {
+	if b.IsUnconstrained() || width <= 0 {
 		return 0
 	}
-	var m uint64
-	for bit := 0; bit < width; bit++ {
-		f := ir.SignExtend(v^(1<<uint(bit)), width)
-		if f < b.Lo || f > b.Hi {
-			m |= 1 << uint(bit)
-		}
+	s := ir.SignExtend(v, width)
+	low := uint64(1)<<uint(width-1) - 1 // the bits below the sign bit
+	up := fromBit(overLen(b.Hi, s)) | belowBit(shortLen(b.Lo, s))
+	down := fromBit(overLen(s, b.Lo)) | belowBit(shortLen(s, b.Hi))
+	m := (^v&up | v&down) & low
+
+	// The sign bit weighs -2^(width-1). The flipped value is always
+	// representable, so the wrapping int64 sum is exact (at width 64 the
+	// weight is math.MinInt64, its own negation).
+	sign := uint64(1) << uint(width-1)
+	w := -int64(sign)
+	f := s + w
+	if v&sign != 0 {
+		f = s - w
+	}
+	if f < b.Lo || f > b.Hi {
+		m |= sign
 	}
 	return m
 }
+
+// overLen returns the least k with x + 2^k > hi: the bit length of hi - x,
+// or 0 when x > hi already. Called as overLen(x, lo) it gives the least k
+// with x - 2^k < lo.
+func overLen(hi, x int64) int {
+	if x > hi {
+		return 0
+	}
+	return bits.Len64(uint64(hi) - uint64(x))
+}
+
+// shortLen returns the number of k with x + 2^k < lo: the bit length of
+// lo - x - 1, or 0 when x >= lo. Called as shortLen(x, hi) it counts the k
+// with x - 2^k > hi.
+func shortLen(lo, x int64) int {
+	if x >= lo {
+		return 0
+	}
+	return bits.Len64(uint64(lo) - uint64(x) - 1)
+}
+
+// fromBit returns the mask of bits k >= n; belowBit the mask of bits k < n.
+func fromBit(n int) uint64  { return ^uint64(0) << uint(n) }
+func belowBit(n int) uint64 { return uint64(1)<<uint(n) - 1 }
 
 // MaskExact returns the bitmask of single-bit flips of the address operand
 // of event ev that the exact VMA oracle predicts to fault.

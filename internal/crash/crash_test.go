@@ -2,6 +2,7 @@ package crash
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -200,6 +201,49 @@ func TestMaskFromBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMaskFromBoundMatchesPerBitFlips checks the closed form against
+// flipping every bit and re-reading the value, at every width, for
+// bounds around the value and at the int64 extremes.
+func TestMaskFromBoundMatchesPerBitFlips(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	pick := func(s int64) int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return edges[rng.Intn(len(edges))]
+		case 1:
+			return s + rng.Int63n(64) - 32
+		case 2:
+			return s + int64(rng.Uint64()>>uint(rng.Intn(64)))
+		default:
+			return int64(rng.Uint64())
+		}
+	}
+	for width := 1; width <= 64; width++ {
+		for trial := 0; trial < 2000; trial++ {
+			v := rng.Uint64()
+			s := ir.SignExtend(v, width)
+			b := Bound{Lo: pick(s), Hi: pick(s)}
+			if rng.Intn(8) != 0 && b.Lo > b.Hi {
+				b.Lo, b.Hi = b.Hi, b.Lo
+			}
+			if b.IsUnconstrained() {
+				continue
+			}
+			var want uint64
+			for bit := 0; bit < width; bit++ {
+				f := ir.SignExtend(v^(1<<uint(bit)), width)
+				if f < b.Lo || f > b.Hi {
+					want |= 1 << uint(bit)
+				}
+			}
+			if got := MaskFromBound(v, width, b); got != want {
+				t.Fatalf("v=%#x width=%d bound=[%d,%d]: mask %#x, want %#x", v, width, b.Lo, b.Hi, got, want)
+			}
+		}
 	}
 }
 

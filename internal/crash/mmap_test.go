@@ -95,8 +95,8 @@ func TestMmapGuardPageBitsPredicted(t *testing.T) {
 		if e.Instr.Op != ir.OpGEP || e.Result < layout.MmapBase {
 			continue
 		}
-		mask, ok := prop.DefCrashBits[int64(i)]
-		if !ok {
+		mask := prop.DefMask(int64(i))
+		if mask == 0 {
 			continue
 		}
 		if mask&(1<<21) == 0 {

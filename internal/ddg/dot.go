@@ -14,8 +14,10 @@ type DotOptions struct {
 	MaxEvents int64
 	// ACEMask, when non-nil, colors ACE events.
 	ACEMask []bool
-	// CrashDefs, when non-nil, marks registers with predicted crash bits.
-	CrashDefs map[int64]uint64
+	// CrashDefs, when non-nil, returns the predicted crash-bit mask of the
+	// register defined at an event; registers with a non-zero mask are
+	// marked.
+	CrashDefs func(ev int64) uint64
 }
 
 // Dot renders the first events of the DDG in Graphviz DOT form: one node
@@ -42,10 +44,8 @@ func (g *Graph) Dot(opts DotOptions) string {
 		if opts.ACEMask != nil && int(i) < len(opts.ACEMask) && opts.ACEMask[i] {
 			attrs = ", style=filled, fillcolor=lightyellow"
 		}
-		if opts.CrashDefs != nil {
-			if m, ok := opts.CrashDefs[i]; ok && m != 0 {
-				attrs = ", style=filled, fillcolor=lightcoral"
-			}
+		if opts.CrashDefs != nil && opts.CrashDefs(i) != 0 {
+			attrs = ", style=filled, fillcolor=lightcoral"
 		}
 		fmt.Fprintf(&sb, "  n%d [label=\"%s\"%s];\n", i, label, attrs)
 		for _, d := range e.OpDefs {

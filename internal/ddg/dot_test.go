@@ -51,7 +51,12 @@ func renderDotKernel(t *testing.T) string {
 	for i := range ace {
 		ace[i] = i%2 == 0
 	}
-	return g.Dot(DotOptions{ACEMask: ace, CrashDefs: map[int64]uint64{2: 0xff}})
+	return g.Dot(DotOptions{ACEMask: ace, CrashDefs: func(ev int64) uint64 {
+		if ev == 2 {
+			return 0xff
+		}
+		return 0
+	}})
 }
 
 func TestDotGolden(t *testing.T) {

@@ -295,9 +295,7 @@ func (a *Analysis) PerInstruction() map[*ir.Instr]*InstrVuln {
 			v.TotalBits += w
 			if a.ACEMask[i] {
 				v.ACEBits += w
-				if m, ok := a.CrashResult.DefCrashBits[int64(i)]; ok {
-					v.CrashBits += int64(crash.PopCount(m))
-				}
+				v.CrashBits += int64(crash.PopCount(a.CrashResult.DefMask(int64(i))))
 			}
 			continue
 		}
@@ -310,9 +308,7 @@ func (a *Analysis) PerInstruction() map[*ir.Instr]*InstrVuln {
 			v.TotalBits += w
 			if a.ACEMask[i] {
 				v.ACEBits += w
-				if m, ok := a.CrashResult.CrashBits[trace.Use{Event: int64(i), Op: op}]; ok {
-					v.CrashBits += int64(crash.PopCount(m))
-				}
+				v.CrashBits += int64(crash.PopCount(a.CrashResult.UseMask(trace.Use{Event: int64(i), Op: op})))
 			}
 		}
 	}

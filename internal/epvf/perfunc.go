@@ -61,9 +61,7 @@ func (a *Analysis) PerFunction() []*FuncVuln {
 		v.TotalBits += w
 		if a.ACEMask[i] {
 			v.ACEBits += w
-			if m, ok := a.CrashResult.DefCrashBits[int64(i)]; ok {
-				v.CrashBits += int64(crash.PopCount(m))
-			}
+			v.CrashBits += int64(crash.PopCount(a.CrashResult.DefMask(int64(i))))
 		}
 	}
 	out := make([]*FuncVuln, 0, len(byFunc))

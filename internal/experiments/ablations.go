@@ -81,15 +81,15 @@ func AblationStackRule(s *Suite) (*AblationStackRuleResult, error) {
 	}
 	// The delta set: naive-only predictions.
 	var delta []fi.Target
-	for def, nm := range naive.DefCrashBits {
-		only := nm &^ full.DefCrashBits[def]
+	naive.EachDef(func(def int64, nm uint64) {
+		only := nm &^ full.DefMask(def)
 		for b := 0; b < 64; b++ {
 			if only&(1<<uint(b)) != 0 {
 				delta = append(delta, fi.Target{Event: def, Bit: b})
 				res.DeltaBits++
 			}
 		}
-	}
+	})
 	sort.Slice(delta, func(i, j int) bool {
 		if delta[i].Event != delta[j].Event {
 			return delta[i].Event < delta[j].Event

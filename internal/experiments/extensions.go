@@ -191,8 +191,8 @@ func ExtLuckyLoads(s *Suite) (*ExtLuckyLoadsResult, error) {
 			if e.Instr.Op != ir.OpGEP {
 				continue
 			}
-			mask, ok := r.Analysis.CrashResult.DefCrashBits[int64(i)]
-			if !ok {
+			mask := r.Analysis.CrashResult.DefMask(int64(i))
+			if mask == 0 {
 				continue
 			}
 			for b := 0; b < 64; b++ {

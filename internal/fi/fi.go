@@ -740,20 +740,14 @@ func MeasureRecall(records []Record, prop *rangeprop.Result) (recall float64, cr
 // SamplePredicted draws up to k (register, bit) targets uniformly from the
 // model's predicted crash bits, deterministically under rng.
 func SamplePredicted(prop *rangeprop.Result, k int, rng *rand.Rand) []Target {
-	defs := make([]int64, 0, len(prop.DefCrashBits))
-	for d := range prop.DefCrashBits {
-		defs = append(defs, d)
-	}
-	sort.Slice(defs, func(i, j int) bool { return defs[i] < defs[j] })
 	var all []Target
-	for _, d := range defs {
-		mask := prop.DefCrashBits[d]
+	prop.EachDef(func(d int64, mask uint64) {
 		for b := 0; b < 64; b++ {
 			if mask&(1<<uint(b)) != 0 {
 				all = append(all, Target{Event: d, Bit: b})
 			}
 		}
-	}
+	})
 	if len(all) <= k {
 		return all
 	}

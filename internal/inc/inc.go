@@ -184,10 +184,7 @@ func AnalyzeTrace(tr *trace.Trace, cfg Config) (*Result, error) {
 	r.Stats.SectionizeTime = time.Since(t1)
 
 	cfgKey := cfg.cfgKey()
-	merged := &rangeprop.Result{
-		CrashBits:    make(map[trace.Use]uint64),
-		DefCrashBits: make(map[int64]uint64),
-	}
+	merged := rangeprop.NewResult(tr)
 	var profiles []*sectionProfile
 	for _, s := range p.sections {
 		info := SectionInfo{Name: s.name, Hash: s.hash, Events: int64(len(s.events)), Seeds: len(s.seeds)}
@@ -207,14 +204,14 @@ func AnalyzeTrace(tr *trace.Trace, cfg Config) (*Result, error) {
 
 	t2 := time.Now()
 	for i, pr := range profiles {
-		if err := pr.addTo(p, merged); err != nil {
+		if err := pr.addTo(tr, p, merged); err != nil {
 			// A cached profile that does not fit this partition is a
 			// corrupt or mis-keyed entry; recompute the section fresh
 			// rather than fail the analysis. (Fresh profiles fit by
 			// construction.)
 			s := p.sections[i]
 			fresh := cfg.computeSection(tr, p, s, cfgKey)
-			if err := fresh.addTo(p, merged); err != nil {
+			if err := fresh.addTo(tr, p, merged); err != nil {
 				root.Add("error", 1)
 				return nil, err
 			}

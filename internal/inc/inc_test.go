@@ -14,6 +14,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/protect"
 	"repro/internal/rangeprop"
+	"repro/internal/trace"
 )
 
 func memStore(t *testing.T) *cache.Store {
@@ -51,12 +52,26 @@ func assertSameAnalysis(t *testing.T, label string, want, got *epvf.Analysis) {
 			label, w.CrashBitCount, g.CrashBitCount, w.UseCrashBitCount, g.UseCrashBitCount,
 			w.AccessesAnalyzed, g.AccessesAnalyzed)
 	}
-	if !reflect.DeepEqual(w.CrashBits, g.CrashBits) {
-		t.Fatalf("%s: per-use crash masks differ (%d vs %d entries)", label, len(w.CrashBits), len(g.CrashBits))
+	if wu, gu := useMasks(w), useMasks(g); !reflect.DeepEqual(wu, gu) {
+		t.Fatalf("%s: per-use crash masks differ (%d vs %d non-zero)", label, len(wu), len(gu))
 	}
-	if !reflect.DeepEqual(w.DefCrashBits, g.DefCrashBits) {
-		t.Fatalf("%s: per-def crash masks differ (%d vs %d entries)", label, len(w.DefCrashBits), len(g.DefCrashBits))
+	if wd, gd := defMasks(w), defMasks(g); !reflect.DeepEqual(wd, gd) {
+		t.Fatalf("%s: per-def crash masks differ (%d vs %d non-zero)", label, len(wd), len(gd))
 	}
+}
+
+// useMasks collects r's non-zero per-use masks.
+func useMasks(r *rangeprop.Result) map[trace.Use]uint64 {
+	out := make(map[trace.Use]uint64)
+	r.EachUse(func(u trace.Use, m uint64) { out[u] = m })
+	return out
+}
+
+// defMasks collects r's non-zero per-def masks.
+func defMasks(r *rangeprop.Result) map[int64]uint64 {
+	out := make(map[int64]uint64)
+	r.EachDef(func(ev int64, m uint64) { out[ev] = m })
+	return out
 }
 
 // coldWarm runs the incremental analysis twice against one store and
@@ -119,40 +134,6 @@ func TestUnboundedDepthBitIdentical(t *testing.T) {
 		epvf.Config{Prop: rangeprop.Config{ExactAddress: true}})
 }
 
-// genProgram mints a randomized multi-function MiniC program: value
-// helpers feeding main plus self-contained void workers, so both
-// cross-section value flow and isolated sections occur.
-func genProgram(rng *rand.Rand) string {
-	n := 40 + rng.Intn(120)
-	mod := 4 + rng.Intn(8)
-	var b strings.Builder
-	fmt.Fprintf(&b, "int f(int x) { return x * %d + %d; }\n", 1+rng.Intn(9), rng.Intn(100))
-	fmt.Fprintf(&b, "int g(int x) { if (x < %d) { return x + 1; } return x - f(x %% 7); }\n", rng.Intn(50))
-	fmt.Fprintf(&b, "void w() {\n  int a[%d];\n  int i = 0;\n", mod)
-	fmt.Fprintf(&b, "  while (i < %d) { a[i %% %d] = i * %d + %d; i = i + 1; }\n",
-		20+rng.Intn(40), mod, 1+rng.Intn(5), rng.Intn(9))
-	fmt.Fprintf(&b, "  int j = 0;\n  while (j < %d) { output(a[j]); j = j + 1; }\n}\n", mod)
-	b.WriteString("int main() {\n")
-	fmt.Fprintf(&b, "  int arr[%d];\n", mod)
-	fmt.Fprintf(&b, "  int i = 0; int acc = %d;\n", rng.Intn(10))
-	fmt.Fprintf(&b, "  while (i < %d) {\n", n)
-	b.WriteString("    int t = f(i) ^ g(acc % 31);\n")
-	fmt.Fprintf(&b, "    arr[i %% %d] = t;\n", mod)
-	switch rng.Intn(3) {
-	case 0:
-		fmt.Fprintf(&b, "    if (t %% 5 == 0) { acc = acc + arr[(i + 1) %% %d]; } else { acc = acc ^ t; }\n", mod)
-	case 1:
-		fmt.Fprintf(&b, "    acc = acc + (t >> 2) - arr[t %% %d & %d];\n", mod, mod-1)
-	default:
-		fmt.Fprintf(&b, "    acc = (acc << 1) ^ arr[i %% %d];\n", mod)
-	}
-	b.WriteString("    i = i + 1;\n  }\n")
-	b.WriteString("  w();\n")
-	fmt.Fprintf(&b, "  int j = 0;\n  while (j < %d) { output(arr[j]); j = j + 1; }\n", mod)
-	b.WriteString("  output(acc);\n  return 0;\n}\n")
-	return b.String()
-}
-
 // TestRandomProgramsBitIdentical is the randomized half of the tentpole
 // property, including section reuse ACROSS programs: all programs share
 // one store, so a later program whose helper happens to hash like an
@@ -165,7 +146,7 @@ func TestRandomProgramsBitIdentical(t *testing.T) {
 	}
 	store := memStore(t)
 	for p := 0; p < programs; p++ {
-		src := genProgram(rng)
+		src := bench.RandomProgram(rng)
 		coldWarm(t, fmt.Sprintf("program %d", p), compile(t, src), store, epvf.Config{})
 	}
 }

@@ -90,9 +90,9 @@ type sectionProfile struct {
 func buildProfile(res *rangeprop.Result, p *partition) *sectionProfile {
 	pr := &sectionProfile{Accesses: res.AccessesAnalyzed}
 	used := make(map[int32]int)
-	for u := range res.CrashBits {
+	res.EachUse(func(u trace.Use, _ uint64) {
 		used[p.owner[u.Event]] = 0
-	}
+	})
 	secs := make([]int32, 0, len(used))
 	for si := range used {
 		secs = append(secs, si)
@@ -104,14 +104,14 @@ func buildProfile(res *rangeprop.Result, p *partition) *sectionProfile {
 		used[si] = i
 		pr.Names = append(pr.Names, p.sections[si].name)
 	}
-	for u, m := range res.CrashBits {
+	res.EachUse(func(u trace.Use, m uint64) {
 		pr.Entries = append(pr.Entries, profEntry{
 			NameIdx: used[p.owner[u.Event]],
 			Ordinal: int64(p.ordinal[u.Event]),
 			Op:      u.Op,
 			Mask:    m,
 		})
-	}
+	})
 	sort.Slice(pr.Entries, func(i, j int) bool {
 		a, b := pr.Entries[i], pr.Entries[j]
 		if a.NameIdx != b.NameIdx {
@@ -126,12 +126,15 @@ func buildProfile(res *rangeprop.Result, p *partition) *sectionProfile {
 }
 
 // addTo translates the profile into the given trace's global coordinates
-// and unions it into merged. An unknown section name or out-of-range
-// ordinal means the profile does not belong to this partition (a keying
-// bug, or a corrupt entry the cache checksum missed) — the caller treats
-// the error as a miss and recomputes.
-func (pr *sectionProfile) addTo(p *partition, merged *rangeprop.Result) error {
-	for _, e := range pr.Entries {
+// and unions it into merged. An unknown section name, an out-of-range
+// ordinal or an operand beyond its event's trace.NumOperands means the
+// profile does not belong to this partition (a keying bug, or a corrupt
+// entry the cache checksum missed) — the caller treats the error as a miss
+// and recomputes. Every entry is checked before any is applied, so a
+// rejected profile leaves merged untouched.
+func (pr *sectionProfile) addTo(tr *trace.Trace, p *partition, merged *rangeprop.Result) error {
+	uses := make([]trace.Use, len(pr.Entries))
+	for i, e := range pr.Entries {
 		if e.NameIdx < 0 || e.NameIdx >= len(pr.Names) {
 			return fmt.Errorf("inc: profile references name %d of %d", e.NameIdx, len(pr.Names))
 		}
@@ -143,7 +146,14 @@ func (pr *sectionProfile) addTo(p *partition, merged *rangeprop.Result) error {
 			return fmt.Errorf("inc: profile ordinal %d out of range for section %q (%d events)",
 				e.Ordinal, sec.name, len(sec.events))
 		}
-		merged.CrashBits[trace.Use{Event: sec.events[e.Ordinal], Op: e.Op}] |= e.Mask
+		ev := sec.events[e.Ordinal]
+		if n := trace.NumOperands(tr.Events[ev].Instr); e.Op < 0 || e.Op >= n {
+			return fmt.Errorf("inc: profile operand %d out of range for event %d (%d operands)", e.Op, ev, n)
+		}
+		uses[i] = trace.Use{Event: ev, Op: e.Op}
+	}
+	for i, e := range pr.Entries {
+		merged.AddUseMask(uses[i], e.Mask)
 	}
 	merged.AccessesAnalyzed += pr.Accesses
 	return nil

@@ -288,6 +288,7 @@ type machine struct {
 	loads    int64
 	stores   int64
 	events   []trace.Event
+	slab     trace.Slab // backs every step's operand slices
 	outputs  []trace.Output
 	memDef   map[uint64]int64
 
@@ -562,9 +563,8 @@ func (vm *machine) stepPhis(fr *frame) {
 		found := false
 		for ei, from := range in.PhiIn {
 			if from == fr.prev {
-				bits, def := vm.operand(fr, in.Args[ei])
-				ops := []uint64{bits}
-				defs := []int64{def}
+				ops, defs := vm.slab.Take(1)
+				ops[0], defs[0] = vm.operand(fr, in.Args[ei])
 				idx := vm.retire(in, ops, defs)
 				vals[i] = phiVal{bits: ops[0], idx: idx}
 				found = true
@@ -603,8 +603,7 @@ func (vm *machine) step() {
 		return
 	}
 
-	ops := make([]uint64, len(in.Args))
-	defs := make([]int64, len(in.Args))
+	ops, defs := vm.slab.Take(len(in.Args))
 	for ai, a := range in.Args {
 		ops[ai], defs[ai] = vm.operand(fr, a)
 	}

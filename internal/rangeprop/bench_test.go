@@ -6,22 +6,56 @@ import (
 	"repro/internal/bench"
 	"repro/internal/ddg"
 	"repro/internal/interp"
+	"repro/internal/trace"
 )
+
+// ludTrace records lud's golden trace at the given scale with its ACE mask.
+func ludTrace(tb testing.TB, scale int) (*trace.Trace, *ddg.Graph, []bool) {
+	tb.Helper()
+	bb, _ := bench.Get("lud")
+	res, err := interp.Run(bb.MustModule(scale), interp.Config{Record: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := ddg.New(res.Trace)
+	return res.Trace, g, g.ACEMask()
+}
+
+// maxAnalyzeAllocs bounds one serial Analyze: the result, its layout, use
+// and def masks, the seed list, the walker with its stamps and worklist,
+// and the default crash model.
+const maxAnalyzeAllocs = 10
+
+// TestAnalyzeAllocs gates the propagation model's allocations: a fixed
+// handful per Analyze, none per access or per walk step, so doubling the
+// trace does not add any.
+func TestAnalyzeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate; the race build only slows it down")
+	}
+	var perScale []float64
+	for _, scale := range []int{1, 2} {
+		tr, g, mask := ludTrace(t, scale)
+		allocs := testing.AllocsPerRun(3, func() { Analyze(tr, g, mask, Config{}) })
+		if allocs > maxAnalyzeAllocs {
+			t.Fatalf("lud scale %d (%d events): %.0f allocations per Analyze, want <= %d",
+				scale, len(tr.Events), allocs, maxAnalyzeAllocs)
+		}
+		perScale = append(perScale, allocs)
+	}
+	if perScale[1] > perScale[0] {
+		t.Fatalf("allocations grew with the trace: %.0f at scale 1, %.0f at scale 2", perScale[0], perScale[1])
+	}
+}
 
 // BenchmarkAnalyze measures the crash+propagation model over a full
 // benchmark trace — the dominant cost of the ePVF analysis (Fig. 10).
 func BenchmarkAnalyze(b *testing.B) {
-	bb, _ := bench.Get("lud")
-	m := bb.MustModule(1)
-	res, err := interp.Run(m, interp.Config{Record: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := ddg.New(res.Trace)
-	mask := g.ACEMask()
+	tr, g, mask := ludTrace(b, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := Analyze(res.Trace, g, mask, Config{})
+		r := Analyze(tr, g, mask, Config{})
 		if r.CrashBitCount == 0 {
 			b.Fatal("no crash bits")
 		}
@@ -30,16 +64,9 @@ func BenchmarkAnalyze(b *testing.B) {
 
 // BenchmarkAnalyzeExact measures the exact-oracle variant.
 func BenchmarkAnalyzeExact(b *testing.B) {
-	bb, _ := bench.Get("lud")
-	m := bb.MustModule(1)
-	res, err := interp.Run(m, interp.Config{Record: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := ddg.New(res.Trace)
-	mask := g.ACEMask()
+	tr, g, mask := ludTrace(b, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Analyze(res.Trace, g, mask, Config{ExactAddress: true})
+		Analyze(tr, g, mask, Config{ExactAddress: true})
 	}
 }

@@ -8,6 +8,7 @@
 package rangeprop
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -44,16 +45,24 @@ type Config struct {
 	Parallel int
 }
 
-// Result is the computed CRASHING_BIT_LIST plus aggregate counts.
+// Result is the computed CRASHING_BIT_LIST plus aggregate counts. Its
+// masks are dense arrays over the trace's events: operand op of event ev
+// owns use slot opBase[ev]+op, and every event owns one def slot. A zero
+// mask means no bit of that use or register is predicted to crash.
 type Result struct {
-	// CrashBits maps each dynamic operand use to the mask of bits
-	// predicted to crash the program if flipped at that use.
-	CrashBits map[trace.Use]uint64
-	// DefCrashBits aggregates CrashBits at register granularity: for each
-	// value-defining event, the union of the crash masks of all its uses.
-	// A register bit is crash-causing if corrupting it makes any consumer
-	// access fault — the CRASHING_BIT_LIST as the recall study reads it.
-	DefCrashBits map[int64]uint64
+	// opBase[ev] is event ev's first use slot; the event owns the
+	// trace.NumOperands slots before opBase[ev+1]. Results of one trace
+	// share it read-only.
+	opBase []int
+	// use holds, per dynamic operand use, the mask of bits predicted to
+	// crash the program if flipped at that use.
+	use []uint64
+	// def aggregates use at register granularity (filled by Finalize): for
+	// each value-defining event, the union of the crash masks of all its
+	// uses. A register bit is crash-causing if corrupting it makes any
+	// consumer access fault — the CRASHING_BIT_LIST as the recall study
+	// reads it.
+	def []uint64
 	// CrashBitCount is the number of (register, bit) pairs predicted to
 	// crash, at def granularity — the quantity subtracted from the ACE
 	// bits in Eq. 2.
@@ -65,16 +74,65 @@ type Result struct {
 	AccessesAnalyzed int64
 }
 
+// NewResult returns an empty result laid out for tr's operand uses: no
+// mask set, every count zero.
+func NewResult(tr *trace.Trace) *Result {
+	opBase := make([]int, len(tr.Events)+1)
+	n := 0
+	for i := range tr.Events {
+		opBase[i] = n
+		n += trace.NumOperands(tr.Events[i].Instr)
+	}
+	opBase[len(tr.Events)] = n
+	return newResult(opBase)
+}
+
+func newResult(opBase []int) *Result {
+	return &Result{opBase: opBase, use: make([]uint64, opBase[len(opBase)-1])}
+}
+
+// slot returns the use slot of u, or -1 when u is not an operand use of
+// the trace.
+func (r *Result) slot(u trace.Use) int {
+	if u.Event < 0 || u.Event >= int64(len(r.opBase)-1) || u.Op < 0 {
+		return -1
+	}
+	s := r.opBase[u.Event] + u.Op
+	if s >= r.opBase[u.Event+1] {
+		return -1
+	}
+	return s
+}
+
+// UseMask returns the predicted crash-bit mask of use u — zero when no bit
+// of it is on the CRASHING_BIT_LIST.
+func (r *Result) UseMask(u trace.Use) uint64 {
+	if s := r.slot(u); s >= 0 {
+		return r.use[s]
+	}
+	return 0
+}
+
+// AddUseMask unions mask into the crash mask of use u, which must be an
+// operand use of the trace: its Op below the event's trace.NumOperands.
+func (r *Result) AddUseMask(u trace.Use, mask uint64) {
+	s := r.slot(u)
+	if s < 0 {
+		panic(fmt.Sprintf("rangeprop: %v is not an operand use of the trace", u))
+	}
+	r.use[s] |= mask
+}
+
 // Predicted reports whether flipping the given bit at the given use is
 // predicted to crash.
 func (r *Result) Predicted(u trace.Use, bit int) bool {
-	return r.CrashBits[u]&(1<<uint(bit)) != 0
+	return r.UseMask(u)&(1<<uint(bit)) != 0
 }
 
 // PredictedDef reports whether flipping the given bit of the register
 // defined at event ev is predicted to crash.
 func (r *Result) PredictedDef(ev int64, bit int) bool {
-	return r.DefCrashBits[ev]&(1<<uint(bit)) != 0
+	return r.DefMask(ev)&(1<<uint(bit)) != 0
 }
 
 // PredictedDefMask reports whether a multi-bit fault (XOR mask) in the
@@ -82,7 +140,7 @@ func (r *Result) PredictedDef(ev int64, bit int) bool {
 // flipped bit is crash-causing. (Two flips cancelling each other inside a
 // range is possible in principle but vanishingly rare.)
 func (r *Result) PredictedDefMask(ev int64, mask uint64) bool {
-	return r.DefCrashBits[ev]&mask != 0
+	return r.DefMask(ev)&mask != 0
 }
 
 // DefMask returns the full predicted crash-bit mask of the register
@@ -90,13 +148,47 @@ func (r *Result) PredictedDefMask(ev int64, mask uint64) bool {
 // CRASHING_BIT_LIST. This is the per-bit export the attribution ledger
 // joins against FI ground truth.
 func (r *Result) DefMask(ev int64) uint64 {
-	return r.DefCrashBits[ev]
+	if ev < 0 || ev >= int64(len(r.def)) {
+		return 0
+	}
+	return r.def[ev]
+}
+
+// EachUse calls fn for every use with a non-zero crash mask, in event
+// order and, within an event, in operand order.
+func (r *Result) EachUse(fn func(u trace.Use, mask uint64)) {
+	ev := 0
+	for s, m := range r.use {
+		if m == 0 {
+			continue
+		}
+		for r.opBase[ev+1] <= s {
+			ev++
+		}
+		fn(trace.Use{Event: int64(ev), Op: s - r.opBase[ev]}, m)
+	}
+}
+
+// EachDef calls fn for every register with a non-zero crash mask, in event
+// order. It sees nothing before Finalize.
+func (r *Result) EachDef(fn func(ev int64, mask uint64)) {
+	for ev, m := range r.def {
+		if m != 0 {
+			fn(int64(ev), m)
+		}
+	}
 }
 
 // Seeds returns the ACE-graph memory accesses of the trace — the walk
 // seeds of ITERATE_OVER_ACE_GRAPH — in event order.
 func Seeds(tr *trace.Trace, aceMask []bool) []int64 {
-	var accesses []int64
+	n := 0
+	for i := range tr.Events {
+		if aceMask[i] && tr.Events[i].IsMemAccess() {
+			n++
+		}
+	}
+	accesses := make([]int64, 0, n)
 	for i := range tr.Events {
 		if aceMask[i] && tr.Events[i].IsMemAccess() {
 			accesses = append(accesses, int64(i))
@@ -105,10 +197,9 @@ func Seeds(tr *trace.Trace, aceMask []bool) []int64 {
 	return accesses
 }
 
-// Analyze runs ITERATE_OVER_ACE_GRAPH: for every load/store event inside
-// aceMask it obtains the crash-model boundary and propagates it along the
-// backward slice of the address.
-func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result {
+// withDefaults fills cfg's defaults and returns it with the effective
+// per-walk depth bound (negative: unbounded).
+func withDefaults(cfg Config) (Config, int) {
 	if cfg.Model == nil {
 		cfg.Model = crash.NewModel()
 	}
@@ -116,36 +207,41 @@ func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result 
 	if maxDepth == 0 {
 		maxDepth = DefaultMaxDepth
 	}
-	accesses := Seeds(tr, aceMask)
+	return cfg, maxDepth
+}
 
-	var res *Result
-	workers := cfg.Parallel
-	if workers > len(accesses) {
-		workers = len(accesses)
-	}
+// Analyze runs ITERATE_OVER_ACE_GRAPH: for every load/store event inside
+// aceMask it obtains the crash-model boundary and propagates it along the
+// backward slice of the address.
+func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result {
+	cfg, maxDepth := withDefaults(cfg)
+	accesses := Seeds(tr, aceMask)
+	res := NewResult(tr)
+
+	workers := min(cfg.Parallel, len(accesses))
 	if workers <= 1 {
-		res = AnalyzeSeeds(tr, cfg, accesses, nil)
-	} else {
-		// Shard walks across workers with worker-local result maps, then
-		// merge by union — identical to the serial result.
-		res = &Result{
-			CrashBits:    make(map[trace.Use]uint64),
-			DefCrashBits: make(map[int64]uint64),
+		w := newWalker(tr, cfg, maxDepth, res, nil)
+		for _, ev := range accesses {
+			w.access(ev)
 		}
-		parts := make([]*Result, workers)
+	} else {
+		// Shard walks across workers, each with its own scratch and masks,
+		// then merge by union — identical to the serial result.
+		parts := make([]*walker, workers)
 		var wg sync.WaitGroup
 		next := make(chan int64)
-		for w := 0; w < workers; w++ {
-			part := &Result{
-				CrashBits:    make(map[trace.Use]uint64),
-				DefCrashBits: make(map[int64]uint64),
+		for i := range parts {
+			part := res
+			if i > 0 {
+				part = newResult(res.opBase)
 			}
-			parts[w] = part
+			w := newWalker(tr, cfg, maxDepth, part, nil)
+			parts[i] = w
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for ev := range next {
-					analyzeAccess(tr, part, cfg, ev, maxDepth, nil)
+					w.access(ev)
 				}
 			}()
 		}
@@ -154,10 +250,10 @@ func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result 
 		}
 		close(next)
 		wg.Wait()
-		for _, part := range parts {
-			res.AccessesAnalyzed += part.AccessesAnalyzed
-			for u, m := range part.CrashBits {
-				res.CrashBits[u] |= m
+		for _, w := range parts[1:] {
+			res.AccessesAnalyzed += w.res.AccessesAnalyzed
+			for s, m := range w.res.use {
+				res.use[s] |= m
 			}
 		}
 	}
@@ -172,7 +268,7 @@ func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result 
 
 // AnalyzeSeeds runs the boundary check and backward walk for the given
 // seed accesses only, serially, and returns the raw per-use crash masks
-// (Finalize has not been called: DefCrashBits and the counts are not yet
+// (Finalize has not been called: the def masks and the counts are not yet
 // populated). Seed subsets are how the incremental layer (internal/inc)
 // sections the model: per-seed walks are independent and their masks merge
 // by union, so a whole-trace Analyze equals the union of AnalyzeSeeds over
@@ -184,59 +280,82 @@ func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result 
 // to know which program sections a cached walk result depends on. cfg
 // defaulting matches Analyze (nil Model, zero MaxDepth).
 func AnalyzeSeeds(tr *trace.Trace, cfg Config, seeds []int64, touch func(ev int64)) *Result {
-	if cfg.Model == nil {
-		cfg.Model = crash.NewModel()
-	}
-	maxDepth := cfg.MaxDepth
-	if maxDepth == 0 {
-		maxDepth = DefaultMaxDepth
-	}
-	res := &Result{
-		CrashBits:    make(map[trace.Use]uint64),
-		DefCrashBits: make(map[int64]uint64),
-	}
+	cfg, maxDepth := withDefaults(cfg)
+	res := NewResult(tr)
+	w := newWalker(tr, cfg, maxDepth, res, touch)
 	for _, ev := range seeds {
-		analyzeAccess(tr, res, cfg, ev, maxDepth, touch)
+		w.access(ev)
 	}
 	return res
 }
 
-// Finalize aggregates the per-use crash masks into the def-granular view:
-// DefCrashBits (union of every use's mask at its defining event) and the
-// two bit tallies. Idempotent inputs are not supported — call it exactly
-// once, after all CrashBits unions are complete.
+// Finalize aggregates the per-use crash masks into the def-granular view
+// (the union of every use's mask at its defining event) and the two bit
+// tallies. Call it exactly once, after every use mask is in place.
 func (r *Result) Finalize(tr *trace.Trace) {
-	for u, m := range r.CrashBits {
-		r.UseCrashBitCount += int64(crash.PopCount(m))
-		e := &tr.Events[u.Event]
-		if u.Op < len(e.OpDefs) && e.OpDefs[u.Op] != trace.NoDef {
-			r.DefCrashBits[e.OpDefs[u.Op]] |= m
+	r.def = make([]uint64, len(tr.Events))
+	for ev := range tr.Events {
+		base := r.opBase[ev]
+		uses := r.use[base:r.opBase[ev+1]]
+		opDefs := tr.Events[ev].OpDefs
+		for op, m := range uses {
+			if m == 0 {
+				continue
+			}
+			r.UseCrashBitCount += int64(crash.PopCount(m))
+			if op < len(opDefs) && opDefs[op] != trace.NoDef {
+				r.def[opDefs[op]] |= m
+			}
 		}
 	}
-	for _, m := range r.DefCrashBits {
+	for _, m := range r.def {
 		r.CrashBitCount += int64(crash.PopCount(m))
 	}
 }
 
-// analyzeAccess runs the boundary check and backward walk for one
-// ACE-graph memory access.
-func analyzeAccess(tr *trace.Trace, res *Result, cfg Config, ev int64, maxDepth int, touch func(ev int64)) {
-	e := &tr.Events[ev]
-	bound, ok := cfg.Model.Boundary(tr, ev)
+// walker runs the backward walks of one Analyze worker or AnalyzeSeeds
+// call into res, reusing its visited stamps and worklist across every
+// access it walks.
+type walker struct {
+	tr       *trace.Trace
+	cfg      Config
+	maxDepth int
+	res      *Result
+	touch    func(ev int64)
+	// visited[def] == epoch marks def as already expanded by the current
+	// access's walk.
+	visited []uint32
+	epoch   uint32
+	work    []item
+}
+
+func newWalker(tr *trace.Trace, cfg Config, maxDepth int, res *Result, touch func(ev int64)) *walker {
+	return &walker{
+		tr: tr, cfg: cfg, maxDepth: maxDepth, res: res, touch: touch,
+		visited: make([]uint32, len(tr.Events)),
+		work:    make([]item, 0, 64),
+	}
+}
+
+// access runs the boundary check and backward walk for one ACE-graph
+// memory access.
+func (w *walker) access(ev int64) {
+	e := &w.tr.Events[ev]
+	bound, ok := w.cfg.Model.Boundary(w.tr, ev)
 	if !ok {
 		// The boundary itself read the seed event; a cached section must
 		// still know it depends on it.
-		if touch != nil {
-			touch(ev)
+		if w.touch != nil {
+			w.touch(ev)
 		}
 		return
 	}
-	res.AccessesAnalyzed++
+	w.res.AccessesAnalyzed++
 	ptrOp := 0
 	if e.Instr.Op == ir.OpStore {
 		ptrOp = 1
 	}
-	crashCalc(tr, res, cfg, ev, ptrOp, bound, maxDepth, touch)
+	w.crashCalc(ev, ptrOp, bound)
 }
 
 // item is one worklist entry: operand use (Ev, Op) whose value must remain
@@ -255,9 +374,15 @@ type item struct {
 // touch (optional) receives the index of every event whose recorded content
 // the walk reads: each processed worklist item and each def handed to
 // invert (invert inspects the def event even when it yields no items).
-func crashCalc(tr *trace.Trace, res *Result, cfg Config, accessEv int64, ptrOp int, bound crash.Bound, maxDepth int, touch func(ev int64)) {
-	visited := make(map[int64]bool)
-	work := []item{{ev: accessEv, op: ptrOp, r: bound, direct: true}}
+func (w *walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound) {
+	w.epoch++
+	if w.epoch == 0 {
+		// The stamps wrapped around: forget every earlier walk's marks.
+		clear(w.visited)
+		w.epoch = 1
+	}
+	tr, res, touch := w.tr, w.res, w.touch
+	work := append(w.work[:0], item{ev: accessEv, op: ptrOp, r: bound, direct: true})
 	for len(work) > 0 {
 		it := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -269,42 +394,40 @@ func crashCalc(tr *trace.Trace, res *Result, cfg Config, accessEv int64, ptrOp i
 		v := e.Ops[it.op]
 		width := trace.OperandWidth(e.Instr, it.op)
 		if trace.InjectableOperand(e.Instr, it.op) || e.Instr.Op == ir.OpPhi {
-			u := trace.Use{Event: it.ev, Op: it.op}
 			var mask uint64
-			if it.direct && cfg.ExactAddress {
-				mask = cfg.Model.MaskExact(tr, it.ev, v, width)
+			if it.direct && w.cfg.ExactAddress {
+				mask = w.cfg.Model.MaskExact(tr, it.ev, v, width)
 			} else {
 				mask = crash.MaskFromBound(v, width, it.r)
 			}
 			if mask != 0 {
-				res.CrashBits[u] |= mask
+				res.use[res.opBase[it.ev]+it.op] |= mask
 			}
 		}
 
 		def := e.OpDefs[it.op]
-		if def == trace.NoDef || visited[def] {
+		if def == trace.NoDef || w.visited[def] == w.epoch {
 			continue
 		}
-		if maxDepth > 0 && it.depth >= maxDepth {
+		if w.maxDepth > 0 && it.depth >= w.maxDepth {
 			continue
 		}
-		visited[def] = true
+		w.visited[def] = w.epoch
 		if touch != nil {
 			touch(def)
 		}
-		for _, nxt := range invert(tr, def, it.r) {
-			nxt.depth = it.depth + 1
-			work = append(work, nxt)
-		}
+		work = invert(work, tr, def, it.r, it.depth+1)
 	}
+	w.work = work
 }
 
 // invert applies Table III: given that the value produced by event def must
-// stay within r, derive ranges for def's own operand uses.
-func invert(tr *trace.Trace, def int64, r crash.Bound) []item {
+// stay within r, derive ranges for def's own operand uses and append them,
+// at the given walk depth, to work.
+func invert(work []item, tr *trace.Trace, def int64, r crash.Bound, depth int) []item {
 	e := &tr.Events[def]
 	in := e.Instr
-	mk := func(op int, b crash.Bound) item { return item{ev: def, op: op, r: b} }
+	mk := func(op int, b crash.Bound) item { return item{ev: def, op: op, r: b, depth: depth} }
 
 	signedOp := func(op int) int64 {
 		return ir.SignExtend(e.Ops[op], trace.OperandWidth(in, op))
@@ -313,87 +436,86 @@ func invert(tr *trace.Trace, def int64, r crash.Bound) []item {
 	switch in.Op {
 	case ir.OpAdd:
 		// dest = op0 + op1: op_i within [lo - other, hi - other].
-		return []item{
+		return append(work,
 			mk(0, shift(r, -signedOp(1))),
 			mk(1, shift(r, -signedOp(0))),
-		}
+		)
 	case ir.OpSub:
 		// dest = op0 - op1.
-		return []item{
+		return append(work,
 			mk(0, shift(r, signedOp(1))),
 			mk(1, crash.Bound{Lo: satSub(signedOp(0), r.Hi), Hi: satSub(signedOp(0), r.Lo)}),
-		}
+		)
 	case ir.OpMul:
-		var out []item
 		if b := divRange(r, signedOp(1)); !b.IsUnconstrained() {
-			out = append(out, mk(0, b))
+			work = append(work, mk(0, b))
 		}
 		if b := divRange(r, signedOp(0)); !b.IsUnconstrained() {
-			out = append(out, mk(1, b))
+			work = append(work, mk(1, b))
 		}
-		return out
+		return work
 	case ir.OpSDiv, ir.OpUDiv:
 		// dest = op0 / c (truncating). Invertible for positive c and
 		// non-negative ranges: op0 within [lo*c, hi*c + c - 1].
 		c := signedOp(1)
 		if c > 0 && r.Lo >= 0 {
-			return []item{mk(0, crash.Bound{
+			return append(work, mk(0, crash.Bound{
 				Lo: satMul(r.Lo, c),
 				Hi: satAdd(satMul(r.Hi, c), c-1),
-			})}
+			}))
 		}
-		return nil
+		return work
 	case ir.OpShl:
 		// dest = op0 * 2^k.
 		k := signedOp(1)
 		if k >= 0 && k < 63 {
 			if b := divRange(r, int64(1)<<uint(k)); !b.IsUnconstrained() {
-				return []item{mk(0, b)}
+				return append(work, mk(0, b))
 			}
 		}
-		return nil
+		return work
 	case ir.OpGEP:
 		// dest = base + stride*idx.
 		stride := in.Elem.Size()
 		base := signedOp(0)
 		idx := signedOp(1)
-		out := []item{mk(0, shift(r, -satMul(stride, idx)))}
+		work = append(work, mk(0, shift(r, -satMul(stride, idx))))
 		if stride > 0 {
 			lo := ceilDiv(satSub(r.Lo, base), stride)
 			hi := floorDiv(satSub(r.Hi, base), stride)
-			out = append(out, mk(1, crash.Bound{Lo: lo, Hi: hi}))
+			work = append(work, mk(1, crash.Bound{Lo: lo, Hi: hi}))
 		}
-		return out
+		return work
 	case ir.OpBitcast, ir.OpPtrToInt, ir.OpIntToPtr:
-		return []item{mk(0, r)}
+		return append(work, mk(0, r))
 	case ir.OpZExt:
 		w := in.Args[0].Type().BitWidth()
-		return []item{mk(0, intersect(r, crash.Bound{Lo: 0, Hi: maxOfWidthU(w)}))}
+		return append(work, mk(0, intersect(r, crash.Bound{Lo: 0, Hi: maxOfWidthU(w)})))
 	case ir.OpSExt:
 		w := in.Args[0].Type().BitWidth()
-		return []item{mk(0, intersect(r, widthBound(w)))}
+		return append(work, mk(0, intersect(r, widthBound(w))))
 	case ir.OpLoad:
 		// Value identity through memory: the loaded value equals the value
 		// operand of the producing store. (The store's own address operand
 		// is seeded separately by its own boundary check.)
 		if e.MemDef != trace.NoDef {
-			return []item{{ev: e.MemDef, op: 0, r: r}}
+			return append(work, item{ev: e.MemDef, op: 0, r: r, depth: depth})
 		}
-		return nil
+		return work
 	case ir.OpPhi:
-		return []item{mk(0, r)}
+		return append(work, mk(0, r))
 	case ir.OpSelect:
 		// The chosen arm carried the value; determine it from the recorded
 		// condition.
 		if e.Ops[0]&1 != 0 {
-			return []item{mk(1, r)}
+			return append(work, mk(1, r))
 		}
-		return []item{mk(2, r)}
+		return append(work, mk(2, r))
 	default:
 		// srem/urem, bitwise logic, shifts right, float ops, calls:
 		// not invertible to an interval (Table III stops here); the walk
 		// terminates conservatively (no crash bits claimed upstream).
-		return nil
+		return work
 	}
 }
 

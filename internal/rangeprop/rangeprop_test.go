@@ -2,6 +2,7 @@ package rangeprop
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -51,7 +52,9 @@ func TestAnalyzeFindsCrashBits(t *testing.T) {
 	if res.CrashBitCount == 0 || res.UseCrashBitCount == 0 {
 		t.Fatal("no crash bits found")
 	}
-	if len(res.DefCrashBits) == 0 {
+	defs := 0
+	res.EachDef(func(int64, uint64) { defs++ })
+	if defs == 0 {
 		t.Fatal("no def-level crash bits")
 	}
 	// Every address-producing gep def must have crash bits (flipping its
@@ -62,7 +65,7 @@ func TestAnalyzeFindsCrashBits(t *testing.T) {
 			continue
 		}
 		geps++
-		if res.DefCrashBits[int64(i)] != 0 {
+		if res.DefMask(int64(i)) != 0 {
 			gepsWithBits++
 		}
 	}
@@ -78,7 +81,7 @@ func TestHighAddressBitsAreCrashBits(t *testing.T) {
 		if e.Instr.Op != ir.OpGEP {
 			continue
 		}
-		mask := res.DefCrashBits[int64(i)]
+		mask := res.DefMask(int64(i))
 		// Bits 40..63 of a heap address always escape any segment.
 		for bit := 40; bit < 64; bit++ {
 			if mask&(1<<uint(bit)) == 0 {
@@ -102,7 +105,7 @@ func TestPredictedCrashBitsActuallyCrash(t *testing.T) {
 	tr, res := analyzeSrc(t, src, Config{})
 	_ = tr
 	total, crashed, tried := 0, 0, 0
-	for def, mask := range res.DefCrashBits {
+	res.EachDef(func(def int64, mask uint64) {
 		for bit := 0; bit < 64; bit++ {
 			if mask&(1<<uint(bit)) == 0 {
 				continue
@@ -121,7 +124,7 @@ func TestPredictedCrashBitsActuallyCrash(t *testing.T) {
 				crashed++
 			}
 		}
-	}
+	})
 	if tried < 20 {
 		t.Fatalf("too few predicted bits sampled: %d", tried)
 	}
@@ -157,20 +160,17 @@ func TestExactAddressModeDiffers(t *testing.T) {
 func TestPredictedAccessors(t *testing.T) {
 	_, res := analyzeSrc(t, arraySumSrc, Config{})
 	found := false
-	for u, mask := range res.CrashBits {
+	res.EachUse(func(u trace.Use, mask uint64) {
+		if mask != res.UseMask(u) {
+			t.Fatalf("%v: UseMask %#x, EachUse %#x", u, res.UseMask(u), mask)
+		}
 		for bit := 0; bit < 64; bit++ {
-			if mask&(1<<uint(bit)) != 0 {
-				if !res.Predicted(u, bit) {
-					t.Fatal("Predicted disagrees with mask")
-				}
-				found = true
-				break
+			if res.Predicted(u, bit) != (mask&(1<<uint(bit)) != 0) {
+				t.Fatalf("%v bit %d: Predicted disagrees with mask %#x", u, bit, mask)
 			}
 		}
-		if found {
-			break
-		}
-	}
+		found = true
+	})
 	if !found {
 		t.Fatal("no crash bits to check")
 	}
@@ -325,8 +325,8 @@ void main() {
 		if e.Instr.Op != ir.OpAdd || !e.Instr.Type().Equal(ir.I32) {
 			continue
 		}
-		mask, ok := res.DefCrashBits[int64(i)]
-		if !ok {
+		mask := res.DefMask(int64(i))
+		if mask == 0 {
 			continue
 		}
 		if mask&(1<<31) == 0 {
@@ -362,12 +362,7 @@ func TestParallelAnalyzeMatchesSerial(t *testing.T) {
 			serial.CrashBitCount, serial.UseCrashBitCount,
 			parallel.CrashBitCount, parallel.UseCrashBitCount)
 	}
-	if len(serial.CrashBits) != len(parallel.CrashBits) {
-		t.Fatal("crash-bit maps differ in size")
-	}
-	for u, mseq := range serial.CrashBits {
-		if parallel.CrashBits[u] != mseq {
-			t.Fatalf("use %v: masks differ", u)
-		}
+	if !reflect.DeepEqual(serial.use, parallel.use) || !reflect.DeepEqual(serial.def, parallel.def) {
+		t.Fatal("crash masks differ")
 	}
 }

@@ -141,3 +141,33 @@ func NumOperands(in *ir.Instr) int {
 	}
 	return len(in.Args)
 }
+
+// slabChunk is the number of operand slots one Slab chunk holds: large
+// enough that a recording allocates a few times per thousand events, small
+// enough that a short run wastes little.
+const slabChunk = 4096
+
+// Slab hands out the Ops and OpDefs slices of recorded events from shared
+// fixed-size chunks, so recording allocates twice per chunk rather than
+// twice per event. Each slice it returns is capped at its own length: an
+// append by a consumer reallocates instead of overwriting the next
+// event's operands. Chunks are never reused, so slices handed out stay
+// valid for the life of the trace. The zero Slab is ready to use; a Slab
+// is not safe for concurrent use.
+type Slab struct {
+	ops  []uint64
+	defs []int64
+}
+
+// Take returns zeroed Ops and OpDefs slices of length n for one event.
+func (s *Slab) Take(n int) ([]uint64, []int64) {
+	if s.ops == nil || cap(s.ops)-len(s.ops) < n {
+		c := max(slabChunk, n)
+		s.ops = make([]uint64, 0, c)
+		s.defs = make([]int64, 0, c)
+	}
+	i := len(s.ops)
+	s.ops = s.ops[:i+n]
+	s.defs = s.defs[:i+n]
+	return s.ops[i : i+n : i+n], s.defs[i : i+n : i+n]
+}

@@ -296,9 +296,11 @@ func TestDifferentialInjection(t *testing.T) {
 			int sq(int x) { return x * x; }
 			void main() { output(sq(3) + sq(4)); }`},
 	}
-	rng := rand.New(rand.NewSource(42))
-	for _, pc := range progs {
+	for i, pc := range progs {
 		pc := pc
+		// Each parallel subtest draws from its own source: one shared
+		// *rand.Rand is a data race.
+		rng := rand.New(rand.NewSource(42 + int64(i)))
 		t.Run(pc.name, func(t *testing.T) {
 			t.Parallel()
 			m, err := lang.Compile(pc.name, pc.src)

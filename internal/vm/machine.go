@@ -58,6 +58,7 @@ type machine struct {
 	record   bool
 	inj      *interp.Injection
 	events   []trace.Event
+	slab     trace.Slab // backs the recorded events' Ops/OpDefs
 	outputs  []trace.Output
 	memDef   map[uint64]int64
 
@@ -223,8 +224,7 @@ func (m *machine) pushFrame(fnIdx int32, caller *vframe, argSlots []uint16) {
 // LocalID, reading operands from their slots in Args order.
 func (m *machine) recordEvent(fr *vframe, fc *fnCode, localID int32) {
 	slots := fc.meta[localID].argSlots
-	ops := make([]uint64, len(slots))
-	defs := make([]int64, len(slots))
+	ops, defs := m.slab.Take(len(slots))
 	for i, s := range slots {
 		ops[i] = fr.regs[s]
 		defs[i] = fr.defs[s]
@@ -649,10 +649,12 @@ func (m *machine) stepPhiGroup(fr *vframe, fc *fnCode, aux uint32) int32 {
 		m.dyn++
 		m.executed++
 		if m.record {
+			ops, defs := m.slab.Take(1)
+			ops[0], defs[0] = bits, def
 			m.events = append(m.events, trace.Event{
 				Instr:  g.phis[i],
-				Ops:    []uint64{bits},
-				OpDefs: []int64{def},
+				Ops:    ops,
+				OpDefs: defs,
 				MemDef: trace.NoDef,
 			})
 		}

@@ -22,11 +22,12 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (obs + ts + alert + dashboard + campaign + dist + snapshot + mem + fi + attr + cache + inc + serve + vm + traced CLIs)"
+echo "== go test -race (obs + ts + alert + dashboard + campaign + dist + snapshot + mem + fi + attr + cache + inc + serve + vm + rangeprop + trace + traced CLIs)"
 go test -race ./internal/obs/... ./internal/obs/ts/... ./internal/obs/alert/... \
     ./internal/dashboard/... ./internal/campaign/... ./internal/dist/... \
     ./internal/snapshot/... ./internal/mem/... ./internal/fi/... ./internal/attr/... \
     ./internal/cache/... ./internal/inc/... ./internal/serve/... ./internal/vm/... \
+    ./internal/rangeprop/... ./internal/trace/... \
     ./cmd/epvf/... ./cmd/campaign/...
 
 echo "== vm differential smoke (walker vs bytecode VM, fuzz corpus seeds)"
