@@ -199,7 +199,6 @@ func runCampaign(cmd string, args []string, out io.Writer) error {
 	stallAfter := fs.Duration("stall-after", 0, "with -obs-addr: campaign-stall alert window (0 = built-in default)")
 	snap := fs.Bool("snapshot", true, "restore COW execution snapshots instead of replaying each run from scratch (auto-off under -jitter)")
 	snapStride := fs.Int64("snapshot-stride", 0, "events between snapshots (0 = auto, ~sqrt(trace length))")
-	engine := fs.String("engine", fi.EngineVM, "execution engine: vm (bytecode dispatch loop, walker fallback) or walker")
 	attrOn := fs.Bool("attr", true, "feed the prediction-vs-ground-truth attribution ledger (see `campaign attr`)")
 	serverURL := fs.String("server", "", "analysis daemon address (see `epvf serve`); completed logs are fetched from and published to its content-addressed cache by plan ID")
 	traceOut := fs.String("trace-out", "", "additionally stream every trace span to this JSONL file (spans always land in the campaign log)")
@@ -296,7 +295,6 @@ func runCampaign(cmd string, args []string, out io.Writer) error {
 		Budget:   *budget,
 		Shards:   shards,
 		Snapshot: campaign.SnapshotOptions{Disabled: !*snap, Stride: *snapStride},
-		Engine:   *engine,
 		Tracer:   tracer,
 	}
 	if !*quiet {
@@ -628,7 +626,6 @@ func runWork(args []string, out io.Writer) error {
 	quiet := fs.Bool("q", false, "suppress progress output")
 	snap := fs.Bool("snapshot", true, "restore COW execution snapshots instead of replaying each run from scratch (auto-off under jittered plans)")
 	snapStride := fs.Int64("snapshot-stride", 0, "events between snapshots (0 = auto, ~sqrt(trace length))")
-	engine := fs.String("engine", fi.EngineVM, "execution engine: vm (bytecode dispatch loop, walker fallback) or walker")
 	attrOn := fs.Bool("attr", true, "send per-shard attribution-ledger hashes with deliveries (cross-checks classifier skew)")
 	traceOut := fs.String("trace-out", "", "additionally stream every trace span to this JSONL file (shard subtrees always ship to the coordinator)")
 	if err := fs.Parse(args); err != nil {
@@ -666,7 +663,6 @@ func runWork(args []string, out io.Writer) error {
 		Workers:          *workers,
 		DisableSnapshots: !*snap,
 		SnapshotStride:   *snapStride,
-		Engine:           *engine,
 		Tracer:           tracer,
 	}
 	if *attrOn {

@@ -14,7 +14,7 @@
 //
 // `epvf serve` starts the always-on analysis daemon: it accepts module
 // IR over HTTP, keys every pipeline stage by content hash, and serves
-// cached summaries, traces, campaign logs and attribution snapshots
+// cached summaries, campaign logs and attribution snapshots
 // (plus /metrics, /healthz and pprof) until SIGINT. `-server` makes the
 // analysis a client call against such a daemon — the printed report is
 // byte-identical to a local run (use `-timing=false` to drop the
@@ -174,12 +174,10 @@ func run(args []string) error {
 	incremental := fs.Bool("incremental", false, "compose the analysis from per-function section profiles (internal/inc); stdout stays byte-identical to a plain run, the section accounting goes to stderr")
 	cacheDir := fs.String("cache-dir", "", "section-cache directory for -incremental (empty keeps profiles in memory for this run only)")
 	depth := fs.Int("depth", 0, "propagation walk depth (0 = default, negative = unbounded)")
-	engine := fs.String("engine", "vm", "profiling engine: vm (bytecode dispatch loop, walker fallback) or walker")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	cfg := incEpvfConfig(*depth)
-	cfg.Engine = *engine
 
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()

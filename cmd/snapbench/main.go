@@ -1,5 +1,6 @@
-// Command snapbench measures the copy-on-write snapshot speedup: it runs
-// the same fault-injection campaign twice — every run from scratch, then
+// Command snapbench measures the copy-on-write snapshot speedup: on each
+// engine (walker, then VM) it runs the same fault-injection campaign
+// twice — every run from scratch, then
 // with snapshot restore + convergence fast-forward — verifies the two
 // produce bit-identical records, and emits the comparison as JSON. The
 // committed BENCH_snapshot.json at the repository root is its output;
@@ -72,19 +73,8 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 2016, "campaign seed")
 	workers := fs.Int("workers", runtime.NumCPU(), "injection worker goroutines")
 	stride := fs.Int64("snapshot-stride", 0, "events between snapshots (0 = auto)")
-	engine := fs.String("engine", "both", "execution engine to measure: walker, vm, or both (one comparison per engine)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	var engines []string
-	switch *engine {
-	case "both":
-		engines = []string{fi.EngineWalker, fi.EngineVM}
-	case fi.EngineWalker, fi.EngineVM:
-		engines = []string{*engine}
-	default:
-		return fmt.Errorf("unknown engine %q (want %q, %q or both)", *engine, fi.EngineWalker, fi.EngineVM)
 	}
 
 	b, ok := bench.Get(*benchName)
@@ -105,7 +95,7 @@ func run(args []string, out io.Writer) error {
 		Workers: *workers,
 	}
 	var ref []fi.Record
-	for _, eng := range engines {
+	for _, eng := range []string{fi.EngineWalker, fi.EngineVM} {
 		cfg := fi.Config{Seed: *seed, Engine: eng} // deterministic layout: snapshots apply
 
 		scratchRunner, err := fi.NewRunner(m, golden, cfg)

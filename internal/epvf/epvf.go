@@ -8,7 +8,6 @@
 package epvf
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -29,10 +28,11 @@ type Config struct {
 	Prop rangeprop.Config
 	// Interp configures the profiling run when analyzing a module.
 	Interp interp.Config
-	// Engine selects the profiling engine: "" or "vm" records the golden
-	// trace on the bytecode VM (falling back to the walker when the
-	// module cannot compile), "walker" forces the frame-stack walker.
-	// The recorded trace is bit-identical either way.
+	// Engine is only for an independent reference analysis: "walker"
+	// records on the frame-stack walker (interp.Run) instead of Profile,
+	// so the reference shares no compiled code with the analysis it
+	// checks. The benchmark's daemon render check (perfbench/serve.go)
+	// sets it; every other caller leaves it empty.
 	Engine string
 }
 
@@ -139,38 +139,43 @@ func AnalyzeTrace(tr *trace.Trace, cfg Config) *Analysis {
 // the paper's cost accounting.
 func AnalyzeModule(m *ir.Module, cfg Config) (*Analysis, *interp.Result, error) {
 	t0 := time.Now()
-	sp := obs.StartSpan("epvf_profile")
 	icfg := cfg.Interp
 	icfg.Record = true
-	res, err := runProfile(m, icfg, cfg.Engine)
+	profile := Profile
+	if cfg.Engine == "walker" {
+		profile = interp.Run
+	}
+	res, err := profile(m, icfg)
 	if err != nil {
-		sp.End()
 		return nil, nil, err
 	}
-	sp.Add("dyn_instrs", res.DynInstrs)
-	sp.End()
 	buildTime := time.Since(t0)
 	a := AnalyzeTrace(res.Trace, cfg)
 	a.Timing.GraphBuild += buildTime
 	return a, res, nil
 }
 
-// runProfile executes the recorded profiling run on the selected engine.
-// Modules the VM cannot compile profile on the walker instead (counted in
-// epvf_vm_fallbacks_total); an unknown engine name is an error.
-func runProfile(m *ir.Module, icfg interp.Config, engine string) (*interp.Result, error) {
-	switch engine {
-	case "", "vm":
-		prog, err := vm.Compile(m, vm.Options{})
-		if err != nil {
-			return interp.Run(m, icfg)
-		}
-		return prog.Run(icfg)
-	case "walker":
-		return interp.Run(m, icfg)
-	default:
-		return nil, fmt.Errorf("epvf: unknown engine %q (want \"vm\" or \"walker\")", engine)
+// Profile records the golden trace of m under icfg (Record is forced on):
+// the one profiling step of every analysis path. It runs the module on the
+// bytecode VM; a module the VM cannot compile runs on the walker instead,
+// counted in epvf_vm_fallbacks_total{reason="compile"}. Both engines
+// record bit-identical traces.
+func Profile(m *ir.Module, icfg interp.Config) (*interp.Result, error) {
+	sp := obs.StartSpan("epvf_profile")
+	defer sp.End()
+	icfg.Record = true
+	var res *interp.Result
+	prog, err := vm.Compile(m, vm.Options{})
+	if err != nil {
+		res, err = interp.Run(m, icfg)
+	} else {
+		res, err = prog.Run(icfg)
 	}
+	if err != nil {
+		return nil, err
+	}
+	sp.Add("dyn_instrs", res.DynInstrs)
+	return res, nil
 }
 
 // Compose assembles an Analysis around an externally merged propagation

@@ -17,7 +17,7 @@
 // every section its walks traversed hashes identically now, which makes
 // every step of every walk retrace bit-identically.
 //
-// The interpreter profile and the DDG/ACE construction re-run on every
+// The profile (epvf.Profile) and the DDG/ACE construction re-run on every
 // analysis — they are the cheap near-linear part, and re-running them is
 // what lets the layer detect which sections changed at all. Only the
 // models stage (the expensive walks, 55–97% of analysis time depending
@@ -31,7 +31,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/ddg"
 	"repro/internal/epvf"
-	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/rangeprop"
@@ -146,16 +145,10 @@ type Result struct {
 // epvf.AnalyzeModule's bit-for-bit.
 func AnalyzeModule(m *ir.Module, cfg Config) (*Result, error) {
 	t0 := time.Now()
-	sp := obs.StartSpan("epvf_inc_profile")
-	icfg := cfg.Epvf.Interp
-	icfg.Record = true
-	res, err := interp.Run(m, icfg)
+	res, err := epvf.Profile(m, cfg.Epvf.Interp)
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-	sp.Add("dyn_instrs", res.DynInstrs)
-	sp.End()
 	buildTime := time.Since(t0)
 	r, err := AnalyzeTrace(res.Trace, cfg)
 	if err != nil {

@@ -36,10 +36,9 @@ const (
 	// least one per-function section profile reused from the cache
 	// (Config.Incremental; internal/inc).
 	StageIncremental = "incremental"
-	// StageTrace: the golden trace was cached; only the ACE/crash/
-	// propagation models re-ran.
-	StageTrace = "trace-cache"
-	// StageComputed: full profile + analysis ran.
+	// StageComputed: the analysis ran without reusing anything: a plain
+	// daemon's full profile + analysis, or an incremental daemon that
+	// walked every section fresh.
 	StageComputed = "computed"
 	// StageUnresolved marks error replies that failed before any tier
 	// could answer (bad request, analysis error).
@@ -67,7 +66,7 @@ type AnalyzeReply struct {
 	ModuleHash string `json:"module_hash"`
 	// Stage reports which pipeline stage satisfied the request.
 	Stage string `json:"stage"`
-	// CacheHit is true unless a full profile + analysis ran.
+	// CacheHit is true unless the stage is computed.
 	CacheHit bool `json:"cache_hit"`
 	// Summary is the analysis result.
 	Summary *Summary `json:"summary"`

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -23,7 +24,14 @@ import (
 // startDaemon runs a daemon on a free port with a disk cache in dir.
 func startDaemon(t *testing.T, dir string) *Server {
 	t.Helper()
-	s, err := New(Config{Addr: "127.0.0.1:0", CacheDir: dir})
+	return startDaemonConfig(t, Config{CacheDir: dir})
+}
+
+// startDaemonConfig runs a daemon configured by cfg on a free port.
+func startDaemonConfig(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	cfg.Addr = "127.0.0.1:0"
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,61 +53,75 @@ func benchIR(t *testing.T, name string) string {
 	return ir.Print(b.MustModule(1))
 }
 
+// TestAnalyzeStages walks one module through every stage on a plain and
+// on an incremental daemon: cold computed, warm summary-cache, summary
+// from the disk tier after a restart, and — once the summary entry is
+// removed — a fresh analysis whose scalars equal the cold reply's. The
+// incremental daemon answers that one from its section cache alone.
 func TestAnalyzeStages(t *testing.T) {
-	dir := t.TempDir()
-	s := startDaemon(t, dir)
-	c := NewClient(s.Addr())
-	irText := benchIR(t, "mm")
+	for _, incremental := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
+			dir := t.TempDir()
+			start := func() *Client {
+				return NewClient(startDaemonConfig(t, Config{CacheDir: dir, Incremental: incremental}).Addr())
+			}
+			c := start()
+			irText := benchIR(t, "mm")
 
-	cold, err := c.Analyze(irText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Stage != StageComputed || cold.CacheHit {
-		t.Fatalf("cold request: stage=%s hit=%v, want computed miss", cold.Stage, cold.CacheHit)
-	}
-	if cold.Summary.TotalBits == 0 || cold.Summary.Module != "mm" {
-		t.Fatalf("implausible summary: %+v", cold.Summary)
-	}
+			cold, err := c.Analyze(irText)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Stage != StageComputed || cold.CacheHit {
+				t.Fatalf("cold request: stage=%s hit=%v, want computed miss", cold.Stage, cold.CacheHit)
+			}
+			if cold.Summary.TotalBits == 0 || cold.Summary.Module != "mm" {
+				t.Fatalf("implausible summary: %+v", cold.Summary)
+			}
 
-	warm, err := c.Analyze(irText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Stage != StageSummary || !warm.CacheHit {
-		t.Fatalf("warm request: stage=%s hit=%v, want summary-cache hit", warm.Stage, warm.CacheHit)
-	}
-	if warm.ModuleHash != cold.ModuleHash {
-		t.Fatalf("module hash changed: %s vs %s", warm.ModuleHash, cold.ModuleHash)
-	}
+			warm, err := c.Analyze(irText)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Stage != StageSummary || !warm.CacheHit {
+				t.Fatalf("warm request: stage=%s hit=%v, want summary-cache hit", warm.Stage, warm.CacheHit)
+			}
+			if warm.ModuleHash != cold.ModuleHash {
+				t.Fatalf("module hash changed: %s vs %s", warm.ModuleHash, cold.ModuleHash)
+			}
 
-	// Restart: a fresh daemon over the same directory serves the
-	// summary from the disk tier without recomputing.
-	s2 := startDaemon(t, dir)
-	restart, err := NewClient(s2.Addr()).Analyze(irText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restart.Stage != StageSummary {
-		t.Fatalf("post-restart stage = %s, want summary-cache", restart.Stage)
-	}
+			// Restart: a fresh daemon over the same directory serves the
+			// summary from the disk tier without recomputing.
+			restart, err := start().Analyze(irText)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restart.Stage != StageSummary {
+				t.Fatalf("post-restart stage = %s, want summary-cache", restart.Stage)
+			}
 
-	// Dropping only the summary entry forces the trace stage: the
-	// cached golden trace is re-analyzed, no re-profiling.
-	sumPath := filepath.Join(dir, "epvf-cache-v1", KindSummary, cold.ModuleHash)
-	if err := os.Remove(sumPath); err != nil {
-		t.Fatalf("remove summary entry: %v", err)
-	}
-	s3 := startDaemon(t, dir)
-	fromTrace, err := NewClient(s3.Addr()).Analyze(irText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromTrace.Stage != StageTrace {
-		t.Fatalf("stage after summary eviction = %s, want trace-cache", fromTrace.Stage)
-	}
-	if got, want := summaryScalars(fromTrace.Summary), summaryScalars(cold.Summary); !reflect.DeepEqual(got, want) {
-		t.Fatalf("trace-stage scalars diverge:\n cold %+v\ntrace %+v", want, got)
+			// Dropping only the summary entry forces an analysis: a plain
+			// daemon recomputes everything, an incremental one reuses
+			// every section profile the cold request stored.
+			sumPath := filepath.Join(dir, "epvf-cache-v1", KindSummary, cold.ModuleHash)
+			if err := os.Remove(sumPath); err != nil {
+				t.Fatalf("remove summary entry: %v", err)
+			}
+			again, err := start().Analyze(irText)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if incremental {
+				if again.Stage != StageIncremental || again.Sections == nil || again.Sections.Recomputed != 0 {
+					t.Fatalf("after summary eviction: stage=%s sections=%+v, want incremental with nothing recomputed", again.Stage, again.Sections)
+				}
+			} else if again.Stage != StageComputed {
+				t.Fatalf("after summary eviction: stage=%s, want computed", again.Stage)
+			}
+			if got, want := summaryScalars(again.Summary), summaryScalars(cold.Summary); !reflect.DeepEqual(got, want) {
+				t.Fatalf("scalars after summary eviction diverge:\n  cold %+v\nagain %+v", want, got)
+			}
+		})
 	}
 }
 
@@ -389,16 +411,7 @@ int main() {
 // metric moving by exactly one.
 func TestIncrementalDaemon(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, err := New(Config{Addr: "127.0.0.1:0", CacheDir: t.TempDir(), Incremental: true, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
+	s := startDaemonConfig(t, Config{CacheDir: t.TempDir(), Incremental: true, Registry: reg})
 	c := NewClient(s.Addr())
 
 	m, err := lang.Compile("prog", servedIsolated)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,25 +14,27 @@ import (
 	"repro/internal/dashboard"
 	"repro/internal/epvf"
 	"repro/internal/inc"
-	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
 // moduleTag is the domain tag of the analysis content address: the
-// sha256 of the module's canonical IR print under this tag keys both
-// the summary and the golden-trace cache entries.
+// sha256 of the module's canonical IR print under this tag keys the
+// summary cache entries.
 const moduleTag = "epvf-analysis-v1"
 
 // Cache kinds the daemon stores results under.
 const (
 	KindSummary  = "summary"
-	KindTrace    = "trace"
 	KindCampaign = "campaign"
 	KindAttr     = "attr"
 )
+
+// KindTrace is a cache kind the daemon no longer stores or reads. It stays
+// exported because the benchmark's request replica (perfbench/serve.go)
+// still names it.
+const KindTrace = "trace"
 
 // ModuleHash returns the content address of a module: the hash of its
 // canonical IR print. Clients and daemon agree on this key because both
@@ -146,7 +147,7 @@ func (s *Server) countRequest(endpoint, outcome string) {
 
 // observeStage records one request's end-to-end latency into the
 // per-cache-stage histogram: which tier answered (summary-cache,
-// trace-cache, computed, or a blob kind) and how the request ended.
+// incremental, computed, or a blob kind) and how the request ended.
 func (s *Server) observeStage(stage, outcome string, start time.Time) {
 	s.reg.Histogram("epvf_cache_stage_latency_seconds", obs.LatencyBuckets,
 		"stage", stage, "outcome", outcome).Observe(time.Since(start).Seconds())
@@ -179,10 +180,10 @@ func spanHeader(w http.ResponseWriter, sp *obs.Span) {
 }
 
 // handleAnalyze is POST /v1/analyze: parse the module, address it by
-// content, and satisfy the request from the cheapest available stage —
-// cached summary, cached golden trace (models re-run), or a full
-// profile + analysis. Concurrent requests for the same module share one
-// computation via the store's singleflight.
+// content, and answer from the summary cache or else run the analysis
+// (composed from cached section profiles on an incremental daemon).
+// Concurrent requests for the same module share one computation via the
+// store's singleflight.
 func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -219,7 +220,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 	stage := ""
 	var sections *SectionStats
 	data, hit, err := s.store.GetOrFill(KindSummary, modHash, func() ([]byte, error) {
-		sum, st, secs, err := s.analyze(m, modHash)
+		sum, st, secs, err := s.analyze(m)
 		if err != nil {
 			return nil, err
 		}
@@ -271,56 +272,24 @@ func boolCounter(b bool) int64 {
 	return 0
 }
 
-// analyze computes a summary from the cheapest stage below the summary
-// cache. With the incremental tier enabled, the module is re-profiled
-// (from the cached golden trace when available) and the models compose
-// from per-function section profiles — after an edit to one function,
-// only that function's walks re-run. Otherwise: a cached golden trace if
-// present (only the models re-run), else a full profiled analysis whose
-// trace is written back for next time.
-func (s *Server) analyze(m *ir.Module, modHash string) (*Summary, string, *SectionStats, error) {
-	if raw, ok := s.store.Get(KindTrace, modHash); ok {
-		tr, err := trace.Load(bytes.NewReader(raw), m)
-		if err == nil {
-			if s.incremental {
-				return s.analyzeIncremental(m, tr, StageTrace)
-			}
-			a := epvf.AnalyzeTrace(tr, epvf.Config{})
-			return Summarize(m.Name, a, tr.NumEvents()), StageTrace, nil, nil
-		}
-		// A trace that fails to decode against its own module is a
-		// corrupt entry the framing checks missed; fall through to a
-		// full run that overwrites it.
-	}
-	if s.incremental {
-		icfg := epvf.Config{}
-		icfg.Interp.Record = true
-		res, err := interp.Run(m, icfg.Interp)
+// analyze computes a summary below the summary cache. A plain daemon runs
+// the whole analysis; an incremental one composes it from per-function
+// section profiles (internal/inc), so after an edit to one function only
+// that function's walks re-run, and the stage says whether any section
+// was reused.
+func (s *Server) analyze(m *ir.Module) (*Summary, string, *SectionStats, error) {
+	if !s.incremental {
+		a, golden, err := epvf.AnalyzeModule(m, epvf.Config{})
 		if err != nil {
 			return nil, "", nil, err
 		}
-		s.saveTrace(res.Trace, modHash)
-		return s.analyzeIncremental(m, res.Trace, StageComputed)
+		return Summarize(m.Name, a, golden.DynInstrs), StageComputed, nil, nil
 	}
-	a, golden, err := epvf.AnalyzeModule(m, epvf.Config{})
+	r, err := inc.AnalyzeModule(m, inc.Config{Store: s.store, Registry: s.reg})
 	if err != nil {
 		return nil, "", nil, err
 	}
-	s.saveTrace(a.Trace, modHash)
-	return Summarize(m.Name, a, golden.DynInstrs), StageComputed, nil, nil
-}
-
-// analyzeIncremental composes the analysis from cached + fresh section
-// profiles. The stage reports StageIncremental when any section was
-// reused; otherwise fallbackStage tells the truth about where the work
-// happened (trace-cache when the trace was reused, computed for a cold
-// module).
-func (s *Server) analyzeIncremental(m *ir.Module, tr *trace.Trace, fallbackStage string) (*Summary, string, *SectionStats, error) {
-	r, err := inc.AnalyzeTrace(tr, inc.Config{Store: s.store, Registry: s.reg})
-	if err != nil {
-		return nil, "", nil, err
-	}
-	stage := fallbackStage
+	stage := StageComputed
 	if r.Stats.Reused > 0 {
 		stage = StageIncremental
 	}
@@ -331,15 +300,6 @@ func (s *Server) analyzeIncremental(m *ir.Module, tr *trace.Trace, fallbackStage
 		RecomputedNames: r.Stats.RecomputedNames(),
 	}
 	return Summarize(m.Name, r.Analysis, r.DynInstrs), stage, secs, nil
-}
-
-// saveTrace writes the golden trace back for the next analysis of the
-// same module (best effort — a failed save only costs future speed).
-func (s *Server) saveTrace(tr *trace.Trace, modHash string) {
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err == nil {
-		s.store.Put(KindTrace, modHash, buf.Bytes())
-	}
 }
 
 // blobHandler serves GET/PUT of opaque byte artifacts (campaign logs,

@@ -67,6 +67,9 @@ func (t *Trace) Save(w io.Writer) error {
 
 // Load reads a trace saved by Save and re-binds it to m, which must be the
 // module (or an identical recompilation of the module) that produced it.
+// It rejects a trace whose events do not fit their instructions' operand
+// counts, or whose operand, memory or output defs point anywhere but an
+// earlier event.
 func Load(r io.Reader, m *ir.Module) (*Trace, error) {
 	var st savedTrace
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -99,8 +102,21 @@ func Load(r io.Reader, m *ir.Module) (*Trace, error) {
 		if int(se.InstrID) < 0 || int(se.InstrID) >= len(byID) {
 			return nil, fmt.Errorf("trace: event %d references unknown instruction %d", i, se.InstrID)
 		}
+		in := byID[se.InstrID]
+		if n := NumOperands(in); len(se.Ops) != n || len(se.OpDefs) != n {
+			return nil, fmt.Errorf("trace: event %d records %d operands and %d operand defs, %s has %d",
+				i, len(se.Ops), len(se.OpDefs), in.Op, n)
+		}
+		for _, d := range se.OpDefs {
+			if !validDef(d, int64(i)) {
+				return nil, fmt.Errorf("trace: event %d has operand def %d outside [0, %d)", i, d, i)
+			}
+		}
+		if !validDef(se.MemDef, int64(i)) {
+			return nil, fmt.Errorf("trace: event %d has memory def %d outside [0, %d)", i, se.MemDef, i)
+		}
 		tr.Events[i] = Event{
-			Instr:  byID[se.InstrID],
+			Instr:  in,
 			Ops:    se.Ops,
 			OpDefs: se.OpDefs,
 			Result: se.Result,
@@ -110,5 +126,20 @@ func Load(r io.Reader, m *ir.Module) (*Trace, error) {
 			SP:     se.SP,
 		}
 	}
+	for i, o := range tr.Outputs {
+		if o.EventIdx < 0 || o.EventIdx >= tr.NumEvents() {
+			return nil, fmt.Errorf("trace: output %d at event %d outside [0, %d)", i, o.EventIdx, tr.NumEvents())
+		}
+		if !validDef(o.Def, o.EventIdx) {
+			return nil, fmt.Errorf("trace: output %d has def %d outside [0, %d)", i, o.Def, o.EventIdx)
+		}
+	}
 	return tr, nil
+}
+
+// validDef reports whether def may be recorded as a dependence of event
+// at: NoDef, or an earlier event. A saved trace that breaks this would
+// index past the event list during analysis.
+func validDef(def, at int64) bool {
+	return def == NoDef || (def >= 0 && def < at)
 }

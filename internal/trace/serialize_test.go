@@ -22,9 +22,15 @@ void main() {
 }
 `
 
-func recorded(t *testing.T) *trace.Trace {
+func recorded(t testing.TB) *trace.Trace {
 	t.Helper()
-	m, err := lang.Compile("serial", kernel)
+	return record(t, kernel)
+}
+
+// record compiles src as module "serial" and records its golden trace.
+func record(t testing.TB, src string) *trace.Trace {
+	t.Helper()
+	m, err := lang.Compile("serial", src)
 	if err != nil {
 		t.Fatal(err)
 	}

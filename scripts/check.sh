@@ -16,6 +16,11 @@ fi
 echo "== go vet"
 go vet ./...
 
+# The benchmark is a separate module (repro/perfbench), which the root
+# ./... patterns skip; vet it so an API break shows here, not at run time.
+echo "== go vet (perfbench)"
+(cd perfbench && go vet .)
+
 echo "== go build"
 go build ./...
 
