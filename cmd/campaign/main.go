@@ -210,7 +210,7 @@ func runCampaign(cmd string, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	golden, err := interp.Run(m, interp.Config{Record: true})
+	golden, err := epvf.Profile(m, interp.Config{})
 	if err != nil {
 		return fmt.Errorf("golden run: %w", err)
 	}
@@ -493,7 +493,7 @@ func runServe(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	golden, err := interp.Run(m, interp.Config{Record: true})
+	golden, err := epvf.Profile(m, interp.Config{})
 	if err != nil {
 		return fmt.Errorf("golden run: %w", err)
 	}
@@ -639,7 +639,7 @@ func runWork(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	golden, err := interp.Run(m, interp.Config{Record: true})
+	golden, err := epvf.Profile(m, interp.Config{})
 	if err != nil {
 		return fmt.Errorf("golden run: %w", err)
 	}
@@ -751,7 +751,7 @@ func runAttr(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			golden, err := interp.Run(m, interp.Config{Record: true})
+			golden, err := epvf.Profile(m, interp.Config{})
 			if err != nil {
 				return fmt.Errorf("golden run: %w", err)
 			}

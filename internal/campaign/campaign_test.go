@@ -29,7 +29,7 @@ void main() {
 }
 `
 
-func golden(t *testing.T, src string) *interp.Result {
+func golden(t testing.TB, src string) *interp.Result {
 	t.Helper()
 	m, err := lang.Compile("t", src)
 	if err != nil {
@@ -45,7 +45,7 @@ func golden(t *testing.T, src string) *interp.Result {
 	return res
 }
 
-func testPlan(t *testing.T, g *interp.Result, runs, shard int) *Plan {
+func testPlan(t testing.TB, g *interp.Result, runs, shard int) *Plan {
 	t.Helper()
 	p, err := NewPlan(g.Trace.Module, g, PlanConfig{
 		Benchmark: "kernel",

@@ -193,11 +193,11 @@ func readLog(path string) (*replay, error) {
 			}
 			break
 		}
+		if err := rp.check(rec); err != nil {
+			return nil, fmt.Errorf("campaign: %s:%d: %w", path, line, err)
+		}
 		switch rec.Kind {
 		case kindHeader:
-			if rp.Plan != nil {
-				return nil, fmt.Errorf("campaign: %s:%d: duplicate header", path, line)
-			}
 			rp.Plan = rec.Plan
 		case kindRun:
 			rp.Records[rec.Index] = rec.fiRecord()
@@ -222,6 +222,42 @@ func readLog(path string) (*replay, error) {
 		return nil, fmt.Errorf("campaign: log %s has no plan header", path)
 	}
 	return rp, nil
+}
+
+// check rejects a parsed record that no campaign writes: a second or
+// empty header, a plan with no runs or shards, and run or shard_done
+// records before the header or outside its plan's geometry and enums.
+func (rp *replay) check(rec logRecord) error {
+	switch rec.Kind {
+	case kindHeader:
+		switch {
+		case rp.Plan != nil:
+			return fmt.Errorf("duplicate header")
+		case rec.Plan == nil:
+			return fmt.Errorf("header carries no plan")
+		case rec.Plan.Runs <= 0 || rec.Plan.ShardSize <= 0:
+			return fmt.Errorf("plan has %d runs in shards of %d, want both positive", rec.Plan.Runs, rec.Plan.ShardSize)
+		}
+	case kindRun:
+		switch {
+		case rp.Plan == nil:
+			return fmt.Errorf("run record before the plan header")
+		case rec.Index < 0 || rec.Index >= rp.Plan.Runs:
+			return fmt.Errorf("run index %d outside [0, %d)", rec.Index, rp.Plan.Runs)
+		case !fi.Outcome(rec.Outcome).Valid():
+			return fmt.Errorf("run %d has unknown outcome %d", rec.Index, rec.Outcome)
+		case rec.Exc != 0 && !interp.ExcKind(rec.Exc).Valid():
+			return fmt.Errorf("run %d has unknown exception kind %d", rec.Index, rec.Exc)
+		}
+	case kindShardDone:
+		switch {
+		case rp.Plan == nil:
+			return fmt.Errorf("shard_done record before the plan header")
+		case rec.Shard < 0 || rec.Shard >= rp.Plan.NumShards():
+			return fmt.Errorf("shard %d outside [0, %d)", rec.Shard, rp.Plan.NumShards())
+		}
+	}
+	return nil
 }
 
 // LogData is the exported view of a parsed campaign log, for tools (like

@@ -83,3 +83,39 @@ func TestProfileFallsBackToWalker(t *testing.T) {
 		t.Fatalf("outputs differ: %+v vs %+v", got.Trace.Outputs, want.Trace.Outputs)
 	}
 }
+
+// TestAnalyzeModuleRecordsPhaseSpans: one traced AnalyzeModule records
+// each analysis phase once — the profile, and the DDG/ACE and model
+// phases as children of the trace analysis — so a phase breakdown of
+// the pipeline never silently loses a stage.
+func TestAnalyzeModuleRecordsPhaseSpans(t *testing.T) {
+	m, err := lang.Compile("t", kernelSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.NewTracer(nil)
+	obs.SetDefaultTracer(tracer)
+	_, _, err = AnalyzeModule(m, Config{})
+	obs.SetDefaultTracer(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string][]obs.SpanRecord{}
+	for _, rec := range tracer.Spans() {
+		byName[rec.Name] = append(byName[rec.Name], rec)
+	}
+	for _, name := range []string{"epvf_profile", "epvf_ddg_ace", "epvf_models", "epvf_analyze_trace"} {
+		if n := len(byName[name]); n != 1 {
+			t.Errorf("span %s recorded %d times, want 1", name, n)
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	root := byName["epvf_analyze_trace"][0].SpanID
+	for _, name := range []string{"epvf_ddg_ace", "epvf_models"} {
+		if p := byName[name][0].ParentID; p != root {
+			t.Errorf("span %s has parent %q, want epvf_analyze_trace (%q)", name, p, root)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/crash"
 	"repro/internal/ddg"
+	"repro/internal/epvf"
 	"repro/internal/fi"
 	"repro/internal/interp"
 	"repro/internal/lang"
@@ -65,7 +66,7 @@ func AblationStackRule(s *Suite) (*AblationStackRuleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	golden, err := interp.Run(m, interp.Config{Record: true})
+	golden, err := epvf.Profile(m, interp.Config{})
 	if err != nil {
 		return nil, err
 	}

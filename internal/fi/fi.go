@@ -47,6 +47,12 @@ var outcomeNames = map[Outcome]string{
 	OutcomeHang: "hang", OutcomeDetected: "detected",
 }
 
+// Valid reports whether o is one of the defined outcomes.
+func (o Outcome) Valid() bool {
+	_, ok := outcomeNames[o]
+	return ok
+}
+
 // String returns the outcome name.
 func (o Outcome) String() string {
 	if s, ok := outcomeNames[o]; ok {

@@ -48,6 +48,12 @@ var excNames = map[ExcKind]string{
 	ExcDetected:   "detected",
 }
 
+// Valid reports whether k is one of the defined exception kinds.
+func (k ExcKind) Valid() bool {
+	_, ok := excNames[k]
+	return ok
+}
+
 // String returns the exception name.
 func (k ExcKind) String() string {
 	if s, ok := excNames[k]; ok {

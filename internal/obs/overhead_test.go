@@ -11,10 +11,10 @@ var disabledCounter *Counter
 
 var disabledTracer *Tracer
 
-// TestDisabledOverheadUnderNoise is the `make bench-obs` assertion: the
-// disabled path — a nil-handle Add in a hot loop — must cost no more than
-// a few nanoseconds per operation, i.e. stay under the noise floor of the
-// interpreter's per-instruction cost (tens of ns). The bound is generous
+// TestDisabledOverheadUnderNoise asserts that the disabled path — a
+// nil-handle Add in a hot loop — costs no more than a few nanoseconds per
+// operation, i.e. stays under the noise floor of the interpreter's
+// per-instruction cost (tens of ns). The bound is generous
 // (25ns/op) so the test never flakes on slow or contended machines while
 // still catching an accidental allocation, lock or map lookup on the
 // disabled path.

@@ -16,7 +16,6 @@ import (
 	"repro/internal/inc"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/vm"
 )
 
 // moduleTag is the domain tag of the analysis content address: the
@@ -99,9 +98,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Compiled VM bytecode (vm-code-v1 entries) shares the daemon's
-	// store, so repeated analyses of the same module skip recompilation.
-	vm.SetDefaultCache(store)
 	s := &Server{reg: reg, obs: osrv, store: store, tracer: cfg.Tracer, incremental: cfg.Incremental}
 	osrv.Handle("/v1/analyze", http.HandlerFunc(s.handleAnalyze))
 	osrv.Handle("/v1/campaign/log", s.blobHandler(KindCampaign))

@@ -331,35 +331,3 @@ func TestDifferentialInjection(t *testing.T) {
 		})
 	}
 }
-
-// TestCompileCacheRoundTrip proves a program decoded from the content-
-// addressed cache behaves bit-identically to a freshly compiled one.
-func TestCompileCacheRoundTrip(t *testing.T) {
-	store := openTestStore(t)
-	m := mustBench(t, "mm").MustModule(1)
-	p1, err := vm.Compile(m, vm.Options{Cache: store})
-	if err != nil {
-		t.Fatalf("compile (fill): %v", err)
-	}
-	if p1.CacheMisses == 0 {
-		t.Fatalf("first compile should miss the cache, got hits=%d misses=%d", p1.CacheHits, p1.CacheMisses)
-	}
-	p2, err := vm.Compile(m, vm.Options{Cache: store})
-	if err != nil {
-		t.Fatalf("compile (cached): %v", err)
-	}
-	if p2.CacheHits == 0 || p2.CacheMisses != 0 {
-		t.Fatalf("second compile should hit the cache, got hits=%d misses=%d", p2.CacheHits, p2.CacheMisses)
-	}
-	walker, err := interp.Run(m, interp.Config{Record: true})
-	if err != nil {
-		t.Fatalf("walker: %v", err)
-	}
-	for _, p := range []*vm.Program{p1, p2} {
-		got, err := p.Run(interp.Config{Record: true})
-		if err != nil {
-			t.Fatalf("vm run: %v", err)
-		}
-		diffResults(t, "mm", walker, got)
-	}
-}

@@ -17,8 +17,6 @@ var vmStats struct {
 	compiles      atomic.Int64
 	compileNanos  atomic.Int64
 	codeBytes     atomic.Int64
-	cacheHits     atomic.Int64
-	cacheMisses   atomic.Int64
 	runs          atomic.Int64
 	instructions  atomic.Int64
 	iterations    atomic.Int64
@@ -39,8 +37,6 @@ func publishExpvar() {
 				"compiles_total":           vmStats.compiles.Load(),
 				"compile_nanos_total":      vmStats.compileNanos.Load(),
 				"code_bytes_total":         vmStats.codeBytes.Load(),
-				"code_cache_hits_total":    vmStats.cacheHits.Load(),
-				"code_cache_misses_total":  vmStats.cacheMisses.Load(),
 				"runs_total":               vmStats.runs.Load(),
 				"instructions_total":       vmStats.instructions.Load(),
 				"dispatch_loop_iterations": vmStats.iterations.Load(),
@@ -59,8 +55,6 @@ func noteCompile(p *Program) {
 	vmStats.compiles.Add(1)
 	vmStats.compileNanos.Add(p.CompileNanos)
 	vmStats.codeBytes.Add(p.CodeBytes)
-	vmStats.cacheHits.Add(int64(p.CacheHits))
-	vmStats.cacheMisses.Add(int64(p.CacheMisses))
 	r := obs.Default()
 	if r == nil {
 		return
@@ -68,8 +62,6 @@ func noteCompile(p *Program) {
 	r.Counter("epvf_vm_compiles_total").Inc()
 	r.Counter("epvf_vm_compile_nanos_total").Add(p.CompileNanos)
 	r.Counter("epvf_vm_code_bytes_total").Add(p.CodeBytes)
-	r.Counter("epvf_vm_code_cache_total", "outcome", "hit").Add(int64(p.CacheHits))
-	r.Counter("epvf_vm_code_cache_total", "outcome", "miss").Add(int64(p.CacheMisses))
 }
 
 // NoteFallback counts one decision to run the walker instead of the VM
@@ -118,14 +110,7 @@ func noteRun(m *machine) {
 	}
 }
 
-// defaultStore is the package-default compile cache, mirroring
-// obs.SetDefault: process setup wires a store once and every Compile
-// without an explicit Options.Cache uses it.
-var defaultStore atomic.Pointer[cache.Store]
-
-// DefaultCache returns the package-default compile cache, or nil.
-func DefaultCache() *cache.Store { return defaultStore.Load() }
-
-// SetDefaultCache installs the package-default compile cache. Nil
-// disables caching for Compile calls without an explicit store.
-func SetDefaultCache(s *cache.Store) { defaultStore.Store(s) }
+// DefaultCache always returns nil: the VM keeps no compile cache. It
+// stays because the benchmark (perfbench/main.go) still checks that no
+// process-global cache is installed.
+func DefaultCache() *cache.Store { return nil }

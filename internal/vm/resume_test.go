@@ -7,22 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/cache"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
-
-func openTestStore(t *testing.T) *cache.Store {
-	t.Helper()
-	s, err := cache.Open(cache.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("cache open: %v", err)
-	}
-	return s
-}
 
 func mustBench(t *testing.T, name string) *bench.Benchmark {
 	t.Helper()

@@ -42,8 +42,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/content"
 	"repro/internal/ir"
 )
 
@@ -159,7 +157,7 @@ type callEntry struct {
 	args   []uint16
 }
 
-// Trap kinds (stable codes for the cache codec).
+// Trap kinds: which walker fatal error a vopTrap raises.
 const (
 	trapFellThrough = 1
 	trapMidBlockPhi = 2
@@ -232,13 +230,9 @@ func (fc *fnCode) pcFor(blk *ir.Block, ii int) (int32, error) {
 // callers should fall back to the walker.
 var ErrUnsupported = errors.New("vm: unsupported")
 
-// Options configures compilation.
-type Options struct {
-	// Cache, when non-nil, stores compiled function bodies under the
-	// vm-code-v1 kind keyed by content.FuncHash. Nil falls back to the
-	// package default store (SetDefaultCache), which may also be nil.
-	Cache *cache.Store
-}
+// Options is empty: compilation takes no settings. It stays because the
+// benchmark's analysis replica (perfbench/analyze.go) still passes it.
+type Options struct{}
 
 // Program is a compiled module, immutable and safe for concurrent runs.
 type Program struct {
@@ -246,13 +240,10 @@ type Program struct {
 	fns   []*fnCode
 	fnIdx map[*ir.Function]int32
 
-	// CompileNanos is the wall time spent compiling (cache lookups
-	// included); CodeBytes the bytecode footprint in bytes; CacheHits and
-	// CacheMisses the per-function cache outcomes.
+	// CompileNanos is the wall time spent compiling; CodeBytes the
+	// bytecode footprint in bytes.
 	CompileNanos int64
 	CodeBytes    int64
-	CacheHits    int
-	CacheMisses  int
 }
 
 // Module returns the module the program was compiled from.
@@ -264,24 +255,15 @@ func (p *Program) Module() *ir.Module { return p.mod }
 // so callers can fall back to the walker.
 func Compile(m *ir.Module, opts Options) (*Program, error) {
 	start := time.Now()
-	c := opts.Cache
-	if c == nil {
-		c = DefaultCache()
-	}
 	p := &Program{mod: m, fns: make([]*fnCode, len(m.Funcs)), fnIdx: make(map[*ir.Function]int32, len(m.Funcs))}
 	for i, fn := range m.Funcs {
 		p.fnIdx[fn] = int32(i)
 	}
 	for i, fn := range m.Funcs {
-		fc, hit, err := compileFn(fn, c)
+		fc, err := newFnCompiler(fn).compile()
 		if err != nil {
 			noteFallback("compile")
 			return nil, fmt.Errorf("vm: compiling %s: %w", fn.Name, err)
-		}
-		if hit {
-			p.CacheHits++
-		} else {
-			p.CacheMisses++
 		}
 		p.fns[i] = fc
 		p.CodeBytes += int64(len(fc.code)) * 8
@@ -301,27 +283,4 @@ func Compile(m *ir.Module, opts Options) (*Program, error) {
 	p.CompileNanos = time.Since(start).Nanoseconds()
 	noteCompile(p)
 	return p, nil
-}
-
-// compileFn compiles one function, consulting the cache first.
-func compileFn(fn *ir.Function, c *cache.Store) (fc *fnCode, cacheHit bool, err error) {
-	var key string
-	if c != nil {
-		key = content.FuncHash(fn)
-		if data, ok := c.Get(cacheKind, key); ok {
-			if fc, err := decodeFnCode(fn, data); err == nil {
-				return fc, true, nil
-			}
-			// Undecodable entries (format drift, corruption below the
-			// cache's own checksum) recompile and overwrite.
-		}
-	}
-	fc, err = newFnCompiler(fn).compile()
-	if err != nil {
-		return nil, false, err
-	}
-	if c != nil {
-		_ = c.Put(cacheKind, key, encodeFnCode(fc))
-	}
-	return fc, false, nil
 }

@@ -38,4 +38,9 @@ go test -race ./internal/obs/... ./internal/obs/ts/... ./internal/obs/alert/... 
 echo "== vm differential smoke (walker vs bytecode VM, fuzz corpus seeds)"
 go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|FuzzDifferential' -count=1
 
+# The benchmark's selftest: every workload runs once at a small size and
+# its pinned digests and deterministic counts must match.
+echo "== perfbench selftest"
+bash perfbench/run.sh --selftest
+
 echo "check: OK"
