@@ -34,29 +34,27 @@ func NewMeta(tr *trace.Trace) *Meta {
 	m := &Meta{byID: make(map[int]*InstrMeta)}
 	// consumers[ev] counts dynamic register reads of the value defined at
 	// event ev.
-	consumers := make([]int64, len(tr.Events))
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		for _, d := range e.OpDefs {
-			if d != trace.NoDef {
-				consumers[d]++
-			}
+	consumers := make([]int64, tr.NumEvents())
+	for _, d := range tr.OpDefs {
+		if d != trace.NoDef {
+			consumers[d]++
 		}
 	}
 	defs := make(map[int]int64)
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		im := m.byID[e.Instr.ID]
+	instrs := tr.Instrs()
+	for i, id := range tr.InstrID {
+		in := instrs[id]
+		im := m.byID[in.ID]
 		if im == nil {
-			im = &InstrMeta{ID: e.Instr.ID, Text: ir.FormatInstr(e.Instr)}
-			if fn := e.Instr.Func(); fn != nil {
+			im = &InstrMeta{ID: in.ID, Text: ir.FormatInstr(in)}
+			if fn := in.Func(); fn != nil {
 				im.Func = fn.Name
 			}
-			m.byID[e.Instr.ID] = im
+			m.byID[in.ID] = im
 		}
 		im.Dynamic++
-		if trace.IsDef(e.Instr) {
-			defs[e.Instr.ID]++
+		if trace.IsDef(in) {
+			defs[in.ID]++
 			im.FanOut += float64(consumers[i])
 		}
 	}

@@ -143,10 +143,10 @@ func TestSuiteRecordsTraces(t *testing.T) {
 				t.Error("no output has a defining event")
 			}
 			mem := 0
-			for i := range tr.Events {
-				if tr.Events[i].IsMemAccess() {
+			for i := range tr.NumEvents() {
+				if tr.IsMemAccess(i) {
 					mem++
-					if tr.Snapshots[tr.Events[i].VMAVer] == nil {
+					if tr.Snapshots[tr.Event(i).VMAVer] == nil {
 						t.Fatal("memory access without VMA snapshot")
 					}
 				}

@@ -59,21 +59,22 @@ func (m *Model) Boundary(tr *trace.Trace, ev int64) (Bound, bool) {
 	if r := obs.Default(); r != nil {
 		r.Counter("epvf_crash_boundaries_total").Inc()
 	}
-	e := &tr.Events[ev]
-	if !e.IsMemAccess() {
+	a := tr.Acc[ev]
+	if a < 0 {
 		return Bound{}, false
 	}
-	vmas := tr.Snapshots[e.VMAVer]
+	vmas := tr.Snapshots[int(tr.VMAVer[a])]
 	if vmas == nil {
 		return Bound{}, false
 	}
-	write := e.Instr.Op == ir.OpStore
-	lo, hi, ok := mem.Resolve(vmas, e.SP, tr.Layout.StackTop, tr.Layout.StackRLimit,
-		e.Addr, write, m.StackRule)
+	in := tr.Instr(ev)
+	write := in.Op == ir.OpStore
+	lo, hi, ok := mem.Resolve(vmas, tr.SP[a], tr.Layout.StackTop, tr.Layout.StackRLimit,
+		tr.Addr[a], write, m.StackRule)
 	if !ok {
 		return Bound{}, false
 	}
-	size := e.Instr.Elem.Size()
+	size := in.Elem.Size()
 	return Bound{Lo: int64(lo), Hi: int64(hi) - size}, true
 }
 
@@ -83,15 +84,19 @@ func (m *Model) Boundary(tr *trace.Trace, ev int64) (Bound, bool) {
 // exact-address ablation: a flipped address can land in a *different* valid
 // VMA, which interval propagation cannot see.
 func (m *Model) WouldFault(tr *trace.Trace, ev int64, addr uint64) bool {
-	e := &tr.Events[ev]
-	vmas := tr.Snapshots[e.VMAVer]
+	acc := tr.Acc[ev]
+	if acc < 0 {
+		return false
+	}
+	vmas := tr.Snapshots[int(tr.VMAVer[acc])]
 	if vmas == nil {
 		return false
 	}
-	write := e.Instr.Op == ir.OpStore
-	size := uint64(e.Instr.Elem.Size())
+	in := tr.Instr(ev)
+	write := in.Op == ir.OpStore
+	size := uint64(in.Elem.Size())
 	for _, a := range []uint64{addr, addr + size - 1} {
-		if _, _, ok := mem.Resolve(vmas, e.SP, tr.Layout.StackTop, tr.Layout.StackRLimit,
+		if _, _, ok := mem.Resolve(vmas, tr.SP[acc], tr.Layout.StackTop, tr.Layout.StackRLimit,
 			a, write, m.StackRule); !ok {
 			return true
 		}

@@ -40,8 +40,8 @@ void main() {
 `
 
 func firstAccess(tr *trace.Trace, op ir.Opcode) int64 {
-	for i := range tr.Events {
-		if tr.Events[i].Instr.Op == op {
+	for i := range tr.NumEvents() {
+		if tr.Instr(i).Op == op {
 			return int64(i)
 		}
 	}
@@ -52,8 +52,8 @@ func TestBoundaryContainsActualAddress(t *testing.T) {
 	tr := record(t, heapAccessSrc)
 	model := NewModel()
 	checked := 0
-	for i := range tr.Events {
-		e := &tr.Events[i]
+	for i := range tr.NumEvents() {
+		e := tr.Event(i)
 		if !e.IsMemAccess() {
 			continue
 		}
@@ -83,10 +83,10 @@ func TestBoundaryAccountsForAccessWidth(t *testing.T) {
 	if !ok {
 		t.Fatal("Boundary failed")
 	}
-	size := tr.Events[ev].Instr.Elem.Size()
+	size := tr.Instr(ev).Elem.Size()
 	// The last valid address must leave room for the full access.
-	lo, hi, okR := mem.Resolve(tr.Snapshots[tr.Events[ev].VMAVer], tr.Events[ev].SP,
-		tr.Layout.StackTop, tr.Layout.StackRLimit, tr.Events[ev].Addr, true, true)
+	lo, hi, okR := mem.Resolve(tr.Snapshots[tr.Event(ev).VMAVer], tr.Event(ev).SP,
+		tr.Layout.StackTop, tr.Layout.StackRLimit, tr.Event(ev).Addr, true, true)
 	if !okR {
 		t.Fatal("Resolve failed on recorded access")
 	}
@@ -98,10 +98,10 @@ func TestBoundaryAccountsForAccessWidth(t *testing.T) {
 func TestBoundaryRejectsNonAccess(t *testing.T) {
 	tr := record(t, heapAccessSrc)
 	model := NewModel()
-	for i := range tr.Events {
-		if !tr.Events[i].IsMemAccess() {
+	for i := range tr.NumEvents() {
+		if !tr.IsMemAccess(i) {
 			if _, ok := model.Boundary(tr, int64(i)); ok {
-				t.Fatalf("Boundary accepted non-access event %d (%s)", i, tr.Events[i].Instr.Op)
+				t.Fatalf("Boundary accepted non-access event %d (%s)", i, tr.Instr(i).Op)
 			}
 			return
 		}
@@ -120,7 +120,7 @@ func TestWouldFaultAgreesWithInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := firstAccess(tr, ir.OpStore)
-	e := &tr.Events[ev]
+	e := tr.Event(ev)
 	addrDef := e.OpDefs[1]
 	if addrDef == trace.NoDef {
 		t.Fatal("store address has no defining event")
@@ -281,7 +281,7 @@ void main() {
 	full := &Model{StackRule: true}
 	naive := &Model{StackRule: false}
 	ev := firstAccess(tr, ir.OpStore)
-	e := &tr.Events[ev]
+	e := tr.Event(ev)
 	fb, ok1 := full.Boundary(tr, ev)
 	nb, ok2 := naive.Boundary(tr, ev)
 	if !ok1 || !ok2 {

@@ -44,8 +44,8 @@ func TestBoundaryOnMmapSegment(t *testing.T) {
 	model := crash.NewModel()
 	layout := mem.DefaultLayout()
 	inMmap := 0
-	for i := range tr.Events {
-		e := &tr.Events[i]
+	for i := range tr.NumEvents() {
+		e := tr.Event(i)
 		if !e.IsMemAccess() || e.Addr < layout.MmapBase {
 			continue
 		}
@@ -90,8 +90,8 @@ func TestMmapGuardPageBitsPredicted(t *testing.T) {
 	// escapes the block (bit 21 = 2 MiB jump, beyond the 160 KB block).
 	layout := mem.DefaultLayout()
 	checked := false
-	for i := range tr.Events {
-		e := &tr.Events[i]
+	for i := range tr.NumEvents() {
+		e := tr.Event(i)
 		if e.Instr.Op != ir.OpGEP || e.Result < layout.MmapBase {
 			continue
 		}

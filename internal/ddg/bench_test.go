@@ -24,23 +24,3 @@ func BenchmarkACEMask(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkBackwardSlice measures one bounded slice walk from the outputs.
-func BenchmarkBackwardSlice(b *testing.B) {
-	bb, _ := bench.Get("hotspot")
-	m := bb.MustModule(1)
-	res, err := interp.Run(m, interp.Config{Record: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := New(res.Trace)
-	roots := g.OutputDefs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		g.BackwardSlice(roots, 24, func(int64) { n++ })
-		if n == 0 {
-			b.Fatal("empty slice")
-		}
-	}
-}

@@ -14,9 +14,8 @@ import (
 )
 
 // Graph is a DDG view over a recorded trace. Construction is O(1): the
-// def-use links are already present in the trace events; Graph adds the
-// traversals (reverse BFS for the ACE graph, backward slices for the
-// propagation model) and node accounting.
+// def-use links are already present in the trace's columns; Graph adds
+// the ACE-graph traversal and node accounting.
 type Graph struct {
 	tr *trace.Trace
 }
@@ -35,14 +34,13 @@ func (g *Graph) NumEvents() int64 { return g.tr.NumEvents() }
 // events of each operand, and — for loads — the store that produced the
 // loaded value.
 func (g *Graph) AppendPreds(dst []int64, ev int64) []int64 {
-	e := &g.tr.Events[ev]
-	for _, d := range e.OpDefs {
+	for _, d := range g.tr.OpDefsOf(ev) {
 		if d != trace.NoDef {
 			dst = append(dst, d)
 		}
 	}
-	if e.MemDef != trace.NoDef {
-		dst = append(dst, e.MemDef)
+	if d := g.tr.MemDefOf(ev); d != trace.NoDef {
+		dst = append(dst, d)
 	}
 	return dst
 }
@@ -68,8 +66,9 @@ func (g *Graph) OutputDefs() []int64 {
 // ACE even when they do not feed the output dataflow.
 func (g *Graph) BranchRoots() []int64 {
 	var roots []int64
-	for i := range g.tr.Events {
-		if g.tr.Events[i].Instr.Op == ir.OpCondBr {
+	instrs := g.tr.Instrs()
+	for i, id := range g.tr.InstrID {
+		if instrs[id].Op == ir.OpCondBr {
 			roots = append(roots, int64(i))
 		}
 	}
@@ -187,61 +186,24 @@ type Stats struct {
 // ComputeStats walks the trace once and tallies node classes.
 func (g *Graph) ComputeStats() Stats {
 	var s Stats
-	s.Events = g.tr.NumEvents()
-	for i := range g.tr.Events {
-		e := &g.tr.Events[i]
-		if !e.Instr.Type().IsVoid() {
+	tr := g.tr
+	s.Events = tr.NumEvents()
+	instrs := tr.Instrs()
+	for i, id := range tr.InstrID {
+		in := instrs[id]
+		if !in.Type().IsVoid() {
 			s.RegisterDefs++
 		}
-		switch e.Instr.Op {
+		switch in.Op {
 		case ir.OpStore:
 			s.MemNodes++
 			s.MemAccesses++
 		case ir.OpLoad:
 			s.MemAccesses++
-			if e.MemDef == trace.NoDef {
+			if tr.MemDefOf(int64(i)) == trace.NoDef {
 				s.MemNodes++ // initial-memory version
 			}
 		}
 	}
 	return s
-}
-
-// SliceVisit is the callback invoked by BackwardSlice for every (event,
-// cameFromUse) pair on a slice.
-type SliceVisit func(ev int64)
-
-// BackwardSlice walks the dataflow backward from the given start events,
-// visiting each event at most once and at most maxDepth hops from a start
-// (maxDepth <= 0 means unbounded). Value flow crosses memory: reaching a
-// load continues at the store that produced the value.
-func (g *Graph) BackwardSlice(starts []int64, maxDepth int, visit SliceVisit) {
-	type item struct {
-		ev    int64
-		depth int
-	}
-	seen := make(map[int64]bool, len(starts)*4)
-	queue := make([]item, 0, len(starts))
-	for _, s := range starts {
-		if s >= 0 && !seen[s] {
-			seen[s] = true
-			queue = append(queue, item{s, 0})
-		}
-	}
-	var preds []int64
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		visit(it.ev)
-		if maxDepth > 0 && it.depth >= maxDepth {
-			continue
-		}
-		preds = g.AppendPreds(preds[:0], it.ev)
-		for _, p := range preds {
-			if !seen[p] {
-				seen[p] = true
-				queue = append(queue, item{p, it.depth + 1})
-			}
-		}
-	}
 }

@@ -47,8 +47,8 @@ func TestACEMaskExcludesDeadData(t *testing.T) {
 	mask := g.ACEMaskOutputsOnly()
 	deadMuls := 0
 	liveMuls := 0
-	for i := range tr.Events {
-		e := &tr.Events[i]
+	for i := range tr.NumEvents() {
+		e := tr.Event(i)
 		switch e.Instr.Op {
 		case ir.OpMul:
 			if mask[i] {
@@ -85,7 +85,7 @@ func TestACEMaskClosedUnderPreds(t *testing.T) {
 	g := New(tr)
 	mask := g.ACEMask()
 	var preds []int64
-	for i := range tr.Events {
+	for i := range tr.NumEvents() {
 		if !mask[i] {
 			continue
 		}
@@ -102,7 +102,7 @@ func TestPredsPointBackward(t *testing.T) {
 	tr := record(t, deadCodeSrc)
 	g := New(tr)
 	var preds []int64
-	for i := range tr.Events {
+	for i := range tr.NumEvents() {
 		preds = g.AppendPreds(preds[:0], int64(i))
 		for _, p := range preds {
 			if p >= int64(i) {
@@ -122,8 +122,8 @@ func TestOutputDefsRootTheGraph(t *testing.T) {
 	mask := g.ACEMaskFromRoots(roots)
 	// The multiply feeding the output must be in the graph.
 	found := false
-	for i := range tr.Events {
-		if tr.Events[i].Instr.Op == ir.OpMul && mask[i] {
+	for i := range tr.NumEvents() {
+		if tr.Instr(i).Op == ir.OpMul && mask[i] {
 			found = true
 		}
 	}
@@ -136,8 +136,8 @@ func TestBranchRootsFindAllCondBrs(t *testing.T) {
 	tr := record(t, deadCodeSrc)
 	g := New(tr)
 	want := 0
-	for i := range tr.Events {
-		if tr.Events[i].Instr.Op == ir.OpCondBr {
+	for i := range tr.NumEvents() {
+		if tr.Instr(i).Op == ir.OpCondBr {
 			want++
 		}
 	}
@@ -177,29 +177,6 @@ void main() {
 	}
 }
 
-func TestBackwardSliceDepthLimit(t *testing.T) {
-	tr := record(t, `
-void main() {
-  int acc = 1;
-  int i;
-  for (i = 0; i < 30; i = i + 1) { acc = acc + i; }
-  output(acc);
-}`)
-	g := New(tr)
-	roots := g.OutputDefs()
-	countAt := func(depth int) int {
-		n := 0
-		g.BackwardSlice(roots, depth, func(ev int64) { n++ })
-		return n
-	}
-	shallow := countAt(2)
-	deep := countAt(50)
-	unbounded := countAt(-1)
-	if !(shallow < deep && deep <= unbounded) {
-		t.Errorf("slice sizes not monotone in depth: %d, %d, %d", shallow, deep, unbounded)
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	tr := record(t, deadCodeSrc)
 	g := New(tr)
@@ -233,8 +210,8 @@ void main() {
 	g := New(tr)
 	mask := g.ACEMaskOutputsOnly()
 	gepACE := false
-	for i := range tr.Events {
-		e := &tr.Events[i]
+	for i := range tr.NumEvents() {
+		e := tr.Event(i)
 		if e.Instr.Op == ir.OpGEP && mask[i] {
 			gepACE = true
 		}

@@ -35,7 +35,7 @@ func (g *Graph) Dot(opts DotOptions) string {
 	var sb strings.Builder
 	sb.WriteString("digraph ddg {\n  rankdir=BT;\n  node [shape=box, fontname=\"monospace\"];\n")
 	for i := int64(0); i < limit; i++ {
-		e := &g.tr.Events[i]
+		e := g.tr.Event(i)
 		label := fmt.Sprintf("%d: %s", i, e.Instr.Op)
 		if e.IsMemAccess() {
 			label += fmt.Sprintf("\\n@%#x", e.Addr)

@@ -195,12 +195,13 @@ func Compose(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cr *rangeprop.Result
 // widths of every register defined in the trace, and of those defined by
 // ACE-graph events.
 func defBits(tr *trace.Trace, aceMask []bool) (total, ace int64) {
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if !trace.IsDef(e.Instr) {
+	instrs := tr.Instrs()
+	for i, id := range tr.InstrID {
+		in := instrs[id]
+		if !trace.IsDef(in) {
 			continue
 		}
-		w := int64(trace.DefWidth(e.Instr))
+		w := int64(trace.DefWidth(in))
 		total += w
 		if aceMask[i] {
 			ace += w
@@ -236,16 +237,17 @@ type DefClass struct {
 // compares against fault-injection outcomes.
 func (a *Analysis) DefClasses() []DefClass {
 	tr := a.Trace
-	out := make([]DefClass, 0, len(tr.Events))
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if !trace.IsDef(e.Instr) {
+	instrs := tr.Instrs()
+	out := make([]DefClass, 0, tr.NumEvents())
+	for i, id := range tr.InstrID {
+		in := instrs[id]
+		if !trace.IsDef(in) {
 			continue
 		}
 		out = append(out, DefClass{
 			Event:     int64(i),
-			InstrID:   e.Instr.ID,
-			Width:     trace.DefWidth(e.Instr),
+			InstrID:   in.ID,
+			Width:     trace.DefWidth(in),
 			ACE:       a.ACEMask[i],
 			CrashMask: a.CrashResult.DefMask(int64(i)),
 		})
@@ -285,18 +287,19 @@ func (v *InstrVuln) EPVF() float64 {
 // (stores, branches, output) the instruction's register reads are counted
 // instead, so they remain rankable for protection.
 func (a *Analysis) PerInstruction() map[*ir.Instr]*InstrVuln {
-	out := make(map[*ir.Instr]*InstrVuln)
 	tr := a.Trace
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		v := out[e.Instr]
+	instrs := tr.Instrs()
+	byID := make([]*InstrVuln, len(instrs))
+	for i, id := range tr.InstrID {
+		in := instrs[id]
+		v := byID[id]
 		if v == nil {
-			v = &InstrVuln{Instr: e.Instr}
-			out[e.Instr] = v
+			v = &InstrVuln{Instr: in}
+			byID[id] = v
 		}
 		v.Dynamic++
-		if trace.IsDef(e.Instr) {
-			w := int64(trace.DefWidth(e.Instr))
+		if trace.IsDef(in) {
+			w := int64(trace.DefWidth(in))
 			v.TotalBits += w
 			if a.ACEMask[i] {
 				v.ACEBits += w
@@ -304,17 +307,23 @@ func (a *Analysis) PerInstruction() map[*ir.Instr]*InstrVuln {
 			}
 			continue
 		}
-		n := trace.NumOperands(e.Instr)
+		n := trace.NumOperands(in)
 		for op := 0; op < n; op++ {
-			if !trace.InjectableOperand(e.Instr, op) {
+			if !trace.InjectableOperand(in, op) {
 				continue
 			}
-			w := int64(trace.OperandWidth(e.Instr, op))
+			w := int64(trace.OperandWidth(in, op))
 			v.TotalBits += w
 			if a.ACEMask[i] {
 				v.ACEBits += w
 				v.CrashBits += int64(crash.PopCount(a.CrashResult.UseMask(trace.Use{Event: int64(i), Op: op})))
 			}
+		}
+	}
+	out := make(map[*ir.Instr]*InstrVuln)
+	for _, v := range byID {
+		if v != nil {
+			out[v.Instr] = v
 		}
 	}
 	return out

@@ -42,22 +42,31 @@ func (v *FuncVuln) EPVF() float64 {
 func (a *Analysis) PerFunction() []*FuncVuln {
 	byFunc := make(map[*ir.Function]*FuncVuln)
 	tr := a.Trace
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		fn := e.Instr.Func()
-		if fn == nil {
-			continue
-		}
-		v := byFunc[fn]
+	instrs := tr.Instrs()
+	// byID caches each instruction's function entry; nil until the
+	// instruction first executes, and for instructions outside any
+	// function.
+	byID := make([]*FuncVuln, len(instrs))
+	for i, id := range tr.InstrID {
+		in := instrs[id]
+		v := byID[id]
 		if v == nil {
-			v = &FuncVuln{Func: fn}
-			byFunc[fn] = v
+			fn := in.Func()
+			if fn == nil {
+				continue
+			}
+			v = byFunc[fn]
+			if v == nil {
+				v = &FuncVuln{Func: fn}
+				byFunc[fn] = v
+			}
+			byID[id] = v
 		}
 		v.Dynamic++
-		if !trace.IsDef(e.Instr) {
+		if !trace.IsDef(in) {
 			continue
 		}
-		w := int64(trace.DefWidth(e.Instr))
+		w := int64(trace.DefWidth(in))
 		v.TotalBits += w
 		if a.ACEMask[i] {
 			v.ACEBits += w

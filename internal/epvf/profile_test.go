@@ -70,13 +70,13 @@ func TestProfileFallsBackToWalker(t *testing.T) {
 	if got.Trace == nil || got.Exception != nil || got.DynInstrs != want.DynInstrs {
 		t.Fatalf("profile: trace %v, exception %v, %d instrs; walker ran %d", got.Trace != nil, got.Exception, got.DynInstrs, want.DynInstrs)
 	}
-	ge, we := got.Trace.Events, want.Trace.Events
-	if len(ge) != len(we) {
-		t.Fatalf("profile recorded %d events, walker %d", len(ge), len(we))
+	gt, wt := got.Trace, want.Trace
+	if gt.NumEvents() != wt.NumEvents() {
+		t.Fatalf("profile recorded %d events, walker %d", gt.NumEvents(), wt.NumEvents())
 	}
-	for i := range we {
-		if !reflect.DeepEqual(ge[i], we[i]) {
-			t.Fatalf("event %d differs:\nprofile %+v\n walker %+v", i, ge[i], we[i])
+	for i := range wt.NumEvents() {
+		if ge, we := gt.Event(i), wt.Event(i); !reflect.DeepEqual(ge, we) {
+			t.Fatalf("event %d differs:\nprofile %+v\n walker %+v", i, ge, we)
 		}
 	}
 	if !reflect.DeepEqual(got.Trace.Outputs, want.Trace.Outputs) {

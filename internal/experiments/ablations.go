@@ -256,8 +256,8 @@ func AblationBranchRoots(s *Suite) (*AblationBranchRootsResult, error) {
 		outOnly := g.ACEMaskOutputsOnly()
 		var aceOut int64
 		var total, ace int64
-		for i := range tr.Events {
-			w := int64(tr.Events[i].Instr.Type().BitWidth())
+		for i := range tr.NumEvents() {
+			w := int64(tr.Instr(i).Type().BitWidth())
 			if w == 0 {
 				continue
 			}

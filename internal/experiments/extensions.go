@@ -100,8 +100,8 @@ func ExtYBranch(s *Suite) (*ExtYBranchResult, error) {
 		rng := rand.New(rand.NewSource(s.Cfg.Seed + 22))
 		// Collect comparison defs that feed condbr events.
 		var targets []int64
-		for i := range tr.Events {
-			e := &tr.Events[i]
+		for i := range tr.NumEvents() {
+			e := tr.Event(i)
 			if e.Instr.Op != ir.OpCondBr || len(e.OpDefs) == 0 {
 				continue
 			}
@@ -186,18 +186,17 @@ func ExtLuckyLoads(s *Suite) (*ExtLuckyLoadsResult, error) {
 			bit int
 		}
 		var targets []tgt
-		for i := range tr.Events {
-			e := &tr.Events[i]
-			if e.Instr.Op != ir.OpGEP {
+		for i := range tr.NumEvents() {
+			if tr.Instr(i).Op != ir.OpGEP {
 				continue
 			}
-			mask := r.Analysis.CrashResult.DefMask(int64(i))
+			mask := r.Analysis.CrashResult.DefMask(i)
 			if mask == 0 {
 				continue
 			}
 			for b := 0; b < 64; b++ {
 				if mask&(1<<uint(b)) == 0 {
-					targets = append(targets, tgt{ev: int64(i), bit: b})
+					targets = append(targets, tgt{ev: i, bit: b})
 				}
 			}
 		}

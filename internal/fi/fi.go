@@ -225,11 +225,12 @@ type Sampler struct {
 
 // NewSampler indexes the golden trace for O(log n) bit-uniform sampling.
 func NewSampler(tr *trace.Trace) *Sampler {
-	s := &Sampler{tr: tr, cumBits: make([]int64, len(tr.Events))}
+	s := &Sampler{tr: tr, cumBits: make([]int64, tr.NumEvents())}
 	var run int64
-	for i := range tr.Events {
-		if trace.IsDef(tr.Events[i].Instr) {
-			run += int64(trace.DefWidth(tr.Events[i].Instr))
+	instrs := tr.Instrs()
+	for i, id := range tr.InstrID {
+		if in := instrs[id]; trace.IsDef(in) {
+			run += int64(trace.DefWidth(in))
 		}
 		s.cumBits[i] = run
 	}
@@ -262,7 +263,7 @@ func (s *Sampler) SampleMulti(rng *rand.Rand, k int) (Target, bool) {
 	if !ok || k <= 1 {
 		return tgt, ok
 	}
-	width := s.tr.Events[tgt.Event].Instr.Type().BitWidth()
+	width := s.tr.Instr(tgt.Event).Type().BitWidth()
 	if k > width {
 		k = width
 	}

@@ -54,7 +54,7 @@ func TestSamplerUniformOverBits(t *testing.T) {
 		if !ok {
 			t.Fatal("sample failed")
 		}
-		ev := g.Trace.Events[tgt.Event]
+		ev := g.Trace.Event(tgt.Event)
 		if ev.Instr.Type().IsVoid() {
 			t.Fatalf("sampled a void instruction %s", ev.Instr.Op)
 		}
@@ -70,8 +70,8 @@ func TestSamplerWidthWeighting(t *testing.T) {
 	s := NewSampler(g.Trace)
 	rng := rand.New(rand.NewSource(2))
 	w64, w32, n64, n32 := 0, 0, 0, 0
-	for i := range g.Trace.Events {
-		in := g.Trace.Events[i].Instr
+	for i := range g.Trace.NumEvents() {
+		in := g.Trace.Instr(i)
 		switch in.Type().BitWidth() {
 		case 64:
 			n64++
@@ -81,7 +81,7 @@ func TestSamplerWidthWeighting(t *testing.T) {
 	}
 	for i := 0; i < 4000; i++ {
 		tgt, _ := s.Sample(rng)
-		switch g.Trace.Events[tgt.Event].Instr.Type().BitWidth() {
+		switch g.Trace.Instr(tgt.Event).Type().BitWidth() {
 		case 64:
 			w64++
 		case 32:

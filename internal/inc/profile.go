@@ -127,7 +127,7 @@ func buildProfile(res *rangeprop.Result, p *partition) *sectionProfile {
 
 // addTo translates the profile into the given trace's global coordinates
 // and unions it into merged. An unknown section name, an out-of-range
-// ordinal or an operand beyond its event's trace.NumOperands means the
+// ordinal or an operand beyond its event's recorded operands means the
 // profile does not belong to this partition (a keying bug, or a corrupt
 // entry the cache checksum missed) — the caller treats the error as a miss
 // and recomputes. Every entry is checked before any is applied, so a
@@ -147,7 +147,7 @@ func (pr *sectionProfile) addTo(tr *trace.Trace, p *partition, merged *rangeprop
 				e.Ordinal, sec.name, len(sec.events))
 		}
 		ev := sec.events[e.Ordinal]
-		if n := trace.NumOperands(tr.Events[ev].Instr); e.Op < 0 || e.Op >= n {
+		if n := len(tr.OpsOf(ev)); e.Op < 0 || e.Op >= n {
 			return fmt.Errorf("inc: profile operand %d out of range for event %d (%d operands)", e.Op, ev, n)
 		}
 		uses[i] = trace.Use{Event: ev, Op: e.Op}

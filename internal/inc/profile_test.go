@@ -70,7 +70,7 @@ func TestAddToRejectsOperandBeyondEvent(t *testing.T) {
 		Names:    []string{s.name},
 		Entries: []profEntry{
 			{NameIdx: 0, Ordinal: 0, Op: 0, Mask: 1},
-			{NameIdx: 0, Ordinal: 0, Op: trace.NumOperands(tr.Events[ev].Instr), Mask: 1},
+			{NameIdx: 0, Ordinal: 0, Op: trace.NumOperands(tr.Instr(ev)), Mask: 1},
 		},
 	}
 	merged := rangeprop.NewResult(tr)

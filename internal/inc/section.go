@@ -60,26 +60,32 @@ type partition struct {
 func sectionize(tr *trace.Trace, aceMask []bool) *partition {
 	p := &partition{
 		byName:  make(map[string]*section),
-		owner:   make([]int32, len(tr.Events)),
-		ordinal: make([]int32, len(tr.Events)),
+		owner:   make([]int32, tr.NumEvents()),
+		ordinal: make([]int32, tr.NumEvents()),
 	}
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		fn := e.Instr.Func()
-		name := detachedName
-		if fn != nil {
-			name = fn.Name
-		}
-		s := p.byName[name]
+	instrs := tr.Instrs()
+	// byID caches each instruction's section once it has executed.
+	byID := make([]*section, len(instrs))
+	for i, id := range tr.InstrID {
+		s := byID[id]
 		if s == nil {
-			s = &section{index: len(p.sections), name: name, fn: fn}
-			p.sections = append(p.sections, s)
-			p.byName[name] = s
+			fn := instrs[id].Func()
+			name := detachedName
+			if fn != nil {
+				name = fn.Name
+			}
+			s = p.byName[name]
+			if s == nil {
+				s = &section{index: len(p.sections), name: name, fn: fn}
+				p.sections = append(p.sections, s)
+				p.byName[name] = s
+			}
+			byID[id] = s
 		}
 		p.owner[i] = int32(s.index)
 		p.ordinal[i] = int32(len(s.events))
 		s.events = append(s.events, int64(i))
-		if aceMask[i] && e.IsMemAccess() {
+		if aceMask[i] && tr.Acc[i] >= 0 {
 			s.seeds = append(s.seeds, int64(i))
 		}
 	}
@@ -112,6 +118,7 @@ func (p *partition) hashSections(tr *trace.Trace, aceMask []bool, cfg rangeprop.
 		model = crash.NewModel()
 	}
 	var buf []byte
+	instrs := tr.Instrs()
 	for _, s := range p.sections {
 		h := content.NewHasher(sliceTag)
 		static := "-"
@@ -120,21 +127,22 @@ func (p *partition) hashSections(tr *trace.Trace, aceMask []bool, cfg rangeprop.
 		}
 		h.Printf("func %s %s\n", s.name, static)
 		for _, ev := range s.events {
-			e := &tr.Events[ev]
+			in := instrs[tr.InstrID[ev]]
+			ops, defs := tr.OpsOf(ev), tr.OpDefsOf(ev)
 			buf = buf[:0]
 			buf = append(buf, 'e', ' ')
-			buf = strconv.AppendInt(buf, int64(e.Instr.LocalID), 10)
-			for i, v := range e.Ops {
+			buf = strconv.AppendInt(buf, int64(in.LocalID), 10)
+			for i, v := range ops {
 				buf = append(buf, ' ')
 				buf = strconv.AppendUint(buf, v, 10)
 				buf = append(buf, ':')
-				buf = p.appendRef(buf, e.OpDefs[i])
+				buf = p.appendRef(buf, defs[i])
 			}
-			if e.Instr.Op == ir.OpLoad {
+			if in.Op == ir.OpLoad {
 				buf = append(buf, " m:"...)
-				buf = p.appendRef(buf, e.MemDef)
+				buf = p.appendRef(buf, tr.MemDefOf(ev))
 			}
-			if aceMask[ev] && e.IsMemAccess() {
+			if aceMask[ev] && tr.Acc[ev] >= 0 {
 				bound, ok := model.Boundary(tr, ev)
 				buf = append(buf, " b:"...)
 				if ok {
@@ -144,10 +152,10 @@ func (p *partition) hashSections(tr *trace.Trace, aceMask []bool, cfg rangeprop.
 					buf = strconv.AppendInt(buf, bound.Hi, 10)
 					if cfg.ExactAddress {
 						ptrOp := 0
-						if e.Instr.Op == ir.OpStore {
+						if in.Op == ir.OpStore {
 							ptrOp = 1
 						}
-						mask := model.MaskExact(tr, ev, e.Ops[ptrOp], trace.OperandWidth(e.Instr, ptrOp))
+						mask := model.MaskExact(tr, ev, ops[ptrOp], trace.OperandWidth(in, ptrOp))
 						buf = append(buf, " x:"...)
 						buf = strconv.AppendUint(buf, mask, 10)
 					}

@@ -288,11 +288,11 @@ func TestConvergenceFastForward(t *testing.T) {
 	// the fault is benign and the state re-joins the golden path.
 	var event int64 = -1
 	calls := 0
-	for i, ev := range goldenRec.Trace.Events {
-		if ev.Instr.Op == ir.OpCall {
+	for i := range goldenRec.Trace.NumEvents() {
+		if goldenRec.Trace.Instr(i).Op == ir.OpCall {
 			calls++
 			if calls == 10 {
-				event = int64(i)
+				event = i
 				break
 			}
 		}

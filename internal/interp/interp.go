@@ -218,7 +218,7 @@ func newMachine(m *ir.Module, cfg Config) (*machine, error) {
 	vm := &machine{cfg: cfg, mod: m, as: mem.New(cfg.Layout), entryFn: fn}
 	if cfg.Record {
 		vm.memDef = make(map[uint64]int64)
-		vm.events = make([]trace.Event, 0, 1<<16)
+		vm.rec = trace.NewRecorder(m)
 	}
 	if err := vm.loadGlobals(); err != nil {
 		return nil, fmt.Errorf("interp: loading globals: %w", err)
@@ -236,14 +236,8 @@ func (vm *machine) finish() (*Result, error) {
 		Executed:  vm.executed,
 		Converged: vm.converged,
 	}
-	if vm.cfg.Record {
-		res.Trace = &trace.Trace{
-			Module:    vm.mod,
-			Events:    vm.events,
-			Outputs:   vm.outputs,
-			Snapshots: vm.as.Snapshots(),
-			Layout:    vm.cfg.Layout,
-		}
+	if vm.rec != nil {
+		res.Trace = vm.rec.Finish(vm.outputs, vm.as.Snapshots(), vm.cfg.Layout)
 	}
 	vm.flushObs()
 	return res, vm.fatal
@@ -293,10 +287,14 @@ type machine struct {
 	executed int64
 	loads    int64
 	stores   int64
-	events   []trace.Event
-	slab     trace.Slab // backs every step's operand slices
-	outputs  []trace.Output
-	memDef   map[uint64]int64
+	// rec records the run's trace; nil when the run does not record.
+	rec     *trace.Recorder
+	outputs []trace.Output
+	memDef  map[uint64]int64
+	// ops and opDefs are the operand scratch of a step that does not
+	// record.
+	ops    []uint64
+	opDefs []int64
 
 	exc       *Exception
 	hang      bool
@@ -384,9 +382,10 @@ func (vm *machine) operand(fr *frame, v ir.Value) (uint64, int64) {
 	}
 }
 
-// pushFrame enters fn with the given raw argument values: it reserves the
-// stack frame and pushes the activation record. Stack exhaustion raises
-// SIGSEGV (as on Linux) without pushing.
+// pushFrame enters fn with the given raw argument values, which it
+// copies (they may be a step's operand scratch): it reserves the stack
+// frame and pushes the activation record. Stack exhaustion raises SIGSEGV
+// (as on Linux) without pushing.
 func (vm *machine) pushFrame(fn *ir.Function, args []uint64, argDefs []int64) {
 	fl := vm.frameLayout(fn)
 	savedSP := vm.as.SP()
@@ -396,12 +395,16 @@ func (vm *machine) pushFrame(fn *ir.Function, args []uint64, argDefs []int64) {
 		vm.raise(ExcSegFault, fn.Entry().Instrs[0], vm.as.SP()-fl.size, "stack overflow")
 		return
 	}
+	// One allocation each holds the registers and then the parameters.
+	nl := fn.NumLocals()
+	regs := append(make([]uint64, nl, nl+len(args)), args...)
+	defs := append(make([]int64, nl, nl+len(argDefs)), argDefs...)
 	fr := &frame{
 		fn:        fn,
-		regs:      make([]uint64, fn.NumLocals()),
-		defs:      make([]int64, fn.NumLocals()),
-		params:    args,
-		paramDefs: argDefs,
+		regs:      regs[:nl:nl],
+		defs:      defs[:nl:nl],
+		params:    regs[nl:],
+		paramDefs: defs[nl:],
 		base:      base,
 		savedSP:   savedSP,
 		layout:    fl,
@@ -438,8 +441,8 @@ func (vm *machine) popFrame(retVal uint64, retDef int64) {
 		retDef = fr.callIdx
 	}
 	vm.setResultWithDef(fr, in, fr.callIdx, retDef, retVal)
-	if ev := vm.event(fr.callIdx); ev != nil {
-		ev.Result = fr.regs[in.LocalID]
+	if vm.rec != nil {
+		vm.rec.SetResult(fr.callIdx, fr.regs[in.LocalID])
 	}
 	fr.callIdx = 0
 }
@@ -482,31 +485,30 @@ func (vm *machine) nextUnitCost() int64 {
 	return n
 }
 
-// retire assigns the next dynamic index and appends a trace event when
-// recording. It returns the event index.
-func (vm *machine) retire(in *ir.Instr, ops []uint64, opDefs []int64) int64 {
+// operands returns the operand slots of a step of in: a new trace event's
+// when recording (the step retires as that event), else the machine's
+// scratch.
+func (vm *machine) operands(in *ir.Instr) ([]uint64, []int64) {
+	if vm.rec != nil {
+		return vm.rec.Begin(in)
+	}
+	n := len(in.Args)
+	if cap(vm.ops) < n {
+		// Sized for any common instruction, so a run allocates it once.
+		vm.ops, vm.opDefs = make([]uint64, max(n, 8)), make([]int64, max(n, 8))
+	}
+	return vm.ops[:n], vm.opDefs[:n]
+}
+
+// retire assigns the next dynamic index and returns it.
+func (vm *machine) retire() int64 {
 	idx := vm.dyn
 	vm.dyn++
 	vm.executed++
 	if vm.dyn > vm.cfg.MaxDynInstrs {
 		vm.hang = true
 	}
-	if vm.cfg.Record {
-		vm.events = append(vm.events, trace.Event{
-			Instr:  in,
-			Ops:    ops,
-			OpDefs: opDefs,
-			MemDef: trace.NoDef,
-		})
-	}
 	return idx
-}
-
-func (vm *machine) event(idx int64) *trace.Event {
-	if !vm.cfg.Record {
-		return nil
-	}
-	return &vm.events[idx]
 }
 
 // inject applies a pending fault to the register being defined at event
@@ -542,8 +544,8 @@ func (vm *machine) setResult(fr *frame, in *ir.Instr, idx int64, bits uint64) {
 	bits = vm.inject(idx, in, bits)
 	fr.regs[in.LocalID] = bits
 	fr.defs[in.LocalID] = idx
-	if ev := vm.event(idx); ev != nil {
-		ev.Result = bits
+	if vm.rec != nil {
+		vm.rec.SetResult(idx, bits)
 	}
 }
 
@@ -569,10 +571,12 @@ func (vm *machine) stepPhis(fr *frame) {
 		found := false
 		for ei, from := range in.PhiIn {
 			if from == fr.prev {
-				ops, defs := vm.slab.Take(1)
-				ops[0], defs[0] = vm.operand(fr, in.Args[ei])
-				idx := vm.retire(in, ops, defs)
-				vals[i] = phiVal{bits: ops[0], idx: idx}
+				bits, def := vm.operand(fr, in.Args[ei])
+				if vm.rec != nil {
+					ops, defs := vm.rec.Begin(in)
+					ops[0], defs[0] = bits, def
+				}
+				vals[i] = phiVal{bits: bits, idx: vm.retire()}
 				found = true
 				break
 			}
@@ -609,11 +613,11 @@ func (vm *machine) step() {
 		return
 	}
 
-	ops, defs := vm.slab.Take(len(in.Args))
+	ops, defs := vm.operands(in)
 	for ai, a := range in.Args {
 		ops[ai], defs[ai] = vm.operand(fr, a)
 	}
-	idx := vm.retire(in, ops, defs)
+	idx := vm.retire()
 	if vm.hang {
 		return
 	}
@@ -752,10 +756,8 @@ func (vm *machine) alignOK(in *ir.Instr, addr uint64) bool {
 func (vm *machine) load(in *ir.Instr, idx int64, addr uint64) (uint64, bool) {
 	vm.loads++
 	size := in.Elem.Size()
-	if ev := vm.event(idx); ev != nil {
-		ev.Addr = addr
-		ev.VMAVer = vm.as.Version()
-		ev.SP = vm.as.SP()
+	if vm.rec != nil {
+		vm.rec.SetAccess(idx, addr, vm.as.SP(), vm.as.Version())
 	}
 	if !vm.alignOK(in, addr) {
 		vm.raise(ExcMisaligned, in, addr, "misaligned load")
@@ -769,9 +771,9 @@ func (vm *machine) load(in *ir.Instr, idx int64, addr uint64) (uint64, bool) {
 	if in.Ty.IsInt() {
 		v = ir.TruncateToWidth(v, in.Ty.Bits)
 	}
-	if vm.cfg.Record {
+	if vm.rec != nil {
 		if d, ok := vm.memDef[addr]; ok {
-			vm.events[idx].MemDef = d
+			vm.rec.SetMemDef(idx, d)
 		}
 	}
 	return v, true
@@ -780,10 +782,8 @@ func (vm *machine) load(in *ir.Instr, idx int64, addr uint64) (uint64, bool) {
 func (vm *machine) store(in *ir.Instr, idx int64, val, addr uint64) bool {
 	vm.stores++
 	size := in.Elem.Size()
-	if ev := vm.event(idx); ev != nil {
-		ev.Addr = addr
-		ev.VMAVer = vm.as.Version()
-		ev.SP = vm.as.SP()
+	if vm.rec != nil {
+		vm.rec.SetAccess(idx, addr, vm.as.SP(), vm.as.Version())
 	}
 	if !vm.alignOK(in, addr) {
 		vm.raise(ExcMisaligned, in, addr, "misaligned store")
@@ -794,7 +794,7 @@ func (vm *machine) store(in *ir.Instr, idx int64, val, addr uint64) bool {
 		return false
 	}
 	vm.as.WriteUint(addr, size, val)
-	if vm.cfg.Record {
+	if vm.rec != nil {
 		for i := int64(0); i < size; i++ {
 			vm.memDef[addr+uint64(i)] = idx
 		}

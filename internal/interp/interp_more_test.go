@@ -122,8 +122,8 @@ func TestMultiBitInjection(t *testing.T) {
 	// Mask covering bits 1 and 2 of the first add's result.
 	var target int64 = -1
 	gr := mustRun(t, m, Config{Record: true})
-	for i := range gr.Trace.Events {
-		if gr.Trace.Events[i].Instr.Op == ir.OpAdd {
+	for i := range gr.Trace.NumEvents() {
+		if gr.Trace.Instr(i).Op == ir.OpAdd {
 			target = int64(i)
 			break
 		}
@@ -150,8 +150,8 @@ func TestInjectionMaskBeyondWidthIgnored(t *testing.T) {
 	m := buildSumLoop(4)
 	gr := mustRun(t, m, Config{Record: true})
 	var target int64 = -1
-	for i := range gr.Trace.Events {
-		if gr.Trace.Events[i].Instr.Op == ir.OpICmp { // 1-bit register
+	for i := range gr.Trace.NumEvents() {
+		if gr.Trace.Instr(i).Op == ir.OpICmp { // 1-bit register
 			target = int64(i)
 			break
 		}

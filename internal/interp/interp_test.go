@@ -455,8 +455,8 @@ func TestTraceRecording(t *testing.T) {
 	// Every load must carry an address and VMA snapshot; loads of stored
 	// locations must link to the store.
 	loads, linked := 0, 0
-	for i := range tr.Events {
-		ev := &tr.Events[i]
+	for i := range tr.NumEvents() {
+		ev := tr.Event(i)
 		if ev.Instr.Op == ir.OpLoad {
 			loads++
 			if ev.Addr == 0 {
@@ -467,7 +467,7 @@ func TestTraceRecording(t *testing.T) {
 			}
 			if ev.MemDef != trace.NoDef {
 				linked++
-				st := &tr.Events[ev.MemDef]
+				st := tr.Event(ev.MemDef)
 				if st.Instr.Op != ir.OpStore || st.Addr != ev.Addr {
 					t.Error("MemDef does not point at the defining store")
 				}
@@ -482,15 +482,15 @@ func TestTraceRecording(t *testing.T) {
 	if out.Def == trace.NoDef {
 		t.Fatal("output has no defining event")
 	}
-	if tr.Events[out.Def].Instr.Op != ir.OpLoad {
-		t.Errorf("output defined by %s, want load", tr.Events[out.Def].Instr.Op)
+	if tr.Instr(out.Def).Op != ir.OpLoad {
+		t.Errorf("output defined by %s, want load", tr.Instr(out.Def).Op)
 	}
 }
 
 func TestTraceOpDefsAreBackward(t *testing.T) {
 	res := run(t, buildSumLoop(5), Config{Record: true})
-	for i := range res.Trace.Events {
-		ev := &res.Trace.Events[i]
+	for i := range res.Trace.NumEvents() {
+		ev := res.Trace.Event(i)
 		for _, d := range ev.OpDefs {
 			if d != trace.NoDef && d >= int64(i) {
 				t.Fatalf("event %d has operand defined by later event %d", i, d)
@@ -508,8 +508,8 @@ func TestInjectionChangesValue(t *testing.T) {
 	m := buildSumLoop(10)
 	golden := mustRun(t, m, Config{Record: true})
 	var target int64 = -1
-	for i := range golden.Trace.Events {
-		ev := &golden.Trace.Events[i]
+	for i := range golden.Trace.NumEvents() {
+		ev := golden.Trace.Event(i)
 		if ev.Instr.Op == ir.OpAdd && trace.IsDef(ev.Instr) {
 			target = int64(i)
 			break
@@ -545,8 +545,8 @@ func TestInjectionIntoAddressCrashes(t *testing.T) {
 	m := buildSumLoop(10)
 	golden := mustRun(t, m, Config{Record: true})
 	var target int64 = -1
-	for i := range golden.Trace.Events {
-		ev := &golden.Trace.Events[i]
+	for i := range golden.Trace.NumEvents() {
+		ev := golden.Trace.Event(i)
 		if ev.Instr.Op == ir.OpGEP {
 			target = int64(i)
 			break

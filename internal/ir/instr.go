@@ -348,7 +348,9 @@ type Module struct {
 	Globals []*Global
 	Funcs   []*Function
 
-	numInstrs int
+	// instrs is the dense instruction table by static ID, built by
+	// Finish.
+	instrs []*Instr
 }
 
 // Func returns the function with the given name, or nil.
@@ -371,11 +373,18 @@ func (m *Module) Global(name string) *Global {
 	return nil
 }
 
-// Finish assigns dense static IDs to every instruction in the module and
-// records block indices. It must be called (typically via Builder.Module or
-// after manual construction) before the module is executed or analyzed.
+// Finish assigns dense static IDs to every instruction in the module,
+// records block indices and builds the instruction table. It must be
+// called (typically via Builder.Module or after manual construction)
+// before the module is executed or analyzed. The table is never built
+// lazily: a finished module is read concurrently by campaign workers.
 func (m *Module) Finish() {
-	id := 0
+	// A fresh table: one handed out before a re-Finish stays as it was.
+	n := 0
+	for _, f := range m.Funcs {
+		n += f.NumInstrs()
+	}
+	m.instrs = make([]*Instr, 0, n)
 	for _, f := range m.Funcs {
 		local := 0
 		for bi, b := range f.Blocks {
@@ -383,30 +392,27 @@ func (m *Module) Finish() {
 			b.Parent = f
 			for _, in := range b.Instrs {
 				in.Parent = b
-				in.ID = id
+				in.ID = len(m.instrs)
 				in.LocalID = local
-				id++
+				m.instrs = append(m.instrs, in)
 				local++
 			}
 		}
 		f.numLocals = local
 	}
-	m.numInstrs = id
 }
 
 // NumInstrs returns the static instruction count of the module after Finish.
-func (m *Module) NumInstrs() int { return m.numInstrs }
+func (m *Module) NumInstrs() int { return len(m.instrs) }
 
 // InstrByID returns the instruction with the given static ID, or nil.
 func (m *Module) InstrByID(id int) *Instr {
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.ID == id {
-					return in
-				}
-			}
-		}
+	if id < 0 || id >= len(m.instrs) {
+		return nil
 	}
-	return nil
+	return m.instrs[id]
 }
+
+// Instrs returns the instruction table: the module's instructions indexed
+// by static ID, as of the last Finish. Callers must not modify it.
+func (m *Module) Instrs() []*Instr { return m.instrs }

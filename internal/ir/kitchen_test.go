@@ -7,7 +7,7 @@ import (
 
 // buildKitchenSink exercises every builder method and opcode in one valid
 // module.
-func buildKitchenSink(t *testing.T) *Module {
+func buildKitchenSink(t testing.TB) *Module {
 	t.Helper()
 	b := NewBuilder("kitchen")
 	g := b.GlobalVar("tbl", I64, 4, []uint64{1, 2, 3, 4})

@@ -64,21 +64,23 @@ func TestParseTypes(t *testing.T) {
 	}
 }
 
+// parseErrors are inputs Parse must reject, one per failure class.
+var parseErrors = []struct {
+	name, src string
+}{
+	{"unknown opcode", "define void @main() {\nentry:\n  frobnicate\n}"},
+	{"undefined register", "define void @main() {\nentry:\n  output i32 %ghost\n  ret void\n}"},
+	{"undefined block", "define void @main() {\nentry:\n  br label %nowhere\n}"},
+	{"undefined callee", "define void @main() {\nentry:\n  call void @ghost()\n  ret void\n}"},
+	{"stray close", "}"},
+	{"instr outside function", "  ret void"},
+	{"bad global", "@g = wibble i32"},
+	{"unterminated body", "define void @main() {\nentry:\n  ret void"},
+	{"type error caught by verifier", "define void @main() {\nentry:\n  %r = add i32 1, 2\n  output double %r\n  ret void\n}"},
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []struct {
-		name, src string
-	}{
-		{"unknown opcode", "define void @main() {\nentry:\n  frobnicate\n}"},
-		{"undefined register", "define void @main() {\nentry:\n  output i32 %ghost\n  ret void\n}"},
-		{"undefined block", "define void @main() {\nentry:\n  br label %nowhere\n}"},
-		{"undefined callee", "define void @main() {\nentry:\n  call void @ghost()\n  ret void\n}"},
-		{"stray close", "}"},
-		{"instr outside function", "  ret void"},
-		{"bad global", "@g = wibble i32"},
-		{"unterminated body", "define void @main() {\nentry:\n  ret void"},
-		{"type error caught by verifier", "define void @main() {\nentry:\n  %r = add i32 1, 2\n  output double %r\n  ret void\n}"},
-	}
-	for _, tt := range bad {
+	for _, tt := range parseErrors {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := Parse(tt.src); err == nil {
 				t.Errorf("Parse accepted %q", tt.src)
@@ -174,4 +176,30 @@ func TestParsePhiWithForwardValue(t *testing.T) {
 	if Print(parsed) != text {
 		t.Error("phi round trip differs")
 	}
+}
+
+// FuzzParse: Parse, which reads the analysis daemon's input, never
+// panics, and any module it accepts prints, re-parses and prints to the
+// same text. The seeds are small on purpose: a printed kernel makes each
+// execution orders of magnitude slower.
+func FuzzParse(f *testing.F) {
+	f.Add(Print(buildLoopModuleForParse()))
+	f.Add(Print(buildKitchenSink(f)))
+	for _, tt := range parseErrors {
+		f.Add(tt.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		m, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := Print(m)
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("printed module does not parse: %v\n%s", err, text)
+		}
+		if got := Print(again); got != text {
+			t.Fatalf("print of the re-parsed module differs:\n%s\nvs\n%s", text, got)
+		}
+	})
 }

@@ -34,8 +34,8 @@ func oracleAnalyze(tr *trace.Trace, aceMask []bool, cfg Config, touch func(ev in
 		maxDepth = DefaultMaxDepth
 	}
 	res := &oracleResult{crashBits: make(map[trace.Use]uint64), defCrashBits: make(map[int64]uint64)}
-	for i := range tr.Events {
-		if !aceMask[i] || !tr.Events[i].IsMemAccess() {
+	for i := range tr.NumEvents() {
+		if !aceMask[i] || !tr.IsMemAccess(i) {
 			continue
 		}
 		ev := int64(i)
@@ -48,14 +48,14 @@ func oracleAnalyze(tr *trace.Trace, aceMask []bool, cfg Config, touch func(ev in
 		}
 		res.accessesAnalyzed++
 		ptrOp := 0
-		if tr.Events[i].Instr.Op == ir.OpStore {
+		if tr.Instr(i).Op == ir.OpStore {
 			ptrOp = 1
 		}
 		oracleCrashCalc(tr, res, cfg, ev, ptrOp, bound, maxDepth, touch)
 	}
 	for u, m := range res.crashBits {
 		res.useCrashBitCount += int64(crash.PopCount(m))
-		e := &tr.Events[u.Event]
+		e := tr.Event(u.Event)
 		if u.Op < len(e.OpDefs) && e.OpDefs[u.Op] != trace.NoDef {
 			res.defCrashBits[e.OpDefs[u.Op]] |= m
 		}
@@ -76,7 +76,7 @@ func oracleCrashCalc(tr *trace.Trace, res *oracleResult, cfg Config, accessEv in
 		if touch != nil {
 			touch(it.ev)
 		}
-		e := &tr.Events[it.ev]
+		e := tr.Event(it.ev)
 		v := e.Ops[it.op]
 		width := trace.OperandWidth(e.Instr, it.op)
 		if trace.InjectableOperand(e.Instr, it.op) || e.Instr.Op == ir.OpPhi {
@@ -110,7 +110,7 @@ func oracleCrashCalc(tr *trace.Trace, res *oracleResult, cfg Config, accessEv in
 }
 
 func oracleInvert(tr *trace.Trace, def int64, r crash.Bound) []item {
-	e := &tr.Events[def]
+	e := tr.Event(def)
 	in := e.Instr
 	mk := func(op int, b crash.Bound) item { return item{ev: def, op: op, r: b} }
 	signedOp := func(op int) int64 {

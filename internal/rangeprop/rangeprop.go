@@ -47,12 +47,11 @@ type Config struct {
 
 // Result is the computed CRASHING_BIT_LIST plus aggregate counts. Its
 // masks are dense arrays over the trace's events: operand op of event ev
-// owns use slot opBase[ev]+op, and every event owns one def slot. A zero
-// mask means no bit of that use or register is predicted to crash.
+// owns use slot opBase[ev]+op — the slot of its entry in the trace's Ops
+// column — and every event owns one def slot. A zero mask means no bit
+// of that use or register is predicted to crash.
 type Result struct {
-	// opBase[ev] is event ev's first use slot; the event owns the
-	// trace.NumOperands slots before opBase[ev+1]. Results of one trace
-	// share it read-only.
+	// opBase is the trace's OpBase column, shared read-only.
 	opBase []int
 	// use holds, per dynamic operand use, the mask of bits predicted to
 	// crash the program if flipped at that use.
@@ -77,18 +76,7 @@ type Result struct {
 // NewResult returns an empty result laid out for tr's operand uses: no
 // mask set, every count zero.
 func NewResult(tr *trace.Trace) *Result {
-	opBase := make([]int, len(tr.Events)+1)
-	n := 0
-	for i := range tr.Events {
-		opBase[i] = n
-		n += trace.NumOperands(tr.Events[i].Instr)
-	}
-	opBase[len(tr.Events)] = n
-	return newResult(opBase)
-}
-
-func newResult(opBase []int) *Result {
-	return &Result{opBase: opBase, use: make([]uint64, opBase[len(opBase)-1])}
+	return &Result{opBase: tr.OpBase, use: make([]uint64, len(tr.Ops))}
 }
 
 // slot returns the use slot of u, or -1 when u is not an operand use of
@@ -183,25 +171,29 @@ func (r *Result) EachDef(fn func(ev int64, mask uint64)) {
 // seeds of ITERATE_OVER_ACE_GRAPH — in event order.
 func Seeds(tr *trace.Trace, aceMask []bool) []int64 {
 	n := 0
-	for i := range tr.Events {
-		if aceMask[i] && tr.Events[i].IsMemAccess() {
+	for i, a := range tr.Acc {
+		if a >= 0 && aceMask[i] {
 			n++
 		}
 	}
 	accesses := make([]int64, 0, n)
-	for i := range tr.Events {
-		if aceMask[i] && tr.Events[i].IsMemAccess() {
+	for i, a := range tr.Acc {
+		if a >= 0 && aceMask[i] {
 			accesses = append(accesses, int64(i))
 		}
 	}
 	return accesses
 }
 
+// defaultModel is the crash model of a Config without one. Models are
+// only read, so every analysis shares it.
+var defaultModel = crash.NewModel()
+
 // withDefaults fills cfg's defaults and returns it with the effective
 // per-walk depth bound (negative: unbounded).
 func withDefaults(cfg Config) (Config, int) {
 	if cfg.Model == nil {
-		cfg.Model = crash.NewModel()
+		cfg.Model = defaultModel
 	}
 	maxDepth := cfg.MaxDepth
 	if maxDepth == 0 {
@@ -233,7 +225,7 @@ func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result 
 		for i := range parts {
 			part := res
 			if i > 0 {
-				part = newResult(res.opBase)
+				part = NewResult(tr)
 			}
 			w := newWalker(tr, cfg, maxDepth, part, nil)
 			parts[i] = w
@@ -293,19 +285,16 @@ func AnalyzeSeeds(tr *trace.Trace, cfg Config, seeds []int64, touch func(ev int6
 // (the union of every use's mask at its defining event) and the two bit
 // tallies. Call it exactly once, after every use mask is in place.
 func (r *Result) Finalize(tr *trace.Trace) {
-	r.def = make([]uint64, len(tr.Events))
-	for ev := range tr.Events {
-		base := r.opBase[ev]
-		uses := r.use[base:r.opBase[ev+1]]
-		opDefs := tr.Events[ev].OpDefs
-		for op, m := range uses {
-			if m == 0 {
-				continue
-			}
-			r.UseCrashBitCount += int64(crash.PopCount(m))
-			if op < len(opDefs) && opDefs[op] != trace.NoDef {
-				r.def[opDefs[op]] |= m
-			}
+	r.def = make([]uint64, tr.NumEvents())
+	// Use slots are the trace's operand slots, so each mask's def is the
+	// OpDefs entry at the same index.
+	for s, m := range r.use {
+		if m == 0 {
+			continue
+		}
+		r.UseCrashBitCount += int64(crash.PopCount(m))
+		if d := tr.OpDefs[s]; d != trace.NoDef {
+			r.def[d] |= m
 		}
 	}
 	for _, m := range r.def {
@@ -318,6 +307,7 @@ func (r *Result) Finalize(tr *trace.Trace) {
 // access it walks.
 type walker struct {
 	tr       *trace.Trace
+	instrs   []*ir.Instr
 	cfg      Config
 	maxDepth int
 	res      *Result
@@ -331,8 +321,8 @@ type walker struct {
 
 func newWalker(tr *trace.Trace, cfg Config, maxDepth int, res *Result, touch func(ev int64)) *walker {
 	return &walker{
-		tr: tr, cfg: cfg, maxDepth: maxDepth, res: res, touch: touch,
-		visited: make([]uint32, len(tr.Events)),
+		tr: tr, instrs: tr.Instrs(), cfg: cfg, maxDepth: maxDepth, res: res, touch: touch,
+		visited: make([]uint32, tr.NumEvents()),
 		work:    make([]item, 0, 64),
 	}
 }
@@ -340,7 +330,6 @@ func newWalker(tr *trace.Trace, cfg Config, maxDepth int, res *Result, touch fun
 // access runs the boundary check and backward walk for one ACE-graph
 // memory access.
 func (w *walker) access(ev int64) {
-	e := &w.tr.Events[ev]
 	bound, ok := w.cfg.Model.Boundary(w.tr, ev)
 	if !ok {
 		// The boundary itself read the seed event; a cached section must
@@ -352,7 +341,7 @@ func (w *walker) access(ev int64) {
 	}
 	w.res.AccessesAnalyzed++
 	ptrOp := 0
-	if e.Instr.Op == ir.OpStore {
+	if w.tr.Instr(ev).Op == ir.OpStore {
 		ptrOp = 1
 	}
 	w.crashCalc(ev, ptrOp, bound)
@@ -390,10 +379,10 @@ func (w *walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound) {
 		if touch != nil {
 			touch(it.ev)
 		}
-		e := &tr.Events[it.ev]
-		v := e.Ops[it.op]
-		width := trace.OperandWidth(e.Instr, it.op)
-		if trace.InjectableOperand(e.Instr, it.op) || e.Instr.Op == ir.OpPhi {
+		in := w.instrs[tr.InstrID[it.ev]]
+		slot := tr.OpBase[it.ev] + it.op
+		if trace.InjectableOperand(in, it.op) || in.Op == ir.OpPhi {
+			v, width := tr.Ops[slot], trace.OperandWidth(in, it.op)
 			var mask uint64
 			if it.direct && w.cfg.ExactAddress {
 				mask = w.cfg.Model.MaskExact(tr, it.ev, v, width)
@@ -401,11 +390,11 @@ func (w *walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound) {
 				mask = crash.MaskFromBound(v, width, it.r)
 			}
 			if mask != 0 {
-				res.use[res.opBase[it.ev]+it.op] |= mask
+				res.use[slot] |= mask
 			}
 		}
 
-		def := e.OpDefs[it.op]
+		def := tr.OpDefs[slot]
 		if def == trace.NoDef || w.visited[def] == w.epoch {
 			continue
 		}
@@ -416,21 +405,20 @@ func (w *walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound) {
 		if touch != nil {
 			touch(def)
 		}
-		work = invert(work, tr, def, it.r, it.depth+1)
+		work = invert(work, tr, w.instrs[tr.InstrID[def]], def, it.r, it.depth+1)
 	}
 	w.work = work
 }
 
-// invert applies Table III: given that the value produced by event def must
-// stay within r, derive ranges for def's own operand uses and append them,
-// at the given walk depth, to work.
-func invert(work []item, tr *trace.Trace, def int64, r crash.Bound, depth int) []item {
-	e := &tr.Events[def]
-	in := e.Instr
+// invert applies Table III: given that the value produced by event def (of
+// instruction in) must stay within r, derive ranges for def's own operand
+// uses and append them, at the given walk depth, to work.
+func invert(work []item, tr *trace.Trace, in *ir.Instr, def int64, r crash.Bound, depth int) []item {
+	ops := tr.OpsOf(def)
 	mk := func(op int, b crash.Bound) item { return item{ev: def, op: op, r: b, depth: depth} }
 
 	signedOp := func(op int) int64 {
-		return ir.SignExtend(e.Ops[op], trace.OperandWidth(in, op))
+		return ir.SignExtend(ops[op], trace.OperandWidth(in, op))
 	}
 
 	switch in.Op {
@@ -498,8 +486,8 @@ func invert(work []item, tr *trace.Trace, def int64, r crash.Bound, depth int) [
 		// Value identity through memory: the loaded value equals the value
 		// operand of the producing store. (The store's own address operand
 		// is seeded separately by its own boundary check.)
-		if e.MemDef != trace.NoDef {
-			return append(work, item{ev: e.MemDef, op: 0, r: r, depth: depth})
+		if md := tr.MemDefOf(def); md != trace.NoDef {
+			return append(work, item{ev: md, op: 0, r: r, depth: depth})
 		}
 		return work
 	case ir.OpPhi:
@@ -507,7 +495,7 @@ func invert(work []item, tr *trace.Trace, def int64, r crash.Bound, depth int) [
 	case ir.OpSelect:
 		// The chosen arm carried the value; determine it from the recorded
 		// condition.
-		if e.Ops[0]&1 != 0 {
+		if ops[0]&1 != 0 {
 			return append(work, mk(1, r))
 		}
 		return append(work, mk(2, r))

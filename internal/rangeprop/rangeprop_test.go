@@ -60,8 +60,8 @@ func TestAnalyzeFindsCrashBits(t *testing.T) {
 	// Every address-producing gep def must have crash bits (flipping its
 	// high bits escapes the heap segment).
 	geps, gepsWithBits := 0, 0
-	for i := range tr.Events {
-		if tr.Events[i].Instr.Op != ir.OpGEP {
+	for i := range tr.NumEvents() {
+		if tr.Instr(i).Op != ir.OpGEP {
 			continue
 		}
 		geps++
@@ -76,8 +76,8 @@ func TestAnalyzeFindsCrashBits(t *testing.T) {
 
 func TestHighAddressBitsAreCrashBits(t *testing.T) {
 	tr, res := analyzeSrc(t, arraySumSrc, Config{})
-	for i := range tr.Events {
-		e := &tr.Events[i]
+	for i := range tr.NumEvents() {
+		e := tr.Event(i)
 		if e.Instr.Op != ir.OpGEP {
 			continue
 		}
@@ -320,8 +320,8 @@ void main() {
 }`
 	tr, res := analyzeSrc(t, src, Config{})
 	// Find the i*n+j add def (i32 add feeding a sext feeding the gep).
-	for i := range tr.Events {
-		e := &tr.Events[i]
+	for i := range tr.NumEvents() {
+		e := tr.Event(i)
 		if e.Instr.Op != ir.OpAdd || !e.Instr.Type().Equal(ir.I32) {
 			continue
 		}

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/epvf"
@@ -11,24 +12,28 @@ import (
 )
 
 // corruptions are the saved-trace defects Load must reject: each would
-// otherwise index past the event list (or misalign operand slots) once
-// the trace is analyzed.
+// otherwise index past a column (or misalign operand slots) once the
+// trace is analyzed.
 var corruptions = []struct {
 	name   string
 	mutate func(tr *trace.Trace)
 }{
 	{"forward operand def", func(tr *trace.Trace) {
-		e := firstEvent(tr, func(e *trace.Event) bool { return len(e.OpDefs) > 0 })
-		e.OpDefs[0] = tr.NumEvents() + 5
+		ev := firstEvent(tr, func(ev int64) bool { return len(tr.OpDefsOf(ev)) > 0 })
+		tr.OpDefs[tr.OpBase[ev]] = tr.NumEvents() + 5
 	}},
 	{"forward memory def", func(tr *trace.Trace) {
-		e := firstEvent(tr, func(e *trace.Event) bool { return e.Instr.Op == ir.OpLoad })
-		e.MemDef = tr.NumEvents() + 5
+		ev := firstEvent(tr, func(ev int64) bool { return tr.Instr(ev).Op == ir.OpLoad })
+		tr.MemDef[tr.Acc[ev]] = tr.NumEvents() + 5
 	}},
 	{"extra operand", func(tr *trace.Trace) {
-		e := firstEvent(tr, func(e *trace.Event) bool { return true })
-		e.Ops = append(e.Ops, 0)
-		e.OpDefs = append(e.OpDefs, trace.NoDef)
+		// Event 0 records one operand more than its instruction has.
+		at := tr.OpBase[1]
+		tr.Ops = slices.Insert(tr.Ops, at, 0)
+		tr.OpDefs = slices.Insert(tr.OpDefs, at, trace.NoDef)
+		for i := 1; i < len(tr.OpBase); i++ {
+			tr.OpBase[i]++
+		}
 	}},
 	{"forward output def", func(tr *trace.Trace) {
 		tr.Outputs[0].Def = tr.Outputs[0].EventIdx
@@ -36,12 +41,31 @@ var corruptions = []struct {
 	{"output past the last event", func(tr *trace.Trace) {
 		tr.Outputs[0].EventIdx = tr.NumEvents()
 	}},
+	{"short column", func(tr *trace.Trace) {
+		tr.Result = tr.Result[:len(tr.Result)-1]
+	}},
+	{"non-monotone operand offsets", func(tr *trace.Trace) {
+		ev := firstEvent(tr, func(ev int64) bool { return len(tr.OpsOf(ev)) > 0 })
+		tr.OpBase[ev+1] = tr.OpBase[ev] - 1
+	}},
+	{"instruction ID out of range", func(tr *trace.Trace) {
+		tr.InstrID[0] = int32(tr.Module.NumInstrs())
+	}},
+	{"load with no access entry", func(tr *trace.Trace) {
+		ev := firstEvent(tr, func(ev int64) bool { return tr.Instr(ev).Op == ir.OpLoad })
+		tr.Acc[ev] = -1
+	}},
+	{"repeated access number", func(tr *trace.Trace) {
+		first := firstEvent(tr, tr.IsMemAccess)
+		next := firstEvent(tr, func(ev int64) bool { return ev > first && tr.IsMemAccess(ev) })
+		tr.Acc[next] = tr.Acc[first]
+	}},
 }
 
-func firstEvent(tr *trace.Trace, ok func(*trace.Event) bool) *trace.Event {
-	for i := range tr.Events {
-		if ok(&tr.Events[i]) {
-			return &tr.Events[i]
+func firstEvent(tr *trace.Trace, ok func(ev int64) bool) int64 {
+	for ev := range tr.NumEvents() {
+		if ok(ev) {
+			return ev
 		}
 	}
 	panic("no matching event")

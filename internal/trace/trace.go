@@ -17,35 +17,130 @@ import (
 // global's address).
 const NoDef = int64(-1)
 
-// Event records one dynamic instruction execution.
+// Trace is a full dynamic execution record of one program run, stored as
+// flat columns that hold no pointers: the garbage collector never scans
+// them, and a walk over one property of every event reads only that
+// property. Events are numbered from zero in retirement order.
+//
+// Per event i:
+//
+//   - InstrID[i] is the static instruction that executed (an index into
+//     Instrs, the module's instruction table);
+//   - Result[i] is the raw result bit pattern of a value-producing
+//     instruction (zero for the others);
+//   - Acc[i] is the event's access number for loads and stores, an index
+//     into the access columns, and -1 for every other event. Accesses are
+//     numbered densely in event order;
+//   - Ops[OpBase[i]:OpBase[i+1]] are the raw operand bit patterns as read
+//     at execution time (for phi, a single entry: the chosen incoming
+//     value; for condbr, the condition), and OpDefs over the same range
+//     gives, for each operand, the index of the event whose result
+//     produced it, or NoDef.
+//
+// Per access a (the state the crash model replays):
+//
+//   - Addr[a] is the effective address;
+//   - SP[a] is the stack pointer at the access;
+//   - MemDef[a] is, for loads, the store event that last wrote the loaded
+//     location, or NoDef for initial memory (globals, zero-fill); always
+//     NoDef for stores;
+//   - VMAVer[a] is the VMA-table version, a key of Snapshots.
+type Trace struct {
+	Module *ir.Module
+
+	InstrID []int32
+	Result  []uint64
+	Acc     []int32
+	OpBase  []int
+	Ops     []uint64
+	OpDefs  []int64
+
+	Addr   []uint64
+	SP     []uint64
+	MemDef []int64
+	VMAVer []int32
+
+	Outputs []Output
+	// Snapshots maps VMA-table versions to the VMA tables captured during
+	// the run.
+	Snapshots map[int][]mem.VMA
+	// Layout is the memory layout the program ran under.
+	Layout mem.Layout
+
+	// instrs is the module's instruction table as of recording or
+	// loading, so a trace keeps naming the instructions that ran even if
+	// the module is later instrumented and re-finished in place.
+	instrs []*ir.Instr
+}
+
+// NumEvents returns the dynamic instruction count.
+func (t *Trace) NumEvents() int64 { return int64(len(t.InstrID)) }
+
+// Instrs returns the instruction table that InstrID indexes. Callers must
+// not modify it.
+func (t *Trace) Instrs() []*ir.Instr { return t.instrs }
+
+// Instr returns the static instruction of event ev.
+func (t *Trace) Instr(ev int64) *ir.Instr { return t.instrs[t.InstrID[ev]] }
+
+// OpsOf returns the recorded operand bit patterns of event ev, a view
+// into the Ops column.
+func (t *Trace) OpsOf(ev int64) []uint64 { return t.Ops[t.OpBase[ev]:t.OpBase[ev+1]] }
+
+// OpDefsOf returns the defining events of event ev's operands, a view
+// into the OpDefs column.
+func (t *Trace) OpDefsOf(ev int64) []int64 { return t.OpDefs[t.OpBase[ev]:t.OpBase[ev+1]] }
+
+// IsMemAccess reports whether event ev is a load or store.
+func (t *Trace) IsMemAccess(ev int64) bool { return t.Acc[ev] >= 0 }
+
+// MemDefOf returns the store event that produced the value loaded at
+// event ev, or NoDef when ev is not a load or read initial memory.
+func (t *Trace) MemDefOf(ev int64) int64 {
+	if a := t.Acc[ev]; a >= 0 {
+		return t.MemDef[a]
+	}
+	return NoDef
+}
+
+// Event records one dynamic instruction execution. It is a by-value view
+// of one event's columns for cold callers; Ops and OpDefs alias the
+// trace's columns.
 type Event struct {
 	// Instr is the static instruction that executed.
 	Instr *ir.Instr
-	// Ops are the raw operand bit patterns as read at execution time. For
-	// phi, a single entry: the chosen incoming value. For condbr, the
-	// condition.
+	// Ops are the raw operand bit patterns as read at execution time.
 	Ops []uint64
 	// OpDefs gives, for each entry of Ops, the index of the event whose
 	// result produced it, or NoDef.
 	OpDefs []int64
-	// Result is the raw result bit pattern for value-producing
-	// instructions.
+	// Result is the raw result bit pattern.
 	Result uint64
-	// Addr is the effective address for load/store events.
-	Addr uint64
-	// MemDef is, for load events, the index of the store event that last
-	// wrote the loaded location, or NoDef for initial memory (globals,
-	// zero-fill).
+	// Addr, MemDef, VMAVer and SP are the access state of a load or
+	// store; zero (MemDef NoDef) for other events.
+	Addr   uint64
 	MemDef int64
-	// VMAVer is the VMA-table version at a load/store, for replaying
-	// segment boundaries in the crash model.
 	VMAVer int
-	// SP is the stack pointer at a load/store.
-	SP uint64
+	SP     uint64
 }
 
 // IsMemAccess reports whether the event is a load or store.
 func (e *Event) IsMemAccess() bool { return e.Instr.Op.IsMemAccess() }
+
+// Event returns the view of event ev.
+func (t *Trace) Event(ev int64) Event {
+	e := Event{
+		Instr:  t.Instr(ev),
+		Ops:    t.OpsOf(ev),
+		OpDefs: t.OpDefsOf(ev),
+		Result: t.Result[ev],
+		MemDef: NoDef,
+	}
+	if a := t.Acc[ev]; a >= 0 {
+		e.Addr, e.MemDef, e.VMAVer, e.SP = t.Addr[a], t.MemDef[a], int(t.VMAVer[a]), t.SP[a]
+	}
+	return e
+}
 
 // Output records one value emitted through the output intrinsic.
 type Output struct {
@@ -58,21 +153,6 @@ type Output struct {
 	// Width is the emitted value's bit width.
 	Width int
 }
-
-// Trace is a full dynamic execution record of one program run.
-type Trace struct {
-	Module  *ir.Module
-	Events  []Event
-	Outputs []Output
-	// Snapshots maps VMA-table versions to the VMA tables captured during
-	// the run.
-	Snapshots map[int][]mem.VMA
-	// Layout is the memory layout the program ran under.
-	Layout mem.Layout
-}
-
-// NumEvents returns the dynamic instruction count.
-func (t *Trace) NumEvents() int64 { return int64(len(t.Events)) }
 
 // Use identifies one dynamic operand read: operand Op of event Event. Uses
 // are the "register at instruction i" granularity over which PVF and ePVF
@@ -88,8 +168,7 @@ func (u Use) String() string { return fmt.Sprintf("ev%d.op%d", u.Event, u.Op) }
 
 // UseWidth returns the bit width of the given operand use.
 func (t *Trace) UseWidth(u Use) int {
-	ev := &t.Events[u.Event]
-	return OperandWidth(ev.Instr, u.Op)
+	return OperandWidth(t.Instr(u.Event), u.Op)
 }
 
 // OperandWidth returns the bit width of operand op of instruction in, under
@@ -140,34 +219,4 @@ func NumOperands(in *ir.Instr) int {
 		return 1
 	}
 	return len(in.Args)
-}
-
-// slabChunk is the number of operand slots one Slab chunk holds: large
-// enough that a recording allocates a few times per thousand events, small
-// enough that a short run wastes little.
-const slabChunk = 4096
-
-// Slab hands out the Ops and OpDefs slices of recorded events from shared
-// fixed-size chunks, so recording allocates twice per chunk rather than
-// twice per event. Each slice it returns is capped at its own length: an
-// append by a consumer reallocates instead of overwriting the next
-// event's operands. Chunks are never reused, so slices handed out stay
-// valid for the life of the trace. The zero Slab is ready to use; a Slab
-// is not safe for concurrent use.
-type Slab struct {
-	ops  []uint64
-	defs []int64
-}
-
-// Take returns zeroed Ops and OpDefs slices of length n for one event.
-func (s *Slab) Take(n int) ([]uint64, []int64) {
-	if s.ops == nil || cap(s.ops)-len(s.ops) < n {
-		c := max(slabChunk, n)
-		s.ops = make([]uint64, 0, c)
-		s.defs = make([]int64, 0, c)
-	}
-	i := len(s.ops)
-	s.ops = s.ops[:i+n]
-	s.defs = s.defs[:i+n]
-	return s.ops[i : i+n : i+n], s.defs[i : i+n : i+n]
 }

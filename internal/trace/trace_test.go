@@ -82,40 +82,3 @@ func TestUseString(t *testing.T) {
 		t.Errorf("Use.String() = %q", u.String())
 	}
 }
-
-// TestSlabTake: slices come back zeroed, non-nil, capped at their length
-// and disjoint, across chunk boundaries and for requests above a chunk.
-func TestSlabTake(t *testing.T) {
-	var s Slab
-	var ops [][]uint64
-	var defs [][]int64
-	for i, n := range []int{0, 1, 3, slabChunk - 2, 2, slabChunk + 5, 1} {
-		o, d := s.Take(n)
-		if o == nil || d == nil || len(o) != n || len(d) != n || cap(o) != n || cap(d) != n {
-			t.Fatalf("take %d (%d): len %d/%d cap %d/%d nil %v/%v",
-				i, n, len(o), len(d), cap(o), cap(d), o == nil, d == nil)
-		}
-		for j := range o {
-			if o[j] != 0 || d[j] != 0 {
-				t.Fatalf("take %d: slot %d not zeroed", i, j)
-			}
-			o[j], d[j] = uint64(i+1), int64(i+1)
-		}
-		ops, defs = append(ops, o), append(defs, d)
-	}
-	// A consumer appending to one event's operands must not reach the
-	// next event's.
-	ops[2] = append(ops[2], 99)
-	defs[2] = append(defs[2], 99)
-	for i := range ops {
-		want := i + 1
-		if i == 2 {
-			ops[i], defs[i] = ops[i][:3], defs[i][:3]
-		}
-		for j := range ops[i] {
-			if ops[i][j] != uint64(want) || defs[i][j] != int64(want) {
-				t.Fatalf("take %d slot %d overwritten: %d/%d", i, j, ops[i][j], defs[i][j])
-			}
-		}
-	}
-}

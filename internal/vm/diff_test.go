@@ -33,11 +33,11 @@ func diffResults(t *testing.T, name string, walker, vmr *interp.Result) {
 		return
 	}
 	wt, vt := walker.Trace, vmr.Trace
-	if len(wt.Events) != len(vt.Events) {
-		t.Fatalf("%s: event count mismatch: walker=%d vm=%d", name, len(wt.Events), len(vt.Events))
+	if wt.NumEvents() != vt.NumEvents() {
+		t.Fatalf("%s: event count mismatch: walker=%d vm=%d", name, wt.NumEvents(), vt.NumEvents())
 	}
-	for i := range wt.Events {
-		diffEvent(t, name, i, &wt.Events[i], &vt.Events[i])
+	for i := range wt.NumEvents() {
+		diffEvent(t, name, i, wt.Event(i), vt.Event(i))
 	}
 	if len(wt.Snapshots) != len(vt.Snapshots) {
 		t.Fatalf("%s: VMA snapshot count mismatch: walker=%d vm=%d", name, len(wt.Snapshots), len(vt.Snapshots))
@@ -84,7 +84,7 @@ func diffOutputs(t *testing.T, name string, w, v []trace.Output) {
 	}
 }
 
-func diffEvent(t *testing.T, name string, i int, w, v *trace.Event) {
+func diffEvent(t *testing.T, name string, i int64, w, v trace.Event) {
 	t.Helper()
 	if w.Instr != v.Instr {
 		t.Fatalf("%s: event %d instr mismatch: walker=%v(id %d) vm=%v(id %d)",
@@ -106,7 +106,7 @@ func diffEvent(t *testing.T, name string, i int, w, v *trace.Event) {
 	}
 	if w.Result != v.Result || w.Addr != v.Addr || w.MemDef != v.MemDef ||
 		w.VMAVer != v.VMAVer || w.SP != v.SP {
-		t.Fatalf("%s: event %d (%v) payload mismatch:\nwalker=%+v\nvm=%+v", name, i, w.Instr.Op, *w, *v)
+		t.Fatalf("%s: event %d (%v) payload mismatch:\nwalker=%+v\nvm=%+v", name, i, w.Instr.Op, w, v)
 	}
 }
 
@@ -311,16 +311,15 @@ func TestDifferentialInjection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("golden: %v", err)
 			}
-			events := golden.Trace.Events
-			for ev := range events {
-				w := trace.DefWidth(events[ev].Instr)
+			for ev := range golden.Trace.NumEvents() {
+				w := trace.DefWidth(golden.Trace.Instr(ev))
 				if w == 0 {
 					continue
 				}
 				bit := rng.Intn(w)
 				cfg := interp.Config{
 					MaxDynInstrs: 200_000,
-					Injection:    &interp.Injection{Event: int64(ev), Bit: bit},
+					Injection:    &interp.Injection{Event: ev, Bit: bit},
 				}
 				name := fmt.Sprintf("%s/ev%d/bit%d", pc.name, ev, bit)
 				walker, vmr := runBoth(t, m, cfg)

@@ -88,7 +88,7 @@ func FuzzDifferential(f *testing.F) {
 		if ev < 0 {
 			ev = -ev % n
 		}
-		w := trace.DefWidth(walker.Trace.Events[ev].Instr)
+		w := trace.DefWidth(walker.Trace.Instr(ev))
 		if w == 0 {
 			return
 		}

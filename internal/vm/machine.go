@@ -55,12 +55,11 @@ type machine struct {
 	stores   int64
 	iters    int64
 	max      int64
-	record   bool
 	inj      *interp.Injection
-	events   []trace.Event
-	slab     trace.Slab // backs the recorded events' Ops/OpDefs
-	outputs  []trace.Output
-	memDef   map[uint64]int64
+	// rec records the run's trace; nil when the run does not record.
+	rec     *trace.Recorder
+	outputs []trace.Output
+	memDef  map[uint64]int64
 
 	exc       *interp.Exception
 	hang      bool
@@ -81,7 +80,6 @@ func newMachine(p *Program, cfg interp.Config, as *mem.AddressSpace, globals map
 		fixed:   make([][]uint64, len(p.fns)),
 		pool:    make([][]*vframe, len(p.fns)),
 		max:     cfg.MaxDynInstrs,
-		record:  cfg.Record,
 		inj:     cfg.Injection,
 	}
 	maxPhi := 0
@@ -92,10 +90,6 @@ func newMachine(p *Program, cfg interp.Config, as *mem.AddressSpace, globals map
 	}
 	m.phiVals = make([]uint64, maxPhi)
 	m.phiIdx = make([]int64, maxPhi)
-	if m.record {
-		m.memDef = make(map[uint64]int64)
-		m.events = make([]trace.Event, 0, 1<<16)
-	}
 	return m
 }
 
@@ -112,6 +106,10 @@ func (p *Program) Run(cfg interp.Config) (*interp.Result, error) {
 		return nil, fmt.Errorf("interp: loading globals: %w", err)
 	}
 	m := newMachine(p, cfg, as, globals)
+	if cfg.Record {
+		m.memDef = make(map[uint64]int64)
+		m.rec = trace.NewRecorder(p.mod)
+	}
 	m.pushFrame(p.fnIdx[entry], nil, nil)
 	m.run()
 	return m.finish()
@@ -127,14 +125,8 @@ func (m *machine) finish() (*interp.Result, error) {
 		Executed:  m.executed,
 		Converged: m.converged,
 	}
-	if m.record {
-		res.Trace = &trace.Trace{
-			Module:    m.prog.mod,
-			Events:    m.events,
-			Outputs:   m.outputs,
-			Snapshots: m.as.Snapshots(),
-			Layout:    m.cfg.Layout,
-		}
+	if m.rec != nil {
+		res.Trace = m.rec.Finish(m.outputs, m.as.Snapshots(), m.cfg.Layout)
 	}
 	m.flushObs()
 	return res, m.fatal
@@ -220,21 +212,14 @@ func (m *machine) pushFrame(fnIdx int32, caller *vframe, argSlots []uint16) {
 	m.stack = append(m.stack, fr)
 }
 
-// recordEvent appends the trace event for the instruction with the given
+// recordEvent records the trace event for the instruction with the given
 // LocalID, reading operands from their slots in Args order.
 func (m *machine) recordEvent(fr *vframe, fc *fnCode, localID int32) {
-	slots := fc.meta[localID].argSlots
-	ops, defs := m.slab.Take(len(slots))
-	for i, s := range slots {
+	ops, defs := m.rec.Begin(fc.instrs[localID])
+	for i, s := range fc.meta[localID].argSlots {
 		ops[i] = fr.regs[s]
 		defs[i] = fr.defs[s]
 	}
-	m.events = append(m.events, trace.Event{
-		Instr:  fc.instrs[localID],
-		Ops:    ops,
-		OpDefs: defs,
-		MemDef: trace.NoDef,
-	})
 }
 
 // injectBits applies the pending fault to a result being defined; the
@@ -322,7 +307,7 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 		idx := m.dyn
 		m.dyn++
 		m.executed++
-		if m.record {
+		if m.rec != nil {
 			m.recordEvent(fr, fc, src)
 		}
 		if m.dyn > m.max {
@@ -496,8 +481,8 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			}
 			regs[dst] = r
 			defs[dst] = idx
-			if m.record {
-				m.events[idx].Result = r
+			if m.rec != nil {
+				m.rec.SetResult(idx, r)
 			}
 			// Second half: plain condbr words at pc (already advanced).
 			w3 := code[pc+1]
@@ -505,7 +490,7 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			aux2 := uint32(w3)
 			m.dyn++
 			m.executed++
-			if m.record {
+			if m.rec != nil {
 				m.recordEvent(fr, fc, src2)
 			}
 			if m.dyn > m.max {
@@ -529,8 +514,8 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			}
 			regs[dst] = r
 			defs[dst] = idx
-			if m.record {
-				m.events[idx].Result = r
+			if m.rec != nil {
+				m.rec.SetResult(idx, r)
 			}
 			w2 := code[pc]
 			w3 := code[pc+1]
@@ -540,7 +525,7 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			idx2 := m.dyn
 			m.dyn++
 			m.executed++
-			if m.record {
+			if m.rec != nil {
 				m.recordEvent(fr, fc, src2)
 			}
 			if m.dyn > m.max {
@@ -557,8 +542,8 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			}
 			regs[dst2] = lv
 			defs[dst2] = idx2
-			if m.record {
-				m.events[idx2].Result = lv
+			if m.rec != nil {
+				m.rec.SetResult(idx2, lv)
 			}
 			pc += 2
 			continue
@@ -574,8 +559,8 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 		}
 		regs[dst] = r
 		defs[dst] = idx
-		if m.record {
-			m.events[idx].Result = r
+		if m.rec != nil {
+			m.rec.SetResult(idx, r)
 		}
 	}
 }
@@ -648,15 +633,9 @@ func (m *machine) stepPhiGroup(fr *vframe, fc *fnCode, aux uint32) int32 {
 		idx := m.dyn
 		m.dyn++
 		m.executed++
-		if m.record {
-			ops, defs := m.slab.Take(1)
+		if m.rec != nil {
+			ops, defs := m.rec.Begin(g.phis[i])
 			ops[0], defs[0] = bits, def
-			m.events = append(m.events, trace.Event{
-				Instr:  g.phis[i],
-				Ops:    ops,
-				OpDefs: defs,
-				MemDef: trace.NoDef,
-			})
 		}
 		m.phiVals[i] = bits
 		m.phiIdx[i] = idx
@@ -682,8 +661,8 @@ func (m *machine) stepPhiGroup(fr *vframe, fc *fnCode, aux uint32) int32 {
 		}
 		fr.regs[in.LocalID] = r
 		fr.defs[in.LocalID] = idx
-		if m.record {
-			m.events[idx].Result = r
+		if m.rec != nil {
+			m.rec.SetResult(idx, r)
 		}
 	}
 	return g.endPC
@@ -718,8 +697,8 @@ func (m *machine) popFrame(retVal uint64, retDef int64) {
 	}
 	fr.regs[in.LocalID] = bits
 	fr.defs[in.LocalID] = retDef
-	if m.record {
-		m.events[fr.callIdx].Result = fr.regs[in.LocalID]
+	if m.rec != nil {
+		m.rec.SetResult(fr.callIdx, fr.regs[in.LocalID])
 	}
 	fr.callIdx = 0
 }
@@ -729,11 +708,8 @@ func (m *machine) load(in *ir.Instr, idx int64, addr uint64, aux uint32) (uint64
 	size := int64(aux & 0xff)
 	mw := aux >> 8 & 0xff
 	align := int64(aux >> 16 & 0xff)
-	if m.record {
-		ev := &m.events[idx]
-		ev.Addr = addr
-		ev.VMAVer = m.as.Version()
-		ev.SP = m.as.SP()
+	if m.rec != nil {
+		m.rec.SetAccess(idx, addr, m.as.SP(), m.as.Version())
 	}
 	if !m.alignOK(size, align, addr) {
 		m.raise(interp.ExcMisaligned, in, addr, "misaligned load")
@@ -745,9 +721,9 @@ func (m *machine) load(in *ir.Instr, idx int64, addr uint64, aux uint32) (uint64
 		return 0, false
 	}
 	v := truncTo(raw, mw)
-	if m.record {
+	if m.rec != nil {
 		if d, ok := m.memDef[addr]; ok {
-			m.events[idx].MemDef = d
+			m.rec.SetMemDef(idx, d)
 		}
 	}
 	return v, true
@@ -757,11 +733,8 @@ func (m *machine) store(in *ir.Instr, idx int64, val, addr uint64, aux uint32) b
 	m.stores++
 	size := int64(aux & 0xff)
 	align := int64(aux >> 8 & 0xff)
-	if m.record {
-		ev := &m.events[idx]
-		ev.Addr = addr
-		ev.VMAVer = m.as.Version()
-		ev.SP = m.as.SP()
+	if m.rec != nil {
+		m.rec.SetAccess(idx, addr, m.as.SP(), m.as.Version())
 	}
 	if !m.alignOK(size, align, addr) {
 		m.raise(interp.ExcMisaligned, in, addr, "misaligned store")
@@ -771,7 +744,7 @@ func (m *machine) store(in *ir.Instr, idx int64, val, addr uint64, aux uint32) b
 		m.raise(interp.ExcSegFault, in, addr, err.Error())
 		return false
 	}
-	if m.record {
+	if m.rec != nil {
 		for i := int64(0); i < size; i++ {
 			m.memDef[addr+uint64(i)] = idx
 		}

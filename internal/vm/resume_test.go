@@ -92,7 +92,7 @@ func TestDifferentialResume(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 120; trial++ {
 		ev := rng.Int63n(total)
-		in := golden.Trace.Events[ev].Instr
+		in := golden.Trace.Instr(ev)
 		w := trace.DefWidth(in)
 		if w == 0 {
 			continue
