@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/attr"
@@ -160,6 +162,8 @@ type replay struct {
 	Spans []obs.SpanRecord
 	// spanSeen backs the span dedup while scanning.
 	spanSeen map[string]bool
+	// logged counts the distinct runs read so far per shard.
+	logged map[int]int64
 }
 
 // readLog parses a campaign log. A trailing partial line (torn write from
@@ -174,6 +178,7 @@ func readLog(path string) (*replay, error) {
 	rp := &replay{
 		Records:    make(map[int64]fi.Record),
 		ShardsDone: make(map[int]bool),
+		logged:     make(map[int]int64),
 	}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -200,6 +205,9 @@ func readLog(path string) (*replay, error) {
 		case kindHeader:
 			rp.Plan = rec.Plan
 		case kindRun:
+			if _, dup := rp.Records[rec.Index]; !dup {
+				rp.logged[int(rec.Index/rp.Plan.ShardSize)]++
+			}
 			rp.Records[rec.Index] = rec.fiRecord()
 		case kindShardDone:
 			rp.ShardsDone[rec.Shard] = true
@@ -225,8 +233,9 @@ func readLog(path string) (*replay, error) {
 }
 
 // check rejects a parsed record that no campaign writes: a second or
-// empty header, a plan with no runs or shards, and run or shard_done
-// records before the header or outside its plan's geometry and enums.
+// empty header, a plan with no runs or shards or whose shard count
+// overflows, run or shard_done records before the header or outside its
+// plan's geometry and enums, and a shard_done ahead of any of its runs.
 func (rp *replay) check(rec logRecord) error {
 	switch rec.Kind {
 	case kindHeader:
@@ -237,6 +246,8 @@ func (rp *replay) check(rec logRecord) error {
 			return fmt.Errorf("header carries no plan")
 		case rec.Plan.Runs <= 0 || rec.Plan.ShardSize <= 0:
 			return fmt.Errorf("plan has %d runs in shards of %d, want both positive", rec.Plan.Runs, rec.Plan.ShardSize)
+		case rec.Plan.Runs > math.MaxInt64-(rec.Plan.ShardSize-1):
+			return fmt.Errorf("plan has %d runs in shards of %d, too many to count shards", rec.Plan.Runs, rec.Plan.ShardSize)
 		}
 	case kindRun:
 		switch {
@@ -255,6 +266,9 @@ func (rp *replay) check(rec logRecord) error {
 			return fmt.Errorf("shard_done record before the plan header")
 		case rec.Shard < 0 || rec.Shard >= rp.Plan.NumShards():
 			return fmt.Errorf("shard %d outside [0, %d)", rec.Shard, rp.Plan.NumShards())
+		}
+		if lo, hi := rp.Plan.ShardRange(rec.Shard); rp.logged[rec.Shard] != hi-lo {
+			return fmt.Errorf("shard_done %d after %d of its %d runs", rec.Shard, rp.logged[rec.Shard], hi-lo)
 		}
 	}
 	return nil
@@ -336,18 +350,24 @@ func moreData(sc *bufio.Scanner) bool {
 	return sc.Scan()
 }
 
-// shardComplete reports whether every index of shard i is present.
-func (rp *replay) shardComplete(p *Plan, i int) bool {
-	if rp.ShardsDone[i] {
-		return true
+// completeShards returns, in ascending order, the shards whose every run
+// is among the records; readLog has checked that each shard_done shard is
+// one of them. It visits only the shards the records name, so its cost
+// follows the log, not the plan's run count.
+func (rp *replay) completeShards() []int {
+	p := rp.Plan
+	logged := make(map[int]int64)
+	for idx := range rp.Records {
+		logged[int(idx/p.ShardSize)]++
 	}
-	lo, hi := p.ShardRange(i)
-	for idx := lo; idx < hi; idx++ {
-		if _, ok := rp.Records[idx]; !ok {
-			return false
+	var out []int
+	for s, n := range logged {
+		if lo, hi := p.ShardRange(s); n == hi-lo {
+			out = append(out, s)
 		}
 	}
-	return true
+	slices.Sort(out)
+	return out
 }
 
 // MergeLogs combines shard logs produced by separate processes running the
@@ -387,10 +407,7 @@ func MergeLogs(out string, inputs []string) (*Status, error) {
 			return nil, fmt.Errorf("%s: %w", in, err)
 		}
 		// Complete shards dedupe wholesale by content hash.
-		for s := 0; s < plan.NumShards(); s++ {
-			if !rp.shardComplete(plan, s) {
-				continue
-			}
+		for _, s := range rp.completeShards() {
 			lo, hi := plan.ShardRange(s)
 			recs := make([]RunRec, 0, hi-lo)
 			for idx := lo; idx < hi; idx++ {
@@ -429,21 +446,22 @@ func MergeLogs(out string, inputs []string) (*Status, error) {
 	if err != nil {
 		return nil, err
 	}
-	rp := &replay{Plan: plan, Records: records, ShardsDone: map[int]bool{}}
-	for idx := int64(0); idx < plan.Runs; idx++ {
-		if rec, ok := records[idx]; ok {
-			if err := w.append(runToLog(idx, rec)); err != nil {
-				w.close()
-				return nil, err
-			}
+	idxs := make([]int64, 0, len(records))
+	for idx := range records {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
+	for _, idx := range idxs {
+		if err := w.append(runToLog(idx, records[idx])); err != nil {
+			w.close()
+			return nil, err
 		}
 	}
-	for s := 0; s < plan.NumShards(); s++ {
-		if rp.shardComplete(plan, s) {
-			if err := w.append(logRecord{Kind: kindShardDone, Shard: s}); err != nil {
-				w.close()
-				return nil, err
-			}
+	done := &replay{Plan: plan, Records: records}
+	for _, s := range done.completeShards() {
+		if err := w.append(logRecord{Kind: kindShardDone, Shard: s}); err != nil {
+			w.close()
+			return nil, err
 		}
 	}
 	if stopped {

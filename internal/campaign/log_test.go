@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,6 +39,7 @@ type logCorruption struct {
 var logCorruptions = []logCorruption{
 	{"zero shard size", kindHeader, func(r *logRecord) { r.Plan.ShardSize = 0 }, "in shards of 0"},
 	{"zero runs", kindHeader, func(r *logRecord) { r.Plan.Runs = 0 }, "has 0 runs"},
+	{"shard count overflows", kindHeader, func(r *logRecord) { r.Plan.Runs = math.MaxInt64 }, "too many to count shards"},
 	{"header without plan", kindHeader, func(r *logRecord) { r.Plan = nil }, "carries no plan"},
 	{"outcome past enum", kindRun, func(r *logRecord) { r.Outcome = 99 }, "unknown outcome 99"},
 	{"outcome zero", kindRun, func(r *logRecord) { r.Outcome = 0 }, "unknown outcome 0"},
@@ -119,6 +121,7 @@ func TestReadLogRejectsMisorderedRecords(t *testing.T) {
 		{"duplicate header", header + header, ":2: duplicate header"},
 		{"run before header", run + header, ":1: run record before the plan header"},
 		{"shard before header", shard + header, ":1: shard_done record before the plan header"},
+		{"shard before its runs", header + shard, ":2: shard_done"},
 	} {
 		path := filepath.Join(t.TempDir(), "log.jsonl")
 		if err := os.WriteFile(path, []byte(c.log), 0o644); err != nil {
@@ -130,22 +133,63 @@ func TestReadLogRejectsMisorderedRecords(t *testing.T) {
 	}
 }
 
+// TestStatusAndMergeFollowTheLog: a header claiming ~1e18 runs costs
+// status and merge only what the log holds; they once looped over every
+// shard of the plan.
+func TestStatusAndMergeFollowTheLog(t *testing.T) {
+	dir := t.TempDir()
+	base := realLog(t)
+	want, err := ReadStatus(writeLog(t, dir, "real.jsonl", base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := corrupt(t, base, logCorruption{"huge plan", kindHeader, func(r *logRecord) { r.Plan.Runs = 1e18 }, ""})
+	path := writeLog(t, dir, "huge.jsonl", data)
+	got, err := ReadStatus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Done != want.Done || got.ShardsComplete != want.ShardsComplete {
+		t.Fatalf("status of the huge plan: %d runs, %d shards complete; want %d and %d",
+			got.Done, got.ShardsComplete, want.Done, want.ShardsComplete)
+	}
+	merged, err := MergeLogs(filepath.Join(dir, "merged.jsonl"), []string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Done != want.Done || merged.ShardsComplete != want.ShardsComplete {
+		t.Fatalf("merge of the huge plan: %d runs, %d shards complete; want %d and %d",
+			merged.Done, merged.ShardsComplete, want.Done, want.ShardsComplete)
+	}
+}
+
+// writeLog writes data as the log name in dir and returns its path.
+func writeLog(tb testing.TB, dir, name string, data []byte) string {
+	tb.Helper()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
 // FuzzReadLog: no input panics readLog, and every log it accepts is
 // consistent with its own plan — the guarantee the status, merge and
-// resume paths build on.
+// resume paths build on. Status and merge then run on it, and the merged
+// log reads back with the same runs and complete shards.
 func FuzzReadLog(f *testing.F) {
 	base := realLog(f)
 	f.Add(base)
 	f.Add(base[:len(base)-7]) // torn final line
+	huge, _ := corrupt(f, base, logCorruption{"huge plan", kindHeader, func(r *logRecord) { r.Plan.Runs = 1e18 }, ""})
+	f.Add(huge)
 	for _, c := range logCorruptions {
 		data, _ := corrupt(f, base, c)
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "log.jsonl")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		dir := t.TempDir()
+		path := writeLog(t, dir, "log.jsonl", data)
 		rp, err := readLog(path)
 		if err != nil {
 			if errors.Is(err, os.ErrNotExist) {
@@ -166,6 +210,22 @@ func FuzzReadLog(f *testing.F) {
 			if s < 0 || s >= p.NumShards() {
 				t.Fatalf("accepted shard_done %d of %d", s, p.NumShards())
 			}
+		}
+		st, err := ReadStatus(path)
+		if err != nil {
+			t.Fatalf("status of an accepted log: %v", err)
+		}
+		if st.Done != int64(len(rp.Records)) || st.ShardsComplete < len(rp.ShardsDone) {
+			t.Fatalf("status counts %d runs and %d complete shards of a log with %d runs and %d shard_done",
+				st.Done, st.ShardsComplete, len(rp.Records), len(rp.ShardsDone))
+		}
+		merged, err := MergeLogs(filepath.Join(dir, "merged.jsonl"), []string{path})
+		if err != nil {
+			t.Fatalf("merge of an accepted log: %v", err)
+		}
+		if merged.Done != st.Done || merged.ShardsComplete != st.ShardsComplete {
+			t.Fatalf("merged log has %d runs and %d complete shards, want %d and %d",
+				merged.Done, merged.ShardsComplete, st.Done, st.ShardsComplete)
 		}
 	})
 }

@@ -49,11 +49,7 @@ func ReadStatus(path string) (*Status, error) {
 		Saved:   rp.Saved,
 		Reason:  rp.Reason,
 	}
-	for i := 0; i < rp.Plan.NumShards(); i++ {
-		if rp.shardComplete(rp.Plan, i) {
-			s.ShardsComplete++
-		}
-	}
+	s.ShardsComplete = len(rp.completeShards())
 	for _, rec := range rp.Records {
 		s.Counts[rec.Outcome]++
 	}

@@ -98,10 +98,8 @@ func OpenDurableLog(path string, plan *Plan) (*DurableLog, *LogState, error) {
 		}
 		st.Records = rp.Records
 		st.Spans = rp.Spans
-		for i := 0; i < plan.NumShards(); i++ {
-			if rp.shardComplete(plan, i) {
-				st.ShardsDone[i] = true
-			}
+		for _, i := range rp.completeShards() {
+			st.ShardsDone[i] = true
 		}
 	case os.IsNotExist(err):
 		fresh = true

@@ -281,7 +281,11 @@ func depsMatch(p *partition, deps []footprintDep) bool {
 func (cfg *Config) computeSection(tr *trace.Trace, p *partition, s *section, cfgKey string) *sectionProfile {
 	touched := make(map[int32]bool)
 	touched[int32(s.index)] = true // the seeds themselves live here
-	res := rangeprop.AnalyzeSeeds(tr, cfg.Epvf.Prop, s.seeds, func(ev int64) {
+	if p.ops == nil {
+		tab := rangeprop.NewOperandTable(tr)
+		p.ops = &tab
+	}
+	res := rangeprop.AnalyzeSeeds(tr, *p.ops, cfg.Epvf.Prop, s.seeds, func(ev int64) {
 		touched[p.owner[ev]] = true
 	})
 	pr := buildProfile(res, p)

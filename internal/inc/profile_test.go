@@ -35,8 +35,9 @@ func kernelPartition(tb testing.TB, name string) (*trace.Trace, *partition) {
 // it.
 func freshProfiles(tr *trace.Trace, p *partition) [][]byte {
 	var out [][]byte
+	tab := rangeprop.NewOperandTable(tr)
 	for _, s := range p.sections {
-		res := rangeprop.AnalyzeSeeds(tr, rangeprop.Config{}, s.seeds, nil)
+		res := rangeprop.AnalyzeSeeds(tr, tab, rangeprop.Config{}, s.seeds, nil)
 		out = append(out, buildProfile(res, p).encode())
 	}
 	return out

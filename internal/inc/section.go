@@ -52,6 +52,9 @@ type partition struct {
 	// budget.
 	owner   []int32
 	ordinal []int32
+	// ops is the trace's operand table, built by the first section
+	// computed fresh and shared by the rest.
+	ops *rangeprop.OperandTable
 }
 
 // sectionize partitions the trace by owning function and identifies each

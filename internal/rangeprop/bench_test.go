@@ -22,10 +22,11 @@ func ludTrace(tb testing.TB, scale int) (*trace.Trace, *ddg.Graph, []bool) {
 	return res.Trace, g, g.ACEMask()
 }
 
-// maxAnalyzeAllocs bounds one serial Analyze: the result with its use
-// and def masks, the seed list, and the walker with its stamps and
-// worklist (the layout is the trace's OpBase column).
-const maxAnalyzeAllocs = 10
+// maxAnalyzeAllocs bounds one serial Analyze: the operand table, the
+// result with its use and def masks, and the walker's stamps and worklist
+// (the layout is the trace's OpBase column; the serial walk reads its
+// seeds straight off the trace).
+const maxAnalyzeAllocs = 6
 
 // TestAnalyzeAllocs gates the propagation model's allocations: a fixed
 // handful per Analyze, none per access or per walk step, so doubling the

@@ -316,7 +316,7 @@ func TestAnalyzeSeedsTouchSequence(t *testing.T) {
 			cfg := Config{MaxDepth: depth}
 			var want, got []int64
 			ref := oracleAnalyze(tr, aceMask, cfg, func(ev int64) { want = append(want, ev) })
-			res := AnalyzeSeeds(tr, cfg, Seeds(tr, aceMask), func(ev int64) { got = append(got, ev) })
+			res := AnalyzeSeeds(tr, NewOperandTable(tr), cfg, Seeds(tr, aceMask), func(ev int64) { got = append(got, ev) })
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s depth=%d: touch sequences differ (%d vs %d calls)", name, depth, len(want), len(got))
 			}

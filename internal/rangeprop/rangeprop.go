@@ -207,19 +207,20 @@ func withDefaults(cfg Config) (Config, int) {
 // backward slice of the address.
 func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result {
 	cfg, maxDepth := withDefaults(cfg)
-	accesses := Seeds(tr, aceMask)
+	tab := NewOperandTable(tr)
 	res := NewResult(tr)
-
-	workers := min(cfg.Parallel, len(accesses))
-	if workers <= 1 {
-		w := newWalker(tr, cfg, maxDepth, res, nil)
-		for _, ev := range accesses {
-			w.access(ev)
+	if cfg.Parallel <= 1 {
+		w := newWalker(tr, tab, cfg, maxDepth, res, nil)
+		for i, a := range tr.Acc {
+			if a >= 0 && aceMask[i] {
+				w.access(int64(i))
+			}
 		}
 	} else {
 		// Shard walks across workers, each with its own scratch and masks,
 		// then merge by union — identical to the serial result.
-		parts := make([]*walker, workers)
+		accesses := Seeds(tr, aceMask)
+		parts := make([]*walker, max(1, min(cfg.Parallel, len(accesses))))
 		var wg sync.WaitGroup
 		next := make(chan int64)
 		for i := range parts {
@@ -227,7 +228,7 @@ func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result 
 			if i > 0 {
 				part = NewResult(tr)
 			}
-			w := newWalker(tr, cfg, maxDepth, part, nil)
+			w := newWalker(tr, tab, cfg, maxDepth, part, nil)
 			parts[i] = w
 			wg.Add(1)
 			go func() {
@@ -264,17 +265,18 @@ func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result 
 // populated). Seed subsets are how the incremental layer (internal/inc)
 // sections the model: per-seed walks are independent and their masks merge
 // by union, so a whole-trace Analyze equals the union of AnalyzeSeeds over
-// any partition of its seeds.
+// any partition of its seeds. tab is tr's operand table, which every
+// AnalyzeSeeds call over the trace may share.
 //
 // touch, when non-nil, is invoked with the index of every event whose
 // content the walks read — the seeds themselves plus every event reached
 // along the backward slices. The incremental layer records this footprint
 // to know which program sections a cached walk result depends on. cfg
 // defaulting matches Analyze (nil Model, zero MaxDepth).
-func AnalyzeSeeds(tr *trace.Trace, cfg Config, seeds []int64, touch func(ev int64)) *Result {
+func AnalyzeSeeds(tr *trace.Trace, tab OperandTable, cfg Config, seeds []int64, touch func(ev int64)) *Result {
 	cfg, maxDepth := withDefaults(cfg)
 	res := NewResult(tr)
-	w := newWalker(tr, cfg, maxDepth, res, touch)
+	w := newWalker(tr, tab, cfg, maxDepth, res, touch)
 	for _, ev := range seeds {
 		w.access(ev)
 	}
@@ -307,7 +309,7 @@ func (r *Result) Finalize(tr *trace.Trace) {
 // access it walks.
 type walker struct {
 	tr       *trace.Trace
-	instrs   []*ir.Instr
+	rows     []instrOps
 	cfg      Config
 	maxDepth int
 	res      *Result
@@ -319,9 +321,9 @@ type walker struct {
 	work    []item
 }
 
-func newWalker(tr *trace.Trace, cfg Config, maxDepth int, res *Result, touch func(ev int64)) *walker {
+func newWalker(tr *trace.Trace, tab OperandTable, cfg Config, maxDepth int, res *Result, touch func(ev int64)) *walker {
 	return &walker{
-		tr: tr, instrs: tr.Instrs(), cfg: cfg, maxDepth: maxDepth, res: res, touch: touch,
+		tr: tr, rows: tab.rows, cfg: cfg, maxDepth: maxDepth, res: res, touch: touch,
 		visited: make([]uint32, tr.NumEvents()),
 		work:    make([]item, 0, 64),
 	}
@@ -340,11 +342,7 @@ func (w *walker) access(ev int64) {
 		return
 	}
 	w.res.AccessesAnalyzed++
-	ptrOp := 0
-	if w.tr.Instr(ev).Op == ir.OpStore {
-		ptrOp = 1
-	}
-	w.crashCalc(ev, ptrOp, bound)
+	w.crashCalc(ev, int(w.rows[w.tr.InstrID[ev]].ptrOp), bound)
 }
 
 // item is one worklist entry: operand use (Ev, Op) whose value must remain
@@ -379,10 +377,10 @@ func (w *walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound) {
 		if touch != nil {
 			touch(it.ev)
 		}
-		in := w.instrs[tr.InstrID[it.ev]]
+		row := &w.rows[tr.InstrID[it.ev]]
 		slot := tr.OpBase[it.ev] + it.op
-		if trace.InjectableOperand(in, it.op) || in.Op == ir.OpPhi {
-			v, width := tr.Ops[slot], trace.OperandWidth(in, it.op)
+		if row.inj&(1<<it.op) != 0 {
+			v, width := tr.Ops[slot], int(row.width[it.op])
 			var mask uint64
 			if it.direct && w.cfg.ExactAddress {
 				mask = w.cfg.Model.MaskExact(tr, it.ev, v, width)
@@ -405,23 +403,24 @@ func (w *walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound) {
 		if touch != nil {
 			touch(def)
 		}
-		work = invert(work, tr, w.instrs[tr.InstrID[def]], def, it.r, it.depth+1)
+		work = invert(work, tr, &w.rows[tr.InstrID[def]], def, it.r, it.depth+1)
 	}
 	w.work = work
 }
 
 // invert applies Table III: given that the value produced by event def (of
-// instruction in) must stay within r, derive ranges for def's own operand
-// uses and append them, at the given walk depth, to work.
-func invert(work []item, tr *trace.Trace, in *ir.Instr, def int64, r crash.Bound, depth int) []item {
+// the instruction with operand row in) must stay within r, derive ranges
+// for def's own operand uses and append them, at the given walk depth, to
+// work.
+func invert(work []item, tr *trace.Trace, in *instrOps, def int64, r crash.Bound, depth int) []item {
 	ops := tr.OpsOf(def)
 	mk := func(op int, b crash.Bound) item { return item{ev: def, op: op, r: b, depth: depth} }
 
 	signedOp := func(op int) int64 {
-		return ir.SignExtend(ops[op], trace.OperandWidth(in, op))
+		return ir.SignExtend(ops[op], int(in.width[op]))
 	}
 
-	switch in.Op {
+	switch in.op {
 	case ir.OpAdd:
 		// dest = op0 + op1: op_i within [lo - other, hi - other].
 		return append(work,
@@ -464,7 +463,7 @@ func invert(work []item, tr *trace.Trace, in *ir.Instr, def int64, r crash.Bound
 		return work
 	case ir.OpGEP:
 		// dest = base + stride*idx.
-		stride := in.Elem.Size()
+		stride := in.stride
 		base := signedOp(0)
 		idx := signedOp(1)
 		work = append(work, mk(0, shift(r, -satMul(stride, idx))))
@@ -477,11 +476,10 @@ func invert(work []item, tr *trace.Trace, in *ir.Instr, def int64, r crash.Bound
 	case ir.OpBitcast, ir.OpPtrToInt, ir.OpIntToPtr:
 		return append(work, mk(0, r))
 	case ir.OpZExt:
-		w := in.Args[0].Type().BitWidth()
+		w := int(in.width[0])
 		return append(work, mk(0, intersect(r, crash.Bound{Lo: 0, Hi: maxOfWidthU(w)})))
 	case ir.OpSExt:
-		w := in.Args[0].Type().BitWidth()
-		return append(work, mk(0, intersect(r, widthBound(w))))
+		return append(work, mk(0, intersect(r, widthBound(int(in.width[0])))))
 	case ir.OpLoad:
 		// Value identity through memory: the loaded value equals the value
 		// operand of the producing store. (The store's own address operand

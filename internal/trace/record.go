@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"sync"
+
 	"repro/internal/ir"
 	"repro/internal/mem"
 )
 
-// Chunk sizes of a recording, in elements. A chunk of events holds 24 B
+// Chunk sizes of a recording, in elements. A chunk of events holds 16 B
 // per event and a chunk of accesses 28 B per access, so each is a few
 // hundred KiB.
 const (
@@ -15,13 +17,12 @@ const (
 	opChunkLen = 2 * chunkLen
 )
 
-// eventChunk holds the per-event columns of chunkLen consecutive events;
-// end is OpBase shifted by one.
+// eventChunk holds the per-event columns of chunkLen consecutive events.
+// OpBase is not among them: Finish derives it from InstrID.
 type eventChunk struct {
 	id  [chunkLen]int32
 	acc [chunkLen]int32
 	res [chunkLen]uint64
-	end [chunkLen]int
 }
 
 // accessChunk holds the access columns of chunkLen consecutive accesses.
@@ -31,6 +32,26 @@ type accessChunk struct {
 	memDef [chunkLen]int64
 	ver    [chunkLen]int32
 }
+
+// opChunk holds the operands of consecutive events: room for at least
+// opChunkLen of them, n in use.
+type opChunk struct {
+	ops  []uint64
+	defs []int64
+	n    int
+}
+
+// Chunks are recycled across recordings, so a warm recording allocates
+// only the columns Finish returns. A recycled chunk holds an earlier
+// run's values: Begin resets every slot it hands out that the run might
+// leave unset.
+var (
+	eventChunks  = sync.Pool{New: func() any { return new(eventChunk) }}
+	accessChunks = sync.Pool{New: func() any { return new(accessChunk) }}
+	opChunks     = sync.Pool{New: func() any {
+		return &opChunk{ops: make([]uint64, opChunkLen), defs: make([]int64, opChunkLen)}
+	}}
+)
 
 // Recorder builds the trace of one run. Both execution engines record
 // through it: Begin for every retired event, then SetResult, SetAccess and
@@ -46,13 +67,11 @@ type Recorder struct {
 	n      int // events recorded
 	accs   []*accessChunk
 	na     int // accesses recorded
-	// ops and defs are the operand chunk being filled; full ones move to
-	// opChunks and defChunks. An event's operands never straddle chunks.
-	ops       []uint64
-	defs      []int64
-	opChunks  [][]uint64
-	defChunks [][]int64
-	nops      int
+	// ops holds the operand chunks; cur, the last, is being filled. An
+	// event's operands never straddle chunks.
+	ops  []*opChunk
+	cur  *opChunk
+	nops int // operands recorded
 }
 
 // NewRecorder returns a recorder for a run of m.
@@ -67,35 +86,40 @@ func NewRecorder(m *ir.Module) *Recorder {
 func (r *Recorder) Begin(in *ir.Instr) (ops []uint64, defs []int64) {
 	i := r.n & chunkMask
 	if i == 0 {
-		r.events = append(r.events, new(eventChunk))
+		r.events = append(r.events, eventChunks.Get().(*eventChunk))
 	}
 	c := r.events[len(r.events)-1]
 	c.id[i] = int32(in.ID)
 	c.acc[i] = -1
+	c.res[i] = 0
 	if in.Op.IsMemAccess() {
 		j := r.na & chunkMask
 		if j == 0 {
-			r.accs = append(r.accs, new(accessChunk))
+			r.accs = append(r.accs, accessChunks.Get().(*accessChunk))
 		}
-		r.accs[len(r.accs)-1].memDef[j] = NoDef
+		a := r.accs[len(r.accs)-1]
+		a.addr[j], a.sp[j], a.memDef[j], a.ver[j] = 0, 0, NoDef, 0
 		c.acc[i] = int32(r.na)
 		r.na++
 	}
-	n := NumOperands(in)
-	b := len(r.ops)
-	if b+n > cap(r.ops) {
-		if b > 0 {
-			r.opChunks, r.defChunks = append(r.opChunks, r.ops), append(r.defChunks, r.defs)
-		}
-		size := max(opChunkLen, n)
-		r.ops, r.defs = make([]uint64, 0, size), make([]int64, 0, size)
-		b = 0
-	}
-	r.ops, r.defs = r.ops[:b+n], r.defs[:b+n]
-	r.nops += n
-	c.end[i] = r.nops
 	r.n++
-	return r.ops[b : b+n : b+n], r.defs[b : b+n : b+n]
+	n := NumOperands(in)
+	oc := r.cur
+	if oc == nil || oc.n+n > len(oc.ops) {
+		if n <= opChunkLen {
+			oc = opChunks.Get().(*opChunk)
+		} else {
+			// An event with more operands than a chunk holds gets its own.
+			oc = &opChunk{ops: make([]uint64, n), defs: make([]int64, n)}
+		}
+		oc.n = 0
+		r.ops = append(r.ops, oc)
+		r.cur = oc
+	}
+	b := oc.n
+	oc.n += n
+	r.nops += n
+	return oc.ops[b : b+n : b+n], oc.defs[b : b+n : b+n]
 }
 
 // SetResult records the result bits of event ev.
@@ -124,8 +148,9 @@ func (r *Recorder) SetMemDef(ev, def int64) {
 }
 
 // Finish returns the recorded trace, completed with the run's outputs,
-// the VMA snapshots it took and the layout it ran under. The recorder is
-// empty afterwards.
+// the VMA snapshots it took and the layout it ran under. The recorder's
+// chunks go back for the next recording, and the recorder is empty
+// afterwards.
 func (r *Recorder) Finish(outputs []Output, snapshots map[int][]mem.VMA, layout mem.Layout) *Trace {
 	t := &Trace{
 		Module:    r.mod,
@@ -150,7 +175,7 @@ func (r *Recorder) Finish(outputs []Output, snapshots map[int][]mem.VMA, layout 
 		copy(t.InstrID[lo:], c.id[:m])
 		copy(t.Acc[lo:], c.acc[:m])
 		copy(t.Result[lo:], c.res[:m])
-		copy(t.OpBase[lo+1:], c.end[:m])
+		eventChunks.Put(c)
 	}
 	for k, c := range r.accs {
 		lo := k << chunkBits
@@ -159,13 +184,20 @@ func (r *Recorder) Finish(outputs []Output, snapshots map[int][]mem.VMA, layout 
 		copy(t.SP[lo:], c.sp[:m])
 		copy(t.MemDef[lo:], c.memDef[:m])
 		copy(t.VMAVer[lo:], c.ver[:m])
+		accessChunks.Put(c)
 	}
-	for k := range r.opChunks {
-		t.Ops = append(t.Ops, r.opChunks[k]...)
-		t.OpDefs = append(t.OpDefs, r.defChunks[k]...)
+	for _, c := range r.ops {
+		t.Ops = append(t.Ops, c.ops[:c.n]...)
+		t.OpDefs = append(t.OpDefs, c.defs[:c.n]...)
+		opChunks.Put(c)
 	}
-	t.Ops = append(t.Ops, r.ops...)
-	t.OpDefs = append(t.OpDefs, r.defs...)
+	// Each event's operands follow the previous event's, so OpBase is the
+	// running sum of the recorded instructions' operand counts.
+	base := 0
+	for i, id := range t.InstrID {
+		base += NumOperands(r.instrs[id])
+		t.OpBase[i+1] = base
+	}
 	*r = Recorder{}
 	return t
 }

@@ -1,13 +1,21 @@
 package vm_test
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
 	"repro/internal/bench"
 	"repro/internal/interp"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
+
+// recordingSlack bounds what a warm recording of lulesh allocates beside
+// its trace's columns: about 240 KiB today, while a single access chunk
+// holds 448 KiB.
+const recordingSlack = 512 << 10
 
 // recordLulesh compiles lulesh for the VM.
 func recordLulesh(t *testing.T) *vm.Program {
@@ -39,6 +47,13 @@ func TestRecordingAllocsPerEvent(t *testing.T) {
 	}
 }
 
+// traceColumnBytes is the memory tr's columns hold.
+func traceColumnBytes(tr *trace.Trace) int {
+	return colBytes(tr.InstrID) + colBytes(tr.Result) + colBytes(tr.Acc) +
+		colBytes(tr.OpBase) + colBytes(tr.Ops) + colBytes(tr.OpDefs) +
+		colBytes(tr.Addr) + colBytes(tr.SP) + colBytes(tr.MemDef) + colBytes(tr.VMAVer)
+}
+
 // colBytes is the memory a column holds: its capacity times its element
 // size.
 func colBytes[T any](col []T) int {
@@ -57,12 +72,41 @@ func TestTraceBytesPerEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-	total := colBytes(tr.InstrID) + colBytes(tr.Result) + colBytes(tr.Acc) +
-		colBytes(tr.OpBase) + colBytes(tr.Ops) + colBytes(tr.OpDefs) +
-		colBytes(tr.Addr) + colBytes(tr.SP) + colBytes(tr.MemDef) + colBytes(tr.VMAVer)
+	total := traceColumnBytes(tr)
 	perEvent := float64(total) / float64(tr.NumEvents())
 	t.Logf("lulesh: %d column bytes for %d events (%.1f B per event)", total, tr.NumEvents(), perEvent)
 	if perEvent > 80 {
 		t.Fatalf("lulesh trace keeps %.1f B per event, want <= 80", perEvent)
+	}
+}
+
+// TestRecordingBytesPerEvent gates chunk recycling: with the collector
+// off, a warm recording of lulesh allocates the columns of the trace it
+// returns plus a fixed slack for the run itself (address space, frames,
+// VMA snapshots, the memory-def map), and never its recording chunks.
+// Chunks allocated per run would add several MB.
+func TestRecordingBytesPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	prog := recordLulesh(t)
+	gc := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gc)
+	if _, err := prog.Run(interp.Config{Record: true}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := prog.Run(interp.Config{Record: true})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Trace
+	cols := traceColumnBytes(tr)
+	got := int(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("lulesh: %d B allocated by a warm recording, %d B of them columns (%d events)", got, cols, tr.NumEvents())
+	if got > cols+recordingSlack {
+		t.Fatalf("warm lulesh recording allocates %d B, want <= %d column bytes + %d", got, cols, recordingSlack)
 	}
 }
