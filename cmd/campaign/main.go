@@ -197,8 +197,6 @@ func runCampaign(cmd string, args []string, out io.Writer) error {
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /debug/pprof, /campaign and the live /dashboard on this address while running")
 	cacheDir := fs.String("cache-dir", "", "with -obs-addr: content-addressed store directory; alert firings capture pprof bundles into it (kind obs-profile-v1)")
 	stallAfter := fs.Duration("stall-after", 0, "with -obs-addr: campaign-stall alert window (0 = built-in default)")
-	snap := fs.Bool("snapshot", true, "restore COW execution snapshots instead of replaying each run from scratch (auto-off under -jitter)")
-	snapStride := fs.Int64("snapshot-stride", 0, "events between snapshots (0 = auto, ~sqrt(trace length))")
 	attrOn := fs.Bool("attr", true, "feed the prediction-vs-ground-truth attribution ledger (see `campaign attr`)")
 	serverURL := fs.String("server", "", "analysis daemon address (see `epvf serve`); completed logs are fetched from and published to its content-addressed cache by plan ID")
 	traceOut := fs.String("trace-out", "", "additionally stream every trace span to this JSONL file (spans always land in the campaign log)")
@@ -288,14 +286,13 @@ func runCampaign(cmd string, args []string, out io.Writer) error {
 		}
 	}
 	opts := campaign.RunOptions{
-		LogPath:  *logPath,
-		Workers:  *workers,
-		Epsilon:  *epsilon,
-		MinRuns:  *minRuns,
-		Budget:   *budget,
-		Shards:   shards,
-		Snapshot: campaign.SnapshotOptions{Disabled: !*snap, Stride: *snapStride},
-		Tracer:   tracer,
+		LogPath: *logPath,
+		Workers: *workers,
+		Epsilon: *epsilon,
+		MinRuns: *minRuns,
+		Budget:  *budget,
+		Shards:  shards,
+		Tracer:  tracer,
 	}
 	if !*quiet {
 		opts.Progress = out
@@ -624,8 +621,6 @@ func runWork(args []string, out io.Writer) error {
 	name := fs.String("name", "", "worker name in leases and fleet status (default: host-pid)")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics and /debug/pprof on this address while running")
 	quiet := fs.Bool("q", false, "suppress progress output")
-	snap := fs.Bool("snapshot", true, "restore COW execution snapshots instead of replaying each run from scratch (auto-off under jittered plans)")
-	snapStride := fs.Int64("snapshot-stride", 0, "events between snapshots (0 = auto, ~sqrt(trace length))")
 	attrOn := fs.Bool("attr", true, "send per-shard attribution-ledger hashes with deliveries (cross-checks classifier skew)")
 	traceOut := fs.String("trace-out", "", "additionally stream every trace span to this JSONL file (shard subtrees always ship to the coordinator)")
 	if err := fs.Parse(args); err != nil {
@@ -656,14 +651,12 @@ func runWork(args []string, out io.Writer) error {
 	}
 	defer stopTracing()
 	cfg := dist.WorkerConfig{
-		Coordinator:      strings.TrimRight(*coordURL, "/"),
-		Name:             procName,
-		Module:           m,
-		Golden:           golden,
-		Workers:          *workers,
-		DisableSnapshots: !*snap,
-		SnapshotStride:   *snapStride,
-		Tracer:           tracer,
+		Coordinator: strings.TrimRight(*coordURL, "/"),
+		Name:        procName,
+		Module:      m,
+		Golden:      golden,
+		Workers:     *workers,
+		Tracer:      tracer,
 	}
 	if *attrOn {
 		ledger, _, _ := buildLedger(golden)

@@ -42,8 +42,6 @@ func run(args []string) error {
 	jitterPages := fs.Uint64("jitter", 64, "ASLR jitter window in pages (0 = deterministic layout)")
 	accuracy := fs.Bool("accuracy", false, "also measure crash-model recall and precision")
 	targeted := fs.Int("targeted", 400, "targeted injections for the precision study")
-	snap := fs.Bool("snapshot", true, "restore COW execution snapshots instead of replaying each run from scratch (auto-off under -jitter)")
-	snapStride := fs.Int64("snapshot-stride", 0, "events between snapshots (0 = auto, ~sqrt(trace length))")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -59,7 +57,6 @@ func run(args []string) error {
 	}
 	cfg := fi.Config{
 		Runs: *runs, Seed: *seed, JitterWindow: *jitterPages * mem.PageSize,
-		DisableSnapshots: !*snap, SnapshotStride: *snapStride,
 	}
 	camp, err := fi.RunCampaign(m, golden, cfg)
 	if err != nil {

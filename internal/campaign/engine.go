@@ -48,20 +48,16 @@ type RunOptions struct {
 	// and the /campaign status view can never disagree. Nil allocates a
 	// private monitor.
 	Monitor *Monitor
-	// Snapshot tunes copy-on-write execution snapshots; the zero value
-	// enables them with automatic stride. Snapshots cannot change
-	// results — only their cost — so they are not part of plan identity.
-	Snapshot SnapshotOptions
 	// Ledger, when non-nil, receives every record (executed and replayed)
 	// for prediction-vs-ground-truth attribution; its snapshot is appended
 	// to the log at checkpoints so `campaign attr` and /attr work without
-	// re-analysing the module. Like snapshots, it cannot change results.
+	// re-analysing the module. It cannot change results.
 	Ledger *attr.Ledger
 	// Engine selects the fi execution engine: "" or fi.EngineVM runs
 	// injections on the bytecode VM (per-run walker fallback included),
-	// fi.EngineWalker forces the walker. Bit-identical either way, so —
-	// like snapshots — it is not part of plan identity and can differ
-	// between runs, resumes, and distributed workers of one campaign.
+	// fi.EngineWalker forces the walker. Bit-identical either way, so it
+	// is not part of plan identity and can differ between runs, resumes,
+	// and distributed workers of one campaign.
 	Engine string
 	// Tracer, when non-nil, enables correlated tracing: a deterministic
 	// campaign root span (TraceContext(plan.ID)), one span per executed
@@ -71,16 +67,6 @@ type RunOptions struct {
 	// re-execution (resume, requeue) dedup-safe. Nil costs one pointer
 	// check per shard.
 	Tracer *obs.Tracer
-}
-
-// SnapshotOptions controls snapshot-accelerated execution.
-type SnapshotOptions struct {
-	// Disabled forces every run to execute from scratch (the escape
-	// hatch; also what the bench harness compares against).
-	Disabled bool
-	// Stride overrides the automatic snapshot spacing (~sqrt(trace
-	// length)); zero keeps the default.
-	Stride int64
 }
 
 // Result aggregates one engine invocation.
@@ -146,12 +132,10 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 	if n := golden.Trace.NumEvents(); n != plan.TraceEvents {
 		return nil, fmt.Errorf("campaign: golden trace has %d events, plan %s expects %d", n, plan.ID, plan.TraceEvents)
 	}
-	if !opts.Snapshot.Disabled {
-		// Refused silently under layout jitter; results are identical
-		// either way, so this never needs to be fatal or plan-visible.
-		if _, err := runner.EnableSnapshots(snapshot.Config{Stride: opts.Snapshot.Stride}); err != nil {
-			return nil, err
-		}
+	// Refused silently under layout jitter; results are identical either
+	// way, so this never needs to be fatal or plan-visible.
+	if _, err := runner.EnableSnapshots(snapshot.Config{}); err != nil {
+		return nil, err
 	}
 	if opts.Ledger != nil {
 		runner.SetObserver(opts.Ledger.Observe)

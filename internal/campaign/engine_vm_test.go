@@ -7,23 +7,22 @@ import (
 	"repro/internal/fi"
 )
 
-// TestEngineVMMatchesWalker: the same plan executed on the bytecode VM
-// and on the frame-stack walker produces identical records, tallies, and
-// per-shard merge hashes — the cross-layer contract that lets VM and
-// walker workers serve one distributed campaign interchangeably.
+// TestEngineVMMatchesWalker: the same plan executed by Run on the bytecode
+// VM and on the frame-stack walker produces the records and per-shard
+// merge hashes of a scratch walker runner — the cross-layer contract that
+// lets VM and walker workers serve one distributed campaign
+// interchangeably.
 func TestEngineVMMatchesWalker(t *testing.T) {
 	g := golden(t, kernelSrc)
 	m := g.Trace.Module
 	plan := noJitterPlan(t, g, 120, 30)
 
 	variants := map[string]RunOptions{
-		"vm/snapshot":      {Workers: 4, Engine: fi.EngineVM},
-		"walker/snapshot":  {Workers: 4, Engine: fi.EngineWalker},
-		"vm/scratch":       {Workers: 4, Engine: fi.EngineVM, Snapshot: SnapshotOptions{Disabled: true}},
-		"walker/scratch":   {Workers: 4, Engine: fi.EngineWalker, Snapshot: SnapshotOptions{Disabled: true}},
-		"default/snapshot": {Workers: 4},
+		"vm":      {Workers: 4, Engine: fi.EngineVM},
+		"walker":  {Workers: 4, Engine: fi.EngineWalker},
+		"default": {Workers: 4},
 	}
-	results := make(map[string]*Result)
+	ref := scratchResult(t, g, plan, fi.EngineWalker).Records
 	for name, opts := range variants {
 		res, err := Run(context.Background(), m, g, plan, opts)
 		if err != nil {
@@ -32,30 +31,26 @@ func TestEngineVMMatchesWalker(t *testing.T) {
 		if !res.Complete {
 			t.Fatalf("%s: incomplete", name)
 		}
-		results[name] = res
-	}
-	ref := results["walker/scratch"]
-	for name, res := range results {
-		if len(res.Records) != len(ref.Records) {
-			t.Fatalf("%s: %d records, want %d", name, len(res.Records), len(ref.Records))
+		if len(res.Records) != len(ref) {
+			t.Fatalf("%s: %d records, want %d", name, len(res.Records), len(ref))
 		}
-		for i := range ref.Records {
-			if res.Records[i] != ref.Records[i] {
-				t.Fatalf("%s: record %d = %+v, want %+v", name, i, res.Records[i], ref.Records[i])
+		for i := range ref {
+			if res.Records[i] != ref[i] {
+				t.Fatalf("%s: record %d = %+v, want %+v", name, i, res.Records[i], ref[i])
 			}
 		}
 		// The shard merge hash is the coordinator's idempotency token:
 		// engines must agree on it or mixed fleets would conflict.
 		for s := 0; s < plan.NumShards(); s++ {
 			lo, hi := plan.ShardRange(s)
-			mk := func(r *Result) []RunRec {
-				recs := make([]RunRec, 0, hi-lo)
+			mk := func(recs []fi.Record) []RunRec {
+				out := make([]RunRec, 0, hi-lo)
 				for i := lo; i < hi; i++ {
-					recs = append(recs, NewRunRec(i, r.Records[i]))
+					out = append(out, NewRunRec(i, recs[i]))
 				}
-				return recs
+				return out
 			}
-			if got, want := ShardHash(plan.ID, s, mk(res)), ShardHash(plan.ID, s, mk(ref)); got != want {
+			if got, want := ShardHash(plan.ID, s, mk(res.Records)), ShardHash(plan.ID, s, mk(ref)); got != want {
 				t.Fatalf("%s: shard %d hash %s, want %s", name, s, got, want)
 			}
 		}

@@ -250,16 +250,10 @@ func (rp *replay) check(rec logRecord) error {
 			return fmt.Errorf("plan has %d runs in shards of %d, too many to count shards", rec.Plan.Runs, rec.Plan.ShardSize)
 		}
 	case kindRun:
-		switch {
-		case rp.Plan == nil:
+		if rp.Plan == nil {
 			return fmt.Errorf("run record before the plan header")
-		case rec.Index < 0 || rec.Index >= rp.Plan.Runs:
-			return fmt.Errorf("run index %d outside [0, %d)", rec.Index, rp.Plan.Runs)
-		case !fi.Outcome(rec.Outcome).Valid():
-			return fmt.Errorf("run %d has unknown outcome %d", rec.Index, rec.Outcome)
-		case rec.Exc != 0 && !interp.ExcKind(rec.Exc).Valid():
-			return fmt.Errorf("run %d has unknown exception kind %d", rec.Index, rec.Exc)
 		}
+		return RunRec{Index: rec.Index, Outcome: rec.Outcome, Exc: rec.Exc}.Check(rp.Plan)
 	case kindShardDone:
 		switch {
 		case rp.Plan == nil:

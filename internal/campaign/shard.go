@@ -45,6 +45,22 @@ func (r RunRec) Record() fi.Record {
 	}
 }
 
+// Check rejects a run record that no campaign writes: an index outside
+// [0, plan.Runs), or an outcome or exception kind outside its enum. Log
+// replay applies it to every logged run and the dist coordinator to every
+// delivered one, so each run the coordinator logs reads back.
+func (r RunRec) Check(plan *Plan) error {
+	switch {
+	case r.Index < 0 || r.Index >= plan.Runs:
+		return fmt.Errorf("run index %d outside [0, %d)", r.Index, plan.Runs)
+	case !fi.Outcome(r.Outcome).Valid():
+		return fmt.Errorf("run %d has unknown outcome %d", r.Index, r.Outcome)
+	case r.Exc != 0 && !interp.ExcKind(r.Exc).Valid():
+		return fmt.Errorf("run %d has unknown exception kind %d", r.Index, r.Exc)
+	}
+	return nil
+}
+
 // ShardHash digests one shard's results into the idempotency token of the
 // dist protocol: because run records depend only on (plan, index), every
 // correct worker computes the same hash for the same shard, so the

@@ -24,10 +24,23 @@ func noJitterPlan(t *testing.T, g *interp.Result, runs, shard int) *Plan {
 	return p
 }
 
-// TestEngineSnapshotMatchesScratch: the same plan executed with and
-// without snapshots produces identical records, tallies and crash-type
-// breakdowns — the engine-level bit-identity contract behind the
-// -no-snapshot escape hatch.
+// scratchResult executes every run of plan on a scratch fi.Runner — one
+// that never enabled snapshots — on the given engine: the reference the
+// engine's identity tests compare against.
+func scratchResult(t *testing.T, g *interp.Result, plan *Plan, engine string) *fi.Result {
+	t.Helper()
+	cfg := plan.FIConfig()
+	cfg.Engine = engine
+	r, err := fi.NewRunner(g.Trace.Module, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Aggregate(r.RunRange(0, plan.Runs, 4))
+}
+
+// TestEngineSnapshotMatchesScratch: a plan executed by Run, which restores
+// snapshots, produces exactly the records, tallies and crash-type
+// breakdown of a scratch runner.
 func TestEngineSnapshotMatchesScratch(t *testing.T) {
 	g := golden(t, kernelSrc)
 	m := g.Trace.Module
@@ -36,16 +49,10 @@ func TestEngineSnapshotMatchesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := Run(context.Background(), m, g, plan, RunOptions{
-		Workers:  4,
-		Snapshot: SnapshotOptions{Disabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
+	if !snap.Complete {
+		t.Fatal("campaign incomplete")
 	}
-	if !snap.Complete || !scratch.Complete {
-		t.Fatalf("complete = %v/%v", snap.Complete, scratch.Complete)
-	}
+	scratch := scratchResult(t, g, plan, fi.EngineVM)
 	if len(snap.Records) != len(scratch.Records) {
 		t.Fatalf("records = %d vs %d", len(snap.Records), len(scratch.Records))
 	}
@@ -67,7 +74,8 @@ func TestEngineSnapshotMatchesScratch(t *testing.T) {
 }
 
 // TestStatusReportsSnapshots: the monitor's status view carries the live
-// snapshot section when snapshots ran, and omits it when disabled.
+// snapshot section when snapshots ran (TestJitteredPlanSilentlyScratch
+// covers its absence).
 func TestStatusReportsSnapshots(t *testing.T) {
 	g := golden(t, kernelSrc)
 	m := g.Trace.Module
@@ -86,20 +94,6 @@ func TestStatusReportsSnapshots(t *testing.T) {
 	}
 	if !st.Snapshot.Enabled || st.Snapshot.Captures == 0 || st.Snapshot.Restores != 60 {
 		t.Fatalf("snapshot view = %+v", st.Snapshot)
-	}
-
-	mon2 := NewMonitor(nil)
-	if _, err := Run(context.Background(), m, g, plan, RunOptions{
-		Workers: 2, Monitor: mon2, Snapshot: SnapshotOptions{Disabled: true},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := mon2.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Snapshot != nil {
-		t.Fatalf("disabled campaign still reports snapshots: %+v", st2.Snapshot)
 	}
 }
 

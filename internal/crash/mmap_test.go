@@ -103,9 +103,11 @@ func TestMmapGuardPageBitsPredicted(t *testing.T) {
 			t.Fatalf("2MiB-jump bit of mmap gep at event %d not predicted (mask=%#x)", i, mask)
 		}
 		// Verify by injection (deterministic layout).
-		rec := fi.RunOne(m, res, fi.Target{Event: int64(i), Bit: 21},
-			fi.Config{Seed: 1}, nil)
-		if rec.Outcome != fi.OutcomeCrash {
+		runner, err := fi.NewRunner(m, res, fi.Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := runner.RunTarget(fi.Target{Event: int64(i), Bit: 21}, nil); rec.Outcome != fi.OutcomeCrash {
 			t.Fatalf("predicted mmap escape did not crash: %v", rec.Outcome)
 		}
 		checked = true

@@ -465,6 +465,12 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("run %d delivered twice in one shard", rec.Index), http.StatusBadRequest)
 			return
 		}
+		// The durable log's replay applies the same rule, so a record it
+		// would refuse never reaches the log.
+		if err := rec.Check(c.cfg.Plan); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		seen[rec.Index] = true
 		recs = append(recs, rec)
 	}

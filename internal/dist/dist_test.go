@@ -35,7 +35,7 @@ void main() {
 }
 `
 
-func golden(t *testing.T, src string) *interp.Result {
+func golden(t testing.TB, src string) *interp.Result {
 	t.Helper()
 	m, err := lang.Compile("t", src)
 	if err != nil {
@@ -48,7 +48,7 @@ func golden(t *testing.T, src string) *interp.Result {
 	return res
 }
 
-func testPlan(t *testing.T, g *interp.Result, runs, shard int) *campaign.Plan {
+func testPlan(t testing.TB, g *interp.Result, runs, shard int) *campaign.Plan {
 	t.Helper()
 	p, err := campaign.NewPlan(g.Trace.Module, g, campaign.PlanConfig{
 		Benchmark: "kernel",
@@ -546,7 +546,7 @@ func TestDuplicateDeliveryDedupes(t *testing.T) {
 
 // testClassifier builds the attribution classifier for a golden run, the
 // same way buildLedger does in cmd/campaign.
-func testClassifier(t *testing.T, g *interp.Result) *attr.Classifier {
+func testClassifier(t testing.TB, g *interp.Result) *attr.Classifier {
 	t.Helper()
 	return attr.NewClassifier(epvf.AnalyzeTrace(g.Trace, epvf.Config{}))
 }

@@ -55,14 +55,6 @@ type WorkerConfig struct {
 	// worker and coordinator agree on the model's per-bit predictions,
 	// not just the raw records.
 	Classifier *attr.Classifier
-	// DisableSnapshots forces shard runs to execute from scratch instead
-	// of restoring copy-on-write golden-path snapshots. Results are
-	// bit-identical either way (the coordinator's shard hashes agree
-	// regardless), so this is purely a cost knob.
-	DisableSnapshots bool
-	// SnapshotStride overrides the automatic snapshot spacing; zero
-	// keeps ~sqrt(trace length).
-	SnapshotStride int64
 	// Tracer, when non-nil, correlates this worker into the campaign's
 	// distributed trace: each leased shard runs under a span with the
 	// deterministic (plan, shard) identity, outgoing coordinator requests
@@ -220,12 +212,11 @@ func (w *Worker) handshake(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if !w.cfg.DisableSnapshots {
-		// The chain is shared across every shard this worker leases, so
-		// later shards replay even less of the golden prefix.
-		if _, err := w.runner.EnableSnapshots(snapshot.Config{Stride: w.cfg.SnapshotStride}); err != nil {
-			return err
-		}
+	// The chain is shared across every shard this worker leases, so later
+	// shards replay even less of the golden prefix. Jittered plans refuse
+	// it and run from scratch; shard hashes agree either way.
+	if _, err := w.runner.EnableSnapshots(snapshot.Config{}); err != nil {
+		return err
 	}
 	var reg RegisterResponse
 	if err := w.postJSON(ctx, PathRegister, RegisterRequest{Worker: w.cfg.Name, PlanID: local.ID}, &reg); err != nil {

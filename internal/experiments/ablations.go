@@ -106,10 +106,13 @@ func AblationStackRule(s *Suite) (*AblationStackRuleResult, error) {
 		}
 		delta = sampled
 	}
+	runner, err := fi.NewRunner(m, golden, fi.Config{Seed: s.Cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
 	crashes := 0
 	for _, tgt := range delta {
-		rec := fi.RunOne(m, golden, tgt, fi.Config{Seed: s.Cfg.Seed}, rng)
-		if rec.Outcome == fi.OutcomeCrash {
+		if runner.RunTarget(tgt, rng).Outcome == fi.OutcomeCrash {
 			crashes++
 		}
 	}

@@ -119,13 +119,14 @@ func ExtYBranch(s *Suite) (*ExtYBranchResult, error) {
 		if n < 1 {
 			n = 1
 		}
+		runner, err := fi.NewRunner(r.Module, r.Golden, fi.Config{Seed: s.Cfg.Seed, JitterWindow: s.Cfg.Jitter})
+		if err != nil {
+			return err
+		}
 		counts := map[fi.Outcome]int{}
 		for i := 0; i < n; i++ {
 			tgt := fi.Target{Event: targets[rng.Intn(len(targets))], Bit: 0}
-			rec := fi.RunOne(r.Module, r.Golden, tgt, fi.Config{
-				Seed: s.Cfg.Seed, JitterWindow: s.Cfg.Jitter,
-			}, rng)
-			counts[rec.Outcome]++
+			counts[runner.RunTarget(tgt, rng).Outcome]++
 		}
 		res.Rows = append(res.Rows, ExtYBranchRow{
 			Name:        r.Bench.Name,
@@ -210,11 +211,13 @@ func ExtLuckyLoads(s *Suite) (*ExtLuckyLoadsResult, error) {
 		if n < 1 {
 			n = 1
 		}
+		runner, err := fi.NewRunner(r.Module, r.Golden, fi.Config{Seed: s.Cfg.Seed, JitterWindow: s.Cfg.Jitter})
+		if err != nil {
+			return err
+		}
 		counts := map[fi.Outcome]int{}
 		for _, pi := range rng.Perm(len(targets))[:n] {
-			rec := fi.RunOne(r.Module, r.Golden,
-				fi.Target{Event: targets[pi].ev, Bit: targets[pi].bit},
-				fi.Config{Seed: s.Cfg.Seed, JitterWindow: s.Cfg.Jitter}, rng)
+			rec := runner.RunTarget(fi.Target{Event: targets[pi].ev, Bit: targets[pi].bit}, rng)
 			counts[rec.Outcome]++
 		}
 		res.Rows = append(res.Rows, ExtLuckyLoadsRow{

@@ -113,23 +113,13 @@ type Config struct {
 	// Align is the alignment-trap policy; zero means the interpreter
 	// default.
 	Align interp.AlignPolicy
-	// DisableSnapshots forces every RunCampaign run to execute from
-	// scratch instead of restoring the nearest golden-path snapshot.
-	// Results are bit-identical either way; the flag exists as an escape
-	// hatch and for benchmarking the speedup. It does not affect target
-	// sampling and is not part of campaign plan identity.
-	DisableSnapshots bool
-	// SnapshotStride overrides the automatic snapshot spacing
-	// (~sqrt(trace length)); zero keeps the default. Like
-	// DisableSnapshots it cannot change results, only their cost.
-	SnapshotStride int64
 	// Engine selects the execution engine: empty or EngineVM runs
 	// injections on the bytecode VM (falling back to the walker per-run
 	// on anything the VM cannot express), EngineWalker forces the
 	// frame-stack walker everywhere. The two engines are bit-identical —
-	// the differential suite in internal/vm enforces it — so, like
-	// DisableSnapshots, this cannot change results, only their speed,
-	// and is not part of campaign plan identity.
+	// the differential suite in internal/vm enforces it — so this cannot
+	// change results, only their speed, and is not part of campaign plan
+	// identity.
 	Engine string
 }
 
@@ -273,44 +263,6 @@ func (s *Sampler) SampleMulti(rng *rand.Rand, k int) (Target, bool) {
 	}
 	tgt.Mask = mask
 	return tgt, true
-}
-
-// RunOne executes the module with the given fault injected and classifies
-// the outcome against the golden outputs.
-func RunOne(m *ir.Module, golden *interp.Result, tgt Target, cfg Config, rng *rand.Rand) Record {
-	layout := mem.DefaultLayout()
-	if cfg.JitterWindow > 0 {
-		layout = layout.Jitter(rng, cfg.JitterWindow)
-	}
-	return runWithLayout(m, golden, tgt, layout, cfg)
-}
-
-// runWithLayout is RunOne with the per-run memory layout already drawn.
-func runWithLayout(m *ir.Module, golden *interp.Result, tgt Target, layout mem.Layout, cfg Config) Record {
-	rec, _ := runWithLayoutRes(m, golden, tgt, layout, cfg)
-	return rec
-}
-
-// runWithLayoutRes additionally returns the raw interpreter result (nil
-// on harness error) so callers can tally executed events.
-func runWithLayoutRes(m *ir.Module, golden *interp.Result, tgt Target, layout mem.Layout, cfg Config) (Record, *interp.Result) {
-	hangFactor := cfg.HangFactor
-	if hangFactor == 0 {
-		hangFactor = 10
-	}
-	inj := &interp.Injection{Event: tgt.Event, Bit: tgt.Bit, Mask: tgt.Mask}
-	res, err := interp.Run(m, interp.Config{
-		Layout:       layout,
-		MaxDynInstrs: int64(hangFactor * float64(golden.DynInstrs)),
-		Align:        cfg.Align,
-		Injection:    inj,
-	})
-	if err != nil {
-		// Harness errors should be impossible for a verified module; report
-		// as abort-class crashes so campaigns remain total.
-		return Record{Target: tgt, Outcome: OutcomeCrash, Exc: interp.ExcAbort}, nil
-	}
-	return classify(golden, res, tgt), res
 }
 
 func classify(golden, res *interp.Result, tgt Target) Record {
@@ -466,7 +418,9 @@ func (r *Runner) Sampler() *Sampler { return r.sampler }
 //
 // The chain's interpreter configuration matches the scratch path exactly
 // (default layout, hang budget, alignment policy), which is what makes
-// resumed runs bit-identical to from-scratch runs.
+// resumed runs bit-identical to from-scratch runs. The chain places its
+// snapshots itself; scfg is the empty snapshot.Config, a parameter kept
+// only because the benchmark (perfbench/campaign.go) passes one.
 func (r *Runner) EnableSnapshots(scfg snapshot.Config) (bool, error) {
 	if r.cfg.JitterWindow != 0 {
 		return false, nil
@@ -541,30 +495,46 @@ func (r *Runner) RunIndex(index int64) Record {
 	return rec
 }
 
+// RunTarget executes one injection into tgt from scratch on the runner's
+// engine, outside the plan's run indices — the targeted injections of the
+// precision and extension studies. Under layout jitter the run's layout is
+// drawn from rng (which may be nil without jitter); snapshots are never
+// used, and the observers are not called.
+func (r *Runner) RunTarget(tgt Target, rng *rand.Rand) Record {
+	layout := mem.DefaultLayout()
+	if r.cfg.JitterWindow > 0 {
+		layout = layout.Jitter(rng, r.cfg.JitterWindow)
+	}
+	return r.runScratch(tgt, layout)
+}
+
 // runScratch executes one injection from scratch on the selected engine.
-// The per-run interpreter configuration is identical to runWithLayout's;
-// the engines are bit-identical, so which one ran is invisible in the
+// The engines are bit-identical, so which one ran is invisible in the
 // record.
 func (r *Runner) runScratch(tgt Target, layout mem.Layout) Record {
-	if r.prog == nil {
-		start := time.Now()
-		rec, res := runWithLayoutRes(r.m, r.golden, tgt, layout, r.cfg)
-		r.walkerTally.note(res, start)
-		return rec
-	}
 	hangFactor := r.cfg.HangFactor
 	if hangFactor == 0 {
 		hangFactor = 10
 	}
-	start := time.Now()
-	res, err := r.prog.Run(interp.Config{
+	cfg := interp.Config{
 		Layout:       layout,
 		MaxDynInstrs: int64(hangFactor * float64(r.golden.DynInstrs)),
 		Align:        r.cfg.Align,
 		Injection:    &interp.Injection{Event: tgt.Event, Bit: tgt.Bit, Mask: tgt.Mask},
-	})
-	r.vmTally.note(res, start)
+	}
+	start := time.Now()
+	var res *interp.Result
+	var err error
+	if r.prog == nil {
+		res, err = interp.Run(r.m, cfg)
+		r.walkerTally.note(res, start)
+	} else {
+		res, err = r.prog.Run(cfg)
+		r.vmTally.note(res, start)
+	}
 	if err != nil {
+		// Harness errors should be impossible for a verified module; report
+		// as abort-class crashes so campaigns remain total.
 		return Record{Target: tgt, Outcome: OutcomeCrash, Exc: interp.ExcAbort}
 	}
 	return classify(r.golden, res, tgt)
@@ -707,10 +677,8 @@ func RunCampaign(m *ir.Module, golden *interp.Result, cfg Config) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.DisableSnapshots {
-		if _, err := r.EnableSnapshots(snapshot.Config{Stride: cfg.SnapshotStride}); err != nil {
-			return nil, err
-		}
+	if _, err := r.EnableSnapshots(snapshot.Config{}); err != nil {
+		return nil, err
 	}
 	workers := cfg.Parallel
 	if workers < 1 {
@@ -774,9 +742,15 @@ func MeasurePrecision(m *ir.Module, golden *interp.Result, prop *rangeprop.Resul
 	if len(targets) == 0 {
 		return 0, 0
 	}
+	// A predicted crash bit is an injectable bit, so with targets in hand
+	// NewRunner fails only on a golden run without a trace.
+	r, err := NewRunner(m, golden, cfg)
+	if err != nil {
+		return 0, 0
+	}
 	crashed := 0
 	for _, tgt := range targets {
-		rec := RunOne(m, golden, tgt, cfg, rng)
+		rec := r.RunTarget(tgt, rng)
 		if rec.Outcome == OutcomeCrash {
 			crashed++
 		}

@@ -419,3 +419,53 @@ func TestMultiBitCampaign(t *testing.T) {
 		t.Error("no crashes under the 2-bit model")
 	}
 }
+
+// TestRunTargetEnginesAgree: targeted injections return identical records
+// on the VM and on a walker runner for the same targets and rng, with and
+// without layout jitter, and both runners leave rng in the same state.
+func TestRunTargetEnginesAgree(t *testing.T) {
+	g := golden(t, kernelSrc)
+	m := g.Trace.Module
+	s := NewSampler(g.Trace)
+	pick := rand.New(rand.NewSource(3))
+	var targets []Target
+	for i := 0; i < 80; i++ {
+		tgt, _ := s.SampleMulti(pick, 1+i%2)
+		targets = append(targets, tgt)
+	}
+	for _, jitter := range []uint64{0, 64 * mem.PageSize} {
+		cfg := Config{Seed: 7, JitterWindow: jitter}
+		vmRunner, err := NewRunner(m, g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Engine = EngineWalker
+		walker, err := NewRunner(m, g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vmRunner.Engine() != EngineVM {
+			t.Fatalf("default runner uses %s, want %s", vmRunner.Engine(), EngineVM)
+		}
+		vmRng, walkerRng := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+		outcomes := map[Outcome]bool{}
+		for i, tgt := range targets {
+			got, want := vmRunner.RunTarget(tgt, vmRng), walker.RunTarget(tgt, walkerRng)
+			if got != want {
+				t.Fatalf("jitter %d target %d %+v: vm %+v, walker %+v", jitter, i, tgt, got, want)
+			}
+			outcomes[got.Outcome] = true
+		}
+		if a, b := vmRng.Int63(), walkerRng.Int63(); a != b {
+			t.Fatalf("jitter %d: rng states differ after the runs (%d vs %d)", jitter, a, b)
+		}
+		if len(outcomes) < 2 {
+			t.Fatalf("jitter %d: every injection had the same outcome %v", jitter, outcomes)
+		}
+		for _, r := range []*Runner{vmRunner, walker} {
+			if st := r.EngineStats(); len(st) != 1 || st[0].Engine != r.Engine() || st[0].Runs != int64(len(targets)) {
+				t.Fatalf("jitter %d: engine stats %+v", jitter, st)
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package fi
 import (
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/interp"
 	"repro/internal/snapshot"
 )
 
@@ -26,8 +28,8 @@ void main() {
 `
 
 // TestSnapshotCampaignMatchesScratch is the campaign-level bit-identity
-// contract: with and without snapshots, every record — target, outcome,
-// exception kind — is identical.
+// contract: RunCampaign, which restores snapshots, returns exactly the
+// records and tallies of a scratch runner (one that never enabled them).
 func TestSnapshotCampaignMatchesScratch(t *testing.T) {
 	g := golden(t, snapKernelSrc)
 	m := g.Trace.Module
@@ -36,11 +38,11 @@ func TestSnapshotCampaignMatchesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DisableSnapshots = true
-	scratch, err := RunCampaign(m, g, cfg)
+	r, err := NewRunner(m, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scratch := r.Aggregate(r.RunRange(0, int64(cfg.Runs), 4))
 	if len(snap.Records) != len(scratch.Records) {
 		t.Fatalf("record counts differ: %d vs %d", len(snap.Records), len(scratch.Records))
 	}
@@ -125,7 +127,7 @@ func TestSnapshotParallelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.EnableSnapshots(snapshot.Config{Stride: 100}); err != nil {
+		if _, err := r.EnableSnapshots(snapshot.Config{}); err != nil {
 			t.Fatal(err)
 		}
 		recs := r.RunRange(0, 80, workers)
@@ -138,5 +140,61 @@ func TestSnapshotParallelDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d record %d = %+v, want %+v", workers, i, recs[i], base[i])
 			}
 		}
+	}
+}
+
+// engineEvents sums the events a runner's engines executed.
+func engineEvents(r *Runner) int64 {
+	var n int64
+	for _, s := range r.EngineStats() {
+		n += s.Events
+	}
+	return n
+}
+
+// TestSnapshotsHalveLuleshEvents pins the snapshot saving on
+// deterministic counters instead of wall time: on lulesh at jitter 0, a
+// runner restoring snapshots returns a scratch runner's records while its
+// engines execute at most half the scratch runner's events, counting the
+// chain's own golden execution against it (about 0.2 is typical).
+func TestSnapshotsHalveLuleshEvents(t *testing.T) {
+	const runs = 256
+	b, ok := bench.Get("lulesh")
+	if !ok {
+		t.Fatal("lulesh benchmark missing")
+	}
+	m, err := b.Module(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := interp.Run(m, interp.Config{Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 2016}
+	scratch, err := NewRunner(m, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := NewRunner(m, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := snap.EnableSnapshots(snapshot.Config{}); err != nil || !ok {
+		t.Fatalf("EnableSnapshots = %v, %v", ok, err)
+	}
+	want := scratch.RunRange(0, runs, 2)
+	got := snap.RunRange(0, runs, 2)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: snapshot %+v, scratch %+v", i, got[i], want[i])
+		}
+	}
+	scratchEvents := engineEvents(scratch)
+	snapEvents := engineEvents(snap) + g.DynInstrs // the chain replays at most the golden run
+	ratio := float64(snapEvents) / float64(scratchEvents)
+	t.Logf("snapshot runner executed %d events, scratch %d: %.2f", snapEvents, scratchEvents, ratio)
+	if ratio > 0.5 {
+		t.Errorf("snapshot runner executed %.2f of the scratch runner's events, want <= 0.5", ratio)
 	}
 }

@@ -42,8 +42,7 @@ type Config struct {
 	// Store holds the section manifests and profiles. Required.
 	Store *cache.Store
 	// Epvf is the underlying analysis configuration. Prop.MaxDepth and
-	// Prop.ExactAddress participate in every cache key; Prop.Parallel
-	// only affects fresh walks.
+	// Prop.ExactAddress participate in every cache key.
 	Epvf epvf.Config
 	// Registry receives the epvf_inc_* metrics; nil falls back to the
 	// process default at call time.

@@ -10,7 +10,6 @@ package rangeprop
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/crash"
 	"repro/internal/ddg"
@@ -38,11 +37,6 @@ type Config struct {
 	ExactAddress bool
 	// Model is the crash model; nil means crash.NewModel().
 	Model *crash.Model
-	// Parallel shards the per-access backward walks over this many worker
-	// goroutines — the "threads can be assigned to one backward slice
-	// each" parallelism of the paper's §VI-A. Zero or one runs serially.
-	// Results are identical either way (crash masks merge by union).
-	Parallel int
 }
 
 // Result is the computed CRASHING_BIT_LIST plus aggregate counts. Its
@@ -167,24 +161,6 @@ func (r *Result) EachDef(fn func(ev int64, mask uint64)) {
 	}
 }
 
-// Seeds returns the ACE-graph memory accesses of the trace — the walk
-// seeds of ITERATE_OVER_ACE_GRAPH — in event order.
-func Seeds(tr *trace.Trace, aceMask []bool) []int64 {
-	n := 0
-	for i, a := range tr.Acc {
-		if a >= 0 && aceMask[i] {
-			n++
-		}
-	}
-	accesses := make([]int64, 0, n)
-	for i, a := range tr.Acc {
-		if a >= 0 && aceMask[i] {
-			accesses = append(accesses, int64(i))
-		}
-	}
-	return accesses
-}
-
 // defaultModel is the crash model of a Config without one. Models are
 // only read, so every analysis shares it.
 var defaultModel = crash.NewModel()
@@ -209,45 +185,10 @@ func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result 
 	cfg, maxDepth := withDefaults(cfg)
 	tab := NewOperandTable(tr)
 	res := NewResult(tr)
-	if cfg.Parallel <= 1 {
-		w := newWalker(tr, tab, cfg, maxDepth, res, nil)
-		for i, a := range tr.Acc {
-			if a >= 0 && aceMask[i] {
-				w.access(int64(i))
-			}
-		}
-	} else {
-		// Shard walks across workers, each with its own scratch and masks,
-		// then merge by union — identical to the serial result.
-		accesses := Seeds(tr, aceMask)
-		parts := make([]*walker, max(1, min(cfg.Parallel, len(accesses))))
-		var wg sync.WaitGroup
-		next := make(chan int64)
-		for i := range parts {
-			part := res
-			if i > 0 {
-				part = NewResult(tr)
-			}
-			w := newWalker(tr, tab, cfg, maxDepth, part, nil)
-			parts[i] = w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ev := range next {
-					w.access(ev)
-				}
-			}()
-		}
-		for _, ev := range accesses {
-			next <- ev
-		}
-		close(next)
-		wg.Wait()
-		for _, w := range parts[1:] {
-			res.AccessesAnalyzed += w.res.AccessesAnalyzed
-			for s, m := range w.res.use {
-				res.use[s] |= m
-			}
+	w := newWalker(tr, tab, cfg, maxDepth, res, nil)
+	for i, a := range tr.Acc {
+		if a >= 0 && aceMask[i] {
+			w.access(int64(i))
 		}
 	}
 	res.Finalize(tr)

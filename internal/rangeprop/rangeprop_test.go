@@ -2,7 +2,6 @@ package rangeprop
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -338,31 +337,4 @@ void main() {
 		return
 	}
 	t.Fatal("no index-add def with crash bits found")
-}
-
-func TestParallelAnalyzeMatchesSerial(t *testing.T) {
-	m, err := lang.Compile("t", arraySumSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := interp.Run(m, interp.Config{Record: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := ddg.New(res.Trace)
-	mask := g.ACEMask()
-	serial := Analyze(res.Trace, g, mask, Config{})
-	parallel := Analyze(res.Trace, g, mask, Config{Parallel: 8})
-	if serial.AccessesAnalyzed != parallel.AccessesAnalyzed {
-		t.Fatalf("accesses: %d vs %d", serial.AccessesAnalyzed, parallel.AccessesAnalyzed)
-	}
-	if serial.CrashBitCount != parallel.CrashBitCount ||
-		serial.UseCrashBitCount != parallel.UseCrashBitCount {
-		t.Fatalf("bit counts differ: %d/%d vs %d/%d",
-			serial.CrashBitCount, serial.UseCrashBitCount,
-			parallel.CrashBitCount, parallel.UseCrashBitCount)
-	}
-	if !reflect.DeepEqual(serial.use, parallel.use) || !reflect.DeepEqual(serial.def, parallel.def) {
-		t.Fatal("crash masks differ")
-	}
 }

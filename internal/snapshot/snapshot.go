@@ -29,7 +29,7 @@ import (
 
 // DefaultMaxSnapshots caps a chain's snapshot count; the stride is widened
 // when the trace is long enough to exceed it. Bounds memory at roughly
-// maxSnapshots x live-page-set.
+// DefaultMaxSnapshots x live-page-set.
 const DefaultMaxSnapshots = 1024
 
 // MinStride is the smallest auto-selected stride: below this, capture
@@ -39,15 +39,11 @@ const MinStride = 64
 // DirtyPageBuckets is the histogram layout for per-capture dirty pages.
 var DirtyPageBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}
 
-// Config tunes snapshot placement.
-type Config struct {
-	// Stride is the event distance between snapshots; 0 picks
-	// AutoStride(totalEvents).
-	Stride int64
-	// MaxSnapshots caps the chain length (0 = DefaultMaxSnapshots); the
-	// stride widens to fit.
-	MaxSnapshots int
-}
+// Config is empty: a chain places its snapshots itself (AutoStride,
+// capped at DefaultMaxSnapshots). It stays, like vm.Options, only because
+// the benchmark (perfbench/campaign.go) passes snapshot.Config{} to
+// fi.Runner.EnableSnapshots.
+type Config struct{}
 
 // AutoStride returns the default snapshot spacing for a trace of the given
 // length: ~sqrt(T) events, floored at MinStride. With T/stride ~ sqrt(T)
@@ -100,22 +96,26 @@ type Chain struct {
 }
 
 // NewChain starts a golden execution of m under cfg and captures its
-// event-0 state. totalEvents is the golden trace length (it sizes the auto
-// stride); cfg must match the fault-injection run configuration exactly
-// (layout, alignment, budget) or resumed runs will diverge from scratch
-// runs.
-func NewChain(m *ir.Module, cfg interp.Config, totalEvents int64, scfg Config) (*Chain, error) {
-	stride := scfg.Stride
-	if stride <= 0 {
-		stride = AutoStride(totalEvents)
+// event-0 state. totalEvents is the golden trace length: snapshots sit
+// AutoStride(totalEvents) events apart, widened so that at most
+// DefaultMaxSnapshots fit. cfg must match the fault-injection run
+// configuration exactly (layout, alignment, budget) or resumed runs will
+// diverge from scratch runs.
+func NewChain(m *ir.Module, cfg interp.Config, totalEvents int64, _ Config) (*Chain, error) {
+	return newChain(m, cfg, chainStride(totalEvents))
+}
+
+// chainStride is NewChain's snapshot spacing for a trace of totalEvents.
+func chainStride(totalEvents int64) int64 {
+	stride := AutoStride(totalEvents)
+	if totalEvents/stride >= DefaultMaxSnapshots {
+		stride = totalEvents/DefaultMaxSnapshots + 1
 	}
-	maxSnaps := scfg.MaxSnapshots
-	if maxSnaps <= 0 {
-		maxSnaps = DefaultMaxSnapshots
-	}
-	if totalEvents/stride >= int64(maxSnaps) {
-		stride = totalEvents/int64(maxSnaps) + 1
-	}
+	return stride
+}
+
+// newChain starts a chain that captures every stride events.
+func newChain(m *ir.Module, cfg interp.Config, stride int64) (*Chain, error) {
 	exec, err := interp.NewExec(m, cfg)
 	if err != nil {
 		return nil, err

@@ -44,7 +44,7 @@ func TestChainInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewChain(m, cfg, golden.DynInstrs, Config{Stride: 100})
+	ch, err := newChain(m, cfg, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +101,28 @@ func TestStrideCapAndAuto(t *testing.T) {
 	if s := AutoStride(1 << 20); s != 1024 {
 		t.Fatalf("AutoStride(1M) = %d, want 1024", s)
 	}
+	// Below the cap the chain keeps the auto stride; from about 1M events
+	// on it widens so that fewer than DefaultMaxSnapshots fit.
+	for _, total := range []int64{0, 100, 5000, 1<<20 - 1, 1 << 20, 1 << 30, 1 << 40} {
+		s := chainStride(total)
+		if s < AutoStride(total) || total/s >= DefaultMaxSnapshots {
+			t.Fatalf("chainStride(%d) = %d: below AutoStride %d or %d snapshots", total, s, AutoStride(total), total/s)
+		}
+		if total/AutoStride(total) < DefaultMaxSnapshots && s != AutoStride(total) {
+			t.Fatalf("chainStride(%d) = %d, want the auto stride %d", total, s, AutoStride(total))
+		}
+	}
 	m := compile(t, loopSrc)
 	golden, err := interp.Run(m, interp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewChain(m, interp.Config{}, golden.DynInstrs, Config{Stride: 1, MaxSnapshots: 5})
+	ch, err := NewChain(m, interp.Config{}, golden.DynInstrs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch.Nearest(golden.DynInstrs) // force full extension
-	if n := ch.Len(); n > 6 {
-		t.Fatalf("cap ignored: %d snapshots", n)
+	if ch.Stride() != AutoStride(golden.DynInstrs) {
+		t.Fatalf("NewChain stride = %d, want AutoStride(%d) = %d", ch.Stride(), golden.DynInstrs, AutoStride(golden.DynInstrs))
 	}
 }
 
@@ -169,7 +179,7 @@ func TestPropertyResumedRunsBitIdentical(t *testing.T) {
 		if golden.Exception != nil || golden.Hang {
 			t.Fatalf("golden run not clean: %+v\n%s", golden, src)
 		}
-		ch, err := NewChain(m, cfg, golden.DynInstrs, Config{Stride: 50 + int64(rng.Intn(200))})
+		ch, err := newChain(m, cfg, 50+int64(rng.Intn(200)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +240,7 @@ func TestConcurrentNearestResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewChain(m, cfg, golden.DynInstrs, Config{Stride: 64})
+	ch, err := newChain(m, cfg, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

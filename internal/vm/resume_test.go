@@ -75,7 +75,7 @@ func TestDifferentialResume(t *testing.T) {
 		t.Fatalf("golden: %v", err)
 	}
 	total := golden.Trace.NumEvents()
-	chain, err := snapshot.NewChain(m, cfg, total, snapshot.Config{Stride: total / 7})
+	chain, err := snapshot.NewChain(m, cfg, total, snapshot.Config{})
 	if err != nil {
 		t.Fatalf("chain: %v", err)
 	}

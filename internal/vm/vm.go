@@ -262,7 +262,7 @@ func Compile(m *ir.Module, opts Options) (*Program, error) {
 	for i, fn := range m.Funcs {
 		fc, err := newFnCompiler(fn).compile()
 		if err != nil {
-			noteFallback("compile")
+			NoteFallback("compile")
 			return nil, fmt.Errorf("vm: compiling %s: %w", fn.Name, err)
 		}
 		p.fns[i] = fc
@@ -274,7 +274,7 @@ func Compile(m *ir.Module, opts Options) (*Program, error) {
 			e := &fc.callTab[ci]
 			idx, ok := p.fnIdx[e.callee]
 			if !ok {
-				noteFallback("compile")
+				NoteFallback("compile")
 				return nil, fmt.Errorf("%w: call to function outside module", ErrUnsupported)
 			}
 			e.fnIdx = idx

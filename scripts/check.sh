@@ -21,6 +21,11 @@ go vet ./...
 echo "== go vet (perfbench)"
 (cd perfbench && go vet .)
 
+# The benchmark's own unit tests (the tail rule behind op_tail_ms); -short
+# skips its selftest, which the last step runs.
+echo "== go test (perfbench)"
+(cd perfbench && go test -short .)
+
 echo "== go build"
 go build ./...
 
