@@ -54,8 +54,8 @@ type RunOptions struct {
 	// re-analysing the module. It cannot change results.
 	Ledger *attr.Ledger
 	// Engine selects the fi execution engine: "" or fi.EngineVM runs
-	// injections on the bytecode VM (per-run walker fallback included),
-	// fi.EngineWalker forces the walker. Bit-identical either way, so it
+	// injections on the bytecode VM (the walker when the module does not
+	// compile), fi.EngineWalker forces the walker. Bit-identical either way, so it
 	// is not part of plan identity and can differ between runs, resumes,
 	// and distributed workers of one campaign.
 	Engine string
@@ -285,7 +285,7 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 					shardRec := shardSpan.EndRecord()
 					spans := append([]obs.SpanRecord{shardRec},
 						InjectionSpans(plan, si, shardRec.Proc, exemplars.Notable())...)
-					if err := w.append(logRecord{Kind: kindSpans, Spans: spans}); err != nil {
+					if err := w.appendSpans(spans); err != nil {
 						return nil, err
 					}
 					shardSpan = nil
@@ -332,7 +332,7 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 	if root != nil {
 		rootRec := root.EndRecord()
 		if w != nil {
-			if err := w.append(logRecord{Kind: kindSpans, Spans: []obs.SpanRecord{rootRec}}); err != nil {
+			if err := w.appendSpans([]obs.SpanRecord{rootRec}); err != nil {
 				return nil, err
 			}
 			if err := w.checkpoint(); err != nil {

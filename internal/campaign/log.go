@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -83,12 +85,56 @@ func (lr logRecord) fiRecord() fi.Record {
 	}
 }
 
+// maxLogLine bounds one log line, newline included. readLog cannot read
+// a longer line, so writers refuse to write one.
+const maxLogLine = 4 << 20
+
+// errLineTooLong marks a record whose line would exceed maxLogLine.
+var errLineTooLong = errors.New("record exceeds the log line limit")
+
+// lineEncoder encodes log records, one JSON line each, into a reusable
+// buffer, refusing any line longer than maxLogLine.
+type lineEncoder struct {
+	line bytes.Buffer
+	enc  *json.Encoder
+}
+
+func newLineEncoder() *lineEncoder {
+	e := &lineEncoder{}
+	e.enc = json.NewEncoder(&e.line)
+	return e
+}
+
+// encode returns rec's line; it is valid until the next call.
+func (e *lineEncoder) encode(rec logRecord) ([]byte, error) {
+	e.line.Reset()
+	if err := e.enc.Encode(rec); err != nil {
+		return nil, fmt.Errorf("campaign: encoding log record: %w", err)
+	}
+	if n := e.line.Len(); n > maxLogLine {
+		return nil, fmt.Errorf("campaign: %s record of %d bytes: %w of %d bytes", rec.Kind, n, errLineTooLong, maxLogLine)
+	}
+	return e.line.Bytes(), nil
+}
+
+// CheckSpans reports the first span too large to log even in a record of
+// its own; a span append refuses any batch holding one.
+func CheckSpans(spans []obs.SpanRecord) error {
+	e := newLineEncoder()
+	for i := range spans {
+		if _, err := e.encode(logRecord{Kind: kindSpans, Spans: spans[i : i+1]}); err != nil {
+			return fmt.Errorf("span %s: %w", spans[i].SpanID, err)
+		}
+	}
+	return nil
+}
+
 // logWriter appends records to a campaign log file. Writes are buffered;
 // Checkpoint flushes and fsyncs so completed shards survive a crash.
 type logWriter struct {
 	f   *os.File
 	buf *bufio.Writer
-	enc *json.Encoder
+	*lineEncoder
 }
 
 // openLog opens (creating if needed) a log for appending. When the file is
@@ -99,8 +145,7 @@ func openLog(path string, plan *Plan, fresh bool) (*logWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: opening log: %w", err)
 	}
-	w := &logWriter{f: f, buf: bufio.NewWriterSize(f, 1<<16)}
-	w.enc = json.NewEncoder(w.buf)
+	w := &logWriter{f: f, buf: bufio.NewWriterSize(f, 1<<16), lineEncoder: newLineEncoder()}
 	if fresh {
 		if err := w.append(logRecord{Kind: kindHeader, Plan: plan}); err != nil {
 			f.Close()
@@ -114,9 +159,46 @@ func openLog(path string, plan *Plan, fresh bool) (*logWriter, error) {
 	return w, nil
 }
 
+// append writes one record, or nothing when its line would exceed
+// maxLogLine.
 func (w *logWriter) append(rec logRecord) error {
-	if err := w.enc.Encode(rec); err != nil {
+	line, err := w.encode(rec)
+	if err != nil {
+		return err
+	}
+	if _, err := w.buf.Write(line); err != nil {
 		return fmt.Errorf("campaign: appending log record: %w", err)
+	}
+	return nil
+}
+
+// appendSpans writes a span batch as one record when it fits a line, else
+// as halves, recursively. Readers dedup spans by ID, so the split is
+// invisible to them. A span too large for a line of its own refuses the
+// batch before anything is written.
+func (w *logWriter) appendSpans(spans []obs.SpanRecord) error {
+	err := w.append(logRecord{Kind: kindSpans, Spans: spans})
+	if !errors.Is(err, errLineTooLong) {
+		return err
+	}
+	if err := CheckSpans(spans); err != nil {
+		return err
+	}
+	return w.appendHalves(spans)
+}
+
+// appendHalves writes spans, each of which fits a line alone, as two
+// halves, splitting further any half that does not fit.
+func (w *logWriter) appendHalves(spans []obs.SpanRecord) error {
+	mid := len(spans) / 2
+	for _, half := range [][]obs.SpanRecord{spans[:mid], spans[mid:]} {
+		err := w.append(logRecord{Kind: kindSpans, Spans: half})
+		if errors.Is(err, errLineTooLong) {
+			err = w.appendHalves(half)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -181,7 +263,7 @@ func readLog(path string) (*replay, error) {
 		logged:     make(map[int]int64),
 	}
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	sc.Buffer(make([]byte, 0, 1<<16), maxLogLine)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -465,7 +547,7 @@ func MergeLogs(out string, inputs []string) (*Status, error) {
 		}
 	}
 	if len(merged.Spans) > 0 {
-		if err := w.append(logRecord{Kind: kindSpans, Spans: merged.Spans}); err != nil {
+		if err := w.appendSpans(merged.Spans); err != nil {
 			w.close()
 			return nil, err
 		}

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // realLog runs a 40-run, two-shard campaign and returns its log.
@@ -160,6 +162,61 @@ func TestStatusAndMergeFollowTheLog(t *testing.T) {
 	if merged.Done != want.Done || merged.ShardsComplete != want.ShardsComplete {
 		t.Fatalf("merge of the huge plan: %d runs, %d shards complete; want %d and %d",
 			merged.Done, merged.ShardsComplete, want.Done, want.ShardsComplete)
+	}
+}
+
+// TestLogLineLimitSharedByWriterAndReader: a record whose line is exactly
+// maxLogLine bytes is written and reads back; one byte more is refused
+// with nothing written, and AppendSpans splits a batch of that size into
+// records that fit.
+func TestLogLineLimitSharedByWriterAndReader(t *testing.T) {
+	path := writeLog(t, t.TempDir(), "limit.jsonl", realLog(t))
+	id := 0
+	span := func(name string) obs.SpanRecord {
+		id++
+		return obs.SpanRecord{Name: name, TraceID: "t", SpanID: fmt.Sprintf("s%d", id), Proc: "p"}
+	}
+	base, err := newLineEncoder().encode(logRecord{Kind: kindSpans, Spans: []obs.SpanRecord{span("")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fits := span(strings.Repeat("x", maxLogLine-len(base)))
+	if err := AppendSpans(path, []obs.SpanRecord{fits}); err != nil {
+		t.Fatalf("line of exactly %d bytes: %v", maxLogLine, err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tooLong := span(strings.Repeat("x", maxLogLine-len(base)+1))
+	if err := AppendSpans(path, []obs.SpanRecord{span("small"), tooLong}); !errors.Is(err, errLineTooLong) {
+		t.Fatalf("line of %d bytes: err = %v, want errLineTooLong", maxLogLine+1, err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Fatalf("refused batch wrote %d bytes", len(after)-len(before))
+	}
+	// Two spans that fit alone but not together land in two records.
+	half := maxLogLine/2 + 1
+	pair := []obs.SpanRecord{span(strings.Repeat("a", half)), span(strings.Repeat("b", half+1))}
+	if err := AppendSpans(path, pair); err != nil {
+		t.Fatal(err)
+	}
+	rp, err := readLog(path)
+	if err != nil {
+		t.Fatalf("reading the log back: %v", err)
+	}
+	names := map[string]bool{}
+	for _, sp := range rp.Spans {
+		names[sp.SpanID] = true
+	}
+	for _, sp := range append(pair, fits) {
+		if !names[sp.SpanID] {
+			t.Fatalf("span %s missing from the log", sp.SpanID)
+		}
 	}
 }
 

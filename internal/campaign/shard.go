@@ -163,7 +163,7 @@ func (l *DurableLog) AppendSpans(spans []obs.SpanRecord) error {
 	if len(spans) == 0 {
 		return nil
 	}
-	if err := l.w.append(logRecord{Kind: kindSpans, Spans: spans}); err != nil {
+	if err := l.w.appendSpans(spans); err != nil {
 		return err
 	}
 	return l.w.checkpoint()

@@ -100,7 +100,7 @@ func AppendSpans(path string, spans []obs.SpanRecord) error {
 	if err != nil {
 		return err
 	}
-	if err := w.append(logRecord{Kind: kindSpans, Spans: spans}); err != nil {
+	if err := w.appendSpans(spans); err != nil {
 		w.close()
 		return err
 	}

@@ -586,7 +586,8 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 // handleSpans accepts a worker's span subtree (JSON array of
 // obs.SpanRecord). Span IDs are deterministic, so the batch is filtered
 // against everything already merged or replayed; a fully-known batch is
-// acknowledged as a duplicate, mirroring the ShardHash record dedup.
+// acknowledged as a duplicate, mirroring the ShardHash record dedup. A
+// span too large for the durable log is refused with 400.
 func (c *Coordinator) handleSpans(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if got := q.Get("plan"); got != c.cfg.Plan.ID {
@@ -599,6 +600,10 @@ func (c *Coordinator) handleSpans(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(spans) == 0 {
 		http.Error(w, "empty span batch", http.StatusBadRequest)
+		return
+	}
+	if err := campaign.CheckSpans(spans); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	fresh := c.mergeSpans(spans, true)

@@ -929,3 +929,94 @@ func TestTraceSurvivesRequeueAndRedelivery(t *testing.T) {
 		t.Error("epvf_dist_spans_duplicate_total missed the duplicate shipment")
 	}
 }
+
+// postSpans posts a span batch to a coordinator and returns the status
+// and decoded reply.
+func postSpans(t *testing.T, base, planID string, spans []obs.SpanRecord) (int, SpansResponse) {
+	t.Helper()
+	body, err := json.Marshal(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(fmt.Sprintf("%s%s?plan=%s&shard=0&worker=w1", base, PathSpans, planID),
+		"application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sr SpansResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, sr
+}
+
+// TestLargeSpanBatchKeepsLogReadable: a span batch larger than one log
+// line is split across records, so a restarted coordinator replays the
+// log with every span; a single span too large for any line is refused
+// with 400 and leaves the log untouched.
+func TestLargeSpanBatchKeepsLogReadable(t *testing.T) {
+	const n = 30000
+	g := golden(t, kernelSrc)
+	plan := testPlan(t, g, 100, 25)
+	logPath := filepath.Join(t.TempDir(), "merged.jsonl")
+	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan, GoldenDyn: g.DynInstrs, LogPath: logPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + coord.Addr()
+	root := campaign.TraceContext(plan.ID)
+	spans := make([]obs.SpanRecord, n)
+	for i := range spans {
+		spans[i] = obs.SpanRecord{
+			Name:     fmt.Sprintf("injection %d", i),
+			TraceID:  root.TraceID,
+			SpanID:   fmt.Sprintf("%016x", i+1),
+			ParentID: root.SpanID,
+			Proc:     "w1",
+			Depth:    2,
+			Start:    time.Unix(1_700_000_000, int64(i)).UTC(),
+			WallNS:   int64(1000 + i),
+		}
+	}
+	if body, _ := json.Marshal(spans); len(body) <= 4<<20 {
+		t.Fatalf("batch is %d bytes, want more than one 4 MiB log line", len(body))
+	}
+	if code, sr := postSpans(t, base, plan.ID, spans); code != http.StatusOK || !sr.Merged {
+		t.Fatalf("large batch: status %d, reply %+v", code, sr)
+	}
+	huge := obs.SpanRecord{Name: strings.Repeat("x", 5<<20), TraceID: root.TraceID, SpanID: "huge", Proc: "w1"}
+	if code, _ := postSpans(t, base, plan.ID, []obs.SpanRecord{huge}); code != http.StatusBadRequest {
+		t.Fatalf("oversized span: status %d, want 400", code)
+	}
+	if err := coord.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := NewCoordinator(CoordinatorConfig{Plan: plan, GoldenDyn: g.DynInstrs, LogPath: logPath})
+	if err != nil {
+		t.Fatalf("restart on the log: %v", err)
+	}
+	defer second.Shutdown(context.Background())
+	d, err := campaign.ReadLogData(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, sp := range d.Spans {
+		got[sp.SpanID] = true
+	}
+	for _, sp := range spans {
+		if !got[sp.SpanID] {
+			t.Fatalf("span %s missing after restart (%d of %d replayed)", sp.SpanID, len(got), n)
+		}
+	}
+	if got["huge"] {
+		t.Fatal("refused span reached the log")
+	}
+}

@@ -13,7 +13,6 @@
 package fi
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -114,12 +113,12 @@ type Config struct {
 	// default.
 	Align interp.AlignPolicy
 	// Engine selects the execution engine: empty or EngineVM runs
-	// injections on the bytecode VM (falling back to the walker per-run
-	// on anything the VM cannot express), EngineWalker forces the
-	// frame-stack walker everywhere. The two engines are bit-identical —
-	// the differential suite in internal/vm enforces it — so this cannot
-	// change results, only their speed, and is not part of campaign plan
-	// identity.
+	// injections on the bytecode VM (falling back to the walker for a
+	// module the VM cannot compile), EngineWalker forces the frame-stack
+	// walker everywhere and runs every injection from scratch. The two
+	// engines are bit-identical — the differential suite in internal/vm
+	// enforces it — so this cannot change results, only their speed, and
+	// is not part of campaign plan identity.
 	Engine string
 }
 
@@ -318,10 +317,10 @@ type Runner struct {
 	sampler *Sampler
 	cfg     Config
 	// chain, when non-nil, supplies golden-path snapshots: runs restore
-	// the nearest snapshot at-or-below their injection event and execute
-	// only the delta. Enabled explicitly via EnableSnapshots — never by
-	// NewRunner, which is also called on the planning path where no runs
-	// execute.
+	// the nearest snapshot at-or-below their injection event on the VM
+	// and execute only the delta. Enabled explicitly via EnableSnapshots —
+	// never by NewRunner, which is also called on the planning path where
+	// no runs execute.
 	chain *snapshot.Chain
 	// observer, when non-nil, receives every completed record (snapshot
 	// and scratch paths alike). It is invoked concurrently from RunRange
@@ -336,9 +335,7 @@ type Runner struct {
 	// injections on the VM engine; nil runs everything on the walker
 	// (Config.Engine == EngineWalker, or the module failed to compile).
 	prog *vm.Program
-	// vmTally/walkerTally split executed work by the engine that actually
-	// ran it — per-run walker fallbacks land in walkerTally even when the
-	// VM is enabled.
+	// vmTally/walkerTally split executed work by the engine that ran it.
 	vmTally     engineTally
 	walkerTally engineTally
 }
@@ -384,15 +381,6 @@ func NewRunner(m *ir.Module, golden *interp.Result, cfg Config) (*Runner, error)
 	return r, nil
 }
 
-// Engine returns the engine the runner executes on: EngineVM when the
-// module compiled to bytecode, EngineWalker otherwise.
-func (r *Runner) Engine() string {
-	if r.prog != nil {
-		return EngineVM
-	}
-	return EngineWalker
-}
-
 // EngineStats reports executed work split by engine, in (vm, walker)
 // order, omitting engines that ran nothing. Safe to call concurrently
 // with runs.
@@ -411,18 +399,20 @@ func (r *Runner) EngineStats() []EngineStat {
 func (r *Runner) Sampler() *Sampler { return r.sampler }
 
 // EnableSnapshots builds the golden-path snapshot chain so subsequent
-// RunIndex calls restore-and-replay instead of executing from scratch.
-// It reports false without error when the configuration rules snapshots
-// out: layout jitter draws a fresh address-space layout per run, so a
-// shared golden-layout snapshot cannot seed those runs.
+// RunIndex calls restore-and-replay on the VM instead of executing from
+// scratch. It reports false without error when snapshots are ruled out:
+// layout jitter draws a fresh address-space layout per run, so a shared
+// golden-layout snapshot cannot seed those runs, and a runner without a
+// VM program (walker engine, or a module the VM rejects) has no engine to
+// capture them. Such a runner runs from scratch, with identical records.
 //
-// The chain's interpreter configuration matches the scratch path exactly
+// The chain's execution configuration matches the scratch path exactly
 // (default layout, hang budget, alignment policy), which is what makes
 // resumed runs bit-identical to from-scratch runs. The chain places its
-// snapshots itself; scfg is the empty snapshot.Config, a parameter kept
-// only because the benchmark (perfbench/campaign.go) passes one.
-func (r *Runner) EnableSnapshots(scfg snapshot.Config) (bool, error) {
-	if r.cfg.JitterWindow != 0 {
+// snapshots itself; the empty snapshot.Config parameter stays only
+// because the benchmark (perfbench/campaign.go) passes one.
+func (r *Runner) EnableSnapshots(snapshot.Config) (bool, error) {
+	if r.cfg.JitterWindow != 0 || r.prog == nil {
 		return false, nil
 	}
 	if r.chain != nil {
@@ -432,11 +422,11 @@ func (r *Runner) EnableSnapshots(scfg snapshot.Config) (bool, error) {
 	if hangFactor == 0 {
 		hangFactor = 10
 	}
-	ch, err := snapshot.NewChain(r.m, interp.Config{
+	ch, err := snapshot.NewChain(r.prog, interp.Config{
 		Layout:       mem.DefaultLayout(),
 		MaxDynInstrs: int64(hangFactor * float64(r.golden.DynInstrs)),
 		Align:        r.cfg.Align,
-	}, r.golden.DynInstrs, scfg)
+	}, r.golden.DynInstrs)
 	if err != nil {
 		return false, err
 	}
@@ -456,9 +446,6 @@ func (r *Runner) SnapshotView() *snapshot.View {
 	v := r.chain.View()
 	return &v
 }
-
-// Golden returns the recorded golden run.
-func (r *Runner) Golden() *interp.Result { return r.golden }
 
 // Draw deterministically derives run index's target and memory layout.
 func (r *Runner) Draw(index int64) (Target, mem.Layout) {
@@ -540,38 +527,18 @@ func (r *Runner) runScratch(tgt Target, layout mem.Layout) Record {
 	return classify(r.golden, res, tgt)
 }
 
-// runSnapshot executes one injection by restoring the nearest snapshot
-// at-or-below the target event and running only the delta, with
+// runSnapshot executes one injection on the VM by restoring the nearest
+// snapshot at-or-below the target event and running only the delta, with
 // convergence fast-forward against later snapshots. Classification is
-// identical to the scratch path because the resumed run is. Snapshots are
-// captured by the walker; the VM engine resumes them directly, dropping
-// to a walker resume for any state it cannot map (mid-phi-group pauses).
+// identical to the scratch path because the resumed run is.
 func (r *Runner) runSnapshot(tgt Target) Record {
 	st := r.chain.Nearest(tgt.Event)
-	opts := interp.ResumeOptions{
+	start := time.Now()
+	res, err := vm.Resume(st, vm.ResumeOptions{
 		Injection:   &interp.Injection{Event: tgt.Event, Bit: tgt.Bit, Mask: tgt.Mask},
-		Convergence: &interp.Convergence{Golden: r.golden, Next: r.chain.Next},
-	}
-	var res *interp.Result
-	var err error
-	if r.prog != nil {
-		start := time.Now()
-		res, err = r.prog.Resume(st, opts)
-		if err != nil && errors.Is(err, vm.ErrUnsupported) {
-			// The failed VM resume never touched the snapshot; retry on
-			// the walker from the same state.
-			vm.NoteFallback("resume")
-			start = time.Now()
-			res, err = interp.Resume(st, opts)
-			r.walkerTally.note(res, start)
-		} else {
-			r.vmTally.note(res, start)
-		}
-	} else {
-		start := time.Now()
-		res, err = interp.Resume(st, opts)
-		r.walkerTally.note(res, start)
-	}
+		Convergence: &vm.Convergence{Golden: r.golden, Next: r.chain.Next},
+	})
+	r.vmTally.note(res, start)
 	if err != nil {
 		return Record{Target: tgt, Outcome: OutcomeCrash, Exc: interp.ExcAbort}
 	}
@@ -773,12 +740,3 @@ var FailureOutcomes = []Outcome{OutcomeCrash, OutcomeSDC, OutcomeHang, OutcomeBe
 
 // CrashKinds lists the crash exception kinds in Table I order.
 var CrashKinds = []interp.ExcKind{interp.ExcSegFault, interp.ExcAbort, interp.ExcMisaligned, interp.ExcArith}
-
-// ModuleOf is a convenience that re-exports the module under test from a
-// golden run (the trace records it).
-func ModuleOf(golden *interp.Result) *ir.Module {
-	if golden.Trace == nil {
-		return nil
-	}
-	return golden.Trace.Module
-}

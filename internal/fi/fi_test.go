@@ -284,16 +284,6 @@ void main() {
 	}
 }
 
-func TestModuleOf(t *testing.T) {
-	g := golden(t, kernelSrc)
-	if ModuleOf(g) != g.Trace.Module {
-		t.Error("ModuleOf mismatch")
-	}
-	if ModuleOf(&interp.Result{}) != nil {
-		t.Error("ModuleOf of traceless result must be nil")
-	}
-}
-
 func TestRunCampaignRequiresTrace(t *testing.T) {
 	g := golden(t, kernelSrc)
 	bare := &interp.Result{Outputs: g.Outputs, DynInstrs: g.DynInstrs}
@@ -444,9 +434,6 @@ func TestRunTargetEnginesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vmRunner.Engine() != EngineVM {
-			t.Fatalf("default runner uses %s, want %s", vmRunner.Engine(), EngineVM)
-		}
 		vmRng, walkerRng := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
 		outcomes := map[Outcome]bool{}
 		for i, tgt := range targets {
@@ -462,9 +449,9 @@ func TestRunTargetEnginesAgree(t *testing.T) {
 		if len(outcomes) < 2 {
 			t.Fatalf("jitter %d: every injection had the same outcome %v", jitter, outcomes)
 		}
-		for _, r := range []*Runner{vmRunner, walker} {
-			if st := r.EngineStats(); len(st) != 1 || st[0].Engine != r.Engine() || st[0].Runs != int64(len(targets)) {
-				t.Fatalf("jitter %d: engine stats %+v", jitter, st)
+		for engine, r := range map[string]*Runner{EngineVM: vmRunner, EngineWalker: walker} {
+			if st := r.EngineStats(); len(st) != 1 || st[0].Engine != engine || st[0].Runs != int64(len(targets)) {
+				t.Fatalf("jitter %d: %s runner's engine stats %+v", jitter, engine, st)
 			}
 		}
 	}

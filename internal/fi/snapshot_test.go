@@ -115,6 +115,23 @@ func TestSnapshotsRefusedUnderJitter(t *testing.T) {
 	}
 }
 
+// TestWalkerRunnerDeclinesSnapshots: snapshots are captured and resumed
+// on the VM, so a walker runner has none to restore and runs from
+// scratch.
+func TestWalkerRunnerDeclinesSnapshots(t *testing.T) {
+	g := golden(t, snapKernelSrc)
+	r, err := NewRunner(g.Trace.Module, g, Config{Seed: 1, Engine: EngineWalker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := r.EnableSnapshots(snapshot.Config{}); ok || err != nil {
+		t.Fatalf("EnableSnapshots = %v, %v, want false, nil", ok, err)
+	}
+	if r.SnapshotsEnabled() || r.SnapshotView() != nil {
+		t.Fatal("walker runner reports snapshots")
+	}
+}
+
 // TestSnapshotParallelDeterministic: records are identical across worker
 // counts and dispatch orders even though the chain extends lazily under
 // contention.

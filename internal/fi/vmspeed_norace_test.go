@@ -17,10 +17,8 @@ import (
 // lulesh campaign runs on the walker and on the bytecode VM, alternating
 // engines over three rounds. Every round's records must be identical,
 // and the VM's best events/sec must be at least twice the walker's best.
-// The runs start from scratch, so the figure is engine dispatch: with
-// snapshots on, restore and convergence checks cost both engines alike
-// and bring the ratio within noise of the floor on a loaded 2-core
-// machine (2.1-2.9x there, against 2.8-4.0x from scratch).
+// Both runners execute from scratch (only the VM can restore snapshots),
+// so the figure is engine dispatch: 2.8-4.0x on a loaded 2-core machine.
 func TestVMAtLeastTwiceWalker(t *testing.T) {
 	const runs, rounds = 60, 3
 	b, ok := bench.Get("lulesh")

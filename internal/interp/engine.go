@@ -4,9 +4,7 @@
 // global placement (segment layout determines every global address and
 // therefore every pointer value in a run) and frame layout (alloca offsets
 // and frame sizes determine stack addresses and the savedSP/base values
-// that state comparison inspects). Captured States additionally expose
-// read-only views of their frames so an engine can resume from — and
-// converge against — walker checkpoints.
+// that state comparison inspects).
 package interp
 
 import (
@@ -14,7 +12,6 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/mem"
-	"repro/internal/trace"
 )
 
 // Normalize applies the interpreter's configuration defaults (layout, hang
@@ -115,57 +112,3 @@ func MathUnaryOp(in *ir.Instr, a uint64) uint64 { return mathUnary(in, a) }
 
 // MathBinaryOp evaluates a binary libm intrinsic exactly as the walker does.
 func MathBinaryOp(in *ir.Instr, a, b uint64) uint64 { return mathBinary(in, a, b) }
-
-// FrameView is a read-only view of one captured frame. Slices alias the
-// State's backing arrays: callers must not mutate them (copy first).
-type FrameView struct {
-	Fn        *ir.Function
-	Blk       *ir.Block
-	Prev      *ir.Block
-	II        int
-	Base      uint64
-	SavedSP   uint64
-	CallInstr *ir.Instr
-	CallIdx   int64
-	Regs      []uint64
-	Defs      []int64
-	Params    []uint64
-	ParamDefs []int64
-}
-
-// NumFrames returns the captured call-stack depth.
-func (st *State) NumFrames() int { return len(st.frames) }
-
-// Frame returns a read-only view of frame i (0 = outermost).
-func (st *State) Frame(i int) FrameView {
-	fr := st.frames[i]
-	return FrameView{
-		Fn: fr.fn, Blk: fr.blk, Prev: fr.prev, II: fr.ii,
-		Base: fr.base, SavedSP: fr.savedSP,
-		CallInstr: fr.callInstr, CallIdx: fr.callIdx,
-		Regs: fr.regs, Defs: fr.defs, Params: fr.params, ParamDefs: fr.paramDefs,
-	}
-}
-
-// Module returns the module the state was captured from.
-func (st *State) Module() *ir.Module { return st.mod }
-
-// Config returns the capture-time execution configuration.
-func (st *State) Config() Config { return st.cfg }
-
-// GlobalAddrs returns the global placement of the captured run. The map is
-// shared and must be treated as read-only.
-func (st *State) GlobalAddrs() map[*ir.Global]uint64 { return st.globals }
-
-// OutputsView returns the outputs emitted before the capture point. The
-// slice aliases the State and must be treated as read-only.
-func (st *State) OutputsView() []trace.Output { return st.outputs }
-
-// ForkMem returns a fresh copy-on-write fork of the captured address space,
-// exactly what a resumed run should execute against.
-func (st *State) ForkMem() *mem.AddressSpace { return st.as.Fork() }
-
-// MemRef returns the captured address space itself for state comparison
-// (mem.AddressSpace.Equal). It must not be mutated or executed against —
-// resume paths use ForkMem.
-func (st *State) MemRef() *mem.AddressSpace { return st.as }

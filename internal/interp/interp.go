@@ -171,7 +171,7 @@ type Result struct {
 	Executed int64
 	// Converged reports that the run was fast-forwarded to the golden
 	// result after its machine state became identical to a golden
-	// checkpoint (see Convergence).
+	// checkpoint (see vm.Convergence).
 	Converged bool
 }
 
@@ -204,7 +204,7 @@ func Run(m *ir.Module, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	vm.pushFrame(vm.entryFn, nil, nil)
-	vm.run(-1)
+	vm.run()
 	return vm.finish()
 }
 
@@ -234,7 +234,6 @@ func (vm *machine) finish() (*Result, error) {
 		Hang:      vm.hang,
 		DynInstrs: vm.dyn,
 		Executed:  vm.executed,
-		Converged: vm.converged,
 	}
 	if vm.rec != nil {
 		res.Trace = vm.rec.Finish(vm.outputs, vm.as.Snapshots(), vm.cfg.Layout)
@@ -279,8 +278,6 @@ type machine struct {
 	layouts map[*ir.Function]*frameLayout
 
 	// stack is the explicit call stack; the machine executes the top frame.
-	// Keeping the stack as data (rather than Go recursion) is what lets a
-	// paused machine be captured into a State and resumed elsewhere.
 	stack []*frame
 
 	dyn      int64
@@ -296,12 +293,9 @@ type machine struct {
 	ops    []uint64
 	opDefs []int64
 
-	exc       *Exception
-	hang      bool
-	fatal     error
-	paused    bool
-	converged bool
-	conv      *convState
+	exc   *Exception
+	hang  bool
+	fatal error
 }
 
 // done reports whether execution must unwind.
@@ -447,42 +441,12 @@ func (vm *machine) popFrame(retVal uint64, retDef int64) {
 	fr.callIdx = 0
 }
 
-// run drives the machine until it halts (empty stack, exception, hang, or
-// fatal error) or, when stopAt >= 0, pauses just before the first unit
-// that would retire an event past stopAt. A "unit" is one instruction,
-// except that a block's phi group retires atomically (its members evaluate
-// in parallel), so a pause never lands inside a phi group and the paused
-// event is always <= stopAt.
-func (vm *machine) run(stopAt int64) {
-	for {
-		if vm.exc != nil || vm.hang || vm.fatal != nil || len(vm.stack) == 0 {
-			return
-		}
-		if stopAt >= 0 && vm.dyn+vm.nextUnitCost() > stopAt {
-			vm.paused = true
-			return
-		}
-		if vm.conv != nil && vm.tryConverge() {
-			return
-		}
+// run drives the machine until it halts: empty stack, exception, hang,
+// or fatal error.
+func (vm *machine) run() {
+	for !vm.done() && len(vm.stack) > 0 {
 		vm.step()
 	}
-}
-
-// nextUnitCost returns how many events the next unit will retire.
-func (vm *machine) nextUnitCost() int64 {
-	fr := vm.stack[len(vm.stack)-1]
-	if fr.ii != 0 || fr.ii >= len(fr.blk.Instrs) || fr.blk.Instrs[0].Op != ir.OpPhi {
-		return 1
-	}
-	n := int64(0)
-	for _, in := range fr.blk.Instrs {
-		if in.Op != ir.OpPhi {
-			break
-		}
-		n++
-	}
-	return n
 }
 
 // operands returns the operand slots of a step of in: a new trace event's

@@ -4,15 +4,16 @@
 // delta instead of replaying the whole prefix (the FastFlip observation
 // applied to our execution layer).
 //
-// A Chain owns one stepwise golden execution (interp.Exec) and captures
-// its state every stride events, lazily: snapshots materialize the first
-// time a caller asks for an event beyond the captured frontier, and the
-// chain never runs further than the furthest request. Capture cost is
+// A Chain owns one stepwise golden execution on the bytecode VM (vm.Exec)
+// and captures its state every stride events, lazily: snapshots
+// materialize the first time a caller asks for an event beyond the
+// captured frontier, and the chain never runs further than the furthest
+// request. Capture cost is
 // O(dirty pages) thanks to mem's page-level COW fork; restore cost is an
 // O(frames + page pointers) fork of the frozen state.
 //
 // Chains are safe for concurrent use: lookups serialize only the lazy
-// extension, and the returned States are immutable (interp.Resume forks
+// extension, and the returned States are immutable (vm.Resume forks
 // them).
 package snapshot
 
@@ -23,8 +24,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/vm"
 )
 
 // DefaultMaxSnapshots caps a chain's snapshot count; the stride is widened
@@ -42,7 +43,7 @@ var DirtyPageBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 40
 // Config is empty: a chain places its snapshots itself (AutoStride,
 // capped at DefaultMaxSnapshots). It stays, like vm.Options, only because
 // the benchmark (perfbench/campaign.go) passes snapshot.Config{} to
-// fi.Runner.EnableSnapshots.
+// fi.Runner.EnableSnapshots; NewChain does not take it.
 type Config struct{}
 
 // AutoStride returns the default snapshot spacing for a trace of the given
@@ -85,24 +86,24 @@ type View struct {
 // Chain is a lazily-extended sequence of golden-path snapshots.
 type Chain struct {
 	mu     sync.Mutex
-	exec   *interp.Exec
+	exec   *vm.Exec
 	live   bool  // golden execution still has instructions left
 	cursor int64 // next nominal capture event
-	snaps  []*interp.State
+	snaps  []*vm.State
 	stride int64
 
 	lastDirty int64
 	stats     Stats
 }
 
-// NewChain starts a golden execution of m under cfg and captures its
+// NewChain starts a golden execution of p under cfg and captures its
 // event-0 state. totalEvents is the golden trace length: snapshots sit
 // AutoStride(totalEvents) events apart, widened so that at most
 // DefaultMaxSnapshots fit. cfg must match the fault-injection run
 // configuration exactly (layout, alignment, budget) or resumed runs will
 // diverge from scratch runs.
-func NewChain(m *ir.Module, cfg interp.Config, totalEvents int64, _ Config) (*Chain, error) {
-	return newChain(m, cfg, chainStride(totalEvents))
+func NewChain(p *vm.Program, cfg interp.Config, totalEvents int64) (*Chain, error) {
+	return newChain(p, cfg, chainStride(totalEvents))
 }
 
 // chainStride is NewChain's snapshot spacing for a trace of totalEvents.
@@ -115,8 +116,8 @@ func chainStride(totalEvents int64) int64 {
 }
 
 // newChain starts a chain that captures every stride events.
-func newChain(m *ir.Module, cfg interp.Config, stride int64) (*Chain, error) {
-	exec, err := interp.NewExec(m, cfg)
+func newChain(p *vm.Program, cfg interp.Config, stride int64) (*Chain, error) {
+	exec, err := p.NewExec(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -127,13 +128,6 @@ func newChain(m *ir.Module, cfg interp.Config, stride int64) (*Chain, error) {
 
 // Stride returns the effective snapshot spacing.
 func (c *Chain) Stride() int64 { return c.stride }
-
-// Len returns the number of snapshots captured so far.
-func (c *Chain) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.snaps)
-}
 
 // capture records the execution's current state. Caller holds mu (or is
 // the constructor).
@@ -160,7 +154,7 @@ func (c *Chain) extendTo(event int64) {
 		if !c.live {
 			return
 		}
-		// Phi groups retire atomically, so the pause can undershoot the
+		// Pauses fall on dispatch boundaries, so they can undershoot the
 		// nominal point; skip duplicate captures at an unchanged event.
 		if c.exec.Event() > c.snaps[len(c.snaps)-1].Event() {
 			c.capture()
@@ -171,7 +165,7 @@ func (c *Chain) extendTo(event int64) {
 // Nearest returns the latest snapshot at-or-below event, extending the
 // chain if the frontier has not reached it yet. The event-0 snapshot
 // guarantees a hit.
-func (c *Chain) Nearest(event int64) *interp.State {
+func (c *Chain) Nearest(event int64) *vm.State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.extendTo(event)
@@ -181,8 +175,8 @@ func (c *Chain) Nearest(event int64) *interp.State {
 
 // Next returns the first snapshot with Event > after, or nil when the
 // golden execution ends before another snapshot exists. It serves as the
-// checkpoint source for interp.Convergence.
-func (c *Chain) Next(after int64) *interp.State {
+// checkpoint source for vm.Convergence.
+func (c *Chain) Next(after int64) *vm.State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
+	"repro/internal/vm"
 )
 
 func compile(t *testing.T, src string) *ir.Module {
@@ -19,6 +20,18 @@ func compile(t *testing.T, src string) *ir.Module {
 	}
 	return m
 }
+
+func compileVM(t *testing.T, m *ir.Module) *vm.Program {
+	t.Helper()
+	p, err := vm.Compile(m, vm.Options{})
+	if err != nil {
+		t.Fatalf("vm compile: %v", err)
+	}
+	return p
+}
+
+// captures is the number of snapshots the chain holds.
+func captures(ch *Chain) int64 { return ch.View().Captures }
 
 const loopSrc = `
 int f(int x) { return x * 3 + 1; }
@@ -44,16 +57,15 @@ func TestChainInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := newChain(m, cfg, 100)
+	ch, err := newChain(compileVM(t, m), cfg, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ch.Stride() != 100 {
 		t.Fatalf("stride = %d", ch.Stride())
 	}
-	prevLen := ch.Len()
-	if prevLen != 1 {
-		t.Fatalf("fresh chain has %d snapshots, want 1 (event 0)", prevLen)
+	if n := captures(ch); n != 1 {
+		t.Fatalf("fresh chain has %d snapshots, want 1 (event 0)", n)
 	}
 	for _, event := range []int64{0, 1, 99, 100, 101, 555, golden.DynInstrs - 1} {
 		st := ch.Nearest(event)
@@ -65,9 +77,9 @@ func TestChainInvariants(t *testing.T) {
 		}
 	}
 	// Lazy: asking for an early event again must not extend further.
-	grown := ch.Len()
+	grown := captures(ch)
 	ch.Nearest(0)
-	if ch.Len() != grown {
+	if captures(ch) != grown {
 		t.Fatal("Nearest(0) extended the chain")
 	}
 	// Next walks strictly forward and ends with nil.
@@ -88,8 +100,7 @@ func TestChainInvariants(t *testing.T) {
 	if last >= golden.DynInstrs {
 		t.Fatalf("snapshot at %d past the program end %d", last, golden.DynInstrs)
 	}
-	v := ch.View()
-	if v.Captures != int64(ch.Len()) || !v.Enabled || v.Stride != 100 {
+	if v := ch.View(); v.Captures < 2 || !v.Enabled || v.Stride != 100 {
 		t.Fatalf("View = %+v", v)
 	}
 }
@@ -117,7 +128,7 @@ func TestStrideCapAndAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewChain(m, interp.Config{}, golden.DynInstrs, Config{})
+	ch, err := NewChain(compileVM(t, m), interp.Config{}, golden.DynInstrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +169,10 @@ func genProgram(rng *rand.Rand) string {
 }
 
 // TestPropertyResumedRunsBitIdentical is the core differential property:
-// for randomized lang programs and random injection targets, a run resumed
-// from the nearest chain snapshot (with convergence enabled) is
-// bit-identical to a from-scratch run — same outputs, exception, hang
-// flag, and final event position.
+// for randomized lang programs and random injection targets, a VM run
+// resumed from the nearest chain snapshot (with convergence enabled) is
+// bit-identical to a from-scratch walker run — same outputs, exception,
+// hang flag, and final event position.
 func TestPropertyResumedRunsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	programs := 6
@@ -179,7 +190,7 @@ func TestPropertyResumedRunsBitIdentical(t *testing.T) {
 		if golden.Exception != nil || golden.Hang {
 			t.Fatalf("golden run not clean: %+v\n%s", golden, src)
 		}
-		ch, err := newChain(m, cfg, 50+int64(rng.Intn(200)))
+		ch, err := newChain(compileVM(t, m), cfg, 50+int64(rng.Intn(200)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,9 +203,9 @@ func TestPropertyResumedRunsBitIdentical(t *testing.T) {
 				t.Fatalf("scratch: %v", err)
 			}
 			st := ch.Nearest(event)
-			got, err := interp.Resume(st, interp.ResumeOptions{
+			got, err := vm.Resume(st, vm.ResumeOptions{
 				Injection:   inj(),
-				Convergence: &interp.Convergence{Golden: golden, Next: ch.Next},
+				Convergence: &vm.Convergence{Golden: golden, Next: ch.Next},
 			})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
@@ -240,7 +251,7 @@ func TestConcurrentNearestResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := newChain(m, cfg, 64)
+	ch, err := newChain(compileVM(t, m), cfg, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +262,9 @@ func TestConcurrentNearestResume(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
 				event := rng.Int63n(golden.DynInstrs)
 				st := ch.Nearest(event)
-				res, err := interp.Resume(st, interp.ResumeOptions{
+				res, err := vm.Resume(st, vm.ResumeOptions{
 					Injection:   &interp.Injection{Event: event, Bit: rng.Intn(16)},
-					Convergence: &interp.Convergence{Golden: golden, Next: ch.Next},
+					Convergence: &vm.Convergence{Golden: golden, Next: ch.Next},
 				})
 				if err != nil {
 					done <- err

@@ -47,9 +47,7 @@ func (c *fnCompiler) compile() (*fnCode, error) {
 		constBase:  nLocals + nParams,
 		frameSize:  size,
 		entryInstr: fn.Entry().Instrs[0],
-		pcOfLocal:  make([]int32, nLocals),
 		blockPC:    make([]int32, len(fn.Blocks)),
-		fellPC:     make([]int32, len(fn.Blocks)),
 	}
 	c.fc = fc
 
@@ -109,10 +107,7 @@ func (c *fnCompiler) compile() (*fnCode, error) {
 			}
 		}
 		if blk.Terminator() == nil {
-			fc.fellPC[bi] = c.pc()
 			c.emitTrap(blk.Instrs[len(blk.Instrs)-1], trapFellThrough)
-		} else {
-			fc.fellPC[bi] = -1
 		}
 	}
 	// Resolve branch targets now that every block's pc is known.
@@ -177,14 +172,9 @@ func (c *fnCompiler) slotOf(v ir.Value) (int, error) {
 // emitTrap emits a vopTrap for a walker runtime fatal.
 func (c *fnCompiler) emitTrap(in *ir.Instr, kind int) {
 	fc := c.fc
-	c.notePC(in)
 	aux := uint32(len(fc.trapTab))
 	fc.trapTab = append(fc.trapTab, trapEntry{in: in, kind: kind})
 	fc.code = append(fc.code, encWord0(vopTrap, 0, 0, 0, 0), encWord1(in.LocalID, aux))
-}
-
-func (c *fnCompiler) notePC(in *ir.Instr) {
-	c.fc.pcOfLocal[in.LocalID] = c.pc()
 }
 
 func auxFits(v int64) bool { return v >= 0 && v <= math.MaxUint32 }
@@ -210,8 +200,8 @@ func (c *fnCompiler) tryFuse(blk *ir.Block, i int) (bool, error) {
 	if err := c.emitAs(fusedOp, in); err != nil {
 		return false, err
 	}
-	// The second half keeps its plain encoding in its own slot, so a
-	// snapshot resume landing on it dispatches the unfused op.
+	// The second half keeps its plain encoding in its own slot, where the
+	// fused handler decodes it.
 	if err := c.emit(next); err != nil {
 		return false, err
 	}
@@ -230,7 +220,6 @@ func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
 		return err
 	}
 	fc.meta[in.LocalID] = instrMeta{argSlots: slots}
-	c.notePC(in)
 
 	var op vop
 	var dst, a, b, cc int
@@ -531,7 +520,6 @@ func (c *fnCompiler) emitPhiGroup(blk *ir.Block) (int, error) {
 		fc.maxPhi = n
 	}
 	aux := uint32(len(fc.phiTab))
-	c.notePC(phis[0])
 	fc.code = append(fc.code, encWord0(vopPhiGroup, 0, 0, 0, 0), encWord1(phis[0].LocalID, aux))
 	for _, in := range phis[1:] {
 		c.emitTrap(in, trapMidBlockPhi)

@@ -65,7 +65,7 @@ type machine struct {
 	hang      bool
 	fatal     error
 	converged bool
-	conv      *convState
+	hook      hook
 
 	phiVals []uint64
 	phiIdx  []int64
@@ -96,6 +96,17 @@ func newMachine(p *Program, cfg interp.Config, as *mem.AddressSpace, globals map
 // Run executes the program's entry function under cfg, producing a
 // Result bit-identical to interp.Run on the same module.
 func (p *Program) Run(cfg interp.Config) (*interp.Result, error) {
+	m, err := p.start(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.run()
+	return m.finish()
+}
+
+// start builds a machine for cfg with the globals loaded and the entry
+// frame pushed.
+func (p *Program) start(cfg interp.Config) (*machine, error) {
 	cfg, entry, err := interp.Normalize(p.mod, cfg)
 	if err != nil {
 		return nil, err
@@ -111,8 +122,7 @@ func (p *Program) Run(cfg interp.Config) (*interp.Result, error) {
 		m.rec = trace.NewRecorder(p.mod)
 	}
 	m.pushFrame(p.fnIdx[entry], nil, nil)
-	m.run()
-	return m.finish()
+	return m, nil
 }
 
 // finish assembles the Result exactly as the walker does.
@@ -244,18 +254,19 @@ func (m *machine) injectBits(in *ir.Instr, bits uint64) uint64 {
 }
 
 // run is the dispatch loop. The outer loop re-reads the frame stack
-// after calls and returns; the inner loop executes straight-line code of
-// the top frame with everything hot in locals.
+// after calls and returns; inner executes straight-line code of the top
+// frame with everything hot in locals.
 func (m *machine) run() {
-	for len(m.stack) > 0 && m.exc == nil && !m.hang && m.fatal == nil {
+	for m.live() {
 		fr := m.stack[len(m.stack)-1]
-		fc := fr.fc
-		code := fc.code
-		pc := fr.pc
-		regs := fr.regs
-		defs := fr.defs
-		inner(m, fr, fc, code, regs, defs, pc)
+		inner(m, fr, fr.fc, fr.fc.code, fr.regs, fr.defs, fr.pc)
 	}
+}
+
+// live reports whether the machine has work left: a frame to execute and
+// no exception, hang, or fatal error.
+func (m *machine) live() bool {
+	return len(m.stack) > 0 && m.exc == nil && !m.hang && m.fatal == nil
 }
 
 // inner executes until the top frame changes or the machine halts. It is
@@ -265,9 +276,9 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 	iters := int64(0)
 	defer func() { m.iters += iters }()
 	for {
-		if m.conv != nil {
+		if m.hook != nil {
 			fr.pc = pc
-			if m.tryConverge() {
+			if m.hook.at(m) {
 				return
 			}
 		}

@@ -16,11 +16,11 @@ func noteCompile(p *Program) {
 	r.Counter("epvf_vm_code_bytes_total").Add(p.CodeBytes)
 }
 
-// NoteFallback counts one decision to run the walker instead of the VM
-// (unsupported construct, compile failure, unmappable snapshot).
-func NoteFallback(reason string) {
+// noteFallback counts one module the VM could not compile, which its
+// caller then runs on the walker.
+func noteFallback() {
 	if r := obs.Default(); r != nil {
-		r.Counter("epvf_vm_fallbacks_total", "reason", reason).Inc()
+		r.Counter("epvf_vm_fallbacks_total", "reason", "compile").Inc()
 	}
 }
 

@@ -3,9 +3,9 @@
 // alternative to the frame-stack walker in internal/interp for the fault
 // injection hot path: per-dynamic-instruction event records are
 // bit-identical to the walker's (same trace, DDG links, crash class,
-// outputs), injections hit the same program points, and a VM run can
-// resume from — and converge against — walker-captured snapshots, so
-// internal/snapshot chains keep working unchanged.
+// outputs), and injections hit the same program points. The VM also
+// executes stepwise (Exec) and captures and resumes its own snapshots,
+// which is what internal/snapshot chains are built on.
 //
 // # Bytecode format
 //
@@ -29,7 +29,7 @@
 // are resolved to word offsets at compile time; the common pairs
 // icmp+condbr and gep+load are fused into single dispatches (the second
 // instruction of a fused pair keeps its plain encoding in its own slot,
-// so a snapshot resume landing between the two executes it unfused).
+// where the fused handler decodes it).
 //
 // Constructs the compiler cannot express (register files beyond 2^14
 // slots, malformed blocks the walker would only fault on at runtime,
@@ -193,9 +193,7 @@ type fnCode struct {
 	frameSize        uint64
 	maxPhi           int
 	entryInstr       *ir.Instr // first instruction, for stack-overflow raises
-	pcOfLocal        []int32   // by LocalID
 	blockPC          []int32   // by block index: pc of first instruction
-	fellPC           []int32   // by block index: fell-through trap pc, or -1
 	brTab            []brTarget
 	condTab          []condTarget
 	phiTab           []phiGroup
@@ -203,31 +201,8 @@ type fnCode struct {
 	trapTab          []trapEntry
 }
 
-// pcFor maps a walker frame position (block, instruction index) to a
-// bytecode pc. Positions the walker can only reach transiently (inside a
-// phi group) have no pc and report an unsupported-resume error.
-func (fc *fnCode) pcFor(blk *ir.Block, ii int) (int32, error) {
-	if blk == nil || blk.Parent != fc.fn || blk.Index >= len(fc.blockPC) {
-		return 0, fmt.Errorf("%w: block not in compiled function", ErrUnsupported)
-	}
-	if ii == len(blk.Instrs) {
-		if p := fc.fellPC[blk.Index]; p >= 0 {
-			return p, nil
-		}
-		return 0, fmt.Errorf("%w: position past terminator", ErrUnsupported)
-	}
-	if ii < 0 || ii > len(blk.Instrs) {
-		return 0, fmt.Errorf("%w: instruction index out of range", ErrUnsupported)
-	}
-	in := blk.Instrs[ii]
-	if in.Op == ir.OpPhi && ii != 0 {
-		return 0, fmt.Errorf("%w: position inside a phi group", ErrUnsupported)
-	}
-	return fc.pcOfLocal[in.LocalID], nil
-}
-
-// ErrUnsupported marks a module or captured state the VM cannot execute;
-// callers should fall back to the walker.
+// ErrUnsupported marks a module the VM cannot compile; callers fall back
+// to the walker.
 var ErrUnsupported = errors.New("vm: unsupported")
 
 // Options is empty: compilation takes no settings. It stays because the
@@ -262,7 +237,7 @@ func Compile(m *ir.Module, opts Options) (*Program, error) {
 	for i, fn := range m.Funcs {
 		fc, err := newFnCompiler(fn).compile()
 		if err != nil {
-			NoteFallback("compile")
+			noteFallback()
 			return nil, fmt.Errorf("vm: compiling %s: %w", fn.Name, err)
 		}
 		p.fns[i] = fc
@@ -274,7 +249,7 @@ func Compile(m *ir.Module, opts Options) (*Program, error) {
 			e := &fc.callTab[ci]
 			idx, ok := p.fnIdx[e.callee]
 			if !ok {
-				NoteFallback("compile")
+				noteFallback()
 				return nil, fmt.Errorf("%w: call to function outside module", ErrUnsupported)
 			}
 			e.fnIdx = idx

@@ -40,8 +40,13 @@ go test -race ./internal/obs/... ./internal/obs/ts/... ./internal/obs/alert/... 
     ./internal/rangeprop/... ./internal/trace/... \
     ./cmd/epvf/... ./cmd/campaign/...
 
-echo "== vm differential smoke (walker vs bytecode VM, fuzz corpus seeds)"
-go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|FuzzDifferential' -count=1
+# The only checks that VM-native snapshots match walker scratch runs:
+# TestDifferentialResume (injected resumes from every chain snapshot) and
+# TestSnapshotRunnerMatchesWalkerScratch (whole runners on every kernel
+# and 20 random programs).
+echo "== vm differential smoke (walker vs bytecode VM: fuzz corpus seeds, snapshot resumes, snapshot runners)"
+go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|FuzzDifferential|TestDifferentialResume' -count=1
+go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch' -count=1
 
 # The benchmark's selftest: every workload runs once at a small size and
 # its pinned digests and deterministic counts must match.
