@@ -1,17 +1,9 @@
 # Tier-1 verification gate and convenience targets.
 
-.PHONY: check build test fmt vet trace-demo gate-demo dash-demo
+.PHONY: check build test fmt vet gate-demo dash-demo
 
 check:
 	./scripts/check.sh
-
-# trace-demo runs a campaign across four processes (analysis daemon,
-# coordinator, worker, publishing CLI) and asserts their spans form one
-# connected cross-process trace — single tree, no orphans, all procs —
-# that the daemon's /debug/flight dump is non-empty, and that the HTML
-# timeline renders.
-trace-demo:
-	./scripts/trace_demo.sh
 
 # gate-demo exercises the incremental analysis layer end-to-end: edits
 # one function of a real kernel and asserts `epvf diff` recomputes only

@@ -102,8 +102,6 @@ import (
 	"repro/internal/epvf"
 	"repro/internal/fi"
 	"repro/internal/interp"
-	"repro/internal/ir"
-	"repro/internal/lang"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/obs/alert"
@@ -204,7 +202,7 @@ func runCampaign(cmd string, args []string, out io.Writer) error {
 		return err
 	}
 
-	m, err := loadModule(*benchName, *srcPath, *scale)
+	m, err := bench.Load(*benchName, *srcPath, *scale)
 	if err != nil {
 		return err
 	}
@@ -486,7 +484,7 @@ func runServe(args []string, out io.Writer) error {
 		return fmt.Errorf("serve requires -log <path> (the durable merged log)")
 	}
 
-	m, err := loadModule(*benchName, *srcPath, *scale)
+	m, err := bench.Load(*benchName, *srcPath, *scale)
 	if err != nil {
 		return err
 	}
@@ -630,7 +628,7 @@ func runWork(args []string, out io.Writer) error {
 		return fmt.Errorf("work requires -coordinator <url>")
 	}
 
-	m, err := loadModule(*benchName, *srcPath, *scale)
+	m, err := bench.Load(*benchName, *srcPath, *scale)
 	if err != nil {
 		return err
 	}
@@ -740,7 +738,7 @@ func runAttr(args []string, out io.Writer) error {
 		}
 		snap = d.Attr
 		if *benchName != "" || *srcPath != "" {
-			m, err := loadModule(*benchName, *srcPath, *scale)
+			m, err := bench.Load(*benchName, *srcPath, *scale)
 			if err != nil {
 				return err
 			}
@@ -818,32 +816,4 @@ func runAttr(args []string, out io.Writer) error {
 		fmt.Fprint(out, r.Text(*topN))
 	}
 	return nil
-}
-
-func loadModule(benchName, srcPath string, scale int) (*ir.Module, error) {
-	switch {
-	case benchName != "" && srcPath != "":
-		return nil, fmt.Errorf("-bench and -src are mutually exclusive")
-	case benchName != "":
-		b, ok := bench.Get(benchName)
-		if !ok {
-			var names []string
-			for _, bb := range bench.All() {
-				names = append(names, bb.Name)
-			}
-			return nil, fmt.Errorf("unknown benchmark %q; available: %s", benchName, strings.Join(names, ", "))
-		}
-		return b.Module(scale)
-	case srcPath != "":
-		src, err := os.ReadFile(srcPath)
-		if err != nil {
-			return nil, err
-		}
-		if strings.HasSuffix(srcPath, ".ll") {
-			return ir.Parse(string(src))
-		}
-		return lang.Compile(strings.TrimSuffix(srcPath, ".c"), string(src))
-	default:
-		return nil, fmt.Errorf("specify -bench <name> or -src <file>")
-	}
 }

@@ -150,6 +150,29 @@ func (w *syncWriter) String() string {
 	return w.b.String()
 }
 
+// startCoordinator runs `campaign serve` with args on an ephemeral port
+// in a goroutine and returns the base URL it announces, its output and
+// the channel its exit error arrives on.
+func startCoordinator(t *testing.T, args []string) (string, *syncWriter, <-chan error) {
+	t.Helper()
+	out := &syncWriter{}
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run(append([]string{"serve", "-addr", "127.0.0.1:0"}, args...), out)
+	}()
+	const marker = "campaign work -coordinator "
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if i := strings.Index(out.String(), marker); i >= 0 {
+			return strings.Fields(out.String()[i+len(marker):])[0], out, errc
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator never announced its address:\n%s", out.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestServeWorkEndToEnd drives a distributed campaign entirely through
 // the CLI entry points: `serve` on an ephemeral port, one `work` process
 // joining it, and the merged log bit-identical to a single-process `run`
@@ -166,26 +189,7 @@ func TestServeWorkEndToEnd(t *testing.T) {
 	}
 
 	distLog := filepath.Join(dir, "dist.jsonl")
-	serveOut := &syncWriter{}
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- run(append([]string{"serve", "-log", distLog, "-addr", "127.0.0.1:0"}, common...), serveOut)
-	}()
-
-	// The coordinator announces its bound address; workers join from it.
-	const marker = "campaign work -coordinator "
-	var coordURL string
-	deadline := time.Now().Add(10 * time.Second)
-	for coordURL == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never announced its address:\n%s", serveOut.String())
-		}
-		if i := strings.Index(serveOut.String(), marker); i >= 0 {
-			coordURL = strings.Fields(serveOut.String()[i+len(marker):])[0]
-		} else {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
+	coordURL, serveOut, serveErr := startCoordinator(t, append([]string{"-log", distLog}, common...))
 
 	var workOut strings.Builder
 	if err := run([]string{"work", "-coordinator", coordURL, "-bench", "mm", "-name", "w0"}, &workOut); err != nil {
@@ -436,25 +440,8 @@ func TestAttrServerErrors(t *testing.T) {
 func TestServeHealthz(t *testing.T) {
 	dir := t.TempDir()
 	distLog := filepath.Join(dir, "dist.jsonl")
-	serveOut := &syncWriter{}
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- run([]string{"serve", "-bench", "mm", "-runs", "60", "-shard-size", "20",
-			"-jitter", "0", "-log", distLog, "-addr", "127.0.0.1:0"}, serveOut)
-	}()
-	const marker = "campaign work -coordinator "
-	var coordURL string
-	deadline := time.Now().Add(10 * time.Second)
-	for coordURL == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never announced:\n%s", serveOut.String())
-		}
-		if i := strings.Index(serveOut.String(), marker); i >= 0 {
-			coordURL = strings.Fields(serveOut.String()[i+len(marker):])[0]
-		} else {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
+	coordURL, _, serveErr := startCoordinator(t, []string{"-bench", "mm", "-runs", "60", "-shard-size", "20",
+		"-jitter", "0", "-log", distLog})
 	resp, err := http.Get(coordURL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

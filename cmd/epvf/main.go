@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -53,7 +52,6 @@ import (
 	"repro/internal/epvf"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/serve"
@@ -353,35 +351,12 @@ func run(args []string) error {
 	return nil
 }
 
+// loadModule is bench.Load with this command's -list hint on a bad or
+// missing benchmark name.
 func loadModule(benchName, srcPath string, scale int) (*ir.Module, error) {
-	switch {
-	case benchName != "" && srcPath != "":
-		return nil, fmt.Errorf("-bench and -src are mutually exclusive")
-	case benchName != "":
-		b, ok := bench.Get(benchName)
-		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q (try -list); available: %s",
-				benchName, strings.Join(names(), ", "))
-		}
-		return b.Module(scale)
-	case srcPath != "":
-		src, err := os.ReadFile(srcPath)
-		if err != nil {
-			return nil, err
-		}
-		if strings.HasSuffix(srcPath, ".ll") {
-			return ir.Parse(string(src))
-		}
-		return lang.Compile(strings.TrimSuffix(srcPath, ".c"), string(src))
-	default:
-		return nil, fmt.Errorf("specify -bench <name> or -src <file> (or -list)")
+	m, err := bench.Load(benchName, srcPath, scale)
+	if err != nil && srcPath == "" {
+		return nil, fmt.Errorf("%w (see -list)", err)
 	}
-}
-
-func names() []string {
-	var out []string
-	for _, b := range bench.All() {
-		out = append(out, b.Name)
-	}
-	return out
+	return m, err
 }

@@ -13,13 +13,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/epvf"
 	"repro/internal/fi"
-	"repro/internal/ir"
-	"repro/internal/lang"
 	"repro/internal/mem"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -46,7 +43,7 @@ func run(args []string) error {
 		return err
 	}
 
-	m, err := loadModule(*benchName, *srcPath, *scale)
+	m, err := bench.Load(*benchName, *srcPath, *scale)
 	if err != nil {
 		return err
 	}
@@ -89,32 +86,4 @@ func run(args []string) error {
 		fmt.Printf("Crash-model precision: %s (over %d targeted injections)\n", report.Percent(prec), pn)
 	}
 	return nil
-}
-
-func loadModule(benchName, srcPath string, scale int) (*ir.Module, error) {
-	switch {
-	case benchName != "" && srcPath != "":
-		return nil, fmt.Errorf("-bench and -src are mutually exclusive")
-	case benchName != "":
-		b, ok := bench.Get(benchName)
-		if !ok {
-			var names []string
-			for _, bb := range bench.All() {
-				names = append(names, bb.Name)
-			}
-			return nil, fmt.Errorf("unknown benchmark %q; available: %s", benchName, strings.Join(names, ", "))
-		}
-		return b.Module(scale)
-	case srcPath != "":
-		src, err := os.ReadFile(srcPath)
-		if err != nil {
-			return nil, err
-		}
-		if strings.HasSuffix(srcPath, ".ll") {
-			return ir.Parse(string(src))
-		}
-		return lang.Compile(strings.TrimSuffix(srcPath, ".c"), string(src))
-	default:
-		return nil, fmt.Errorf("specify -bench <name> or -src <file>")
-	}
 }

@@ -83,13 +83,7 @@ func Benchmark(name string, scale int) (*Module, error) {
 }
 
 // BenchmarkNames lists the built-in benchmarks in Table IV order.
-func BenchmarkNames() []string {
-	var names []string
-	for _, b := range bench.All() {
-		names = append(names, b.Name)
-	}
-	return names
-}
+func BenchmarkNames() []string { return bench.Names() }
 
 // Result bundles the golden run with its analysis.
 type Result struct {

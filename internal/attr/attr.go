@@ -1,8 +1,8 @@
 // Package attr is the prediction-vs-ground-truth attribution ledger: a
 // streaming, bounded-memory join of the ePVF model's per-bit predictions
 // (crash-predicted, ACE, unACE — the paper's bit ranges) with
-// fault-injection outcomes. Every FI run feeds the ledger via
-// fi.Runner.SetObserver; at finalize time each (static instruction,
+// fault-injection outcomes. Every FI run feeds the ledger from the
+// callback of fi.Runner.Run; at finalize time each (static instruction,
 // bit-class) cell is classified as agreement, crash-model false
 // positive/negative, or propagation overshoot/undershoot — the
 // instruction-level view behind the paper's Figure 7 validation and the
@@ -236,8 +236,7 @@ func (l *Ledger) Classifier() *Classifier {
 	return l.cls
 }
 
-// Observe tallies one completed FI record. Safe for concurrent use; the
-// signature matches fi.Runner.SetObserver.
+// Observe tallies one completed FI record. Safe for concurrent use.
 func (l *Ledger) Observe(rec fi.Record) {
 	if l == nil {
 		return

@@ -2,9 +2,11 @@ package attr_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/attr"
 	"repro/internal/epvf"
@@ -68,7 +70,7 @@ func TestJudgeTaxonomy(t *testing.T) {
 }
 
 // TestLedgerStreamsRealCampaign feeds a real FI campaign through the
-// ledger via the observer hook and checks the snapshot's internal
+// ledger from fi.Runner.Run's callback and checks the snapshot's internal
 // consistency: every record lands in exactly one cell, outcome tallies
 // match the campaign's own aggregate, and no target of the golden-trace
 // sampler is unclassifiable.
@@ -79,9 +81,20 @@ func TestLedgerStreamsRealCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	ledger := attr.NewLedger(attr.NewClassifier(a))
-	runner.SetObserver(ledger.Observe)
 	const runs = 200
-	records := runner.RunRange(0, runs, 4)
+	idxs := make([]int64, runs)
+	for i := range idxs {
+		idxs[i] = int64(i)
+	}
+	records := make([]fi.Record, runs)
+	err = runner.Run(context.Background(), idxs, 4, func(i int64, rec fi.Record, _ time.Time, _ time.Duration) error {
+		records[i] = rec
+		ledger.Observe(rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	snap := ledger.Snapshot()
 	if ledger.Runs() != runs || snap.Runs != runs {

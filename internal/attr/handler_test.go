@@ -21,8 +21,9 @@ func buildSnapshot(t *testing.T) (*attr.Snapshot, *attr.Meta) {
 		t.Fatal(err)
 	}
 	ledger := attr.NewLedger(attr.NewClassifier(a))
-	runner.SetObserver(ledger.Observe)
-	runner.RunRange(0, 150, 4)
+	for _, rec := range runner.RunRange(0, 150, 4) {
+		ledger.Observe(rec)
+	}
 	return ledger.Snapshot(), attr.NewMeta(g.Trace)
 }
 

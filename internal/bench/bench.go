@@ -9,6 +9,7 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"repro/internal/ir"
@@ -82,6 +83,43 @@ func All() []*Benchmark {
 	out := make([]*Benchmark, len(all))
 	copy(out, all)
 	return out
+}
+
+// Names lists the suite's benchmark names in Table IV order.
+func Names() []string {
+	out := make([]string, len(all))
+	for i, b := range all {
+		out[i] = b.Name
+	}
+	return out
+}
+
+// Load returns the module a command line names: the built-in benchmark
+// name at the given scale, or the file srcPath, which is parsed as textual
+// IR when it ends in .ll and compiled as MiniC otherwise. Exactly one of
+// name and srcPath must be set.
+func Load(name, srcPath string, scale int) (*ir.Module, error) {
+	switch {
+	case name != "" && srcPath != "":
+		return nil, fmt.Errorf("-bench and -src are mutually exclusive")
+	case name != "":
+		b, ok := Get(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown benchmark %q; available: %s", name, strings.Join(Names(), ", "))
+		}
+		return b.Module(scale)
+	case srcPath != "":
+		src, err := os.ReadFile(srcPath)
+		if err != nil {
+			return nil, err
+		}
+		if strings.HasSuffix(srcPath, ".ll") {
+			return ir.Parse(string(src))
+		}
+		return lang.Compile(strings.TrimSuffix(srcPath, ".c"), string(src))
+	default:
+		return nil, fmt.Errorf("specify -bench <name> or -src <file>")
+	}
 }
 
 // Paper10 returns the ten benchmarks of the paper's main evaluation

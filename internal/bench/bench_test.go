@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/interp"
@@ -190,5 +191,21 @@ func TestSuiteIRRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLoad pins what the CLIs' shared loader adds to Get: names in
+// Table IV order, -bench and -src mutually exclusive, and an unknown name
+// listing the suite. cmd/epvf's TestLoadModule* cover file inputs.
+func TestLoad(t *testing.T) {
+	names := Names()
+	if len(names) != len(All()) || names[0] != "lulesh" || names[len(names)-1] != "kmeans" {
+		t.Errorf("Names() = %v", names)
+	}
+	if _, err := Load("mm", "x.c", 1); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Errorf("both sources: err = %v", err)
+	}
+	if _, err := Load("nope", "", 1); err == nil || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
+		t.Errorf("unknown name: err = %v, want the suite listed", err)
 	}
 }

@@ -12,9 +12,9 @@
 //   - Adaptive early stopping watches the Wilson 95% CI half-widths of the
 //     crash and SDC rates (internal/stats) and ends a campaign once both
 //     are within a configured ±ε, recording how many runs were saved.
-//   - A bounded worker pool executes runs with per-index RNG streams
-//     (fi.TargetSeed) and reports progress (runs/sec, ETA, outcome
-//     tallies).
+//   - fi.Runner.Run executes each shard's runs on a bounded worker pool
+//     with per-index RNG streams (fi.TargetSeed); its callback logs every
+//     record and reports progress (runs/sec, ETA, outcome tallies).
 package campaign
 
 import (
@@ -80,9 +80,11 @@ func NewPlan(m *ir.Module, golden *interp.Result, cfg PlanConfig) (*Plan, error)
 	if golden.Trace == nil {
 		return nil, fmt.Errorf("campaign: golden result has no recorded trace")
 	}
-	r, err := fi.NewRunner(m, golden, cfg.FI)
-	if err != nil {
-		return nil, err
+	// The sampler alone counts the bit population: a whole fi.Runner would
+	// also compile the module to bytecode, which planning never runs.
+	bits := fi.NewSampler(golden.Trace).TotalBits()
+	if bits == 0 {
+		return nil, fmt.Errorf("fi: module %q has no injectable register bits", m.Name)
 	}
 	shard := int64(cfg.ShardSize)
 	if shard <= 0 {
@@ -98,7 +100,7 @@ func NewPlan(m *ir.Module, golden *interp.Result, cfg PlanConfig) (*Plan, error)
 		FaultBits:    cfg.FI.FaultBits,
 		Align:        int(cfg.FI.Align),
 		TraceEvents:  golden.Trace.NumEvents(),
-		TotalBits:    r.Sampler().TotalBits(),
+		TotalBits:    bits,
 	}
 	p.ID = contentHash(m, p)
 	return p, nil

@@ -13,6 +13,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/mem"
+	"repro/internal/obs"
 )
 
 // kernelSrc is a small kernel with a healthy mix of crash, SDC and benign
@@ -547,5 +548,51 @@ func TestStatusAndResultRender(t *testing.T) {
 	sr := st.Render()
 	if !strings.Contains(sr, "runs logged") || !strings.Contains(sr, "60/60") {
 		t.Errorf("status render missing fields:\n%s", sr)
+	}
+}
+
+// TestOutOfRangeShardHasNoSideEffects checks that Run validates
+// RunOptions.Shards before it touches anything: no log file appears and
+// the active gauge the stall alert watches stays at 0.
+func TestOutOfRangeShardHasNoSideEffects(t *testing.T) {
+	g := golden(t, kernelSrc)
+	p := testPlan(t, g, 100, 20)
+	logPath := filepath.Join(t.TempDir(), "x.jsonl")
+	reg := obs.NewRegistry()
+	_, err := Run(context.Background(), g.Trace.Module, g, p, RunOptions{
+		LogPath: logPath, Shards: []int{1, 99}, Monitor: NewMonitor(reg),
+	})
+	if err == nil || !strings.Contains(err.Error(), "shard 99 out of range") {
+		t.Fatalf("err = %v, want shard 99 out of range", err)
+	}
+	if _, statErr := os.Stat(logPath); !os.IsNotExist(statErr) {
+		t.Errorf("rejected campaign left a log behind (stat: %v)", statErr)
+	}
+	if v := reg.Snapshot().Gauge("epvf_campaign_active"); v != 0 {
+		t.Errorf("epvf_campaign_active = %v after the error, want 0", v)
+	}
+}
+
+// TestNewPlanCompilesNothing checks that planning counts the bit
+// population without compiling the module to bytecode.
+func TestNewPlanCompilesNothing(t *testing.T) {
+	g := golden(t, kernelSrc)
+	reg := obs.NewRegistry()
+	obs.SetDefault(reg)
+	defer obs.SetDefault(nil)
+	p := testPlan(t, g, 100, 20)
+	if n := reg.Snapshot().Counter("epvf_vm_compiles_total"); n != 0 {
+		t.Errorf("NewPlan compiled the module %d times, want 0", n)
+	}
+	if p.TotalBits == 0 {
+		t.Error("plan counted no injectable bits")
+	}
+	// The counter does move when a runner is built, so the zero above is
+	// not vacuous.
+	if _, err := fi.NewRunner(g.Trace.Module, g, p.FIConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Counter("epvf_vm_compiles_total"); n != 1 {
+		t.Errorf("NewRunner compiled %d times, want 1", n)
 	}
 }

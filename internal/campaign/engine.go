@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/attr"
@@ -117,11 +116,23 @@ func (r *Result) FIResult() *fi.Result {
 // Cancelling ctx stops execution at a clean run boundary: in-flight runs
 // finish, the log is checkpointed, and the partial Result comes back with
 // Interrupted set (and no error) so the caller can report and resume.
-func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, opts RunOptions) (*Result, error) {
+func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, opts RunOptions) (_ *Result, err error) {
 	start := time.Now()
 	if got := contentHash(m, plan); got != plan.ID {
 		return nil, fmt.Errorf("campaign: plan %s does not match module %q (content hash %s) — regenerate the plan",
 			plan.ID, m.Name, got)
+	}
+	shardOrder := opts.Shards
+	if shardOrder == nil {
+		shardOrder = make([]int, plan.NumShards())
+		for i := range shardOrder {
+			shardOrder[i] = i
+		}
+	}
+	for _, s := range shardOrder {
+		if s < 0 || s >= plan.NumShards() {
+			return nil, fmt.Errorf("campaign: shard %d out of range [0, %d)", s, plan.NumShards())
+		}
 	}
 	fcfg := plan.FIConfig()
 	fcfg.Engine = opts.Engine // execution speed only; never part of plan identity
@@ -137,13 +148,9 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 	if _, err := runner.EnableSnapshots(snapshot.Config{}); err != nil {
 		return nil, err
 	}
-	if opts.Ledger != nil {
-		runner.SetObserver(opts.Ledger.Observe)
-	}
 
 	st := &state{
 		plan:    plan,
-		runner:  runner,
 		records: make(map[int64]fi.Record),
 	}
 	var w *logWriter
@@ -183,10 +190,6 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 	if minRuns <= 0 {
 		minRuns = 2 * plan.ShardSize
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	mon := opts.Monitor
 	if mon == nil {
 		mon = NewMonitor(nil)
@@ -200,25 +203,18 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 		replayedCounts[rec.Outcome]++
 	}
 	mon.begin(plan, opts.Progress, replayedCounts)
+	// finish clears the active gauge; an error return must clear it too,
+	// or the stall alert keeps watching a campaign that has ended.
+	defer func() {
+		if err != nil {
+			mon.reg.Gauge("epvf_campaign_active").Set(0)
+		}
+	}()
 
 	// The campaign root span is the deterministic anchor every process
 	// parents its work under; resume re-emits it with the same ID and the
 	// log reader keeps the first occurrence.
 	root := opts.Tracer.StartExact("campaign "+plan.Benchmark, TraceContext(plan.ID), "")
-
-	shardOrder := opts.Shards
-	if shardOrder == nil {
-		shardOrder = make([]int, plan.NumShards())
-		for i := range shardOrder {
-			shardOrder[i] = i
-		}
-	} else {
-		for _, s := range shardOrder {
-			if s < 0 || s >= plan.NumShards() {
-				return nil, fmt.Errorf("campaign: shard %d out of range [0, %d)", s, plan.NumShards())
-			}
-		}
-	}
 
 	// An already-logged stop decision, or one implied by the replayed
 	// prefix, short-circuits execution.
@@ -265,9 +261,24 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 				shardSpan = root.ChildExact(fmt.Sprintf("shard %d", si), ShardSpanID(plan.ID, si))
 				exemplars = obs.NewInjectionSet(0)
 			}
-			n, err := st.runIndices(ctx, si, missing, workers, w, mon, exemplars)
-			executed += int64(n)
-			budgetLeft -= int64(n)
+			var n int64
+			err := runner.Run(ctx, missing, opts.Workers, func(i int64, rec fi.Record, t0 time.Time, dur time.Duration) error {
+				st.records[i] = rec
+				n++
+				if w != nil {
+					if err := w.append(runToLog(i, rec)); err != nil {
+						return err
+					}
+				}
+				mon.record(si, i, rec, t0, dur)
+				exemplars.Observe(NewInjection(si, i, rec, t0, dur))
+				if opts.Ledger != nil {
+					opts.Ledger.Observe(rec)
+				}
+				return nil
+			})
+			executed += n
+			budgetLeft -= n
 			if err != nil {
 				return nil, err
 			}
@@ -366,96 +377,11 @@ func Resume(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan
 // state tracks a campaign mid-flight.
 type state struct {
 	plan    *Plan
-	runner  *fi.Runner
 	records map[int64]fi.Record
 	stopped bool
 	stopN   int64 // effective run count when stopped
 	saved   int64
 	reason  string
-}
-
-// indexed pairs a run index with its record and wall time for the worker
-// pool.
-type indexed struct {
-	i   int64
-	rec fi.Record
-	t0  time.Time
-	dur time.Duration
-}
-
-// runIndices executes the given run indices of shard si on the worker
-// pool, streaming each record into the log as it completes, and returns
-// how many ran. Cancelling ctx stops new runs from being issued;
-// in-flight runs finish and are recorded, so the log never holds a torn
-// batch. exemplars, when non-nil, collects the shard's notable
-// injections for its trace spans.
-func (st *state) runIndices(ctx context.Context, si int, idxs []int64, workers int, w *logWriter, mon *Monitor, exemplars *obs.InjectionSet) (int, error) {
-	idxs = st.runner.OrderByEvent(idxs)
-	if workers > len(idxs) {
-		workers = len(idxs)
-	}
-	executed := 0
-	observe := func(i int64, rec fi.Record, t0 time.Time, dur time.Duration) {
-		mon.record(si, i, rec, t0, dur)
-		exemplars.Observe(NewInjection(si, i, rec, t0, dur))
-	}
-	if workers <= 1 {
-		for _, i := range idxs {
-			if ctx.Err() != nil {
-				return executed, nil
-			}
-			t0 := mon.now()
-			rec := st.runner.RunIndex(i)
-			dur := mon.now().Sub(t0)
-			st.records[i] = rec
-			if w != nil {
-				if err := w.append(runToLog(i, rec)); err != nil {
-					return executed, err
-				}
-			}
-			executed++
-			observe(i, rec, t0, dur)
-		}
-		return executed, nil
-	}
-	work := make(chan int64)
-	results := make(chan indexed, workers)
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				t0 := mon.now()
-				rec := st.runner.RunIndex(i)
-				results <- indexed{i: i, rec: rec, t0: t0, dur: mon.now().Sub(t0)}
-			}
-		}()
-	}
-	go func() {
-		defer close(work)
-		for _, i := range idxs {
-			select {
-			case work <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	var appendErr error
-	for r := range results {
-		st.records[r.i] = r.rec
-		if w != nil && appendErr == nil {
-			appendErr = w.append(runToLog(r.i, r.rec))
-		}
-		executed++
-		observe(r.i, r.rec, r.t0, r.dur)
-	}
-	return executed, appendErr
 }
 
 // complete reports whether shard si has every record.

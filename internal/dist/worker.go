@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/attr"
@@ -246,24 +245,7 @@ func (w *Worker) executeShard(ctx context.Context, lease LeaseResponse) (bool, e
 		span = w.cfg.Tracer.StartExact(fmt.Sprintf("shard %d", lease.Shard), sctx, root.SpanID)
 		w.traceCtx = sctx
 		exemplars = obs.NewInjectionSet(0)
-		// The observer runs concurrently from RunRange worker goroutines;
-		// InjectionSet is not self-locking, so serialize here.
-		var obsMu sync.Mutex
-		w.runner.SetSpanObserver(func(index int64, rec fi.Record, start time.Time, wall time.Duration) {
-			inj := campaign.NewInjection(lease.Shard, index, rec, start, wall)
-			obsMu.Lock()
-			exemplars.Observe(inj)
-			obsMu.Unlock()
-			obs.DefaultFlight().ObserveInjection(inj)
-			if w.cfg.Registry != nil {
-				w.cfg.Registry.Histogram("epvf_injection_latency_seconds", obs.LatencyBuckets,
-					"id", w.plan.ID, "stage", "dist", "outcome", rec.Outcome.String()).Observe(wall.Seconds())
-			}
-		})
-		defer func() {
-			w.runner.SetSpanObserver(nil)
-			w.traceCtx = obs.SpanContext{}
-		}()
+		defer func() { w.traceCtx = obs.SpanContext{} }()
 	}
 
 	stop := make(chan struct{})
@@ -274,7 +256,28 @@ func (w *Worker) executeShard(ctx context.Context, lease LeaseResponse) (bool, e
 	}()
 
 	t0 := time.Now()
-	records := w.runner.RunRange(lease.Lo, lease.Hi, w.cfg.Workers)
+	idxs := make([]int64, lease.Hi-lease.Lo)
+	for i := range idxs {
+		idxs[i] = lease.Lo + int64(i)
+	}
+	records := make([]fi.Record, len(idxs))
+	// A leased shard always drains in full: cancellation stops the lease
+	// loop, never a shard mid-way, and the callback never fails, so Run
+	// returns nil. The callback runs on this goroutine, so the exemplar
+	// set needs no lock.
+	_ = w.runner.Run(context.WithoutCancel(ctx), idxs, w.cfg.Workers, func(index int64, rec fi.Record, start time.Time, wall time.Duration) error {
+		records[index-lease.Lo] = rec
+		if span != nil {
+			inj := campaign.NewInjection(lease.Shard, index, rec, start, wall)
+			exemplars.Observe(inj)
+			obs.DefaultFlight().ObserveInjection(inj)
+			if w.cfg.Registry != nil {
+				w.cfg.Registry.Histogram("epvf_injection_latency_seconds", obs.LatencyBuckets,
+					"id", w.plan.ID, "stage", "dist", "outcome", rec.Outcome.String()).Observe(wall.Seconds())
+			}
+		}
+		return nil
+	})
 	close(stop)
 	<-beatDone
 

@@ -13,6 +13,7 @@
 package fi
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -148,7 +149,7 @@ type EngineStat struct {
 }
 
 // engineTally accumulates one engine's work under atomics (runs execute
-// concurrently from RunRange workers).
+// concurrently from Run's workers).
 type engineTally struct {
 	runs   atomic.Int64
 	events atomic.Int64
@@ -308,9 +309,11 @@ func TargetSeed(campaignSeed, index int64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Runner executes individual campaign runs by index with deterministic
-// per-index RNG streams. It is the batch-granular core that RunCampaign
-// wraps and that internal/campaign shards across workers and processes.
+// Runner executes campaign runs by index with deterministic per-index
+// RNG streams. RunIndex executes one run; Run is the one worker pool that
+// executes many, and RunCampaign, internal/campaign and the internal/dist
+// worker all drive their runs through it, reporting each record from its
+// callback.
 type Runner struct {
 	m       *ir.Module
 	golden  *interp.Result
@@ -319,18 +322,9 @@ type Runner struct {
 	// chain, when non-nil, supplies golden-path snapshots: runs restore
 	// the nearest snapshot at-or-below their injection event on the VM
 	// and execute only the delta. Enabled explicitly via EnableSnapshots —
-	// never by NewRunner, which is also called on the planning path where
-	// no runs execute.
+	// never by NewRunner, which also builds runners that execute no
+	// indexed runs (the targeted injections of MeasurePrecision).
 	chain *snapshot.Chain
-	// observer, when non-nil, receives every completed record (snapshot
-	// and scratch paths alike). It is invoked concurrently from RunRange
-	// workers and must be safe for concurrent use.
-	observer func(Record)
-	// spanObserver, when non-nil, additionally receives each run's index
-	// and timing — the injection-span hook tracing and the flight
-	// recorder ride on. Runs are only clocked when it is set, so the
-	// disabled path pays one nil check per run.
-	spanObserver func(index int64, rec Record, start time.Time, wall time.Duration)
 	// prog, when non-nil, is the bytecode-compiled module and runs
 	// injections on the VM engine; nil runs everything on the walker
 	// (Config.Engine == EngineWalker, or the module failed to compile).
@@ -338,21 +332,6 @@ type Runner struct {
 	// vmTally/walkerTally split executed work by the engine that ran it.
 	vmTally     engineTally
 	walkerTally engineTally
-}
-
-// SetObserver streams every subsequent record through fn — the hook the
-// attribution ledger uses to tally outcomes as runs complete. fn is
-// called from RunRange worker goroutines concurrently and must be safe
-// for that; set it before runs start. A nil fn disables streaming.
-func (r *Runner) SetObserver(fn func(Record)) { r.observer = fn }
-
-// SetSpanObserver streams (index, record, start, wall) for every
-// subsequent run — the hook dist workers and the flight recorder use for
-// per-injection latency exemplars and injection spans. Same concurrency
-// contract as SetObserver. A nil fn disables it (and the per-run clock
-// reads with it).
-func (r *Runner) SetSpanObserver(fn func(index int64, rec Record, start time.Time, wall time.Duration)) {
-	r.spanObserver = fn
 }
 
 // NewRunner validates the golden run and indexes its trace for sampling.
@@ -394,9 +373,6 @@ func (r *Runner) EngineStats() []EngineStat {
 	}
 	return out
 }
-
-// Sampler exposes the bit-population index (e.g. for TotalBits).
-func (r *Runner) Sampler() *Sampler { return r.sampler }
 
 // EnableSnapshots builds the golden-path snapshot chain so subsequent
 // RunIndex calls restore-and-replay on the VM instead of executing from
@@ -462,31 +438,18 @@ func (r *Runner) Draw(index int64) (Target, mem.Layout) {
 // (module, golden, Config.Seed/JitterWindow/FaultBits/HangFactor/Align,
 // index).
 func (r *Runner) RunIndex(index int64) Record {
-	var start time.Time
-	if r.spanObserver != nil {
-		start = time.Now()
-	}
 	tgt, layout := r.Draw(index)
-	var rec Record
 	if r.chain != nil {
-		rec = r.runSnapshot(tgt)
-	} else {
-		rec = r.runScratch(tgt, layout)
+		return r.runSnapshot(tgt)
 	}
-	if r.observer != nil {
-		r.observer(rec)
-	}
-	if r.spanObserver != nil {
-		r.spanObserver(index, rec, start, time.Since(start))
-	}
-	return rec
+	return r.runScratch(tgt, layout)
 }
 
 // RunTarget executes one injection into tgt from scratch on the runner's
 // engine, outside the plan's run indices — the targeted injections of the
 // precision and extension studies. Under layout jitter the run's layout is
 // drawn from rng (which may be nil without jitter); snapshots are never
-// used, and the observers are not called.
+// used.
 func (r *Runner) RunTarget(tgt Target, rng *rand.Rand) Record {
 	layout := mem.DefaultLayout()
 	if r.cfg.JitterWindow > 0 {
@@ -546,50 +509,79 @@ func (r *Runner) runSnapshot(tgt Target) Record {
 	return classify(r.golden, res, tgt)
 }
 
-// RunRange executes runs [lo, hi) across the given number of workers and
-// returns the records in index order. workers <= 1 runs serially; the
-// records are identical either way.
+// Run executes the given run indices on max(workers, 1) goroutines, in
+// OrderByEvent order (sorting idxs in place), and reports each finished run to done: its index,
+// record, start time and wall time. done is called once per executed
+// run, one call at a time, on the calling goroutine, so it needs no
+// locking. Cancelling ctx stops issuing runs; runs already issued still
+// finish and reach done, so a caller that logs from done never holds a
+// torn batch. The first error done returns also stops issuing runs and
+// is returned; runs still in flight then finish without being reported.
+// Records are keyed by index, so worker count and order never change
+// them.
+func (r *Runner) Run(ctx context.Context, idxs []int64, workers int, done func(index int64, rec Record, start time.Time, wall time.Duration) error) error {
+	type finished struct {
+		index int64
+		rec   Record
+		start time.Time
+		wall  time.Duration
+	}
+	idxs = r.OrderByEvent(idxs)
+	workers = max(1, min(workers, len(idxs)))
+	var next atomic.Int64
+	var failed atomic.Bool
+	// One slot per worker: a worker can finish a run while done is busy
+	// with an earlier one without waiting to hand it over.
+	results := make(chan finished, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for !failed.Load() && ctx.Err() == nil {
+				k := next.Add(1) - 1
+				if k >= int64(len(idxs)) {
+					return
+				}
+				start := time.Now()
+				rec := r.RunIndex(idxs[k])
+				results <- finished{idxs[k], rec, start, time.Since(start)}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+	var err error
+	for f := range results {
+		if err != nil {
+			continue
+		}
+		if err = done(f.index, f.rec, f.start, f.wall); err != nil {
+			failed.Store(true)
+		}
+	}
+	return err
+}
+
+// RunRange executes runs [lo, hi) on Run and returns the records in
+// index order.
 func (r *Runner) RunRange(lo, hi int64, workers int) []Record {
 	if hi <= lo {
 		return nil
 	}
+	idxs := make([]int64, hi-lo)
+	for i := range idxs {
+		idxs[i] = lo + int64(i)
+	}
 	out := make([]Record, hi-lo)
-	order := r.dispatchOrder(lo, hi)
-	if workers > len(out) {
-		workers = len(out)
-	}
-	if workers <= 1 {
-		for _, i := range order {
-			out[i-lo] = r.RunIndex(i)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int64)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i-lo] = r.RunIndex(i)
-			}
-		}()
-	}
-	for _, i := range order {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	// Neither cancelled nor failed by its callback, Run returns nil here.
+	_ = r.Run(context.Background(), idxs, workers, func(i int64, rec Record, _ time.Time, _ time.Duration) error {
+		out[i-lo] = rec
+		return nil
+	})
 	return out
-}
-
-// dispatchOrder returns the run indices of [lo, hi) in execution order.
-func (r *Runner) dispatchOrder(lo, hi int64) []int64 {
-	order := make([]int64, hi-lo)
-	for i := range order {
-		order[i] = lo + int64(i)
-	}
-	return r.OrderByEvent(order)
 }
 
 // OrderByEvent sorts run indices by their (deterministically drawn)
@@ -647,11 +639,7 @@ func RunCampaign(m *ir.Module, golden *interp.Result, cfg Config) (*Result, erro
 	if _, err := r.EnableSnapshots(snapshot.Config{}); err != nil {
 		return nil, err
 	}
-	workers := cfg.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	return r.Aggregate(r.RunRange(0, int64(cfg.Runs), workers)), nil
+	return r.Aggregate(r.RunRange(0, int64(cfg.Runs), cfg.Parallel)), nil
 }
 
 // MeasureRecall computes the crash-prediction recall (§IV-B): among

@@ -147,8 +147,8 @@ func (tr *SpanTree) Wall() time.Duration {
 }
 
 // Header is the one-line trace summary ("trace <id>: N spans across M
-// processes ...") that heads both renderings — and that trace_demo.sh
-// greps for.
+// processes ...") that heads both renderings — and that
+// cmd/campaign's TestCrossProcessTrace checks.
 func (tr *SpanTree) Header() string {
 	return fmt.Sprintf("trace %s: %d spans across %d processes (%s), %d orphans, wall %s",
 		tr.TraceID, tr.Spans, len(tr.Procs), strings.Join(tr.Procs, ", "),
