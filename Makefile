@@ -1,6 +1,6 @@
 # Tier-1 verification gate and convenience targets.
 
-.PHONY: check build test fmt vet gate-demo dash-demo
+.PHONY: check build test fmt vet gate-demo
 
 check:
 	./scripts/check.sh
@@ -12,14 +12,6 @@ check:
 # at least 5x faster.
 gate-demo:
 	./scripts/gate_demo.sh
-
-# dash-demo exercises the live telemetry surface end-to-end: a
-# worker-less coordinator stalls (alert fires, /healthz degrades, a
-# pprof bundle lands in the cache under obs-profile-v1), a worker joins
-# and the stall resolves; along the way it asserts /dashboard renders
-# well-formed HTML and /events streams at least one SSE event.
-dash-demo:
-	./scripts/dash_demo.sh
 
 build:
 	go build ./...

@@ -546,14 +546,13 @@ func runServe(args []string, out io.Writer) error {
 	})
 	defer mounted.Stop()
 	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
-		Plan:      plan,
-		GoldenDyn: golden.DynInstrs,
-		LogPath:   *logPath,
-		LeaseTTL:  *leaseTTL,
-		Registry:  reg,
-		Ledger:    ledger,
-		Tracer:    tracer,
-		Publish:   mounted.Publish,
+		Plan:     plan,
+		LogPath:  *logPath,
+		LeaseTTL: *leaseTTL,
+		Registry: reg,
+		Ledger:   ledger,
+		Tracer:   tracer,
+		Publish:  mounted.Publish,
 	})
 	if err != nil {
 		srv.Close()

@@ -10,11 +10,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"repro/internal/bench"
+	"repro/internal/campaign"
 	"repro/internal/epvf"
 	"repro/internal/fi"
 	"repro/internal/mem"
@@ -52,10 +55,14 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := fi.Config{
-		Runs: *runs, Seed: *seed, JitterWindow: *jitterPages * mem.PageSize,
+	plan, err := campaign.NewPlan(m, golden, campaign.PlanConfig{
+		Runs: *runs,
+		FI:   fi.Config{Seed: *seed, JitterWindow: *jitterPages * mem.PageSize},
+	})
+	if err != nil {
+		return err
 	}
-	camp, err := fi.RunCampaign(m, golden, cfg)
+	camp, err := campaign.Run(context.Background(), m, golden, plan, campaign.RunOptions{Workers: runtime.NumCPU()})
 	if err != nil {
 		return err
 	}
@@ -81,7 +88,7 @@ func run(args []string) error {
 	if *accuracy {
 		recall, rn := fi.MeasureRecall(camp.Records, analysis.CrashResult)
 		prec, pn := fi.MeasurePrecision(m, golden, analysis.CrashResult, *targeted,
-			fi.Config{Seed: *seed + 1, JitterWindow: cfg.JitterWindow})
+			fi.Config{Seed: *seed + 1, JitterWindow: plan.JitterWindow})
 		fmt.Printf("Crash-model recall:    %s (over %d crash runs)\n", report.Percent(recall), rn)
 		fmt.Printf("Crash-model precision: %s (over %d targeted injections)\n", report.Percent(prec), pn)
 	}

@@ -11,7 +11,9 @@
 //
 //	m, err := epvf.CompileMiniC("kernel", src)   // or epvf.Benchmark("mm", 1)
 //	res, err := epvf.Analyze(m)                  // PVF, ePVF, crash bits
-//	camp, err := epvf.Campaign(m, res.Golden, epvf.CampaignConfig{Runs: 3000})
+//	camp, err := epvf.Campaign(m, res.Golden, epvf.CampaignConfig{
+//		Runs: 3000, FI: epvf.InjectionConfig{Seed: 1},
+//	})
 //
 // Deeper control lives in the internal packages re-exported through the
 // type aliases below; see DESIGN.md for the architecture and
@@ -19,10 +21,13 @@
 package epvf
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"repro/internal/bench"
+	"repro/internal/campaign"
 	"repro/internal/ddg"
 	"repro/internal/epvf"
 	"repro/internal/fi"
@@ -47,9 +52,13 @@ type (
 	// RunResult is the outcome of one interpreted execution.
 	RunResult = interp.Result
 	// CampaignResult aggregates a fault-injection campaign.
-	CampaignResult = fi.Result
-	// CampaignConfig controls a fault-injection campaign.
-	CampaignConfig = fi.Config
+	CampaignResult = campaign.Result
+	// CampaignConfig controls a fault-injection campaign: its run count
+	// and, in FI, its injection parameters.
+	CampaignConfig = campaign.PlanConfig
+	// InjectionConfig holds the injection parameters of a campaign (seed,
+	// layout jitter, fault width, hang budget).
+	InjectionConfig = fi.Config
 	// Outcome classifies one fault-injection run.
 	Outcome = fi.Outcome
 	// Layout fixes the simulated process memory layout.
@@ -112,9 +121,14 @@ func Run(m *Module) (*RunResult, error) {
 // Campaign performs an LLFI-style fault-injection campaign against the
 // module: cfg.Runs single-bit register flips, each classified as crash,
 // SDC, hang, benign or detected. golden must come from Analyze (or any
-// recorded run of the same module).
+// recorded run of the same module). The campaign is planned and run in
+// memory on one worker per CPU; the records depend only on the plan.
 func Campaign(m *Module, golden *RunResult, cfg CampaignConfig) (*CampaignResult, error) {
-	return fi.RunCampaign(m, golden, cfg)
+	plan, err := campaign.NewPlan(m, golden, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return campaign.Run(context.Background(), m, golden, plan, campaign.RunOptions{Workers: runtime.NumCPU()})
 }
 
 // Accuracy reports how well the analysis predicts real crashes, in the
@@ -135,7 +149,7 @@ type Accuracy struct {
 // MeasureAccuracy evaluates the crash model against ground truth: recall
 // from the campaign's crash runs and precision from targeted injections
 // into predicted crash bits.
-func MeasureAccuracy(m *Module, res *Result, camp *CampaignResult, targeted int, cfg CampaignConfig) Accuracy {
+func MeasureAccuracy(m *Module, res *Result, camp *CampaignResult, targeted int, cfg InjectionConfig) Accuracy {
 	var acc Accuracy
 	acc.Recall, acc.RecallN = fi.MeasureRecall(camp.Records, res.Analysis.CrashResult)
 	acc.Precision, acc.PrecisionN = fi.MeasurePrecision(m, res.Golden, res.Analysis.CrashResult, targeted, cfg)

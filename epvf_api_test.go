@@ -41,14 +41,14 @@ func TestPublicWorkflow(t *testing.T) {
 		t.Errorf("metric ordering violated: PVF=%v ePVF=%v", a.PVF(), a.EPVF())
 	}
 
-	camp, err := epvf.Campaign(m, res.Golden, epvf.CampaignConfig{Runs: 200, Seed: 1})
+	camp, err := epvf.Campaign(m, res.Golden, epvf.CampaignConfig{Runs: 200, FI: epvf.InjectionConfig{Seed: 1}})
 	if err != nil {
 		t.Fatalf("Campaign: %v", err)
 	}
 	if camp.Rate(epvf.OutcomeCrash) == 0 {
 		t.Error("no crashes in 200 injections")
 	}
-	acc := epvf.MeasureAccuracy(m, res, camp, 60, epvf.CampaignConfig{Seed: 2})
+	acc := epvf.MeasureAccuracy(m, res, camp, 60, epvf.InjectionConfig{Seed: 2})
 	if acc.Recall < 0.7 || acc.Precision < 0.6 {
 		t.Errorf("accuracy implausibly low: %+v", acc)
 	}

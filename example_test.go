@@ -50,7 +50,7 @@ void main() {
   output(x);
 }`)
 	res, _ := epvf.Analyze(m)
-	camp, err := epvf.Campaign(m, res.Golden, epvf.CampaignConfig{Runs: 100, Seed: 42})
+	camp, err := epvf.Campaign(m, res.Golden, epvf.CampaignConfig{Runs: 100, FI: epvf.InjectionConfig{Seed: 42}})
 	if err != nil {
 		fmt.Println("campaign:", err)
 		return

@@ -27,7 +27,10 @@ func main() {
 	// instructions. JitterWindow shifts the heap/stack bases per run, the
 	// environmental nondeterminism that keeps the paper's accuracy below
 	// 100%.
-	cfg := epvf.CampaignConfig{Runs: 1500, Seed: 7, JitterWindow: 64 * 4096}
+	cfg := epvf.CampaignConfig{
+		Runs: 1500,
+		FI:   epvf.InjectionConfig{Seed: 7, JitterWindow: 64 * 4096},
+	}
 	camp, err := epvf.Campaign(m, res.Golden, cfg)
 	if err != nil {
 		log.Fatalf("campaign: %v", err)
@@ -38,7 +41,7 @@ func main() {
 		fmt.Printf("  %-8s %5.1f%%\n", o, 100*camp.Rate(o))
 	}
 
-	acc := epvf.MeasureAccuracy(m, res, camp, 300, cfg)
+	acc := epvf.MeasureAccuracy(m, res, camp, 300, cfg.FI)
 	fmt.Printf("\ncrash-model recall    : %.1f%% over %d crashes (paper: 89%% avg)\n",
 		100*acc.Recall, acc.RecallN)
 	fmt.Printf("crash-model precision : %.1f%% over %d targeted injections (paper: 92%% avg)\n",

@@ -82,7 +82,10 @@ func sdcRate(plan []int) float64 {
 	if err != nil {
 		log.Fatalf("golden run: %v", err)
 	}
-	camp, err := epvf.Campaign(m, res.Golden, epvf.CampaignConfig{Runs: runs, Seed: 99, JitterWindow: 64 * 4096})
+	camp, err := epvf.Campaign(m, res.Golden, epvf.CampaignConfig{
+		Runs: runs,
+		FI:   epvf.InjectionConfig{Seed: 99, JitterWindow: 64 * 4096},
+	})
 	if err != nil {
 		log.Fatalf("campaign: %v", err)
 	}

@@ -54,7 +54,7 @@ func main() {
 	// The crash-causing bits ePVF subtracts are exactly the bits whose
 	// corruption the crash model predicts to raise SIGSEGV — a quick
 	// fault-injection campaign confirms the estimate.
-	camp, err := epvf.Campaign(m, res.Golden, epvf.CampaignConfig{Runs: 500, Seed: 1})
+	camp, err := epvf.Campaign(m, res.Golden, epvf.CampaignConfig{Runs: 500, FI: epvf.InjectionConfig{Seed: 1}})
 	if err != nil {
 		log.Fatalf("campaign: %v", err)
 	}

@@ -1,6 +1,9 @@
 // Package campaign turns the in-memory fault-injection loop of internal/fi
 // into a durable, restartable, shardable job — the orchestration layer a
-// production-scale campaign service needs:
+// production-scale campaign service needs. Run drives every campaign that
+// runs in one process — the CLIs, the experiments and the public
+// epvf.Campaign, which runs its plan in memory; internal/dist workers run
+// their leased shards on the same fi.Runner.
 //
 //   - A Plan splits a campaign into deterministic shards whose identity is
 //     a content hash of (module IR, golden trace shape, configuration), so
@@ -41,8 +44,8 @@ type PlanConfig struct {
 	// ShardSize is the run count per shard; zero means DefaultShardSize.
 	ShardSize int
 	// FI carries the injection parameters (Seed, JitterWindow, FaultBits,
-	// HangFactor, Align). Runs and Parallel on it are ignored: the plan
-	// owns the run count and the engine owns worker scheduling.
+	// HangFactor, Align); the plan records all five. Its Engine is not
+	// part of the plan: RunOptions.Engine picks the engine per invocation.
 	FI fi.Config
 }
 
@@ -122,7 +125,6 @@ func contentHash(m *ir.Module, p *Plan) string {
 // FIConfig reconstructs the fi.Config the plan was built from.
 func (p *Plan) FIConfig() fi.Config {
 	return fi.Config{
-		Runs:         int(p.Runs),
 		Seed:         p.Seed,
 		JitterWindow: p.JitterWindow,
 		HangFactor:   p.HangFactor,

@@ -121,29 +121,21 @@ func TestShardGeometry(t *testing.T) {
 	}
 }
 
-func TestRunMatchesFiCampaign(t *testing.T) {
-	// The engine with no log and no stopping must agree bitwise with the
-	// legacy fi.RunCampaign wrapper.
-	g := golden(t, kernelSrc)
-	p := testPlan(t, g, 80, 32)
-	res, err := Run(context.Background(), g.Trace.Module, g, p, RunOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+func TestRateAndShares(t *testing.T) {
+	r := &Result{
+		Records:    make([]fi.Record, 10),
+		Counts:     map[fi.Outcome]int{fi.OutcomeCrash: 4, fi.OutcomeSDC: 1, fi.OutcomeBenign: 5},
+		CrashTypes: map[interp.ExcKind]int{interp.ExcSegFault: 3, interp.ExcArith: 1},
 	}
-	legacy, err := fi.RunCampaign(g.Trace.Module, g, p.FIConfig())
-	if err != nil {
-		t.Fatal(err)
+	if r.Rate(fi.OutcomeCrash) != 0.4 {
+		t.Error("Rate wrong")
 	}
-	if len(res.Records) != len(legacy.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(res.Records), len(legacy.Records))
+	if r.ExcTypeShare(interp.ExcSegFault) != 0.75 {
+		t.Error("ExcTypeShare wrong")
 	}
-	for i := range res.Records {
-		if res.Records[i] != legacy.Records[i] {
-			t.Fatalf("record %d differs between engine and fi.RunCampaign", i)
-		}
-	}
-	if !res.Complete {
-		t.Error("full campaign not marked complete")
+	empty := &Result{Counts: map[fi.Outcome]int{}, CrashTypes: map[interp.ExcKind]int{}}
+	if empty.Rate(fi.OutcomeCrash) != 0 || empty.ExcTypeShare(interp.ExcSegFault) != 0 {
+		t.Error("empty result rates must be zero")
 	}
 }
 
@@ -288,15 +280,14 @@ func TestAdaptiveStoppingSavesRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullFI, adFI := full.FIResult(), adaptive.FIResult()
 	for _, o := range []fi.Outcome{fi.OutcomeCrash, fi.OutcomeSDC} {
-		d := adFI.Rate(o) - fullFI.Rate(o)
+		d := adaptive.Rate(o) - full.Rate(o)
 		if d < 0 {
 			d = -d
 		}
 		if d > eps {
 			t.Errorf("outcome %v: adaptive estimate %.4f deviates from full %.4f by more than ε=%.2f",
-				o, adFI.Rate(o), fullFI.Rate(o), eps)
+				o, adaptive.Rate(o), full.Rate(o), eps)
 		}
 	}
 }
@@ -469,6 +460,57 @@ func TestMergeDedupesDuplicateShards(t *testing.T) {
 		if c < 0 || int64(c) > st.Done {
 			t.Fatalf("outcome %v count %d out of range", o, c)
 		}
+	}
+}
+
+// TestMergeReplacesOut: merging into an existing log, or into one of the
+// merge's own inputs, replaces that file with the merge instead of
+// appending a second header to it. Either way the result reads back
+// holding the union of the inputs' records.
+func TestMergeReplacesOut(t *testing.T) {
+	g := golden(t, kernelSrc)
+	p := testPlan(t, g, 100, 20)
+	dir := t.TempDir()
+	logA := filepath.Join(dir, "a.jsonl")
+	logB := filepath.Join(dir, "b.jsonl")
+	if _, err := Run(context.Background(), g.Trace.Module, g, p, RunOptions{LogPath: logA, Shards: []int{0, 2, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), g.Trace.Module, g, p, RunOptions{LogPath: logB, Shards: []int{1, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	mono, err := Run(context.Background(), g.Trace.Module, g, p, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdsUnion := func(path string) {
+		t.Helper()
+		rp, err := readLog(path)
+		if err != nil {
+			t.Fatalf("reading %s back: %v", filepath.Base(path), err)
+		}
+		if len(rp.Records) != len(mono.Records) {
+			t.Fatalf("%s holds %d records, want %d", filepath.Base(path), len(rp.Records), len(mono.Records))
+		}
+		for i, rec := range mono.Records {
+			if rp.Records[int64(i)] != rec {
+				t.Fatalf("%s: record %d = %+v, want %+v", filepath.Base(path), i, rp.Records[int64(i)], rec)
+			}
+		}
+	}
+	merged := filepath.Join(dir, "merged.jsonl")
+	for range 2 {
+		if _, err := MergeLogs(merged, []string{logA, logB}); err != nil {
+			t.Fatal(err)
+		}
+		holdsUnion(merged)
+	}
+	if _, err := MergeLogs(logB, []string{logA, logB}); err != nil {
+		t.Fatal(err)
+	}
+	holdsUnion(logB)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 3 {
+		t.Errorf("merges left %d files behind (%v), want a, b and merged", len(entries), err)
 	}
 }
 

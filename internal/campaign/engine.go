@@ -77,7 +77,6 @@ type Result struct {
 	Records    []fi.Record
 	Counts     map[fi.Outcome]int
 	CrashTypes map[interp.ExcKind]int
-	GoldenDyn  int64
 	// Executed counts runs performed by this invocation; Replayed counts
 	// runs recovered from the log.
 	Executed int64
@@ -96,15 +95,28 @@ type Result struct {
 	Elapsed     time.Duration
 }
 
-// FIResult converts to the legacy fi.Result shape every experiment
-// consumes.
-func (r *Result) FIResult() *fi.Result {
-	return &fi.Result{
-		Records:    r.Records,
-		Counts:     r.Counts,
-		CrashTypes: r.CrashTypes,
-		GoldenDyn:  r.GoldenDyn,
+// N returns the number of runs in the result. Callers that need to
+// distinguish "no runs" from "rate zero" check N() > 0 before trusting
+// Rate.
+func (r *Result) N() int { return len(r.Records) }
+
+// Rate returns the fraction of runs with the given outcome (zero for an
+// empty result; use N to tell the two apart).
+func (r *Result) Rate(o fi.Outcome) float64 {
+	if r.N() == 0 {
+		return 0
 	}
+	return float64(r.Counts[o]) / float64(r.N())
+}
+
+// ExcTypeShare returns the fraction of crashes with the given exception
+// kind — the rows of Table II.
+func (r *Result) ExcTypeShare(kind interp.ExcKind) float64 {
+	total := r.Counts[fi.OutcomeCrash]
+	if total == 0 {
+		return 0
+	}
+	return float64(r.CrashTypes[kind]) / float64(total)
 }
 
 // Run executes (or continues) the planned campaign. When opts.LogPath
@@ -352,7 +364,7 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 		}
 	}
 
-	res := st.result(golden.DynInstrs)
+	res := st.result()
 	res.Executed = executed
 	res.Replayed = replayed
 	res.Interrupted = interrupted
@@ -435,12 +447,11 @@ func (st *state) checkStop(epsilon float64, minRuns int64) {
 }
 
 // result snapshots the effective campaign outcome.
-func (st *state) result(goldenDyn int64) *Result {
+func (st *state) result() *Result {
 	res := &Result{
 		Plan:       st.plan,
 		Counts:     make(map[fi.Outcome]int),
 		CrashTypes: make(map[interp.ExcKind]int),
-		GoldenDyn:  goldenDyn,
 		Stopped:    st.stopped,
 		Saved:      st.saved,
 		Reason:     st.reason,

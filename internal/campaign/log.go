@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 
@@ -145,6 +146,12 @@ func openLog(path string, plan *Plan, fresh bool) (*logWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: opening log: %w", err)
 	}
+	return startLog(f, plan, fresh)
+}
+
+// startLog wraps f in a log writer, writing and syncing the plan header
+// first when the log is fresh. It closes f when it fails.
+func startLog(f *os.File, plan *Plan, fresh bool) (*logWriter, error) {
 	w := &logWriter{f: f, buf: bufio.NewWriterSize(f, 1<<16), lineEncoder: newLineEncoder()}
 	if fresh {
 		if err := w.append(logRecord{Kind: kindHeader, Plan: plan}); err != nil {
@@ -455,6 +462,10 @@ func (rp *replay) completeShards() []int {
 // identical plans must produce identical records; silent double-counting
 // is impossible either way. Returns the merged status.
 //
+// The merged log is written to a temporary file beside out, synced, and
+// renamed over out only once complete, so out may already exist or be
+// one of the inputs: either way it ends up holding exactly the merge.
+//
 // Attribution snapshots in the inputs are dropped rather than merged:
 // input logs may cover overlapping record sets, and a cached ledger says
 // nothing about which records produced it — `campaign attr` recomputes
@@ -464,14 +475,12 @@ func MergeLogs(out string, inputs []string) (*Status, error) {
 		return nil, fmt.Errorf("campaign: merge needs at least one input log")
 	}
 	var plan *Plan
-	merged := &replay{} // span accumulator: cross-input dedup by span ID
-	records := make(map[int64]fi.Record)
+	// merged accumulates the union; addSpans dedups spans across inputs.
+	merged := &replay{Records: make(map[int64]fi.Record)}
+	records := merged.Records
 	recordSrc := make(map[int64]string)
 	shardHashes := make(map[int]string)
 	shardSrc := make(map[int]string)
-	stopped := false
-	var saved int64
-	reason := ""
 	for _, in := range inputs {
 		rp, err := readLog(in)
 		if err != nil {
@@ -512,48 +521,61 @@ func MergeLogs(out string, inputs []string) (*Status, error) {
 			recordSrc[idx] = in
 		}
 		if rp.Stopped {
-			stopped = true
-			saved = rp.Saved
-			reason = rp.Reason
+			merged.Stopped = true
+			merged.Saved = rp.Saved
+			merged.Reason = rp.Reason
 		}
 		merged.addSpans(rp.Spans)
 	}
-	w, err := openLog(out, plan, true)
+	merged.Plan = plan
+	f, err := os.CreateTemp(filepath.Dir(out), filepath.Base(out)+".tmp-")
+	if err != nil {
+		return nil, fmt.Errorf("campaign: merge: %w", err)
+	}
+	defer os.Remove(f.Name()) // fails harmlessly once renamed over out
+	w, err := startLog(f, plan, true)
 	if err != nil {
 		return nil, err
 	}
-	idxs := make([]int64, 0, len(records))
-	for idx := range records {
+	err = merged.writeTo(w)
+	if cerr := w.close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), out)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ReadStatus(out)
+}
+
+// writeTo appends a merge's body to a log whose header is written: the
+// runs in index order, the complete shards, the stop decision if any
+// input carried one, and the deduplicated spans.
+func (rp *replay) writeTo(w *logWriter) error {
+	idxs := make([]int64, 0, len(rp.Records))
+	for idx := range rp.Records {
 		idxs = append(idxs, idx)
 	}
 	slices.Sort(idxs)
 	for _, idx := range idxs {
-		if err := w.append(runToLog(idx, records[idx])); err != nil {
-			w.close()
-			return nil, err
+		if err := w.append(runToLog(idx, rp.Records[idx])); err != nil {
+			return err
 		}
 	}
-	done := &replay{Plan: plan, Records: records}
-	for _, s := range done.completeShards() {
+	for _, s := range rp.completeShards() {
 		if err := w.append(logRecord{Kind: kindShardDone, Shard: s}); err != nil {
-			w.close()
-			return nil, err
+			return err
 		}
 	}
-	if stopped {
-		if err := w.append(logRecord{Kind: kindStop, Done: int64(len(records)), Saved: saved, Reason: reason}); err != nil {
-			w.close()
-			return nil, err
+	if rp.Stopped {
+		if err := w.append(logRecord{Kind: kindStop, Done: int64(len(rp.Records)), Saved: rp.Saved, Reason: rp.Reason}); err != nil {
+			return err
 		}
 	}
-	if len(merged.Spans) > 0 {
-		if err := w.appendSpans(merged.Spans); err != nil {
-			w.close()
-			return nil, err
-		}
+	if len(rp.Spans) > 0 {
+		return w.appendSpans(rp.Spans)
 	}
-	if err := w.close(); err != nil {
-		return nil, err
-	}
-	return ReadStatus(out)
+	return nil
 }

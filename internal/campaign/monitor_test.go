@@ -96,7 +96,7 @@ func TestProgressNoDivisionHazards(t *testing.T) {
 
 // TestMonitorServesCampaignStatus is the acceptance flow: a campaign run
 // with a Monitor bound to a registry serves /metrics and a /campaign JSON
-// view whose outcome tallies match the final fi.Result exactly.
+// view whose outcome tallies match the final Result exactly.
 func TestMonitorServesCampaignStatus(t *testing.T) {
 	g := golden(t, kernelSrc)
 	p := testPlan(t, g, 120, 30)
@@ -130,19 +130,18 @@ func TestMonitorServesCampaignStatus(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/campaign JSON: %v\n%s", err, body)
 	}
-	want := res.FIResult()
 	if st.ID != p.ID || st.Done != p.Runs || st.Replayed != 50 || st.Executed != 70 {
 		t.Errorf("status header: %+v", st)
 	}
 	for _, o := range st.Outcomes {
 		var oc fi.Outcome
-		for k, c := range want.Counts {
+		for k, c := range res.Counts {
 			if k.String() == o.Outcome {
 				oc, _ = k, c
 			}
 		}
-		if int(o.Count) != want.Counts[oc] {
-			t.Errorf("outcome %s: /campaign says %d, fi.Result says %d", o.Outcome, o.Count, want.Counts[oc])
+		if int(o.Count) != res.Counts[oc] {
+			t.Errorf("outcome %s: /campaign says %d, Result says %d", o.Outcome, o.Count, res.Counts[oc])
 		}
 	}
 	if st.ShardsComplete != p.NumShards() {
@@ -159,8 +158,8 @@ func TestMonitorServesCampaignStatus(t *testing.T) {
 	if got := snap.Counter("epvf_campaign_runs_total", "id", p.ID); got != p.Runs {
 		t.Errorf("registry run tally = %d, want %d", got, p.Runs)
 	}
-	if got := snap.Counter("epvf_campaign_runs_total", "id", p.ID, "outcome", "crash"); got != int64(want.Counts[fi.OutcomeCrash]) {
-		t.Errorf("registry crash tally = %d, want %d", got, want.Counts[fi.OutcomeCrash])
+	if got := snap.Counter("epvf_campaign_runs_total", "id", p.ID, "outcome", "crash"); got != int64(res.Counts[fi.OutcomeCrash]) {
+		t.Errorf("registry crash tally = %d, want %d", got, res.Counts[fi.OutcomeCrash])
 	}
 	if n := reg.Histogram("epvf_campaign_run_seconds", nil, "id", p.ID).Count(); n != 70 {
 		t.Errorf("run-latency histogram has %d samples, want 70 (executed this invocation)", n)

@@ -176,7 +176,7 @@ func (l *DurableLog) Close() error { return l.w.close() }
 // set (the dist coordinator's merge), using the same tallying path as the
 // in-process engine — the merged result of a distributed campaign is
 // therefore bit-identical to a single-process run of the same plan.
-func Assemble(plan *Plan, records map[int64]fi.Record, goldenDyn int64) *Result {
+func Assemble(plan *Plan, records map[int64]fi.Record) *Result {
 	st := &state{plan: plan, records: records}
-	return st.result(goldenDyn)
+	return st.result()
 }

@@ -27,7 +27,7 @@ func noJitterPlan(t *testing.T, g *interp.Result, runs, shard int) *Plan {
 // scratchResult executes every run of plan on a scratch fi.Runner — one
 // that never enabled snapshots — on the given engine: the reference the
 // engine's identity tests compare against.
-func scratchResult(t *testing.T, g *interp.Result, plan *Plan, engine string) *fi.Result {
+func scratchResult(t *testing.T, g *interp.Result, plan *Plan, engine string) *Result {
 	t.Helper()
 	cfg := plan.FIConfig()
 	cfg.Engine = engine
@@ -35,7 +35,11 @@ func scratchResult(t *testing.T, g *interp.Result, plan *Plan, engine string) *f
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.Aggregate(r.RunRange(0, plan.Runs, 4))
+	records := make(map[int64]fi.Record, plan.Runs)
+	for i, rec := range r.RunRange(0, plan.Runs, 4) {
+		records[int64(i)] = rec
+	}
+	return Assemble(plan, records)
 }
 
 // TestEngineSnapshotMatchesScratch: a plan executed by Run, which restores

@@ -31,10 +31,6 @@ const defaultPollWait = 500 * time.Millisecond
 type CoordinatorConfig struct {
 	// Plan is the shard plan being distributed.
 	Plan *campaign.Plan
-	// GoldenDyn is the golden run's dynamic instruction count, carried
-	// into the merged Result (workers validate the full golden trace
-	// against the plan themselves).
-	GoldenDyn int64
 	// LogPath, when non-empty, makes the merge durable: completed shards
 	// append to a standard campaign JSONL log, and a restarted
 	// coordinator resumes with those shards already done. Empty keeps the
@@ -224,7 +220,7 @@ func (c *Coordinator) Result() (*campaign.Result, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return campaign.Assemble(c.cfg.Plan, c.records, c.cfg.GoldenDyn), nil
+	return campaign.Assemble(c.cfg.Plan, c.records), nil
 }
 
 // finishRoot ends the campaign root span (once) and persists it, so the

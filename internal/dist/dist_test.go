@@ -107,11 +107,10 @@ func TestDistributedCampaignSurvivesWorkerCrash(t *testing.T) {
 	reg := obs.NewRegistry()
 	logPath := filepath.Join(t.TempDir(), "merged.jsonl")
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Plan:      plan,
-		GoldenDyn: g.DynInstrs,
-		LogPath:   logPath,
-		LeaseTTL:  300 * time.Millisecond,
-		Registry:  reg,
+		Plan:     plan,
+		LogPath:  logPath,
+		LeaseTTL: 300 * time.Millisecond,
+		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +217,7 @@ func TestCoordinatorRestartResumesFromDurableLog(t *testing.T) {
 	plan := testPlan(t, g, 120, 30)
 	logPath := filepath.Join(t.TempDir(), "merged.jsonl")
 
-	first, err := NewCoordinator(CoordinatorConfig{Plan: plan, GoldenDyn: g.DynInstrs, LogPath: logPath})
+	first, err := NewCoordinator(CoordinatorConfig{Plan: plan, LogPath: logPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +259,7 @@ func TestCoordinatorRestartResumesFromDurableLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second, err := NewCoordinator(CoordinatorConfig{Plan: plan, GoldenDyn: g.DynInstrs, LogPath: logPath, LeaseTTL: time.Second})
+	second, err := NewCoordinator(CoordinatorConfig{Plan: plan, LogPath: logPath, LeaseTTL: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +304,7 @@ func TestStaleWorkerRejected(t *testing.T) {
 	// handshake before contributing anything.
 	g := golden(t, kernelSrc)
 	plan := testPlan(t, g, 50, 25)
-	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan, GoldenDyn: g.DynInstrs})
+	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +350,7 @@ func TestWorkerDrainFinishesInFlightShard(t *testing.T) {
 	// it is holding (no lost work) and then stop leasing.
 	g := golden(t, kernelSrc)
 	plan := testPlan(t, g, 100, 20)
-	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan, GoldenDyn: g.DynInstrs, LeaseTTL: 5 * time.Second})
+	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan, LeaseTTL: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +421,7 @@ func (c *cancelAfterLease) RoundTrip(req *http.Request) (*http.Response, error) 
 func TestWorkerExitsCleanlyWhenCoordinatorGone(t *testing.T) {
 	g := golden(t, kernelSrc)
 	plan := testPlan(t, g, 20, 20)
-	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan, GoldenDyn: g.DynInstrs, LeaseTTL: time.Minute})
+	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan, LeaseTTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +478,7 @@ func TestDuplicateDeliveryDedupes(t *testing.T) {
 	g := golden(t, kernelSrc)
 	plan := testPlan(t, g, 40, 20)
 	reg := obs.NewRegistry()
-	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan, GoldenDyn: g.DynInstrs, Registry: reg})
+	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,10 +575,9 @@ func TestLedgerBitIdenticalAcrossFabric(t *testing.T) {
 	}
 
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Plan:      plan,
-		GoldenDyn: g.DynInstrs,
-		LeaseTTL:  300 * time.Millisecond,
-		Ledger:    attr.NewLedger(cls),
+		Plan:     plan,
+		LeaseTTL: 300 * time.Millisecond,
+		Ledger:   attr.NewLedger(cls),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -653,7 +651,7 @@ func TestLedgerDedupeRejectAndRestart(t *testing.T) {
 	cls := testClassifier(t, g)
 	logPath := filepath.Join(t.TempDir(), "merged.jsonl")
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Plan: plan, GoldenDyn: g.DynInstrs, LogPath: logPath, Ledger: attr.NewLedger(cls),
+		Plan: plan, LogPath: logPath, Ledger: attr.NewLedger(cls),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -724,7 +722,7 @@ func TestLedgerDedupeRejectAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	second, err := NewCoordinator(CoordinatorConfig{
-		Plan: plan, GoldenDyn: g.DynInstrs, LogPath: logPath, Ledger: attr.NewLedger(cls),
+		Plan: plan, LogPath: logPath, Ledger: attr.NewLedger(cls),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -752,12 +750,11 @@ func TestTraceSurvivesRequeueAndRedelivery(t *testing.T) {
 	ctr.SetProc("coordinator")
 	logPath := filepath.Join(t.TempDir(), "merged.jsonl")
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Plan:      plan,
-		GoldenDyn: g.DynInstrs,
-		LogPath:   logPath,
-		LeaseTTL:  300 * time.Millisecond,
-		Registry:  reg,
-		Tracer:    ctr,
+		Plan:     plan,
+		LogPath:  logPath,
+		LeaseTTL: 300 * time.Millisecond,
+		Registry: reg,
+		Tracer:   ctr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -962,7 +959,7 @@ func TestLargeSpanBatchKeepsLogReadable(t *testing.T) {
 	g := golden(t, kernelSrc)
 	plan := testPlan(t, g, 100, 25)
 	logPath := filepath.Join(t.TempDir(), "merged.jsonl")
-	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan, GoldenDyn: g.DynInstrs, LogPath: logPath})
+	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan, LogPath: logPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -998,7 +995,7 @@ func TestLargeSpanBatchKeepsLogReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second, err := NewCoordinator(CoordinatorConfig{Plan: plan, GoldenDyn: g.DynInstrs, LogPath: logPath})
+	second, err := NewCoordinator(CoordinatorConfig{Plan: plan, LogPath: logPath})
 	if err != nil {
 		t.Fatalf("restart on the log: %v", err)
 	}

@@ -59,7 +59,7 @@ func TestBadRecordRejectedBeforeLog(t *testing.T) {
 	g := golden(t, kernelSrc)
 	plan := testPlan(t, g, 40, 20)
 	logPath := filepath.Join(t.TempDir(), "merged.jsonl")
-	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan, GoldenDyn: g.DynInstrs, LogPath: logPath})
+	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan, LogPath: logPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestBadRecordRejectedBeforeLog(t *testing.T) {
 	if err := coord.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	second, err := NewCoordinator(CoordinatorConfig{Plan: plan, GoldenDyn: g.DynInstrs, LogPath: logPath})
+	second, err := NewCoordinator(CoordinatorConfig{Plan: plan, LogPath: logPath})
 	if err != nil {
 		t.Fatalf("restart from the log: %v", err)
 	}
@@ -109,7 +109,7 @@ func FuzzResultsBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shard int, body []byte) {
 		logPath := filepath.Join(t.TempDir(), "merged.jsonl")
 		coord, err := NewCoordinator(CoordinatorConfig{
-			Plan: plan, GoldenDyn: g.DynInstrs, LogPath: logPath, Ledger: attr.NewLedger(cls),
+			Plan: plan, LogPath: logPath, Ledger: attr.NewLedger(cls),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fi"
 	"repro/internal/ir"
 	"repro/internal/lang"
+	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -110,11 +111,23 @@ func TestPaperInjectionClaimsHold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		camp, err := fi.RunCampaign(p.m, golden, fi.Config{Runs: runs, Seed: seed, Parallel: 2})
+		// internal/campaign imports this package through internal/attr,
+		// so the campaign runs on its runner directly, as campaign.Run would.
+		r, err := fi.NewRunner(p.m, golden, fi.Config{Seed: seed})
 		if err != nil {
 			t.Fatalf("%s: campaign: %v", p.name, err)
 		}
-		sdc := stats.Proportion{Successes: camp.Counts[fi.OutcomeSDC], N: camp.N()}
+		if _, err := r.EnableSnapshots(snapshot.Config{}); err != nil {
+			t.Fatalf("%s: campaign: %v", p.name, err)
+		}
+		records := r.RunRange(0, runs, 2)
+		sdcRuns := 0
+		for _, rec := range records {
+			if rec.Outcome == fi.OutcomeSDC {
+				sdcRuns++
+			}
+		}
+		sdc := stats.Proportion{Successes: sdcRuns, N: len(records)}
 		if sdc.Rate() > a.EPVF()+sdc.HalfWidth() {
 			t.Errorf("%s: SDC rate %.3f exceeds ePVF %.3f + %.3f", p.name, sdc.Rate(), a.EPVF(), sdc.HalfWidth())
 		}
@@ -122,7 +135,7 @@ func TestPaperInjectionClaimsHold(t *testing.T) {
 		if n == 0 || precision < 0.7 {
 			t.Errorf("%s: precision %.3f over %d targeted injections, want >= 0.7", p.name, precision, n)
 		}
-		recall, crashes := fi.MeasureRecall(camp.Records, a.CrashResult)
+		recall, crashes := fi.MeasureRecall(records, a.CrashResult)
 		t.Logf("%s: SDC %.3f (ePVF %.3f + %.3f), precision %.3f, recall %.3f over %d crashes",
 			p.name, sdc.Rate(), a.EPVF(), sdc.HalfWidth(), precision, recall, crashes)
 		if !table4[p.name] {

@@ -210,9 +210,8 @@ func AblationJitter(s *Suite, pages []uint64) (*AblationJitterResult, error) {
 		return nil, err
 	}
 	for _, p := range pages {
-		camp, err := fi.RunCampaign(r.Module, r.Golden, fi.Config{
-			Runs: s.Cfg.Runs, Seed: s.Cfg.Seed + 13, JitterWindow: p * 4096,
-			Parallel: s.Cfg.Parallel,
+		camp, err := s.runCampaign(fmt.Sprintf("%s-jitter%d", r.Bench.Name, p), r.Module, r.Golden, fi.Config{
+			Seed: s.Cfg.Seed + 13, JitterWindow: p * 4096,
 		})
 		if err != nil {
 			return nil, err

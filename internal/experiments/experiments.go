@@ -99,7 +99,7 @@ type BenchResult struct {
 	Module   *ir.Module
 	Golden   *interp.Result
 	Analysis *epvf.Analysis
-	Campaign *fi.Result
+	Campaign *campaign.Result
 }
 
 // Suite lazily computes and caches per-benchmark results so the individual
@@ -136,7 +136,7 @@ func (s *Suite) Bench(b *bench.Benchmark) (*BenchResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: analyzing %s: %w", b.Name, err)
 	}
-	camp, err := s.runCampaign(b.Name, m, golden)
+	camp, err := s.runCampaign(b.Name, m, golden, fi.Config{Seed: s.Cfg.Seed, JitterWindow: s.Cfg.Jitter})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: campaign on %s: %w", b.Name, err)
 	}
@@ -159,20 +159,19 @@ func (s *Suite) store() (*cache.Store, error) {
 	return s.cstore, s.storeErr
 }
 
-// runCampaign drives the benchmark's fault-injection campaign through the
-// internal/campaign engine. With CampaignDir set the campaign is durable:
-// a cached log for the same plan (same module, trace and config, per the
-// plan's content hash) is replayed instead of re-injecting, a freshly
-// completed campaign is stored back, and an interrupted invocation
-// leaves a work file the next one resumes from.
-func (s *Suite) runCampaign(name string, m *ir.Module, golden *interp.Result) (*fi.Result, error) {
+// runCampaign drives one Cfg.Runs-run fault-injection campaign with the
+// injection parameters icfg through the internal/campaign engine; name
+// labels it in the plan and its work file. Every experiment campaign runs
+// here. With CampaignDir set the campaign is durable: a cached log for the
+// same plan (same module, trace and config, per the plan's content hash)
+// is replayed instead of re-injecting, a freshly completed campaign is
+// stored back, and an interrupted invocation leaves a work file the next
+// one resumes from.
+func (s *Suite) runCampaign(name string, m *ir.Module, golden *interp.Result, icfg fi.Config) (*campaign.Result, error) {
 	plan, err := campaign.NewPlan(m, golden, campaign.PlanConfig{
 		Benchmark: name,
 		Runs:      s.Cfg.Runs,
-		FI: fi.Config{
-			Seed:         s.Cfg.Seed,
-			JitterWindow: s.Cfg.Jitter,
-		},
+		FI:        icfg,
 	})
 	if err != nil {
 		return nil, err
@@ -217,7 +216,7 @@ func (s *Suite) runCampaign(name string, m *ir.Module, golden *interp.Result) (*
 		}
 		os.Remove(workPath)
 	}
-	return res.FIResult(), nil
+	return res, nil
 }
 
 // ForEach runs fn over the configured benchmark suite in order.

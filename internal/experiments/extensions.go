@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -37,9 +38,8 @@ func ExtMultiBit(s *Suite) (*ExtMultiBitResult, error) {
 	res := &ExtMultiBitResult{}
 	err := s.ForEach(func(r *BenchResult) error {
 		for _, bits := range []int{1, 2, 4} {
-			camp, err := fi.RunCampaign(r.Module, r.Golden, fi.Config{
-				Runs: s.Cfg.Runs, Seed: s.Cfg.Seed + 21, JitterWindow: s.Cfg.Jitter,
-				FaultBits: bits, Parallel: s.Cfg.Parallel,
+			camp, err := s.runCampaign(fmt.Sprintf("%s-%dbit", r.Bench.Name, bits), r.Module, r.Golden, fi.Config{
+				Seed: s.Cfg.Seed + 21, JitterWindow: s.Cfg.Jitter, FaultBits: bits,
 			})
 			if err != nil {
 				return err

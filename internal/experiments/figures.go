@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/bench"
+	"repro/internal/campaign"
 	"repro/internal/epvf"
 	"repro/internal/fi"
 	"repro/internal/interp"
@@ -481,7 +482,7 @@ func Fig13(s *Suite) (*Fig13Result, error) {
 		epvfSel := protect.Plan(protect.RankByEPVF(per), per, r.Golden.DynInstrs, s.Cfg.OverheadBudget)
 		densSel := protect.Plan(protect.RankByEPVFDensity(per), per, r.Golden.DynInstrs, s.Cfg.OverheadBudget)
 
-		variant := func(ids []int) (*fi.Result, float64, error) {
+		variant := func(label string, ids []int) (*campaign.Result, float64, error) {
 			m, err := b.Module(s.Cfg.CaseStudyScale)
 			if err != nil {
 				return nil, 0, err
@@ -498,9 +499,8 @@ func Fig13(s *Suite) (*Fig13Result, error) {
 			if golden.Exception != nil || golden.Hang {
 				return nil, 0, fmt.Errorf("protected golden run of %s failed: %v", b.Name, golden.Exception)
 			}
-			camp, err := fi.RunCampaign(m, golden, fi.Config{
-				Runs: s.Cfg.Runs, Seed: s.Cfg.Seed + 3, JitterWindow: s.Cfg.Jitter,
-				Parallel: s.Cfg.Parallel,
+			camp, err := s.runCampaign(b.Name+"-"+label, m, golden, fi.Config{
+				Seed: s.Cfg.Seed + 3, JitterWindow: s.Cfg.Jitter,
 			})
 			if err != nil {
 				return nil, 0, err
@@ -508,19 +508,19 @@ func Fig13(s *Suite) (*Fig13Result, error) {
 			return camp, float64(golden.DynInstrs), nil
 		}
 
-		baseCamp, baseDyn, err := variant(nil)
+		baseCamp, baseDyn, err := variant("base", nil)
 		if err != nil {
 			return nil, err
 		}
-		hotCamp, hotDyn, err := variant(protect.IDsOf(hotSel))
+		hotCamp, hotDyn, err := variant("hot", protect.IDsOf(hotSel))
 		if err != nil {
 			return nil, err
 		}
-		epvfCamp, epvfDyn, err := variant(protect.IDsOf(epvfSel))
+		epvfCamp, epvfDyn, err := variant("epvf", protect.IDsOf(epvfSel))
 		if err != nil {
 			return nil, err
 		}
-		densCamp, densDyn, err := variant(protect.IDsOf(densSel))
+		densCamp, densDyn, err := variant("dens", protect.IDsOf(densSel))
 		if err != nil {
 			return nil, err
 		}

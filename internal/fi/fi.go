@@ -88,10 +88,12 @@ type Record struct {
 	Exc interp.ExcKind
 }
 
-// Config controls a campaign.
+// Config holds a campaign's injection parameters: how each run's target
+// and layout are drawn and how the run executes. How many runs a campaign
+// has and how many workers execute them are not injection parameters:
+// campaign.PlanConfig owns the run count and Runner.Run's caller the
+// worker count.
 type Config struct {
-	// Runs is the number of injections.
-	Runs int
 	// Seed seeds target sampling and layout jitter.
 	Seed int64
 	// JitterWindow shifts segment bases per run by a random page-aligned
@@ -104,12 +106,6 @@ type Config struct {
 	// targeted register; zero or one selects the paper's single-bit model
 	// (§II-E), larger values exercise the multi-bit extension.
 	FaultBits int
-	// Parallel is the number of worker goroutines executing injection
-	// runs (the trivial parallelism §VI-A of the paper points out). Zero
-	// or one runs serially. Campaign results are identical regardless of
-	// parallelism: every run's RNG stream is derived from (Seed, run
-	// index) via TargetSeed, independent of scheduling order.
-	Parallel int
 	// Align is the alignment-trap policy; zero means the interpreter
 	// default.
 	Align interp.AlignPolicy
@@ -175,31 +171,6 @@ func (t *engineTally) stat(name string) EngineStat {
 		s.EventsPerSec = float64(s.Events) / s.Seconds
 	}
 	return s
-}
-
-// Result aggregates a campaign.
-type Result struct {
-	Records []Record
-	// Counts tallies outcomes.
-	Counts map[Outcome]int
-	// CrashTypes tallies exception kinds among crashes.
-	CrashTypes map[interp.ExcKind]int
-	// GoldenDyn is the golden run's dynamic instruction count.
-	GoldenDyn int64
-}
-
-// N returns the number of runs in the result. Callers that need to
-// distinguish "no runs" from "rate zero" check N() > 0 before trusting
-// Rate.
-func (r *Result) N() int { return len(r.Records) }
-
-// Rate returns the fraction of runs with the given outcome (zero for an
-// empty result; use N to tell the two apart).
-func (r *Result) Rate(o Outcome) float64 {
-	if r.N() == 0 {
-		return 0
-	}
-	return float64(r.Counts[o]) / float64(r.N())
 }
 
 // Sampler draws injection targets uniformly over the register-bit
@@ -311,9 +282,10 @@ func TargetSeed(campaignSeed, index int64) int64 {
 
 // Runner executes campaign runs by index with deterministic per-index
 // RNG streams. RunIndex executes one run; Run is the one worker pool that
-// executes many, and RunCampaign, internal/campaign and the internal/dist
-// worker all drive their runs through it, reporting each record from its
-// callback.
+// executes many. internal/campaign and the internal/dist worker drive
+// their runs through it and take each record from its callback; RunRange
+// collects a range of records, one at a time or on Run's workers, for
+// tests that need a reference.
 type Runner struct {
 	m       *ir.Module
 	golden  *interp.Result
@@ -609,39 +581,6 @@ func (r *Runner) OrderByEvent(idxs []int64) []int64 {
 	return idxs
 }
 
-// Aggregate tallies records into a campaign Result.
-func (r *Runner) Aggregate(records []Record) *Result {
-	out := &Result{
-		Records:    records,
-		Counts:     make(map[Outcome]int),
-		CrashTypes: make(map[interp.ExcKind]int),
-		GoldenDyn:  r.golden.DynInstrs,
-	}
-	for _, rec := range records {
-		out.Counts[rec.Outcome]++
-		if rec.Outcome == OutcomeCrash {
-			out.CrashTypes[rec.Exc]++
-		}
-	}
-	return out
-}
-
-// RunCampaign performs cfg.Runs bit-uniform injections into the module and
-// aggregates the outcomes. golden must be a recorded run of the same
-// module. It is a thin wrapper over Runner: each run's RNG stream is
-// derived from (cfg.Seed, run index), so the same configuration yields the
-// same records under any cfg.Parallel setting.
-func RunCampaign(m *ir.Module, golden *interp.Result, cfg Config) (*Result, error) {
-	r, err := NewRunner(m, golden, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := r.EnableSnapshots(snapshot.Config{}); err != nil {
-		return nil, err
-	}
-	return r.Aggregate(r.RunRange(0, int64(cfg.Runs), cfg.Parallel)), nil
-}
-
 // MeasureRecall computes the crash-prediction recall (§IV-B): among
 // campaign runs that actually crashed, the fraction whose (register, bit)
 // target appears in the model's CRASHING_BIT_LIST. Only hardware crashes
@@ -711,16 +650,6 @@ func MeasurePrecision(m *ir.Module, golden *interp.Result, prop *rangeprop.Resul
 		}
 	}
 	return float64(crashed) / float64(len(targets)), len(targets)
-}
-
-// ExcTypeShare returns the fraction of crashes with the given exception
-// kind — the rows of Table II.
-func (r *Result) ExcTypeShare(kind interp.ExcKind) float64 {
-	total := r.Counts[OutcomeCrash]
-	if total == 0 {
-		return 0
-	}
-	return float64(r.CrashTypes[kind]) / float64(total)
 }
 
 // FailureOutcomes lists the outcome kinds in reporting order.

@@ -9,9 +9,11 @@ import (
 	"repro/internal/ddg"
 	"repro/internal/epvf"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/mem"
 	"repro/internal/rangeprop"
+	"repro/internal/snapshot"
 )
 
 const kernelSrc = `
@@ -40,6 +42,45 @@ func golden(t *testing.T, src string) *interp.Result {
 		t.Fatalf("golden exception: %v", res.Exception)
 	}
 	return res
+}
+
+// tally is a campaign's records with their outcome and crash-kind counts.
+type tally struct {
+	Records    []Record
+	Counts     map[Outcome]int
+	CrashTypes map[interp.ExcKind]int
+}
+
+func tallyOf(recs []Record) *tally {
+	c := &tally{Records: recs, Counts: make(map[Outcome]int), CrashTypes: make(map[interp.ExcKind]int)}
+	for _, rec := range recs {
+		c.Counts[rec.Outcome]++
+		if rec.Outcome == OutcomeCrash {
+			c.CrashTypes[rec.Exc]++
+		}
+	}
+	return c
+}
+
+// rate returns the fraction of runs with outcome o.
+func (c *tally) rate(o Outcome) float64 {
+	return float64(c.Counts[o]) / float64(len(c.Records))
+}
+
+// runCampaign executes runs [0, runs) of cfg the way a campaign does,
+// restoring snapshots wherever cfg allows them, on the given number of
+// workers, and tallies the records. internal/campaign, which drives real
+// campaigns, imports this package, so its tests cannot call it.
+func runCampaign(t *testing.T, m *ir.Module, g *interp.Result, cfg Config, runs int64, workers int) *tally {
+	t.Helper()
+	r, err := NewRunner(m, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.EnableSnapshots(snapshot.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	return tallyOf(r.RunRange(0, runs, workers))
 }
 
 func TestSamplerUniformOverBits(t *testing.T) {
@@ -102,10 +143,7 @@ func TestSamplerWidthWeighting(t *testing.T) {
 func TestCampaignOutcomesPartition(t *testing.T) {
 	g := golden(t, kernelSrc)
 	m := g.Trace.Module
-	res, err := RunCampaign(m, g, Config{Runs: 200, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCampaign(t, m, g, Config{Seed: 3}, 200, 1)
 	if len(res.Records) != 200 {
 		t.Fatalf("records = %d", len(res.Records))
 	}
@@ -136,11 +174,11 @@ func TestSegFaultsDominateCrashes(t *testing.T) {
 	// The Table II phenomenon: segmentation faults are the dominant crash
 	// cause.
 	g := golden(t, kernelSrc)
-	res, err := RunCampaign(g.Trace.Module, g, Config{Runs: 300, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
+	res := runCampaign(t, g.Trace.Module, g, Config{Seed: 4}, 300, 1)
+	if res.Counts[OutcomeCrash] == 0 {
+		t.Fatal("no crashes in 300 injections")
 	}
-	if share := res.ExcTypeShare(interp.ExcSegFault); share < 0.9 {
+	if share := float64(res.CrashTypes[interp.ExcSegFault]) / float64(res.Counts[OutcomeCrash]); share < 0.9 {
 		t.Errorf("segfault share = %.2f, want >= 0.9", share)
 	}
 }
@@ -148,36 +186,12 @@ func TestSegFaultsDominateCrashes(t *testing.T) {
 func TestCampaignDeterminism(t *testing.T) {
 	g := golden(t, kernelSrc)
 	m := g.Trace.Module
-	r1, err := RunCampaign(m, g, Config{Runs: 60, Seed: 9, JitterWindow: 64 * mem.PageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RunCampaign(m, g, Config{Runs: 60, Seed: 9, JitterWindow: 64 * mem.PageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := runCampaign(t, m, g, Config{Seed: 9, JitterWindow: 64 * mem.PageSize}, 60, 1)
+	r2 := runCampaign(t, m, g, Config{Seed: 9, JitterWindow: 64 * mem.PageSize}, 60, 1)
 	for i := range r1.Records {
 		if r1.Records[i] != r2.Records[i] {
 			t.Fatalf("record %d differs between identical campaigns", i)
 		}
-	}
-}
-
-func TestRateAndShares(t *testing.T) {
-	r := &Result{
-		Records:    make([]Record, 10),
-		Counts:     map[Outcome]int{OutcomeCrash: 4, OutcomeSDC: 1, OutcomeBenign: 5},
-		CrashTypes: map[interp.ExcKind]int{interp.ExcSegFault: 3, interp.ExcArith: 1},
-	}
-	if r.Rate(OutcomeCrash) != 0.4 {
-		t.Error("Rate wrong")
-	}
-	if r.ExcTypeShare(interp.ExcSegFault) != 0.75 {
-		t.Error("ExcTypeShare wrong")
-	}
-	empty := &Result{Counts: map[Outcome]int{}, CrashTypes: map[interp.ExcKind]int{}}
-	if empty.Rate(OutcomeCrash) != 0 || empty.ExcTypeShare(interp.ExcSegFault) != 0 {
-		t.Error("empty result rates must be zero")
 	}
 }
 
@@ -190,10 +204,7 @@ func analysisOf(t *testing.T, g *interp.Result) *rangeprop.Result {
 func TestRecallHighOnDeterministicLayout(t *testing.T) {
 	g := golden(t, kernelSrc)
 	prop := analysisOf(t, g)
-	res, err := RunCampaign(g.Trace.Module, g, Config{Runs: 300, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCampaign(t, g.Trace.Module, g, Config{Seed: 5}, 300, 1)
 	recall, crashes := MeasureRecall(res.Records, prop)
 	if crashes < 30 {
 		t.Fatalf("too few crashes to measure recall: %d", crashes)
@@ -244,12 +255,9 @@ func TestModelCrashRateTracksFIRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCampaign(m, g, Config{Runs: 300, Seed: 11, JitterWindow: 64 * mem.PageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCampaign(t, m, g, Config{Seed: 11, JitterWindow: 64 * mem.PageSize}, 300, 1)
 	modelRate := a.CrashRate()
-	fiRate := res.Rate(OutcomeCrash)
+	fiRate := res.rate(OutcomeCrash)
 	if diff := modelRate - fiRate; diff > 0.15 || diff < -0.15 {
 		t.Errorf("model crash rate %.3f vs FI crash rate %.3f: gap too large", modelRate, fiRate)
 	}
@@ -268,10 +276,7 @@ void main() {
   output(s);
 }`
 	g := golden(t, src)
-	res, err := RunCampaign(g.Trace.Module, g, Config{Runs: 300, Seed: 12, HangFactor: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCampaign(t, g.Trace.Module, g, Config{Seed: 12, HangFactor: 3}, 300, 1)
 	if res.Counts[OutcomeHang] == 0 {
 		t.Log("no hangs observed (acceptable but unusual at HangFactor=3)")
 	}
@@ -287,8 +292,8 @@ void main() {
 func TestRunCampaignRequiresTrace(t *testing.T) {
 	g := golden(t, kernelSrc)
 	bare := &interp.Result{Outputs: g.Outputs, DynInstrs: g.DynInstrs}
-	if _, err := RunCampaign(g.Trace.Module, bare, Config{Runs: 1}); err == nil {
-		t.Error("campaign without a golden trace must fail")
+	if _, err := NewRunner(g.Trace.Module, bare, Config{}); err == nil {
+		t.Error("a runner without a golden trace must fail")
 	}
 }
 
@@ -304,14 +309,8 @@ func TestOutcomeString(t *testing.T) {
 func TestParallelCampaignDeterministic(t *testing.T) {
 	g := golden(t, kernelSrc)
 	m := g.Trace.Module
-	serial, err := RunCampaign(m, g, Config{Runs: 80, Seed: 13, JitterWindow: 64 * mem.PageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunCampaign(m, g, Config{Runs: 80, Seed: 13, JitterWindow: 64 * mem.PageSize, Parallel: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runCampaign(t, m, g, Config{Seed: 13, JitterWindow: 64 * mem.PageSize}, 80, 1)
+	parallel := runCampaign(t, m, g, Config{Seed: 13, JitterWindow: 64 * mem.PageSize}, 80, 8)
 	if len(serial.Records) != len(parallel.Records) {
 		t.Fatal("record counts differ")
 	}
@@ -345,15 +344,12 @@ func TestRunnerIndexIndependence(t *testing.T) {
 	// campaigns rely on.
 	g := golden(t, kernelSrc)
 	m := g.Trace.Module
-	cfg := Config{Runs: 40, Seed: 17, JitterWindow: 64 * mem.PageSize}
+	cfg := Config{Seed: 17, JitterWindow: 64 * mem.PageSize}
 	r, err := NewRunner(m, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunCampaign(m, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := runCampaign(t, m, g, cfg, 40, 1)
 	batch := r.RunRange(10, 20, 4)
 	for i, rec := range batch {
 		if rec != full.Records[10+i] {
@@ -365,22 +361,18 @@ func TestRunnerIndexIndependence(t *testing.T) {
 	}
 }
 
-func TestRunnerAggregateMatchesCampaign(t *testing.T) {
+func TestRunnerBatchesMatchCampaign(t *testing.T) {
 	g := golden(t, kernelSrc)
 	m := g.Trace.Module
-	cfg := Config{Runs: 50, Seed: 19}
+	cfg := Config{Seed: 19}
 	r, err := NewRunner(m, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Execute the same index range in two disjoint batches, out of order,
-	// and aggregate: counts must match the monolithic campaign.
-	recs := append(r.RunRange(25, 50, 3), r.RunRange(0, 25, 2)...)
-	agg := r.Aggregate(recs)
-	full, err := RunCampaign(m, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// and tally: counts must match the monolithic campaign.
+	agg := tallyOf(append(r.RunRange(25, 50, 3), r.RunRange(0, 25, 2)...))
+	full := runCampaign(t, m, g, cfg, 50, 1)
 	for _, o := range FailureOutcomes {
 		if agg.Counts[o] != full.Counts[o] {
 			t.Errorf("outcome %v: batched count %d != campaign count %d",
@@ -392,10 +384,7 @@ func TestRunnerAggregateMatchesCampaign(t *testing.T) {
 func TestMultiBitCampaign(t *testing.T) {
 	g := golden(t, kernelSrc)
 	m := g.Trace.Module
-	res, err := RunCampaign(m, g, Config{Runs: 150, Seed: 14, FaultBits: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCampaign(t, m, g, Config{Seed: 14, FaultBits: 2}, 150, 1)
 	multi := 0
 	for _, r := range res.Records {
 		if r.Target.Mask != 0 && bits.OnesCount64(r.Target.Mask) == 2 {

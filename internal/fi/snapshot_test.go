@@ -28,21 +28,18 @@ void main() {
 `
 
 // TestSnapshotCampaignMatchesScratch is the campaign-level bit-identity
-// contract: RunCampaign, which restores snapshots, returns exactly the
+// contract: a campaign, which restores snapshots, returns exactly the
 // records and tallies of a scratch runner (one that never enabled them).
 func TestSnapshotCampaignMatchesScratch(t *testing.T) {
 	g := golden(t, snapKernelSrc)
 	m := g.Trace.Module
-	cfg := Config{Runs: 150, Seed: 11, Parallel: 4}
-	snap, err := RunCampaign(m, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Seed: 11}
+	snap := runCampaign(t, m, g, cfg, 150, 4)
 	r, err := NewRunner(m, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := r.Aggregate(r.RunRange(0, int64(cfg.Runs), 4))
+	scratch := tallyOf(r.RunRange(0, 150, 4))
 	if len(snap.Records) != len(scratch.Records) {
 		t.Fatalf("record counts differ: %d vs %d", len(snap.Records), len(scratch.Records))
 	}
@@ -66,7 +63,7 @@ func TestSnapshotCampaignMatchesScratch(t *testing.T) {
 func TestSnapshotSpeedupInEvents(t *testing.T) {
 	g := golden(t, snapKernelSrc)
 	m := g.Trace.Module
-	r, err := NewRunner(m, g, Config{Runs: 150, Seed: 11})
+	r, err := NewRunner(m, g, Config{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +87,11 @@ func TestSnapshotSpeedupInEvents(t *testing.T) {
 
 // TestSnapshotsRefusedUnderJitter: per-run layout jitter draws a fresh
 // address space per run, so a golden-layout snapshot cannot seed it;
-// EnableSnapshots must decline and RunCampaign must fall back to scratch.
+// EnableSnapshots must decline and a campaign must fall back to scratch.
 func TestSnapshotsRefusedUnderJitter(t *testing.T) {
 	g := golden(t, snapKernelSrc)
 	m := g.Trace.Module
-	r, err := NewRunner(m, g, Config{Runs: 10, Seed: 1, JitterWindow: 1 << 20})
+	r, err := NewRunner(m, g, Config{Seed: 1, JitterWindow: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +103,7 @@ func TestSnapshotsRefusedUnderJitter(t *testing.T) {
 		t.Fatal("snapshots must be refused under layout jitter")
 	}
 	// The default-on campaign path must silently run scratch.
-	res, err := RunCampaign(m, g, Config{Runs: 10, Seed: 1, JitterWindow: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCampaign(t, m, g, Config{Seed: 1, JitterWindow: 1 << 20}, 10, 1)
 	if len(res.Records) != 10 {
 		t.Fatalf("records = %d", len(res.Records))
 	}
@@ -140,7 +134,7 @@ func TestSnapshotParallelDeterministic(t *testing.T) {
 	m := g.Trace.Module
 	var base []Record
 	for _, workers := range []int{1, 4} {
-		r, err := NewRunner(m, g, Config{Runs: 80, Seed: 5})
+		r, err := NewRunner(m, g, Config{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,15 +1,31 @@
 package protect
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/campaign"
 	"repro/internal/epvf"
 	"repro/internal/fi"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
 )
+
+// runCampaign plans and runs an in-memory campaign of runs injections.
+func runCampaign(t *testing.T, m *ir.Module, golden *interp.Result, runs int, cfg fi.Config) *campaign.Result {
+	t.Helper()
+	plan, err := campaign.NewPlan(m, golden, campaign.PlanConfig{Runs: runs, FI: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := campaign.Run(context.Background(), m, golden, plan, campaign.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 const kernelSrc = `
 void main() {
@@ -141,10 +157,7 @@ func TestProtectionDetectsInjectedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fi.RunCampaign(m, gp, fi.Config{Runs: 400, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCampaign(t, m, gp, 400, fi.Config{Seed: 21})
 	if res.Counts[fi.OutcomeDetected] == 0 {
 		t.Error("no faults detected by the duplication checks in 400 injections")
 	}
@@ -159,10 +172,7 @@ func TestProtectionReducesSDCRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseFI, err := fi.RunCampaign(base, g, fi.Config{Runs: 500, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseFI := runCampaign(t, base, g, 500, fi.Config{Seed: 31})
 	per := a.PerInstruction()
 	sel := Plan(RankByEPVF(per), per, g.DynInstrs, 0.24)
 	prot := b.MustModule(1)
@@ -176,10 +186,7 @@ func TestProtectionReducesSDCRate(t *testing.T) {
 	if gp.Exception != nil {
 		t.Fatalf("protected golden run failed: %v", gp.Exception)
 	}
-	protFI, err := fi.RunCampaign(prot, gp, fi.Config{Runs: 500, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
+	protFI := runCampaign(t, prot, gp, 500, fi.Config{Seed: 31})
 	baseSDC := baseFI.Rate(fi.OutcomeSDC)
 	protSDC := protFI.Rate(fi.OutcomeSDC)
 	t.Logf("SDC rate: baseline %.3f -> protected %.3f (detected %.3f)",

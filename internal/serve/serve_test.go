@@ -22,13 +22,13 @@ import (
 )
 
 // startDaemon runs a daemon on a free port with a disk cache in dir.
-func startDaemon(t *testing.T, dir string) *Server {
+func startDaemon(t testing.TB, dir string) *Server {
 	t.Helper()
 	return startDaemonConfig(t, Config{CacheDir: dir})
 }
 
 // startDaemonConfig runs a daemon configured by cfg on a free port.
-func startDaemonConfig(t *testing.T, cfg Config) *Server {
+func startDaemonConfig(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
 	s, err := New(cfg)
@@ -350,8 +350,9 @@ func TestStageHeaderAllTiers(t *testing.T) {
 
 // TestBadRequestStageHeader: error replies carry the stage header too,
 // reporting unresolved — a truncated IR body (cut mid-module) and a
-// truncated JSON envelope both come back 400, never a silent hang or
-// an unheadered error.
+// truncated JSON envelope both come back 400, and a module that parses
+// but has no main 422, never a silent hang, a 500 or an unheadered
+// error.
 func TestBadRequestStageHeader(t *testing.T) {
 	s := startDaemon(t, t.TempDir())
 	full := benchIR(t, "mm")
@@ -359,19 +360,25 @@ func TestBadRequestStageHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noMain, err := json.Marshal(AnalyzeRequest{IR: "define void @f() {\nentry:\n  ret void\n}\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, body string
+		status     int
 	}{
-		{"truncated IR text", string(truncatedIR)},
-		{"truncated JSON body", `{"ir": "define`},
-		{"empty IR", `{"ir": ""}`},
+		{"truncated IR text", string(truncatedIR), http.StatusBadRequest},
+		{"truncated JSON body", `{"ir": "define`, http.StatusBadRequest},
+		{"empty IR", `{"ir": ""}`, http.StatusBadRequest},
+		{"no main", string(noMain), http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp := rawAnalyze(t, s.Addr(), tc.body)
 		got := resp.Header.Get(StageHeader)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
 		if got != StageUnresolved {
 			t.Errorf("%s: %s = %q, want %q", tc.name, StageHeader, got, StageUnresolved)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -179,7 +180,8 @@ func spanHeader(w http.ResponseWriter, sp *obs.Span) {
 // content, and answer from the summary cache or else run the analysis
 // (composed from cached section profiles on an incremental daemon).
 // Concurrent requests for the same module share one computation via the
-// store's singleflight.
+// store's singleflight. A body that does not decode or parse is a 400; a
+// module that parses but cannot be analyzed is a 422.
 func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -218,17 +220,21 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 	data, hit, err := s.store.GetOrFill(KindSummary, modHash, func() ([]byte, error) {
 		sum, st, secs, err := s.analyze(m)
 		if err != nil {
-			return nil, err
+			return nil, unanalyzable{err}
 		}
 		stage, sections = st, secs
 		return json.Marshal(sum)
 	})
 	if err != nil {
 		sp.End()
-		s.countRequest("analyze", "error")
-		s.observeStage(StageUnresolved, "error", t0)
+		outcome, code := "error", http.StatusInternalServerError
+		if errors.As(err, new(unanalyzable)) {
+			outcome, code = "bad_request", http.StatusUnprocessableEntity
+		}
+		s.countRequest("analyze", outcome)
+		s.observeStage(StageUnresolved, outcome, t0)
 		w.Header().Set(StageHeader, StageUnresolved)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), code)
 		return
 	}
 	if hit || stage == "" {
@@ -260,6 +266,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(reply)
 }
+
+// unanalyzable marks an analysis failure of a module that parsed: no
+// main, a main that takes parameters, or a defect only execution finds.
+// The module is the client's, so the reply is 422, not 500; a failure to
+// store the result stays a 500.
+type unanalyzable struct{ error }
 
 func boolCounter(b bool) int64 {
 	if b {

@@ -32,6 +32,10 @@ go build ./...
 echo "== go test"
 go test ./...
 
+# ./cmd/campaign/... carries the end-to-end checks of the CLIs' live
+# surfaces: TestCrossProcessTrace (one span tree across processes) and
+# TestDashboardStallFiresAndResolves (alert fire, /healthz degrade,
+# profile capture and resolve on a coordinator's dashboard).
 echo "== go test -race (obs + ts + alert + dashboard + campaign + dist + snapshot + mem + fi + attr + cache + inc + serve + vm + rangeprop + trace + traced CLIs)"
 go test -race ./internal/obs/... ./internal/obs/ts/... ./internal/obs/alert/... \
     ./internal/dashboard/... ./internal/campaign/... ./internal/dist/... \
