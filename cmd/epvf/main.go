@@ -4,11 +4,10 @@
 //
 // Usage:
 //
-//	epvf -bench mm [-scale 1] [-sample 0.1] [-per-instr 10] [-classes]
+//	epvf -bench mm [-scale 1] [-sample 0.1] [-per-instr 10] [-classes] [-depth N]
 //	epvf -src kernel.c
-//	epvf -bench mm -incremental [-cache-dir DIR] [-depth N]
-//	epvf diff [-cache-dir DIR] [-depth N] old.c new.c
-//	epvf gate -bench mm -budget 0.24 [-threshold T] [-cache-dir DIR] [-depth N]
+//	epvf diff [-depth N] old.c new.c
+//	epvf gate -bench mm -budget 0.24 [-threshold T] [-depth N]
 //	epvf serve [-addr host:port] [-cache-dir DIR] [-cache-mem-mb N] [-trace-out spans.jsonl]
 //	epvf -bench mm -server host:port [-trace-out spans.jsonl]
 //
@@ -16,16 +15,15 @@
 // IR over HTTP, keys every pipeline stage by content hash, and serves
 // cached summaries, campaign logs and attribution snapshots
 // (plus /metrics, /healthz and pprof) until SIGINT. `-server` makes the
-// analysis a client call against such a daemon — the printed report is
-// byte-identical to a local run (use `-timing=false` to drop the
-// run-dependent timing rows when diffing).
+// analysis a client call against such a daemon, which analyzes at the
+// default depth — the printed report is byte-identical to a local run
+// without `-depth` (use `-timing=false` to drop the run-dependent timing
+// rows when diffing).
 //
-// `-incremental` composes the analysis from per-function section
-// profiles cached in `-cache-dir` (internal/inc): stdout stays
-// byte-identical to a plain run while only edited functions re-analyze.
-// `epvf diff` reports which sections an edit invalidated and the
-// per-function ePVF movement; `epvf gate` is the protect→re-verify
-// resilience regression gate (fails non-zero past `-threshold`).
+// `epvf diff` analyzes two versions of a program and reports which
+// functions the edit changed and the per-function ePVF movement; `epvf
+// gate` is the protect→re-verify resilience regression gate (fails
+// non-zero past `-threshold`). Both run one plain analysis per version.
 //
 // `-obs-addr host:port` serves /metrics and /debug/pprof while the
 // analysis runs; `-trace-out spans.jsonl` records per-phase spans (wall
@@ -93,7 +91,6 @@ func runServe(ctx context.Context, args []string, announce func(addr string)) er
 	cacheDir := fs.String("cache-dir", "", "disk cache directory (results survive restarts; empty keeps them in memory only)")
 	memMB := fs.Int("cache-mem-mb", 64, "memory-tier cache budget in MiB")
 	traceOut := fs.String("trace-out", "", "additionally stream every handling span to this JSONL file")
-	incremental := fs.Bool("incremental", false, "enable the incremental stage tier: compose analyses from cached per-function section profiles (internal/inc)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -128,7 +125,6 @@ func runServe(ctx context.Context, args []string, announce func(addr string)) er
 		CacheMemBytes: int64(*memMB) << 20,
 		Registry:      reg,
 		Tracer:        tracer,
-		Incremental:   *incremental,
 	})
 	if err != nil {
 		return err
@@ -160,7 +156,7 @@ func run(args []string) error {
 	perFunc := fs.Bool("per-func", false, "print the per-function vulnerability breakdown")
 	classes := fs.Bool("classes", false, "print the bit-class census (crash-predicted / ACE / unACE bits per dynamic definition)")
 	printIR := fs.Bool("print-ir", false, "dump the compiled IR before analyzing")
-	printSrc := fs.Bool("print-src", false, "print the benchmark's MiniC source and exit (for editing: epvf diff, make gate-demo)")
+	printSrc := fs.Bool("print-src", false, "print the benchmark's MiniC source and exit (for editing: epvf diff, epvf gate -src)")
 	saveTrace := fs.String("save-trace", "", "save the recorded golden trace to this file")
 	loadTrace := fs.String("load-trace", "", "analyze a previously saved trace instead of re-profiling")
 	dotFile := fs.String("dot", "", "write a Graphviz rendering of the DDG prefix to this file")
@@ -169,13 +165,11 @@ func run(args []string) error {
 	traceOut := fs.String("trace-out", "", "record phase spans to this JSONL file and print the phase summary")
 	server := fs.String("server", "", "analysis daemon address (see `epvf serve`); the result comes from its content-addressed cache")
 	timing := fs.Bool("timing", true, "include the analysis timing rows (disable for byte-stable reports across runs)")
-	incremental := fs.Bool("incremental", false, "compose the analysis from per-function section profiles (internal/inc); stdout stays byte-identical to a plain run, the section accounting goes to stderr")
-	cacheDir := fs.String("cache-dir", "", "section-cache directory for -incremental (empty keeps profiles in memory for this run only)")
-	depth := fs.Int("depth", 0, "propagation walk depth (0 = default, negative = unbounded)")
+	depth := fs.Int("depth", 0, "propagation walk depth (0 = default, negative = unbounded); local analysis only")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := incEpvfConfig(*depth)
+	cfg := epvfConfig(*depth)
 
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()
@@ -238,11 +232,9 @@ func run(args []string) error {
 	var sum *serve.Summary
 	var a *epvf.Analysis
 	if *server != "" {
-		if *sample > 0 || *saveTrace != "" || *loadTrace != "" || *dotFile != "" {
-			return fmt.Errorf("-sample, -save-trace, -load-trace and -dot need a local analysis; drop them or remove -server")
-		}
-		if *incremental {
-			return fmt.Errorf("-incremental is a local analysis mode; drop it or remove -server (the daemon has its own incremental tier, `epvf serve`)")
+		// The daemon analyzes at the default depth only.
+		if *sample > 0 || *saveTrace != "" || *loadTrace != "" || *dotFile != "" || *depth != 0 {
+			return fmt.Errorf("-sample, -save-trace, -load-trace, -dot and -depth need a local analysis; drop them or remove -server")
 		}
 		// With tracing on, the request runs under a local root span whose
 		// context travels in the Traceparent header; the daemon's handling
@@ -277,22 +269,8 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			if *incremental {
-				r, err := analyzeIncremental(nil, tr, *cacheDir, cfg)
-				if err != nil {
-					return err
-				}
-				a, dynInstrs = r.Analysis, r.DynInstrs
-			} else {
-				a = epvf.AnalyzeTrace(tr, cfg)
-				dynInstrs = tr.NumEvents()
-			}
-		} else if *incremental {
-			r, err := analyzeIncremental(m, nil, *cacheDir, cfg)
-			if err != nil {
-				return err
-			}
-			a, dynInstrs = r.Analysis, r.DynInstrs
+			a = epvf.AnalyzeTrace(tr, cfg)
+			dynInstrs = tr.NumEvents()
 		} else {
 			var golden *interp.Result
 			a, golden, err = epvf.AnalyzeModule(m, cfg)

@@ -3,14 +3,16 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
+	"repro/internal/epvf"
 	"repro/internal/obs"
+	"repro/internal/protect"
 )
 
 func TestLoadModuleBench(t *testing.T) {
@@ -193,6 +195,7 @@ func TestClientModeRejectsLocalOnlyFlags(t *testing.T) {
 		{"-save-trace", "x.trace"},
 		{"-load-trace", "x.trace"},
 		{"-dot", "g.dot"},
+		{"-depth", "-1"},
 	} {
 		args := append([]string{"-server", addr, "-bench", "lud"}, extra...)
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "local analysis") {
@@ -255,31 +258,6 @@ func TestClientModeBadServer(t *testing.T) {
 	}
 }
 
-// TestIncrementalByteIdenticalToPlain is the CLI acceptance check: for
-// every Table-IV kernel, `epvf -incremental` must print exactly what a
-// plain local run prints — cold (filling the section cache) and warm
-// (composing entirely from it).
-func TestIncrementalByteIdenticalToPlain(t *testing.T) {
-	kernels := bench.Paper10()
-	if testing.Short() {
-		kernels = kernels[:2]
-	}
-	dir := t.TempDir()
-	for _, b := range kernels {
-		args := []string{"-bench", b.Name, "-timing=false", "-classes", "-per-func", "-per-instr", "3"}
-		inc := append([]string{"-incremental", "-cache-dir", dir}, args...)
-		plain := captureStdout(t, func() error { return run(args) })
-		cold := captureStdout(t, func() error { return run(inc) })
-		warm := captureStdout(t, func() error { return run(inc) })
-		if cold != plain {
-			t.Errorf("%s: cold incremental output differs from plain:\n--- plain ---\n%s\n--- incremental ---\n%s", b.Name, plain, cold)
-		}
-		if warm != plain {
-			t.Errorf("%s: warm incremental output differs from plain:\n--- plain ---\n%s\n--- incremental ---\n%s", b.Name, plain, warm)
-		}
-	}
-}
-
 // writeDiffPair writes two versions of a two-worker program where the
 // edit touches only function f.
 func writeDiffPair(t *testing.T) (oldPath, newPath string) {
@@ -320,20 +298,28 @@ int main() {
 
 func TestDiffCmd(t *testing.T) {
 	oldPath, newPath := writeDiffPair(t)
-	out := captureStdout(t, func() error {
-		return runDiff([]string{"-cache-dir", t.TempDir(), oldPath, newPath})
-	})
-	if !strings.Contains(out, "1 recomputed ([f])") {
-		t.Errorf("diff did not pin the recompute to section f:\n%s", out)
+	out := captureStdout(t, func() error { return runDiff([]string{oldPath, newPath}) })
+	for fn, want := range map[string]string{"f": "changed", "g": "unchanged", "main": "unchanged"} {
+		if row := diffRow(out, fn); row == nil || row[len(row)-1] != want {
+			t.Errorf("row %s = %v, want Changed %q:\n%s", fn, row, want, out)
+		}
 	}
 	if !strings.Contains(out, "module ePVF:") {
 		t.Errorf("diff missing module delta line:\n%s", out)
 	}
-	for _, fn := range []string{"f ", "g ", "main "} {
-		if !strings.Contains(out, fn) {
-			t.Errorf("diff table missing row for %q:\n%s", fn, out)
+	if !strings.Contains(out, "functions: 1 changed ([f])") {
+		t.Errorf("diff did not pin the edit to function f:\n%s", out)
+	}
+}
+
+// diffRow returns the fields of the diff table row for function name.
+func diffRow(out, name string) []string {
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 5 && f[0] == name {
+			return f
 		}
 	}
+	return nil
 }
 
 func TestDiffCmdUsage(t *testing.T) {
@@ -344,28 +330,61 @@ func TestDiffCmdUsage(t *testing.T) {
 }
 
 func TestGateCmd(t *testing.T) {
-	dir := t.TempDir()
 	// Report-only (no threshold): exits zero, prints the delta.
 	out := captureStdout(t, func() error {
-		return runGate([]string{"-bench", "lud", "-budget", "0.24", "-cache-dir", dir})
+		return runGate([]string{"-bench", "lud", "-budget", "0.24"})
 	})
 	if !strings.Contains(out, "gate: REPORT") || !strings.Contains(out, "analysis seconds") {
 		t.Errorf("gate report output:\n%s", out)
 	}
-	// A generous pinned threshold passes; warm sections reuse.
+	// A generous pinned threshold passes.
 	out = captureStdout(t, func() error {
-		return runGate([]string{"-bench", "lud", "-budget", "0.24", "-threshold", "0.99", "-cache-dir", dir})
+		return runGate([]string{"-bench", "lud", "-budget", "0.24", "-threshold", "0.99"})
 	})
 	if !strings.Contains(out, "gate: PASS") {
 		t.Errorf("gate pass output:\n%s", out)
 	}
-	if !strings.Contains(out, "reused") || strings.Contains(out, "0 reused") {
-		t.Errorf("warm gate did not reuse sections:\n%s", out)
-	}
 	// A tight threshold is a regression: non-zero (error) exit.
-	if err := runGate([]string{"-bench", "lud", "-budget", "0.24", "-threshold", "0.01", "-cache-dir", dir}); err == nil ||
+	if err := runGate([]string{"-bench", "lud", "-budget", "0.24", "-threshold", "0.01"}); err == nil ||
 		!strings.Contains(err.Error(), "regression") {
 		t.Errorf("tight threshold: err = %v, want ePVF regression", err)
+	}
+}
+
+// TestGateMatchesAnalyzeModule checks gate's two ePVF lines against
+// plain analyses of the baseline module and of the module protected by
+// the plan gate prints.
+func TestGateMatchesAnalyzeModule(t *testing.T) {
+	for _, name := range []string{"lud", "nw"} {
+		out := captureStdout(t, func() error { return runGate([]string{"-bench", name}) })
+		m, err := loadModule(name, "", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, golden, err := epvf.AnalyzeModule(m, epvf.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := base.PerInstruction()
+		plan := protect.Plan(protect.RankByEPVF(per), per, golden.DynInstrs, 0.24)
+		if !strings.Contains(out, fmt.Sprintf("gate: protecting %d instructions", len(plan))) {
+			t.Errorf("%s: gate protected a different plan than %d instructions:\n%s", name, len(plan), out)
+		}
+		if err := protect.ApplyByID(m, protect.IDsOf(plan)); err != nil {
+			t.Fatal(err)
+		}
+		prot, _, err := epvf.AnalyzeModule(m, epvf.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf("gate: baseline ePVF %.6f ", base.EPVF()),
+			fmt.Sprintf("gate: protected ePVF %.6f ", prot.EPVF()),
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: gate output lacks %q:\n%s", name, want, out)
+			}
+		}
 	}
 }
 

@@ -167,26 +167,15 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 	}
 	var w *logWriter
 	if opts.LogPath != "" {
-		rp, err := readLog(opts.LogPath)
-		fresh := false
-		switch {
-		case err == nil:
-			if err := plan.Compatible(rp.Plan); err != nil {
-				return nil, fmt.Errorf("%s: %w", opts.LogPath, err)
-			}
-			st.records = rp.Records
-			st.stopped = rp.Stopped
-			st.saved = rp.Saved
-			st.reason = rp.Reason
-		case os.IsNotExist(err):
-			fresh = true
-		default:
-			return nil, err
-		}
-		if w, err = openLog(opts.LogPath, plan, fresh); err != nil {
+		var rp *replay
+		if w, rp, err = resumeLog(opts.LogPath, plan); err != nil {
 			return nil, err
 		}
 		defer w.close()
+		st.records = rp.Records
+		st.stopped = rp.Stopped
+		st.saved = rp.Saved
+		st.reason = rp.Reason
 	}
 	replayed := int64(len(st.records))
 	if opts.Ledger != nil {

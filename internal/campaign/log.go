@@ -138,6 +138,30 @@ type logWriter struct {
 	*lineEncoder
 }
 
+// resumeLog opens plan's log at path for appending and returns what it
+// already holds. An existing log must carry a compatible plan; an absent
+// one is created with the plan header and replays as empty.
+func resumeLog(path string, plan *Plan) (*logWriter, *replay, error) {
+	rp, err := readLog(path)
+	fresh := false
+	switch {
+	case err == nil:
+		if err := plan.Compatible(rp.Plan); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
+		}
+	case os.IsNotExist(err):
+		fresh = true
+		rp = &replay{Plan: plan, Records: make(map[int64]fi.Record)}
+	default:
+		return nil, nil, err
+	}
+	w, err := openLog(path, plan, fresh)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w, rp, nil
+}
+
 // openLog opens (creating if needed) a log for appending. When the file is
 // fresh, the plan header is written first; when it already has content,
 // the caller is expected to have replayed it and verified the plan.

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"repro/internal/attr"
@@ -104,27 +103,13 @@ type DurableLog struct {
 // OpenDurableLog opens (or resumes) the merged result log for a plan and
 // returns the replayed state. An existing log must carry the same plan.
 func OpenDurableLog(path string, plan *Plan) (*DurableLog, *LogState, error) {
-	st := &LogState{Records: make(map[int64]fi.Record), ShardsDone: make(map[int]bool)}
-	fresh := false
-	rp, err := readLog(path)
-	switch {
-	case err == nil:
-		if err := plan.Compatible(rp.Plan); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
-		}
-		st.Records = rp.Records
-		st.Spans = rp.Spans
-		for _, i := range rp.completeShards() {
-			st.ShardsDone[i] = true
-		}
-	case os.IsNotExist(err):
-		fresh = true
-	default:
-		return nil, nil, err
-	}
-	w, err := openLog(path, plan, fresh)
+	w, rp, err := resumeLog(path, plan)
 	if err != nil {
 		return nil, nil, err
+	}
+	st := &LogState{Records: rp.Records, ShardsDone: make(map[int]bool), Spans: rp.Spans}
+	for _, i := range rp.completeShards() {
+		st.ShardsDone[i] = true
 	}
 	return &DurableLog{w: w, plan: plan}, st, nil
 }

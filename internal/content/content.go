@@ -80,9 +80,10 @@ func Hash(tag string, payload []byte) string {
 const funcTag = "epvf-func-v1"
 
 // FuncHash returns the content address of a single function: the hash of
-// its canonical IR reprint. This is the static half of every incremental
-// section key (internal/inc); the pinned regression test keeps the emitted
-// bytes from silently drifting and splitting section caches.
+// its canonical IR reprint. `epvf diff` compares it to tell which
+// functions an edit changed, and it is the static half of every
+// incremental section key (internal/inc); the pinned regression test keeps
+// the emitted bytes from silently drifting and splitting section caches.
 func FuncHash(fn *ir.Function) string {
 	return Hash(funcTag, []byte(ir.PrintFunc(fn)))
 }

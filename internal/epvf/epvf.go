@@ -8,6 +8,8 @@
 package epvf
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -145,7 +147,7 @@ func AnalyzeModule(m *ir.Module, cfg Config) (*Analysis, *interp.Result, error) 
 	if cfg.Engine == "walker" {
 		profile = interp.Run
 	}
-	res, err := profile(m, icfg)
+	res, err := completed(profile(m, icfg))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -155,11 +157,25 @@ func AnalyzeModule(m *ir.Module, cfg Config) (*Analysis, *interp.Result, error) 
 	return a, res, nil
 }
 
+// ErrHang reports a golden run that exhausted its instruction budget
+// (interp.Config.MaxDynInstrs). Its trace is a truncated prefix, not a
+// profile of the program, so no analysis runs on it.
+var ErrHang = errors.New("golden run exhausted its instruction budget")
+
+// completed passes through a golden run that ended, and turns one that
+// hung into ErrHang.
+func completed(res *interp.Result, err error) (*interp.Result, error) {
+	if err == nil && res.Hang {
+		return nil, fmt.Errorf("%w after %d instructions", ErrHang, res.DynInstrs)
+	}
+	return res, err
+}
+
 // Profile records the golden trace of m under icfg (Record is forced on):
 // the one profiling step of every analysis path. It runs the module on the
 // bytecode VM; a module the VM cannot compile runs on the walker instead,
 // counted in epvf_vm_fallbacks_total{reason="compile"}. Both engines
-// record bit-identical traces.
+// record bit-identical traces. A run that exhausts the budget is ErrHang.
 func Profile(m *ir.Module, icfg interp.Config) (*interp.Result, error) {
 	sp := obs.StartSpan("epvf_profile")
 	defer sp.End()
@@ -171,7 +187,7 @@ func Profile(m *ir.Module, icfg interp.Config) (*interp.Result, error) {
 	} else {
 		res, err = prog.Run(icfg)
 	}
-	if err != nil {
+	if res, err = completed(res, err); err != nil {
 		return nil, err
 	}
 	sp.Add("dyn_instrs", res.DynInstrs)

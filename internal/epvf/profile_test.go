@@ -119,3 +119,22 @@ func TestAnalyzeModuleRecordsPhaseSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestHangingGoldenRunRejected checks that a golden run which exhausts
+// its instruction budget is an error on every profiling path, not a
+// truncated trace analyzed as if it were the program's profile.
+func TestHangingGoldenRunRejected(t *testing.T) {
+	m, err := lang.Compile("spin", `void main() { int i = 0; while (1) { i = i + 1; } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	icfg := interp.Config{MaxDynInstrs: 10_000}
+	if _, err := Profile(m, icfg); !errors.Is(err, ErrHang) {
+		t.Errorf("Profile: err = %v, want ErrHang", err)
+	}
+	for _, engine := range []string{"", "walker"} {
+		if _, _, err := AnalyzeModule(m, Config{Interp: icfg, Engine: engine}); !errors.Is(err, ErrHang) {
+			t.Errorf("AnalyzeModule (engine %q): err = %v, want ErrHang", engine, err)
+		}
+	}
+}

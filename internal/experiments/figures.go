@@ -496,7 +496,7 @@ func Fig13(s *Suite) (*Fig13Result, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			if golden.Exception != nil || golden.Hang {
+			if golden.Exception != nil {
 				return nil, 0, fmt.Errorf("protected golden run of %s failed: %v", b.Name, golden.Exception)
 			}
 			camp, err := s.runCampaign(b.Name+"-"+label, m, golden, fi.Config{

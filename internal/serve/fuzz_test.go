@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -37,12 +38,13 @@ func FuzzAnalyzeRequest(f *testing.F) {
 	f.Add([]byte(`{"ir":`))
 	f.Add([]byte(`[1,2]`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		// The daemon lets a golden run execute 50M instructions; keep
-		// each exec cheap by skipping modules that need more than 100k.
+		// The daemon lets a golden run execute maxGoldenEvents
+		// instructions; keep each exec cheap by skipping modules that
+		// need more than 100k.
 		var req AnalyzeRequest
 		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil {
 			if m, err := ir.Parse(req.IR); err == nil && len(m.Funcs) > 0 {
-				if res, err := epvf.Profile(m, interp.Config{MaxDynInstrs: 100_000}); err == nil && res.Hang {
+				if _, err := epvf.Profile(m, interp.Config{MaxDynInstrs: 100_000}); errors.Is(err, epvf.ErrHang) {
 					t.Skip("module runs past the fuzzing budget")
 				}
 			}

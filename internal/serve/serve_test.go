@@ -386,6 +386,33 @@ func TestBadRequestStageHeader(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRefusesRunPastBudget sends a module whose golden run ends
+// just past maxGoldenEvents (its loop runs nine instructions per
+// iteration, so about 1.125x the budget) to both tiers. The daemon must refuse it with a 422 and cache nothing,
+// rather than profile it without bound or analyze a truncated trace.
+func TestAnalyzeRefusesRunPastBudget(t *testing.T) {
+	src := fmt.Sprintf("void main() { int i = 0; while (i < %d) { i = i + 1; } output(i); }", maxGoldenEvents/8)
+	m, err := lang.Compile("long", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(AnalyzeRequest{IR: ir.Print(m)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, incremental := range []bool{false, true} {
+		s := startDaemonConfig(t, Config{Incremental: incremental})
+		resp := rawAnalyze(t, s.Addr(), string(body))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("incremental=%v: status %d, want 422", incremental, resp.StatusCode)
+		}
+		if st := s.Store().Stats(); st.Fills != 0 {
+			t.Errorf("incremental=%v: store fills = %d, want 0", incremental, st.Fills)
+		}
+	}
+}
+
 // servedIsolated is a module of mutually isolated functions (private
 // arrays, own outputs) so a one-function edit perturbs exactly one
 // section. Mirrors the internal/inc fixture.

@@ -15,6 +15,7 @@ import (
 	"repro/internal/dashboard"
 	"repro/internal/epvf"
 	"repro/internal/inc"
+	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/obs"
 )
@@ -64,7 +65,11 @@ type Config struct {
 	// Incremental enables the incremental analysis tier: below the
 	// summary cache, analyses compose from per-function section profiles
 	// (internal/inc) stored in the same cache, so an edit to one
-	// function re-walks only that function's section.
+	// function re-walks only that function's section. Only the
+	// benchmark's serve workload (perfbench/serve.go) and this package's
+	// tests set it; no command does. It stays because that workload still
+	// starts an incremental daemon, and goes with internal/inc once the
+	// benchmark moves it onto a plain daemon (ROADMAP item 2).
 	Incremental bool
 }
 
@@ -268,7 +273,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 }
 
 // unanalyzable marks an analysis failure of a module that parsed: no
-// main, a main that takes parameters, or a defect only execution finds.
+// main, a main that takes parameters, a golden run past maxGoldenEvents,
+// or a defect only execution finds.
 // The module is the client's, so the reply is 422, not 500; a failure to
 // store the result stays a 500.
 type unanalyzable struct{ error }
@@ -280,20 +286,30 @@ func boolCounter(b bool) int64 {
 	return 0
 }
 
+// maxGoldenEvents bounds the golden run of every module the daemon
+// analyzes, in dynamic instructions (one trace event each). An analysis
+// holds about 134 B per event at its peak (measured on lavamd and on a
+// spinning loop at 1M events), so the bound caps one request near 270 MB.
+// The largest module the repository's tests and benchmark send is lavamd
+// at scale 1 (251,365 events); every kernel fits at scale 2 (lavamd,
+// 917,845). A module that runs longer is refused with a 422.
+const maxGoldenEvents = 2_000_000
+
 // analyze computes a summary below the summary cache. A plain daemon runs
 // the whole analysis; an incremental one composes it from per-function
 // section profiles (internal/inc), so after an edit to one function only
 // that function's walks re-run, and the stage says whether any section
 // was reused.
 func (s *Server) analyze(m *ir.Module) (*Summary, string, *SectionStats, error) {
+	cfg := epvf.Config{Interp: interp.Config{MaxDynInstrs: maxGoldenEvents}}
 	if !s.incremental {
-		a, golden, err := epvf.AnalyzeModule(m, epvf.Config{})
+		a, golden, err := epvf.AnalyzeModule(m, cfg)
 		if err != nil {
 			return nil, "", nil, err
 		}
 		return Summarize(m.Name, a, golden.DynInstrs), StageComputed, nil, nil
 	}
-	r, err := inc.AnalyzeModule(m, inc.Config{Store: s.store, Registry: s.reg})
+	r, err := inc.AnalyzeModule(m, inc.Config{Store: s.store, Registry: s.reg, Epvf: cfg})
 	if err != nil {
 		return nil, "", nil, err
 	}

@@ -36,6 +36,8 @@ go test ./...
 # surfaces: TestCrossProcessTrace (one span tree across processes) and
 # TestDashboardStallFiresAndResolves (alert fire, /healthz degrade,
 # profile capture and resolve on a coordinator's dashboard).
+# ./cmd/epvf/... runs `epvf diff` and `epvf gate` end to end: TestDiffCmd,
+# TestGateCmd and TestGateMatchesAnalyzeModule.
 echo "== go test -race (obs + ts + alert + dashboard + campaign + dist + snapshot + mem + fi + attr + cache + inc + serve + vm + rangeprop + trace + traced CLIs)"
 go test -race ./internal/obs/... ./internal/obs/ts/... ./internal/obs/alert/... \
     ./internal/dashboard/... ./internal/campaign/... ./internal/dist/... \
