@@ -113,7 +113,7 @@ func main() {
 	// The flight recorder is always on — when a campaign dies with an
 	// error, its last spans and injection exemplars go to stderr so the
 	// failure explains its own recent past.
-	obs.SetDefaultFlight(obs.NewFlight(0, 0))
+	obs.SetDefaultFlight(obs.NewFlight())
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "campaign:", err)
 		obs.DumpDefaultFlight(os.Stderr)

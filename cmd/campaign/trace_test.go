@@ -26,7 +26,7 @@ import (
 // -html` must write a well-formed timeline.
 func TestCrossProcessTrace(t *testing.T) {
 	prev := obs.DefaultFlight()
-	obs.SetDefaultFlight(obs.NewFlight(0, 0))
+	obs.SetDefaultFlight(obs.NewFlight())
 	defer obs.SetDefaultFlight(prev)
 
 	tracer := obs.NewTracer(nil)

@@ -59,7 +59,7 @@ import (
 func main() {
 	// Always-on flight recorder: an abnormal exit dumps the recent spans
 	// so a failed analysis explains its own recent past.
-	obs.SetDefaultFlight(obs.NewFlight(0, 0))
+	obs.SetDefaultFlight(obs.NewFlight())
 	args := os.Args[1:]
 	var err error
 	switch {

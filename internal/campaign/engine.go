@@ -260,7 +260,7 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 			}
 			if root != nil {
 				shardSpan = root.ChildExact(fmt.Sprintf("shard %d", si), ShardSpanID(plan.ID, si))
-				exemplars = obs.NewInjectionSet(0)
+				exemplars = obs.NewInjectionSet()
 			}
 			var n int64
 			err := runner.Run(ctx, missing, opts.Workers, func(i int64, rec fi.Record, t0 time.Time, dur time.Duration) error {

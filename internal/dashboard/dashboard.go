@@ -3,13 +3,14 @@
 // /alerts rule view and the /dashboard HTML page (rendered with
 // internal/report, no external assets). Mount wires the whole layer —
 // collector, fanout hub, alert engine, span sink, /healthz degradation
-// and the /debug/vars ts/alerts sections — and returns one handle that
-// tears it all down.
+// and the /debug/vars ts/alerts sections — starts its one sampling
+// tick, and returns one handle that tears it all down.
 package dashboard
 
 import (
 	"expvar"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -23,36 +24,25 @@ type Config struct {
 	Registry *obs.Registry
 	// Title heads the dashboard page; empty means "epvf live dashboard".
 	Title string
-	// Stride is the ts sampling and alert evaluation period; zero means
-	// ts.DefaultStride.
-	Stride time.Duration
 	// StallWindow tunes the built-in campaign/coordinator stall rules.
 	StallWindow time.Duration
 	// PredictedSDC enables the SDC-spike rule when > 0: the
 	// ePVF-predicted SDC rate the measured rate is compared against.
 	PredictedSDC float64
-	// SDCFactor is the spike multiplier (default 2x the prediction).
-	SDCFactor float64
-	// P99Limit tunes the injection-latency rule (default 250ms).
-	P99Limit time.Duration
 	// Profiles, when non-nil, stores pprof bundles on alert firing
 	// (*cache.Store satisfies it).
 	Profiles alert.ProfileSink
-	// ProfileDuration is the CPU profile length per capture.
-	ProfileDuration time.Duration
-	// Rules are appended after the built-ins.
-	Rules []alert.Rule
-	// NoBuiltins skips the built-in rule set (tests).
-	NoBuiltins bool
 }
 
 // Mounted is a live telemetry layer: the pieces CLIs wire into their
-// publishers, plus Stop.
+// publishers, plus Stop. Rules beyond the built-ins are added through
+// Alerts.
 type Mounted struct {
 	Collector *ts.Collector
 	Hub       *ts.Hub
 	Alerts    *alert.Engine
 
+	reg      *obs.Registry
 	stopOnce sync.Once
 	stops    []func()
 }
@@ -66,9 +56,9 @@ func (m *Mounted) Publish(event string, v any) {
 	m.Hub.PublishJSON(event, v)
 }
 
-// Stop tears the layer down: sampling and evaluation goroutines, the
-// span sink, and the process-wide defaults (only if still ours — a
-// later Mount is never clobbered).
+// Stop tears the layer down: the sampling goroutine, the span sink, and
+// the /debug/vars sections' pointer (only if still ours — a later Mount
+// is never clobbered).
 func (m *Mounted) Stop() {
 	if m == nil {
 		return
@@ -80,41 +70,66 @@ func (m *Mounted) Stop() {
 	})
 }
 
+// tick is the layer's one sampling step: one registry snapshot taken at
+// now feeds both the collector and the alert engine, and the engine's
+// transitions go out over the SSE hub.
+func (m *Mounted) tick(now time.Time) {
+	snap := m.reg.Snapshot()
+	m.Collector.Sample(snap, now)
+	for _, tr := range m.Alerts.Eval(snap, now) {
+		m.Hub.PublishJSON(ts.EventAlert, tr)
+	}
+}
+
+// latest is the most recent live Mount; the /debug/vars ts and alerts
+// sections read it.
+var latest atomic.Pointer[Mounted]
+
 // expvarOnce guards the one-time /debug/vars publication of the ts and
-// alerts sections (expvar.Publish panics on duplicates). The sections
-// read the process-wide defaults, so they follow the latest Mount.
+// alerts sections (expvar.Publish panics on duplicates).
 var expvarOnce sync.Once
 
-// Mount wires the live-telemetry layer onto srv and starts it. The
-// returned handle is live immediately; call Stop on shutdown.
+// Mount wires the live-telemetry layer onto srv and starts its one
+// sampling goroutine, which ticks every ts.Stride. The returned handle
+// is live immediately; call Stop on shutdown.
 func Mount(srv *obs.Server, cfg Config) *Mounted {
+	m := mount(srv, cfg)
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		t := time.NewTicker(ts.Stride)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				m.tick(time.Now())
+			}
+		}
+	}()
+	m.stops = append(m.stops, func() {
+		close(done)
+		<-exited
+	})
+	return m
+}
+
+// mount wires everything Mount does except the sampling goroutine;
+// nothing samples until tick is called.
+func mount(srv *obs.Server, cfg Config) *Mounted {
 	if cfg.Title == "" {
 		cfg.Title = "epvf live dashboard"
 	}
 	hub := ts.NewHub(cfg.Registry)
-	col := ts.New(ts.Config{Registry: cfg.Registry, Stride: cfg.Stride, Hub: hub})
-	eng := alert.New(alert.Config{
-		Registry: cfg.Registry,
-		Stride:   cfg.Stride,
-		OnTransition: func(tr alert.Transition) {
-			hub.PublishJSON(ts.EventAlert, tr)
-		},
-		Profile:         cfg.Profiles,
-		ProfileDuration: cfg.ProfileDuration,
-	})
-	if !cfg.NoBuiltins {
-		eng.Add(alert.Builtins(alert.BuiltinConfig{
-			StallWindow:  cfg.StallWindow,
-			PredictedSDC: cfg.PredictedSDC,
-			SDCFactor:    cfg.SDCFactor,
-			P99Limit:     cfg.P99Limit,
-		})...)
-	}
-	eng.Add(cfg.Rules...)
+	eng := alert.New(alert.Config{Registry: cfg.Registry, Profile: cfg.Profiles})
+	eng.Add(alert.Builtins(alert.BuiltinConfig{
+		StallWindow:  cfg.StallWindow,
+		PredictedSDC: cfg.PredictedSDC,
+	})...)
+	m := &Mounted{Collector: ts.New(hub), Hub: hub, Alerts: eng, reg: cfg.Registry}
 
-	m := &Mounted{Collector: col, Hub: hub, Alerts: eng}
-
-	srv.Handle("/ts", col)
+	srv.Handle("/ts", m.Collector)
 	srv.Handle("/events", hub)
 	srv.Handle("/alerts", eng)
 	srv.Handle("/dashboard", pageHandler(cfg.Title))
@@ -124,30 +139,22 @@ func Mount(srv *obs.Server, cfg Config) *Mounted {
 		hub.PublishJSON(ts.EventSpan, rec)
 	})
 
-	ts.SetDefault(col)
-	ts.SetDefaultHub(hub)
-	alert.SetDefault(eng)
+	latest.Store(m)
 	expvarOnce.Do(func() {
 		expvar.Publish("epvf_ts", expvar.Func(func() any {
-			return ts.Default().Summarize()
+			if l := latest.Load(); l != nil {
+				return l.Collector.Summarize()
+			}
+			return nil
 		}))
 		expvar.Publish("epvf_alerts", expvar.Func(func() any {
-			return alert.Default().Summarize()
+			if l := latest.Load(); l != nil {
+				return l.Alerts.Summarize()
+			}
+			return nil
 		}))
 	})
 
-	stopCol := col.Start()
-	stopEng := eng.Start()
-	m.stops = []func(){stopCol, stopEng, removeSink, func() {
-		if ts.Default() == col {
-			ts.SetDefault(nil)
-		}
-		if ts.DefaultHub() == hub {
-			ts.SetDefaultHub(nil)
-		}
-		if alert.Default() == eng {
-			alert.SetDefault(nil)
-		}
-	}}
+	m.stops = []func(){removeSink, func() { latest.CompareAndSwap(m, nil) }}
 	return m
 }

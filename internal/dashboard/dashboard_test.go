@@ -42,7 +42,7 @@ func get(t *testing.T, url string) (int, string) {
 func TestMountServesDashboardSurface(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("epvf_cache_hits_total", "tier", "mem", "kind", "summary").Add(3)
-	srv, _ := mountTest(t, Config{Registry: reg, Stride: 10 * time.Millisecond})
+	srv, m := mountTest(t, Config{Registry: reg})
 	base := "http://" + srv.Addr()
 
 	code, body := get(t, base+"/dashboard")
@@ -57,14 +57,8 @@ func TestMountServesDashboardSurface(t *testing.T) {
 	}
 
 	// /ts picks up the registry series once the sampler has ticked.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		_, body = get(t, base+"/ts?prefix=epvf_cache")
-		if strings.Contains(body, "epvf_cache_hits_total") || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	m.tick(time.Now())
+	_, body = get(t, base+"/ts?prefix=epvf_cache")
 	if !strings.Contains(body, "epvf_cache_hits_total") {
 		t.Fatalf("/ts missing sampled series: %s", body)
 	}
@@ -87,39 +81,106 @@ func TestMountServesDashboardSurface(t *testing.T) {
 func TestHealthzDegradesWhileFiring(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("test_pressure")
-	srv, err := obs.NewServer("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Mount(srv, Config{
-		Registry: reg, Stride: 10 * time.Millisecond, NoBuiltins: true,
-		Rules: []alert.Rule{{
-			Name:      "pressure",
-			Signal:    alert.Signal{Kind: alert.Value, Num: []alert.Selector{{Metric: "test_pressure"}}},
-			Op:        alert.Above,
-			Threshold: 5,
-		}},
-	})
-	srv.Start()
-	defer func() { m.Stop(); srv.Close() }()
+	srv, m := mountTest(t, Config{Registry: reg})
+	m.Alerts.Add(pressureRule)
 	base := "http://" + srv.Addr()
 
+	// The built-ins stay quiet on this registry: only the added rule
+	// can degrade /healthz.
+	m.tick(time.Now())
 	_, body := get(t, base+"/healthz")
 	if !strings.Contains(body, `"ok"`) {
 		t.Fatalf("healthz before firing: %s", body)
 	}
 
 	g.Set(10)
-	waitFor(t, func() bool {
-		_, body := get(t, base+"/healthz")
-		return strings.Contains(body, `"degraded"`) && strings.Contains(body, `"pressure"`)
-	}, "healthz degraded with rule name")
+	m.tick(time.Now())
+	_, body = get(t, base+"/healthz")
+	if !strings.Contains(body, `"degraded"`) || !strings.Contains(body, `"pressure"`) {
+		t.Fatalf("healthz while firing: %s", body)
+	}
 
 	g.Set(0)
-	waitFor(t, func() bool {
-		_, body := get(t, base+"/healthz")
-		return strings.Contains(body, `"ok"`)
-	}, "healthz back to ok after resolve")
+	m.tick(time.Now())
+	_, body = get(t, base+"/healthz")
+	if !strings.Contains(body, `"ok"`) {
+		t.Fatalf("healthz after resolve: %s", body)
+	}
+}
+
+// pressureRule fires while the test_pressure gauge is above 5.
+var pressureRule = alert.Rule{
+	Name:      "pressure",
+	Signal:    alert.Signal{Kind: alert.Value, Num: []alert.Selector{{Metric: "test_pressure"}}},
+	Op:        alert.Above,
+	Threshold: 5,
+}
+
+// TestOneTickFeedsCollectorAndAlerts drives the layer's sampling step
+// directly: every tick advances the collector and the alert engine
+// together, both read the same snapshot, and the engine's transitions
+// reach the SSE hub.
+func TestOneTickFeedsCollectorAndAlerts(t *testing.T) {
+	reg := obs.NewRegistry()
+	g := reg.Gauge("test_pressure")
+	srv, err := obs.NewServer("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	m := mount(srv, Config{Registry: reg})
+	defer m.Stop()
+	m.Alerts.Add(pressureRule)
+	sub := m.Hub.Subscribe()
+	defer sub.Close()
+
+	const n = 6
+	now := time.Unix(5000, 0)
+	for i := 0; i < n; i++ {
+		g.Set(float64(3 * i))
+		m.tick(now)
+		pts := m.Collector.JSON("", "test_pressure").Series[0].Points
+		recorded := pts[len(pts)-1]
+		if recorded.T != now.UnixMilli() || recorded.V != float64(3*i) {
+			t.Fatalf("tick %d: ts recorded %+v, want %v at %v", i, recorded, 3*i, now.UnixMilli())
+		}
+		var got float64
+		for _, rv := range m.Alerts.Summarize().Rules {
+			if rv.Name == "pressure" {
+				got = rv.Value
+			}
+		}
+		if got != recorded.V {
+			t.Fatalf("tick %d: rule saw %v, ts recorded %v", i, got, recorded.V)
+		}
+		now = now.Add(time.Second)
+	}
+	if ticks := m.Collector.Summarize().Ticks; ticks != n {
+		t.Fatalf("ts ticks = %d, want %d", ticks, n)
+	}
+	if evals := m.Alerts.Summarize().Evals; evals != n {
+		t.Fatalf("alert evals = %d, want %d", evals, n)
+	}
+
+	// The gauge crossed 5 on the third tick: that tick published the
+	// firing transition to the hub.
+	var sawFire bool
+	for len(sub.C()) > 0 {
+		ev := <-sub.C()
+		if ev.Type != ts.EventAlert {
+			continue
+		}
+		var tr alert.Transition
+		if err := json.Unmarshal(ev.Data, &tr); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Rule == "pressure" && tr.To == alert.StateFiring && tr.Value == 6 {
+			sawFire = true
+		}
+	}
+	if !sawFire {
+		t.Fatal("firing transition never reached the hub")
+	}
 }
 
 func TestSpanSinkFansOutOverSSE(t *testing.T) {
@@ -128,11 +189,11 @@ func TestSpanSinkFansOutOverSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Mount(srv, Config{Registry: reg, Stride: time.Hour, NoBuiltins: true})
+	m := Mount(srv, Config{Registry: reg})
 	srv.Start()
 	defer func() { m.Stop(); srv.Close() }()
 
-	sub := m.Hub.Subscribe(8)
+	sub := m.Hub.Subscribe()
 	defer sub.Close()
 
 	tracer := obs.NewTracer(nil)
@@ -172,10 +233,10 @@ func TestMountedPublishAndStopIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Mount(srv, Config{Registry: reg, Stride: time.Hour, NoBuiltins: true})
+	m := Mount(srv, Config{Registry: reg})
 	defer srv.Close()
 
-	sub := m.Hub.Subscribe(2)
+	sub := m.Hub.Subscribe()
 	m.Publish("campaign", map[string]string{"id": "x"})
 	select {
 	case ev := <-sub.C():
@@ -192,16 +253,4 @@ func TestMountedPublishAndStopIdempotent(t *testing.T) {
 	var nilM *Mounted
 	nilM.Publish("x", 1)
 	nilM.Stop()
-}
-
-func waitFor(t *testing.T, cond func() bool, what string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("timeout waiting for %s", what)
 }

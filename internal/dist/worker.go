@@ -40,11 +40,10 @@ type WorkerConfig struct {
 	// Client overrides the HTTP client (tests); nil uses a default with
 	// a 30s timeout.
 	Client *http.Client
-	// RetryBase/RetryMax/Retries shape the transient-error backoff:
-	// exponential from RetryBase, capped at RetryMax, giving up after
-	// Retries attempts. Zeroes mean 100ms / 2s / 8.
+	// RetryBase/Retries shape the transient-error backoff: exponential
+	// from RetryBase, capped at retryMax, giving up after Retries
+	// attempts. Zeroes mean 100ms / 8.
 	RetryBase time.Duration
-	RetryMax  time.Duration
 	Retries   int
 	// Progress, when non-nil, receives per-shard progress lines.
 	Progress io.Writer
@@ -100,9 +99,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 100 * time.Millisecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 2 * time.Second
 	}
 	if cfg.Retries <= 0 {
 		cfg.Retries = 8
@@ -244,7 +240,7 @@ func (w *Worker) executeShard(ctx context.Context, lease LeaseResponse) (bool, e
 		sctx := obs.SpanContext{TraceID: root.TraceID, SpanID: campaign.ShardSpanID(w.plan.ID, lease.Shard)}
 		span = w.cfg.Tracer.StartExact(fmt.Sprintf("shard %d", lease.Shard), sctx, root.SpanID)
 		w.traceCtx = sctx
-		exemplars = obs.NewInjectionSet(0)
+		exemplars = obs.NewInjectionSet()
 		defer func() { w.traceCtx = obs.SpanContext{} }()
 	}
 
@@ -394,6 +390,9 @@ func (w *Worker) postJSON(ctx context.Context, path string, in, out any) error {
 	return w.do(ctx, http.MethodPost, path, "application/json", body, out)
 }
 
+// retryMax caps the transient-error backoff.
+const retryMax = 2 * time.Second
+
 // do issues one request with exponential-backoff retry on transient
 // failures (connection errors and 5xx). 4xx responses are permanent:
 // they encode protocol rejections (plan mismatch, divergence, lease
@@ -412,8 +411,8 @@ func (w *Worker) do(ctx context.Context, method, path, contentType string, body 
 				return fmt.Errorf("%w (last transport error: %v)", ctx.Err(), lastErr)
 			}
 			backoff *= 2
-			if backoff > w.cfg.RetryMax {
-				backoff = w.cfg.RetryMax
+			if backoff > retryMax {
+				backoff = retryMax
 			}
 		}
 		req, err := http.NewRequestWithContext(ctx, method, w.cfg.Coordinator+path, bytes.NewReader(body))

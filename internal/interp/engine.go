@@ -27,15 +27,12 @@ func Normalize(m *ir.Module, cfg Config) (Config, *ir.Function, error) {
 	if cfg.Align == 0 {
 		cfg.Align = AlignFourByte
 	}
-	if cfg.Entry == "" {
-		cfg.Entry = "main"
-	}
-	fn := m.Func(cfg.Entry)
+	fn := m.Func(Entry)
 	if fn == nil {
-		return cfg, nil, fmt.Errorf("interp: module %q has no function %q", m.Name, cfg.Entry)
+		return cfg, nil, fmt.Errorf("interp: module %q has no function %q", m.Name, Entry)
 	}
 	if len(fn.Params) != 0 {
-		return cfg, nil, fmt.Errorf("interp: entry %q must take no parameters", cfg.Entry)
+		return cfg, nil, fmt.Errorf("interp: entry %q must take no parameters", Entry)
 	}
 	return cfg, fn, nil
 }

@@ -144,9 +144,10 @@ type Config struct {
 	Align AlignPolicy
 	// Injection, when non-nil, corrupts one operand read.
 	Injection *Injection
-	// Entry is the entry function name; empty means "main".
-	Entry string
 }
+
+// Entry names the function every run starts in.
+const Entry = "main"
 
 // DefaultMaxDynInstrs is the default dynamic-instruction budget.
 const DefaultMaxDynInstrs = 50_000_000

@@ -326,6 +326,64 @@ func TestVerifyRejections(t *testing.T) {
 			},
 		},
 		{
+			name: "negative alloca length",
+			build: func() *Module {
+				b := NewBuilder("bad")
+				b.NewFunc("main", Void)
+				b.Alloca(I8, 1).Elem = ArrayOf(-1, I8)
+				b.Alloca(I8, 1)
+				b.Ret(nil)
+				m, _ := b.Module()
+				return m
+			},
+		},
+		{
+			name: "nested alloca length overflowing int64",
+			build: func() *Module {
+				b := NewBuilder("bad")
+				b.NewFunc("main", Void)
+				b.Alloca(ArrayOf(1<<62, I8), 2)
+				b.Ret(nil)
+				m, _ := b.Module()
+				return m
+			},
+		},
+		{
+			name: "frame overflowing int64",
+			build: func() *Module {
+				b := NewBuilder("bad")
+				b.NewFunc("main", Void)
+				for i := 0; i < 4; i++ {
+					b.Alloca(I8, 1<<62)
+				}
+				b.Ret(nil)
+				m, _ := b.Module()
+				return m
+			},
+		},
+		{
+			name: "negative nested global length",
+			build: func() *Module {
+				b := NewBuilder("bad")
+				b.GlobalVar("g", ArrayOf(-1, I64), 3, nil)
+				b.NewFunc("main", Void)
+				b.Ret(nil)
+				m, _ := b.Module()
+				return m
+			},
+		},
+		{
+			name: "global count overflowing int64",
+			build: func() *Module {
+				b := NewBuilder("bad")
+				b.GlobalVar("g", I64, 1<<61, nil)
+				b.NewFunc("main", Void)
+				b.Ret(nil)
+				m, _ := b.Module()
+				return m
+			},
+		},
+		{
 			name: "trunc widening",
 			build: func() *Module {
 				b := NewBuilder("bad")

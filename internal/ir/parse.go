@@ -132,6 +132,9 @@ func parseType(s string) (*Type, string, error) {
 		if strings.TrimSpace(rest) != "" {
 			return nil, s, fmt.Errorf("trailing %q in array element type", rest)
 		}
+		if err := checkLen(n, elem); err != nil {
+			return nil, s, fmt.Errorf("array type %q: %v", s[:end+1], err)
+		}
 		base = ArrayOf(n, elem)
 		s = s[end+1:]
 	case strings.HasPrefix(s, "void"):

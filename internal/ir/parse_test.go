@@ -57,7 +57,8 @@ func TestParseTypes(t *testing.T) {
 			t.Errorf("parseType(%q) = %s, want %s", tt.src, ty, tt.want)
 		}
 	}
-	for _, bad := range []string{"x32", "[8 y i32]", "i", "[q x i32]"} {
+	for _, bad := range []string{"x32", "[8 y i32]", "i", "[q x i32]", "[-1 x i8]",
+		"[4611686018427387904 x i16]", "[2 x [-1 x i8]]*"} {
 		if _, _, err := parseType(bad); err == nil {
 			t.Errorf("parseType(%q) accepted", bad)
 		}
@@ -80,6 +81,16 @@ var parseErrors = []struct {
 	{"load wider than a register", "define void @main() {\nentry:\n  %p = alloca [4 x i64]\n  %q = bitcast i64* %p to [4 x i64]*\n  %v = load [4 x i64], [4 x i64]* %q\n  ret void\n}"},
 	{"store wider than a register", "define void @f([2 x i64] %v, [2 x i64]* %p) {\nentry:\n  store [2 x i64] %v, [2 x i64]* %p\n  ret void\n}"},
 	{"load of void", "define void @main() {\nentry:\n  %p = alloca i64\n  %q = bitcast i64* %p to void*\n  %v = load void, void* %q\n  ret void\n}"},
+	// An array length must give a byte size in [0, MaxInt64], or frame
+	// offsets wrap: a negative length puts the next alloca below its
+	// frame.
+	{"negative alloca length", "define void @main() {\nentry:\n  %a = alloca [-1 x i8]\n  %b = alloca i8\n  ret void\n}"},
+	{"alloca length overflowing int64", "define void @main() {\nentry:\n  %a = alloca [4611686018427387904 x i16]\n  ret void\n}"},
+	{"negative nested length", "define void @main() {\nentry:\n  %a = alloca [2 x [-1 x i8]]\n  ret void\n}"},
+	{"nested length overflowing int64", "define void @main() {\nentry:\n  %a = alloca [2 x [4611686018427387904 x i8]]\n  ret void\n}"},
+	{"negative global length", "@g = global [-3 x i64]\ndefine void @main() {\nentry:\n  ret void\n}"},
+	{"global length overflowing int64", "@g = global [2305843009213693952 x i64]\ndefine void @main() {\nentry:\n  ret void\n}"},
+	{"frame overflowing int64", "define void @main() {\nentry:\n  %a = alloca [4611686018427387904 x i8]\n  %b = alloca [4611686018427387904 x i8]\n  %c = alloca [4611686018427387904 x i8]\n  %d = alloca [4611686018427387904 x i8]\n  %e = alloca i64\n  ret void\n}"},
 }
 
 func TestParseErrors(t *testing.T) {

@@ -13,6 +13,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -79,6 +80,30 @@ func PtrTo(elem *Type) *Type { return &Type{Kind: KindPtr, Elem: elem} }
 // ArrayOf returns the array type [n x elem].
 func ArrayOf(n int, elem *Type) *Type {
 	return &Type{Kind: KindArray, Elem: elem, Len: n}
+}
+
+// checkLen reports why n elements of elem have no byte size: n is
+// negative, or n * elem.Size() overflows int64.
+func checkLen(n int, elem *Type) error {
+	if n < 0 {
+		return fmt.Errorf("negative length %d of %s", n, elem)
+	}
+	if es := elem.Size(); es > 0 && int64(n) > math.MaxInt64/es {
+		return fmt.Errorf("%d x %s overflows int64 bytes", n, elem)
+	}
+	return nil
+}
+
+// checkSized reports the first array in t, innermost first, whose
+// length has no byte size (see checkLen).
+func checkSized(t *Type) error {
+	if t.Kind != KindArray {
+		return nil
+	}
+	if err := checkSized(t.Elem); err != nil {
+		return err
+	}
+	return checkLen(t.Len, t.Elem)
 }
 
 // IsInt reports whether t is an integer type.

@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrInvalidModule is wrapped by every error returned from Verify.
@@ -33,6 +34,12 @@ func verify(m *Module) error {
 		if g.Count < 1 {
 			return fmt.Errorf("global @%s has count %d", g.Name, g.Count)
 		}
+		if err := checkSized(g.Elem); err != nil {
+			return fmt.Errorf("global @%s: %v", g.Name, err)
+		}
+		if err := checkLen(g.Count, g.Elem); err != nil {
+			return fmt.Errorf("global @%s: %v", g.Name, err)
+		}
 		if len(g.Init) > g.Count {
 			return fmt.Errorf("global @%s has %d initializers for %d elements", g.Name, len(g.Init), g.Count)
 		}
@@ -61,6 +68,7 @@ func verifyFunc(m *Module, f *Function) error {
 	preds := predecessors(f)
 	dom := Dominators(f)
 
+	var frame int64 // bytes of every alloca so far
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("block %s is empty", b.Ident())
@@ -83,6 +91,13 @@ func verifyFunc(m *Module, f *Function) error {
 			}
 			if err := verifyInstr(m, f, in); err != nil {
 				return fmt.Errorf("block %s: %s: %v", b.Ident(), in.Op, err)
+			}
+			if in.Op == OpAlloca {
+				n := in.Elem.Size()
+				if n > math.MaxInt64-frame {
+					return fmt.Errorf("block %s: allocas overflow an int64 frame size", b.Ident())
+				}
+				frame += n
 			}
 			if in.Op == OpPhi {
 				if err := verifyPhi(in, preds[b]); err != nil {
@@ -157,6 +172,7 @@ func verifyInstr(m *Module, f *Function, in *Instr) error {
 		if !in.Ty.IsPtr() || in.Elem == nil {
 			return errors.New("alloca must produce a typed pointer")
 		}
+		return checkSized(in.Elem)
 	case in.Op == OpLoad:
 		if err := argc(1); err != nil {
 			return err

@@ -1,6 +1,6 @@
 // Package alert is a declarative alert engine over the obs metrics
-// registry: rules select a signal (current value, windowed rate or
-// delta, ratio of two selections, or a histogram quantile), compare it
+// registry: rules select a signal (current value, windowed delta,
+// ratio of two selections, or a histogram quantile), compare it
 // against a threshold with hysteresis (a separate clear level) and a
 // for-duration (the breach must hold continuously before firing), and
 // every state transition is logged to a bounded ring, surfaced on
@@ -8,8 +8,9 @@
 // triggers capture of a CPU+heap pprof bundle into the result cache so
 // post-mortems carry the evidence.
 //
-// The engine evaluates registry snapshots on its own stride; nothing in
-// here touches instrumented hot paths. A nil *Engine no-ops everywhere.
+// The engine evaluates the registry snapshots its caller hands to Eval
+// (the dashboard's one sampling tick); nothing in here touches
+// instrumented hot paths. A nil *Engine no-ops everywhere.
 package alert
 
 import (
@@ -62,8 +63,6 @@ type SignalKind string
 const (
 	// Value is the current sum of the Num selection.
 	Value SignalKind = "value"
-	// Rate is the per-second change of the Num selection over Window.
-	Rate SignalKind = "rate"
 	// Delta is the absolute change of the Num selection over Window —
 	// Delta Below 1 is the idiom for stall/absence detection.
 	Delta SignalKind = "delta"
@@ -174,28 +173,16 @@ type ruleState struct {
 
 // Config describes an Engine.
 type Config struct {
-	// Registry is evaluated each stride (required).
+	// Registry receives the engine's own firing counter and gauge
+	// (required).
 	Registry *obs.Registry
-	// Stride is the evaluation period; zero means DefaultStride.
-	Stride time.Duration
-	// RingCap bounds the transition log; zero means DefaultRingCap.
-	RingCap int
-	// OnTransition, when set, is called (outside the engine lock) for
-	// every state change — the dashboard wires this into the SSE hub.
-	OnTransition func(Transition)
 	// Profile, when set, receives a CPU+heap pprof bundle every time a
 	// rule fires (see profile.go).
 	Profile ProfileSink
-	// ProfileDuration is the CPU profile length; zero means
-	// DefaultProfileDuration.
-	ProfileDuration time.Duration
 }
 
-// Engine sizing defaults.
-const (
-	DefaultStride  = time.Second
-	DefaultRingCap = 256
-)
+// RingCap bounds the transition log.
+const RingCap = 256
 
 // Engine evaluates rules against registry snapshots. Create with New;
 // a nil *Engine no-ops on every method.
@@ -203,39 +190,18 @@ type Engine struct {
 	cfg Config
 
 	mu       sync.Mutex
-	now      func() time.Time
 	rules    []*ruleState
-	ring     []Transition
-	ringNext int
+	ring     *obs.Ring[Transition]
 	evals    uint64
 	profiles uint64
 }
 
-// New returns an engine over cfg.Registry with no rules.
+// New returns an engine with no rules.
 func New(cfg Config) *Engine {
-	if cfg.Stride <= 0 {
-		cfg.Stride = DefaultStride
-	}
-	if cfg.RingCap <= 0 {
-		cfg.RingCap = DefaultRingCap
-	}
-	if cfg.ProfileDuration <= 0 {
-		cfg.ProfileDuration = DefaultProfileDuration
-	}
-	return &Engine{cfg: cfg, now: time.Now}
+	return &Engine{cfg: cfg, ring: obs.NewRing[Transition](RingCap)}
 }
 
-// SetClock injects the time source (tests).
-func (e *Engine) SetClock(now func() time.Time) {
-	if e == nil || now == nil {
-		return
-	}
-	e.mu.Lock()
-	e.now = now
-	e.mu.Unlock()
-}
-
-// Add registers rules (before or after Start).
+// Add registers rules (before or after the first Eval).
 func (e *Engine) Add(rules ...Rule) {
 	if e == nil {
 		return
@@ -250,52 +216,29 @@ func (e *Engine) Add(rules ...Rule) {
 	e.mu.Unlock()
 }
 
-// Start spawns the evaluation goroutine and returns its stop function.
-func (e *Engine) Start() (stop func()) {
+// Eval advances every rule against one registry snapshot taken at now
+// and returns the state changes it made, in rule order. A firing
+// transition that carries a profile key starts its pprof capture.
+// Nil-safe.
+func (e *Engine) Eval(snap *obs.Snapshot, now time.Time) []Transition {
 	if e == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(e.cfg.Stride)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				e.Tick()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
-}
-
-// Tick evaluates every rule against one registry snapshot.
-func (e *Engine) Tick() {
-	if e == nil {
-		return
+		return nil
 	}
 	e.mu.Lock()
-	now := e.now()
-	snap := e.cfg.Registry.Snapshot()
-	var fired []Transition
+	var trs []Transition
 	for _, rs := range e.rules {
 		if tr, ok := e.eval(rs, snap, now); ok {
-			fired = append(fired, tr)
+			trs = append(trs, tr)
 		}
 	}
 	e.evals++
 	e.mu.Unlock()
-	for _, tr := range fired {
-		if e.cfg.OnTransition != nil {
-			e.cfg.OnTransition(tr)
-		}
+	for _, tr := range trs {
 		if tr.To == StateFiring && tr.Profile != "" {
 			e.captureAsync(tr)
 		}
 	}
+	return trs
 }
 
 // eval advances one rule's state machine; returns the transition (if
@@ -379,12 +322,7 @@ func (e *Engine) logOnly(rs *ruleState, from, to State, v float64, now time.Time
 // log appends a transition to the bounded ring and keeps the firing
 // gauge fresh. Called with the engine lock held.
 func (e *Engine) log(tr Transition) {
-	if len(e.ring) < e.cfg.RingCap {
-		e.ring = append(e.ring, tr)
-	} else {
-		e.ring[e.ringNext] = tr
-	}
-	e.ringNext = (e.ringNext + 1) % e.cfg.RingCap
+	e.ring.Push(tr)
 	if tr.To == StateFiring {
 		e.cfg.Registry.Counter("epvf_obs_alerts_fired_total", "rule", tr.Rule).Inc()
 	}
@@ -401,7 +339,7 @@ func (e *Engine) log(tr Transition) {
 // history for windowed kinds). ok=false means "insufficient data".
 func signalValue(sig *Signal, rs *ruleState, snap *obs.Snapshot, now time.Time, minDenom float64) (float64, bool) {
 	switch sig.Kind {
-	case Rate, Delta:
+	case Delta:
 		if rs == nil {
 			return 0, false
 		}
@@ -423,15 +361,7 @@ func signalValue(sig *Signal, rs *ruleState, snap *obs.Snapshot, now time.Time, 
 		if now.Sub(oldest.t) < window {
 			return 0, false // history shorter than the window yet
 		}
-		d := cur - oldest.v
-		if sig.Kind == Delta {
-			return d, true
-		}
-		dt := now.Sub(oldest.t).Seconds()
-		if dt <= 0 {
-			return 0, false
-		}
-		return d / dt, true
+		return cur - oldest.v, true
 	case Ratio:
 		num := sumSelectors(snap, sig.Num)
 		den := sumSelectors(snap, sig.Den)
@@ -562,15 +492,7 @@ func (e *Engine) Summarize() *Summary {
 		}
 	}
 	sort.Strings(s.Firing)
-	// Ring contents oldest-first.
-	n := len(e.ring)
-	start := 0
-	if n == e.cfg.RingCap {
-		start = e.ringNext
-	}
-	for i := 0; i < n; i++ {
-		s.Transitions = append(s.Transitions, e.ring[(start+i)%n])
-	}
+	s.Transitions = e.ring.Items()
 	return s
 }
 

@@ -11,30 +11,22 @@ import (
 	"repro/internal/obs"
 )
 
-// stepClock drives an engine deterministically.
-type stepClock struct {
-	mu sync.Mutex
-	t  time.Time
+// stepper drives an engine deterministically: each tick evaluates a
+// fresh snapshot of reg at a fake time that only advance moves.
+type stepper struct {
+	e   *Engine
+	reg *obs.Registry
+	now time.Time
 }
 
-func (c *stepClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
+func newTestEngine(reg *obs.Registry) (*Engine, *stepper) {
+	e := New(Config{Registry: reg})
+	return e, &stepper{e: e, reg: reg, now: time.Unix(10000, 0)}
 }
 
-func (c *stepClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
+func (s *stepper) tick() []Transition { return s.e.Eval(s.reg.Snapshot(), s.now) }
 
-func newTestEngine(reg *obs.Registry) (*Engine, *stepClock) {
-	clk := &stepClock{t: time.Unix(10000, 0)}
-	e := New(Config{Registry: reg, Stride: time.Second})
-	e.SetClock(clk.now)
-	return e, clk
-}
+func (s *stepper) advance(d time.Duration) { s.now = s.now.Add(d) }
 
 func state(t *testing.T, e *Engine, rule string) State {
 	t.Helper()
@@ -50,7 +42,7 @@ func state(t *testing.T, e *Engine, rule string) State {
 func TestThresholdHysteresis(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("load")
-	e, _ := newTestEngine(reg)
+	e, clk := newTestEngine(reg)
 	e.Add(Rule{
 		Name:      "high_load",
 		Signal:    Signal{Kind: Value, Num: []Selector{{Metric: "load"}}},
@@ -60,24 +52,24 @@ func TestThresholdHysteresis(t *testing.T) {
 	})
 
 	g.Set(8)
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "high_load"); got != StateOK {
 		t.Fatalf("state = %v, want ok", got)
 	}
 	g.Set(11)
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "high_load"); got != StateFiring {
 		t.Fatalf("state = %v, want firing (no For => immediate)", got)
 	}
 	// Back under threshold but inside the hysteresis band: still firing.
 	g.Set(7)
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "high_load"); got != StateFiring {
 		t.Fatalf("state = %v, want firing (7 > clear 5)", got)
 	}
 	// Crosses the clear level: resolves.
 	g.Set(4)
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "high_load"); got != StateOK {
 		t.Fatalf("state = %v, want ok after clearing", got)
 	}
@@ -104,27 +96,27 @@ func TestForDurationEdgeCases(t *testing.T) {
 
 	// Breach begins: pending, not firing.
 	g.Set(2)
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "sustained"); got != StatePending {
 		t.Fatalf("state = %v, want pending", got)
 	}
 	// Dips back under threshold before For elapses: pending resets.
 	clk.advance(2 * time.Second)
 	g.Set(0)
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "sustained"); got != StateOK {
 		t.Fatalf("state = %v, want ok (breach interrupted)", got)
 	}
 	// Breach again; the For timer must restart from zero.
 	g.Set(2)
-	e.Tick()
+	clk.tick()
 	clk.advance(2 * time.Second)
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "sustained"); got != StatePending {
 		t.Fatalf("state = %v, want pending (only 2s into new breach)", got)
 	}
 	clk.advance(time.Second)
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "sustained"); got != StateFiring {
 		t.Fatalf("state = %v, want firing (held 3s)", got)
 	}
@@ -142,7 +134,7 @@ func TestDeltaStallAndGate(t *testing.T) {
 
 	// No campaign active: gate holds the rule inactive forever.
 	for i := 0; i < 10; i++ {
-		e.Tick()
+		clk.tick()
 		clk.advance(time.Second)
 	}
 	if got := state(t, e, "campaign_stall"); got != StateOK {
@@ -153,7 +145,7 @@ func TestDeltaStallAndGate(t *testing.T) {
 	active.Set(1)
 	for i := 0; i < 8; i++ {
 		executed.Inc()
-		e.Tick()
+		clk.tick()
 		clk.advance(time.Second)
 	}
 	if got := state(t, e, "campaign_stall"); got != StateOK {
@@ -162,7 +154,7 @@ func TestDeltaStallAndGate(t *testing.T) {
 
 	// Progress stops: once the 5s window shows zero delta, it fires.
 	for i := 0; i < 6; i++ {
-		e.Tick()
+		clk.tick()
 		clk.advance(time.Second)
 	}
 	if got := state(t, e, "campaign_stall"); got != StateFiring {
@@ -172,7 +164,7 @@ func TestDeltaStallAndGate(t *testing.T) {
 	// Progress resumes: delta >= clear resolves the alert.
 	for i := 0; i < 6; i++ {
 		executed.Inc()
-		e.Tick()
+		clk.tick()
 		clk.advance(time.Second)
 	}
 	if got := state(t, e, "campaign_stall"); got != StateOK {
@@ -181,14 +173,14 @@ func TestDeltaStallAndGate(t *testing.T) {
 
 	// Stall again, then end the campaign while firing: gate resolves it.
 	for i := 0; i < 7; i++ {
-		e.Tick()
+		clk.tick()
 		clk.advance(time.Second)
 	}
 	if got := state(t, e, "campaign_stall"); got != StateFiring {
 		t.Fatalf("state = %v, want firing before gate drop", got)
 	}
 	active.Set(0)
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "campaign_stall"); got != StateOK {
 		t.Fatalf("state = %v, want ok once campaign ends", got)
 	}
@@ -196,8 +188,8 @@ func TestDeltaStallAndGate(t *testing.T) {
 
 func TestRatioMinDenom(t *testing.T) {
 	reg := obs.NewRegistry()
-	e, _ := newTestEngine(reg)
-	e.Add(SDCSpike(0.05, 2, 100))
+	e, clk := newTestEngine(reg)
+	e.Add(SDCSpike(0.05))
 
 	sdc := reg.Counter("epvf_campaign_runs_total", "id", "x", "outcome", "sdc")
 	ok := reg.Counter("epvf_campaign_runs_total", "id", "x", "outcome", "masked")
@@ -205,14 +197,14 @@ func TestRatioMinDenom(t *testing.T) {
 	// 50% SDC but only 10 runs: MinDenom suppresses the rule.
 	sdc.Add(5)
 	ok.Add(5)
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "sdc_rate_spike"); got != StateOK {
 		t.Fatalf("state = %v, want ok under MinDenom", got)
 	}
 	// 200 runs at 50% SDC >> 2x the 5% prediction: fires.
 	sdc.Add(95)
 	ok.Add(95)
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "sdc_rate_spike"); got != StateFiring {
 		t.Fatalf("state = %v, want firing on SDC spike", got)
 	}
@@ -221,22 +213,22 @@ func TestRatioMinDenom(t *testing.T) {
 func TestQuantileRule(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := reg.Histogram("epvf_injection_latency_seconds", obs.LatencyBuckets, "id", "x")
-	e, _ := newTestEngine(reg)
-	e.Add(InjectionP99(100*time.Millisecond, 50))
+	e, clk := newTestEngine(reg)
+	e.Add(InjectionP99())
 
 	// 100 fast observations: p99 well under the limit.
 	for i := 0; i < 100; i++ {
 		h.Observe(0.001)
 	}
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "injection_p99_latency"); got != StateOK {
 		t.Fatalf("state = %v, want ok with fast injections", got)
 	}
-	// Shift the tail: 100 slow observations push p99 over 100ms.
+	// Shift the tail: 100 slow observations push p99 over 250ms.
 	for i := 0; i < 100; i++ {
 		h.Observe(0.5)
 	}
-	e.Tick()
+	clk.tick()
 	if got := state(t, e, "injection_p99_latency"); got != StateFiring {
 		t.Fatalf("state = %v, want firing on slow tail", got)
 	}
@@ -267,9 +259,8 @@ func TestProfileCaptureOnFire(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("v")
 	sink := &memSink{done: make(chan struct{}, 1)}
-	clk := &stepClock{t: time.Unix(20000, 0)}
-	e := New(Config{Registry: reg, Profile: sink, ProfileDuration: 50 * time.Millisecond})
-	e.SetClock(clk.now)
+	e := New(Config{Registry: reg, Profile: sink})
+	clk := &stepper{e: e, reg: reg, now: time.Unix(20000, 0)}
 	e.Add(Rule{
 		Name:      "Spike Rule!",
 		Signal:    Signal{Kind: Value, Num: []Selector{{Metric: "v"}}},
@@ -278,14 +269,14 @@ func TestProfileCaptureOnFire(t *testing.T) {
 	})
 
 	g.Set(5)
-	e.Tick()
+	clk.tick()
 	select {
 	case <-sink.done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("profile bundle never stored")
 	}
 
-	wantKey := ProfileKey("Spike Rule!", clk.now())
+	wantKey := ProfileKey("Spike Rule!", clk.now)
 	if strings.ContainsAny(wantKey, " !ABCDEFGHIJKLMNOPQRSTUVWXYZ") {
 		t.Fatalf("unsanitized key %q", wantKey)
 	}
@@ -325,21 +316,21 @@ func keys(s *memSink) []string {
 func TestTransitionRingBounded(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("v")
-	clk := &stepClock{t: time.Unix(0, 0)}
-	e := New(Config{Registry: reg, RingCap: 4})
-	e.SetClock(clk.now)
+	e := New(Config{Registry: reg})
+	clk := &stepper{e: e, reg: reg, now: time.Unix(0, 0)}
 	e.Add(Rule{Name: "flap", Signal: Signal{Kind: Value, Num: []Selector{{Metric: "v"}}},
 		Op: Above, Threshold: 1})
-	for i := 0; i < 10; i++ {
+	const flaps = RingCap/2 + 5
+	for i := 0; i < flaps; i++ {
 		g.Set(5)
-		e.Tick()
+		clk.tick()
 		g.Set(0)
-		e.Tick()
+		clk.tick()
 		clk.advance(time.Second)
 	}
 	sum := e.Summarize()
-	if len(sum.Transitions) != 4 {
-		t.Fatalf("ring = %d entries, want cap 4", len(sum.Transitions))
+	if len(sum.Transitions) != RingCap {
+		t.Fatalf("ring = %d entries, want cap %d", len(sum.Transitions), RingCap)
 	}
 	// Oldest-first: entries must be in non-decreasing time order.
 	for i := 1; i < len(sum.Transitions); i++ {
@@ -347,35 +338,25 @@ func TestTransitionRingBounded(t *testing.T) {
 			t.Fatalf("ring out of order: %+v", sum.Transitions)
 		}
 	}
-	if fired := reg.Snapshot().Counter("epvf_obs_alerts_fired_total", "rule", "flap"); fired != 10 {
-		t.Fatalf("fired counter = %d, want 10", fired)
+	if fired := reg.Snapshot().Counter("epvf_obs_alerts_fired_total", "rule", "flap"); fired != flaps {
+		t.Fatalf("fired counter = %d, want %d", fired, flaps)
 	}
 }
 
 func TestAlertsHTTPAndNotify(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("v")
-	var notified []Transition
-	var mu sync.Mutex
-	clk := &stepClock{t: time.Unix(0, 0)}
-	e := New(Config{Registry: reg, OnTransition: func(tr Transition) {
-		mu.Lock()
-		notified = append(notified, tr)
-		mu.Unlock()
-	}})
-	e.SetClock(clk.now)
+	e, clk := newTestEngine(reg)
 	e.Add(Rule{Name: "r", Signal: Signal{Kind: Value, Num: []Selector{{Metric: "v"}}},
 		Op: Above, Threshold: 1})
 	g.Set(2)
-	e.Tick()
+	notified := clk.tick()
 
 	rr := httptest.NewRecorder()
 	e.ServeHTTP(rr, httptest.NewRequest("GET", "/alerts", nil))
 	if rr.Code != 200 || !strings.Contains(rr.Body.String(), `"firing"`) {
 		t.Fatalf("bad /alerts: %d %s", rr.Code, rr.Body.String())
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if len(notified) != 1 || notified[0].To != StateFiring {
 		t.Fatalf("notify = %+v", notified)
 	}
@@ -383,11 +364,10 @@ func TestAlertsHTTPAndNotify(t *testing.T) {
 
 func TestNilEngine(t *testing.T) {
 	var e *Engine
-	e.Tick()
+	if e.Eval(nil, time.Time{}) != nil {
+		t.Fatal("nil engine should make no transitions")
+	}
 	e.Add(Rule{})
-	e.SetClock(time.Now)
-	stop := e.Start()
-	stop()
 	if e.Summarize() != nil || e.Firing() != nil {
 		t.Fatal("nil engine views should be nil")
 	}

@@ -2,13 +2,13 @@ package alert
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
 // Built-in rules. Each constructor returns a Rule wired to the metric
-// names the subsystems actually publish; callers tune thresholds and
-// windows per deployment (the dashboard mounts them with defaults).
+// names the subsystems actually publish. Only the stall windows and the
+// predicted SDC rate vary per deployment; every other threshold is
+// fixed here.
 
 // CampaignStall fires when an active campaign executes no runs for the
 // window: Delta(epvf_campaign_runs_executed_total) < 1 while the
@@ -55,11 +55,8 @@ func CoordinatorStall(window time.Duration) Rule {
 }
 
 // WorkerLoss fires when a coordinator with pending shards has no live
-// workers for the for-duration.
-func WorkerLoss(hold time.Duration) Rule {
-	if hold <= 0 {
-		hold = 5 * time.Second
-	}
+// workers for 5 s.
+func WorkerLoss() Rule {
 	return Rule{
 		Name:      "worker_loss",
 		Desc:      "dist coordinator has pending shards but zero live workers",
@@ -67,7 +64,7 @@ func WorkerLoss(hold time.Duration) Rule {
 		Op:        Below,
 		Threshold: 0.5,
 		Clear:     0.5,
-		For:       hold,
+		For:       5 * time.Second,
 		ActiveWhen: &Cond{
 			Signal:    Signal{Kind: Value, Num: []Selector{{Metric: "epvf_dist_shards_pending"}}},
 			Op:        Above,
@@ -76,39 +73,28 @@ func WorkerLoss(hold time.Duration) Rule {
 	}
 }
 
-// SDCSpike fires when the measured SDC rate exceeds the ePVF-predicted
-// rate by more than factor (hysteresis: resolves once back under the
-// prediction itself), after at least minRuns completed injections. The
+// SDCSpike fires when the measured SDC rate exceeds twice the
+// ePVF-predicted rate (hysteresis: resolves once back under the
+// prediction itself), after at least 200 completed injections. The
 // predicted rate comes from the attr ledger / analysis (a.EPVF()).
-func SDCSpike(predicted, factor float64, minRuns int) Rule {
-	if factor <= 1 {
-		factor = 2
-	}
-	if minRuns <= 0 {
-		minRuns = 200
-	}
+func SDCSpike(predicted float64) Rule {
 	return Rule{
 		Name: "sdc_rate_spike",
-		Desc: fmt.Sprintf("measured SDC rate above %.3gx the ePVF-predicted %.4g", factor, predicted),
+		Desc: fmt.Sprintf("measured SDC rate above 2x the ePVF-predicted %.4g", predicted),
 		Signal: Signal{Kind: Ratio,
 			Num: []Selector{{Metric: "epvf_campaign_runs_total", Labels: []string{"outcome", "sdc"}}},
 			Den: []Selector{{Metric: "epvf_campaign_runs_total"}}},
 		Op:        Above,
-		Threshold: predicted * factor,
+		Threshold: predicted * 2,
 		Clear:     predicted,
-		MinDenom:  float64(minRuns),
+		MinDenom:  200,
 	}
 }
 
 // CacheHitCollapse fires when the overall result-cache hit ratio drops
-// below floor after at least minLookups lookups.
-func CacheHitCollapse(floor float64, minLookups int) Rule {
-	if floor <= 0 {
-		floor = 0.2
-	}
-	if minLookups <= 0 {
-		minLookups = 100
-	}
+// below 0.2 after at least 100 lookups.
+func CacheHitCollapse() Rule {
+	const floor = 0.2
 	hits := Selector{Metric: "epvf_cache_hits_total"}
 	misses := Selector{Metric: "epvf_cache_misses_total"}
 	return Rule{
@@ -118,19 +104,14 @@ func CacheHitCollapse(floor float64, minLookups int) Rule {
 		Op:        Below,
 		Threshold: floor,
 		Clear:     floor * 1.25,
-		MinDenom:  float64(minLookups),
+		MinDenom:  100,
 	}
 }
 
-// InjectionP99 fires when the p99 injection latency exceeds the limit,
-// after at least minObs recorded injections.
-func InjectionP99(limit time.Duration, minObs int) Rule {
-	if limit <= 0 {
-		limit = 250 * time.Millisecond
-	}
-	if minObs <= 0 {
-		minObs = 100
-	}
+// InjectionP99 fires when the p99 injection latency exceeds 250 ms,
+// after at least 100 recorded injections.
+func InjectionP99() Rule {
+	const limit = 250 * time.Millisecond
 	return Rule{
 		Name:      "injection_p99_latency",
 		Desc:      fmt.Sprintf("injection p99 latency above %v", limit),
@@ -138,7 +119,7 @@ func InjectionP99(limit time.Duration, minObs int) Rule {
 		Op:        Above,
 		Threshold: limit.Seconds(),
 		Clear:     limit.Seconds() * 0.8,
-		MinDenom:  float64(minObs),
+		MinDenom:  100,
 	}
 }
 
@@ -146,8 +127,6 @@ func InjectionP99(limit time.Duration, minObs int) Rule {
 type BuiltinConfig struct {
 	StallWindow  time.Duration // campaign/coordinator stall window
 	PredictedSDC float64       // ePVF-predicted SDC rate (0 disables the spike rule)
-	SDCFactor    float64
-	P99Limit     time.Duration
 }
 
 // Builtins returns the default rule set the dashboard mounts.
@@ -155,22 +134,12 @@ func Builtins(cfg BuiltinConfig) []Rule {
 	rules := []Rule{
 		CampaignStall(cfg.StallWindow),
 		CoordinatorStall(cfg.StallWindow * 3 / 2),
-		WorkerLoss(0),
-		CacheHitCollapse(0, 0),
-		InjectionP99(cfg.P99Limit, 0),
+		WorkerLoss(),
+		CacheHitCollapse(),
+		InjectionP99(),
 	}
 	if cfg.PredictedSDC > 0 {
-		rules = append(rules, SDCSpike(cfg.PredictedSDC, cfg.SDCFactor, 0))
+		rules = append(rules, SDCSpike(cfg.PredictedSDC))
 	}
 	return rules
 }
-
-// defaultEngine mirrors obs.Default: the process-wide engine the
-// /debug/vars alerts section reads. Installed by dashboard.Mount.
-var defaultEngine atomic.Pointer[Engine]
-
-// Default returns the process-wide engine (nil when disabled).
-func Default() *Engine { return defaultEngine.Load() }
-
-// SetDefault installs the process-wide engine (nil disables).
-func SetDefault(e *Engine) { defaultEngine.Store(e) }

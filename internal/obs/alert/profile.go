@@ -14,8 +14,8 @@ import (
 // internal/cache terms: <cache-dir>/epvf-cache-v1/obs-profile-v1/<key>).
 const ProfileKind = "obs-profile-v1"
 
-// DefaultProfileDuration is the CPU profile length per capture.
-const DefaultProfileDuration = 2 * time.Second
+// ProfileDuration is the CPU profile length per capture.
+const ProfileDuration = 2 * time.Second
 
 // profileBucket buckets fire times so repeated flapping of one rule
 // within five minutes overwrites one bundle instead of accreting.
@@ -68,10 +68,10 @@ func (e *Engine) captureAsync(tr Transition) {
 			if err := pprof.StartCPUProfile(&cpu); err != nil {
 				bundle.Error = err.Error()
 			} else {
-				time.Sleep(e.cfg.ProfileDuration)
+				time.Sleep(ProfileDuration)
 				pprof.StopCPUProfile()
 				bundle.CPUProfile = cpu.Bytes()
-				bundle.CPUMillis = e.cfg.ProfileDuration.Milliseconds()
+				bundle.CPUMillis = ProfileDuration.Milliseconds()
 			}
 			cpuProfiling.Store(false)
 		} else {

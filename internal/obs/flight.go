@@ -23,37 +23,27 @@ import (
 // no-ops on every method, matching the rest of obs.
 type Flight struct {
 	mu     sync.Mutex
-	ring   []SpanRecord // fixed capacity, len grows to cap then wraps
-	next   int          // ring write cursor
-	total  uint64       // spans ever recorded
-	injs   uint64       // injections ever observed
-	k      int          // slowest-K exemplars per shard
+	ring   *Ring[SpanRecord]
+	total  uint64 // spans ever recorded
+	injs   uint64 // injections ever observed
 	shards map[int]*InjectionSet
 	order  []int // shard insertion order, for bounded eviction
 }
 
-// Flight sizing defaults: the ring holds the last DefaultFlightSpans
-// spans (~100KB), exemplars keep the DefaultFlightSlowest slowest
-// injections per shard, and at most flightMaxShards shards are tracked
-// (oldest evicted first) so a long campaign cannot grow the recorder.
+// Flight sizing: the ring holds the last DefaultFlightSpans spans
+// (~100KB), exemplars keep the DefaultFlightSlowest slowest injections
+// per shard, and at most flightMaxShards shards are tracked (oldest
+// evicted first) so a long campaign cannot grow the recorder.
 const (
 	DefaultFlightSpans   = 512
 	DefaultFlightSlowest = 4
 	flightMaxShards      = 256
 )
 
-// NewFlight returns a recorder holding the last spanCap spans and the
-// slowest slowestK injections per shard.
-func NewFlight(spanCap, slowestK int) *Flight {
-	if spanCap <= 0 {
-		spanCap = DefaultFlightSpans
-	}
-	if slowestK <= 0 {
-		slowestK = DefaultFlightSlowest
-	}
+// NewFlight returns an empty recorder.
+func NewFlight() *Flight {
 	return &Flight{
-		ring:   make([]SpanRecord, 0, spanCap),
-		k:      slowestK,
+		ring:   NewRing[SpanRecord](DefaultFlightSpans),
 		shards: make(map[int]*InjectionSet),
 	}
 }
@@ -65,12 +55,7 @@ func (f *Flight) Record(rec SpanRecord) {
 		return
 	}
 	f.mu.Lock()
-	if len(f.ring) < cap(f.ring) {
-		f.ring = append(f.ring, rec)
-	} else {
-		f.ring[f.next] = rec
-	}
-	f.next = (f.next + 1) % cap(f.ring)
+	f.ring.Push(rec)
 	f.total++
 	f.mu.Unlock()
 }
@@ -89,7 +74,7 @@ func (f *Flight) ObserveInjection(inj Injection) {
 			delete(f.shards, f.order[0])
 			f.order = f.order[1:]
 		}
-		set = NewInjectionSet(f.k)
+		set = NewInjectionSet()
 		f.shards[inj.Shard] = set
 		f.order = append(f.order, inj.Shard)
 	}
@@ -120,15 +105,8 @@ func (f *Flight) View() FlightView {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	v := FlightView{SpansTotal: f.total, InjectionsTotal: f.injs}
-	if n := len(f.ring); n > 0 {
-		v.RecentSpans = make([]SpanRecord, 0, n)
-		start := 0
-		if n == cap(f.ring) {
-			start = f.next
-		}
-		for i := 0; i < n; i++ {
-			v.RecentSpans = append(v.RecentSpans, f.ring[(start+i)%n])
-		}
+	if f.ring.Len() > 0 {
+		v.RecentSpans = f.ring.Items()
 	}
 	for _, shard := range f.order {
 		v.Shards = append(v.Shards, ShardExemplars{Shard: shard, Notable: f.shards[shard].Notable()})
@@ -174,24 +152,21 @@ type Injection struct {
 	WallNS  int64     `json:"wall_ns"`
 }
 
-// InjectionSet collects the notable injections of one shard: the slowest
-// k plus the first of each crash class. Bounded by construction —
-// len(slowest) ≤ k, one entry per distinct class — it is both the flight
+// InjectionSet collects the notable injections of one shard: the
+// DefaultFlightSlowest slowest plus the first of each crash class.
+// Bounded by construction — one entry per distinct class — it is both the flight
 // recorder's per-shard store and the seam workers/engine use to pick
 // which injection spans ship with shard results.
 type InjectionSet struct {
-	k       int
 	slowest []Injection // descending WallNS
 	classes map[string]Injection
 	order   []string // class first-seen order
 }
 
-// NewInjectionSet returns a set keeping the slowest k injections.
-func NewInjectionSet(k int) *InjectionSet {
-	if k <= 0 {
-		k = DefaultFlightSlowest
-	}
-	return &InjectionSet{k: k, classes: make(map[string]Injection)}
+// NewInjectionSet returns a set keeping the DefaultFlightSlowest
+// slowest injections.
+func NewInjectionSet() *InjectionSet {
+	return &InjectionSet{classes: make(map[string]Injection)}
 }
 
 // Observe feeds one injection.
@@ -201,12 +176,12 @@ func (s *InjectionSet) Observe(inj Injection) {
 	}
 	// Insert into the slowest-k list (descending), then truncate.
 	i := sort.Search(len(s.slowest), func(i int) bool { return s.slowest[i].WallNS < inj.WallNS })
-	if i < s.k {
+	if i < DefaultFlightSlowest {
 		s.slowest = append(s.slowest, Injection{})
 		copy(s.slowest[i+1:], s.slowest[i:])
 		s.slowest[i] = inj
-		if len(s.slowest) > s.k {
-			s.slowest = s.slowest[:s.k]
+		if len(s.slowest) > DefaultFlightSlowest {
+			s.slowest = s.slowest[:DefaultFlightSlowest]
 		}
 	}
 	if inj.Class != "" {

@@ -30,8 +30,8 @@ type Event struct {
 	Seq  uint64
 }
 
-// DefaultQueue is the per-subscriber bounded queue depth.
-const DefaultQueue = 256
+// QueueDepth is the per-subscriber bounded queue depth.
+const QueueDepth = 256
 
 // Hub fans events out to SSE subscribers. Publish is non-blocking: a
 // subscriber whose bounded queue is full loses the event, and the loss
@@ -64,16 +64,13 @@ type Sub struct {
 	closed bool
 }
 
-// Subscribe registers a subscriber with the given queue depth (<=0
-// means DefaultQueue). Returns nil on a nil hub.
-func (h *Hub) Subscribe(queue int) *Sub {
+// Subscribe registers a subscriber with a QueueDepth-deep queue.
+// Returns nil on a nil hub.
+func (h *Hub) Subscribe() *Sub {
 	if h == nil {
 		return nil
 	}
-	if queue <= 0 {
-		queue = DefaultQueue
-	}
-	s := &Sub{hub: h, ch: make(chan Event, queue)}
+	s := &Sub{hub: h, ch: make(chan Event, QueueDepth)}
 	h.mu.Lock()
 	h.subs[s] = struct{}{}
 	h.mu.Unlock()
@@ -204,7 +201,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	sub := h.Subscribe(0)
+	sub := h.Subscribe()
 	defer sub.Close()
 
 	fmt.Fprintf(w, "retry: 2000\nevent: %s\ndata: {\"subscribers\":%d}\n\n",
@@ -234,13 +231,3 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
-
-// defaultHub mirrors Default for the hub: the process-wide fanout
-// publish sites use when live telemetry is mounted.
-var defaultHub atomic.Pointer[Hub]
-
-// DefaultHub returns the process-wide hub (nil when disabled).
-func DefaultHub() *Hub { return defaultHub.Load() }
-
-// SetDefaultHub installs the process-wide hub (nil disables).
-func SetDefaultHub(h *Hub) { defaultHub.Store(h) }

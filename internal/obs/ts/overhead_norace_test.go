@@ -40,7 +40,7 @@ func TestDisabledSeamsUnderNoise(t *testing.T) {
 	tick := bestOf3(func() time.Duration {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			nilCollector.Tick()
+			nilCollector.Sample(nil, time.Time{})
 		}
 		return time.Since(start)
 	}) / iters

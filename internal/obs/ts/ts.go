@@ -1,11 +1,11 @@
 // Package ts is the bounded in-process time-series layer over the obs
-// metrics registry: a Collector samples every registered series on a
-// fixed stride into fixed-capacity rings (raw values plus rate-of-change
-// for counters and histogram counts), downsampled into three resolutions
-// (~1s / 10s / 60s at the default stride), and fans the per-tick deltas
-// out to Server-Sent-Events subscribers through a Hub whose per-client
-// queues are bounded — a slow dashboard drops events and is counted, it
-// never blocks the sampling tick or any hot path.
+// metrics registry: a Collector records every registered series of the
+// snapshot it is handed each Stride into fixed-capacity rings (raw
+// values plus rate-of-change for counters and histogram counts),
+// downsampled into three resolutions (1s / 10s / 60s), and fans the
+// per-tick deltas out to Server-Sent-Events subscribers through a Hub
+// whose per-client queues are bounded — a slow dashboard drops events
+// and is counted, it never blocks the sampling tick or any hot path.
 //
 // Everything follows the obs discipline: a nil *Collector and a nil *Hub
 // no-op on every method, so instrumented call sites pay one predictable
@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -29,37 +28,6 @@ import (
 type Point struct {
 	T int64   `json:"t"`
 	V float64 `json:"v"`
-}
-
-// ring is a fixed-capacity point ring; len grows to cap then wraps.
-type ring struct {
-	pts  []Point
-	next int
-}
-
-func newRing(capacity int) *ring { return &ring{pts: make([]Point, 0, capacity)} }
-
-func (r *ring) push(p Point) {
-	if len(r.pts) < cap(r.pts) {
-		r.pts = append(r.pts, p)
-	} else {
-		r.pts[r.next] = p
-	}
-	r.next = (r.next + 1) % cap(r.pts)
-}
-
-// points returns the ring contents, oldest first.
-func (r *ring) points() []Point {
-	n := len(r.pts)
-	out := make([]Point, 0, n)
-	start := 0
-	if n == cap(r.pts) {
-		start = r.next
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, r.pts[(start+i)%n])
-	}
-	return out
 }
 
 // resMults are the downsampling factors of the three resolutions, in
@@ -86,112 +54,37 @@ type series struct {
 	last  float64
 	lastT time.Time
 
-	raw  [3]*ring
-	rate [3]*ring // counters and histogram counts only
-	acc  [3]accum // index 0 unused
+	raw  [3]*obs.Ring[Point]
+	rate [3]*obs.Ring[Point] // counters and histogram counts only
+	acc  [3]accum            // index 0 unused
 }
 
-// Config describes a Collector.
-type Config struct {
-	// Registry is the sampled registry (required).
-	Registry *obs.Registry
-	// Stride is the base sampling period; zero means DefaultStride.
-	Stride time.Duration
-	// Capacity bounds each ring (points per resolution per series); zero
-	// means DefaultCapacity.
-	Capacity int
-	// MaxSeries bounds how many registry series the collector tracks;
-	// later series are dropped and counted. Zero means DefaultMaxSeries.
-	MaxSeries int
-	// Hub, when non-nil, receives one "metrics" event per tick carrying
-	// the series whose values changed.
-	Hub *Hub
-}
-
-// Collector sizing defaults: 1s stride, 240 points per ring (4 minutes
-// at base resolution, 4 hours at 60s), 4096 tracked series.
+// Collector sizing: the sampler ticks every Stride, each ring holds
+// Capacity points per resolution per series (4 minutes at base
+// resolution, 4 hours at 60s), and at most MaxSeries registry series
+// are tracked; later series are dropped and counted.
 const (
-	DefaultStride    = time.Second
-	DefaultCapacity  = 240
-	DefaultMaxSeries = 4096
+	Stride    = time.Second
+	Capacity  = 240
+	MaxSeries = 4096
 )
 
-// Collector samples a registry into bounded rings. Create with New; a
-// nil *Collector no-ops on every method.
+// Collector records registry snapshots into bounded rings. Create with
+// New; a nil *Collector no-ops on every method.
 type Collector struct {
-	cfg Config
+	hub *Hub
 
 	mu      sync.Mutex
-	now     func() time.Time
 	series  map[string]*series
 	order   []string
 	ticks   uint64
 	dropped int64
 }
 
-// New returns a collector over cfg.Registry. It does not sample until
-// Tick is called (or Start spawns the ticking goroutine).
-func New(cfg Config) *Collector {
-	if cfg.Stride <= 0 {
-		cfg.Stride = DefaultStride
-	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	if cfg.MaxSeries <= 0 {
-		cfg.MaxSeries = DefaultMaxSeries
-	}
-	return &Collector{cfg: cfg, now: time.Now, series: make(map[string]*series)}
-}
-
-// SetClock injects the time source (tests).
-func (c *Collector) SetClock(now func() time.Time) {
-	if c == nil || now == nil {
-		return
-	}
-	c.mu.Lock()
-	c.now = now
-	c.mu.Unlock()
-}
-
-// Hub returns the fanout hub the collector publishes into (nil when none
-// was configured).
-func (c *Collector) Hub() *Hub {
-	if c == nil {
-		return nil
-	}
-	return c.cfg.Hub
-}
-
-// Stride returns the base sampling period.
-func (c *Collector) Stride() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.cfg.Stride
-}
-
-// Start spawns the sampling goroutine on the configured stride and
-// returns its stop function. Safe on a nil collector (no-op stop).
-func (c *Collector) Start() (stop func()) {
-	if c == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(c.cfg.Stride)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				c.Tick()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+// New returns an empty collector. When hub is non-nil it receives one
+// "metrics" event per Sample carrying the series whose values changed.
+func New(hub *Hub) *Collector {
+	return &Collector{hub: hub, series: make(map[string]*series)}
 }
 
 // seriesDelta is one changed series in a per-tick "metrics" SSE event.
@@ -203,30 +96,28 @@ type seriesDelta struct {
 	R *float64 `json:"r,omitempty"`
 }
 
-// Tick samples the registry once. Nil-safe: the disabled path is one
-// branch.
-func (c *Collector) Tick() {
+// Sample records one registry snapshot taken at now. Nil-safe: the
+// disabled path is one branch.
+func (c *Collector) Sample(snap *obs.Snapshot, now time.Time) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	now := c.now()
-	snap := c.cfg.Registry.Snapshot()
 	var deltas []seriesDelta
 	for i := range snap.Samples {
 		smp := &snap.Samples[i]
 		key := sampleKey(smp)
 		s := c.series[key]
 		if s == nil {
-			if len(c.series) >= c.cfg.MaxSeries {
+			if len(c.series) >= MaxSeries {
 				c.dropped++
 				continue
 			}
 			s = &series{name: smp.Name, labels: smp.Labels, kind: smp.Kind}
 			for lvl := range resMults {
-				s.raw[lvl] = newRing(c.cfg.Capacity)
+				s.raw[lvl] = obs.NewRing[Point](Capacity)
 				if counterLike(smp.Kind) {
-					s.rate[lvl] = newRing(c.cfg.Capacity)
+					s.rate[lvl] = obs.NewRing[Point](Capacity)
 				}
 			}
 			c.series[key] = s
@@ -251,9 +142,9 @@ func (c *Collector) Tick() {
 		}
 		changed := !s.have || v != s.last
 		p := Point{T: now.UnixMilli(), V: v}
-		s.raw[0].push(p)
+		s.raw[0].Push(p)
 		if s.rate[0] != nil && rated {
-			s.rate[0].push(Point{T: p.T, V: rate})
+			s.rate[0].Push(Point{T: p.T, V: rate})
 		}
 		// Fold into the coarser resolutions, emitting one aggregated
 		// point whenever a full stride of the level elapses.
@@ -271,9 +162,9 @@ func (c *Collector) Tick() {
 				if counterLike(smp.Kind) {
 					agg = a.last
 				}
-				s.raw[lvl].push(Point{T: p.T, V: agg})
+				s.raw[lvl].Push(Point{T: p.T, V: agg})
 				if s.rate[lvl] != nil && a.rated {
-					s.rate[lvl].push(Point{T: p.T, V: a.sumRate / float64(a.n)})
+					s.rate[lvl].Push(Point{T: p.T, V: a.sumRate / float64(a.n)})
 				}
 				*a = accum{}
 			}
@@ -284,10 +175,9 @@ func (c *Collector) Tick() {
 		}
 	}
 	c.ticks++
-	hub := c.cfg.Hub
 	c.mu.Unlock()
 	if len(deltas) > 0 {
-		hub.PublishJSON(EventMetrics, deltas)
+		c.hub.PublishJSON(EventMetrics, deltas)
 	}
 }
 
@@ -339,14 +229,14 @@ type JSONDoc struct {
 
 // resLevel maps a requested resolution to a downsampling level: the
 // level whose effective stride is nearest the request.
-func (c *Collector) resLevel(req string) (int, string) {
+func resLevel(req string) (int, string) {
 	d, err := time.ParseDuration(req)
 	if req == "" || err != nil || d <= 0 {
-		return 0, resName(c.cfg.Stride, 0)
+		return 0, resName(0)
 	}
 	best, bestDiff := 0, time.Duration(1<<62)
 	for lvl, mult := range resMults {
-		eff := c.cfg.Stride * time.Duration(mult)
+		eff := Stride * time.Duration(mult)
 		diff := eff - d
 		if diff < 0 {
 			diff = -diff
@@ -355,11 +245,11 @@ func (c *Collector) resLevel(req string) (int, string) {
 			best, bestDiff = lvl, diff
 		}
 	}
-	return best, resName(c.cfg.Stride, best)
+	return best, resName(best)
 }
 
-func resName(stride time.Duration, lvl int) string {
-	return (stride * time.Duration(resMults[lvl])).String()
+func resName(lvl int) string {
+	return (Stride * time.Duration(resMults[lvl])).String()
 }
 
 // JSON renders the collector state at the requested resolution ("1s",
@@ -369,18 +259,18 @@ func (c *Collector) JSON(res, prefix string) JSONDoc {
 	if c == nil {
 		return JSONDoc{}
 	}
-	lvl, name := c.resLevel(res)
+	lvl, name := resLevel(res)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	doc := JSONDoc{StrideSeconds: c.cfg.Stride.Seconds(), Res: name}
+	doc := JSONDoc{StrideSeconds: Stride.Seconds(), Res: name}
 	for _, key := range c.order {
 		if prefix != "" && !strings.HasPrefix(key, prefix) {
 			continue
 		}
 		s := c.series[key]
-		sj := SeriesJSON{Name: s.name, Labels: s.labels, Kind: s.kind, Points: s.raw[lvl].points()}
+		sj := SeriesJSON{Name: s.name, Labels: s.labels, Kind: s.kind, Points: s.raw[lvl].Items()}
 		if s.rate[lvl] != nil {
-			sj.Rate = s.rate[lvl].points()
+			sj.Rate = s.rate[lvl].Items()
 		}
 		doc.Series = append(doc.Series, sj)
 	}
@@ -433,25 +323,14 @@ func (c *Collector) Summarize() *Summary {
 	s := &Summary{
 		Series:        len(c.series),
 		Ticks:         c.ticks,
-		StrideSeconds: c.cfg.Stride.Seconds(),
+		StrideSeconds: Stride.Seconds(),
 		DroppedSeries: c.dropped,
 	}
 	c.mu.Unlock()
-	if h := c.cfg.Hub; h != nil {
+	if h := c.hub; h != nil {
 		s.Subscribers = h.Subscribers()
 		s.Published = h.Published()
 		s.Dropped = h.Drops()
 	}
 	return s
 }
-
-// defaultCollector mirrors obs.Default: the process-wide collector the
-// /debug/vars ts section reads. Installed by dashboard.Mount.
-var defaultCollector atomic.Pointer[Collector]
-
-// Default returns the process-wide collector (nil when live telemetry is
-// disabled).
-func Default() *Collector { return defaultCollector.Load() }
-
-// SetDefault installs the process-wide collector (nil disables).
-func SetDefault(c *Collector) { defaultCollector.Store(c) }

@@ -7,43 +7,25 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// fakeClock steps a collector deterministically.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (f *fakeClock) now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.t
-}
-
-func (f *fakeClock) advance(d time.Duration) {
-	f.mu.Lock()
-	f.t = f.t.Add(d)
-	f.mu.Unlock()
-}
-
 func TestCollectorSamplesAndRates(t *testing.T) {
 	reg := obs.NewRegistry()
 	ctr := reg.Counter("requests_total", "code", "200")
 	g := reg.Gauge("depth")
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	c := New(Config{Registry: reg, Stride: time.Second, Capacity: 8})
-	c.SetClock(clk.now)
+	now := time.Unix(1000, 0)
+	c := New(nil)
 
 	for i := 0; i < 5; i++ {
 		ctr.Add(10)
 		g.Set(float64(i))
-		c.Tick()
-		clk.advance(time.Second)
+		c.Sample(reg.Snapshot(), now)
+		now = now.Add(time.Second)
 	}
 
 	doc := c.JSON("", "requests_total")
@@ -79,20 +61,20 @@ func TestCollectorSamplesAndRates(t *testing.T) {
 func TestCollectorRingWraps(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("v")
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	c := New(Config{Registry: reg, Stride: time.Second, Capacity: 4})
-	c.SetClock(clk.now)
-	for i := 0; i < 10; i++ {
+	now := time.Unix(0, 0)
+	c := New(nil)
+	const n = Capacity + 6
+	for i := 0; i < n; i++ {
 		g.Set(float64(i))
-		c.Tick()
-		clk.advance(time.Second)
+		c.Sample(reg.Snapshot(), now)
+		now = now.Add(time.Second)
 	}
 	pts := c.JSON("", "v").Series[0].Points
-	if len(pts) != 4 {
-		t.Fatalf("points = %d, want capacity 4", len(pts))
+	if len(pts) != Capacity {
+		t.Fatalf("points = %d, want capacity %d", len(pts), Capacity)
 	}
 	for i, p := range pts {
-		if want := float64(6 + i); p.V != want {
+		if want := float64(n - Capacity + i); p.V != want {
 			t.Fatalf("pts[%d] = %v, want %v (oldest-first after wrap)", i, p.V, want)
 		}
 	}
@@ -102,15 +84,14 @@ func TestCollectorDownsamples(t *testing.T) {
 	reg := obs.NewRegistry()
 	ctr := reg.Counter("c_total")
 	g := reg.Gauge("g")
-	clk := &fakeClock{t: time.Unix(2000, 0)}
-	c := New(Config{Registry: reg, Stride: time.Second, Capacity: 16})
-	c.SetClock(clk.now)
+	now := time.Unix(2000, 0)
+	c := New(nil)
 
 	for i := 1; i <= 20; i++ {
 		ctr.Add(1)
 		g.Set(float64(i))
-		c.Tick()
-		clk.advance(time.Second)
+		c.Sample(reg.Snapshot(), now)
+		now = now.Add(time.Second)
 	}
 
 	// 20 base ticks fold into two 10s points.
@@ -138,14 +119,14 @@ func TestCollectorDownsamples(t *testing.T) {
 
 func TestCollectorMaxSeries(t *testing.T) {
 	reg := obs.NewRegistry()
-	for i := 0; i < 6; i++ {
+	for i := 0; i < MaxSeries+2; i++ {
 		reg.Gauge(fmt.Sprintf("g%d", i)).Set(1)
 	}
-	c := New(Config{Registry: reg, Stride: time.Second, MaxSeries: 4})
-	c.Tick()
+	c := New(nil)
+	c.Sample(reg.Snapshot(), time.Unix(0, 0))
 	sum := c.Summarize()
-	if sum.Series != 4 {
-		t.Fatalf("series = %d, want 4 (bounded)", sum.Series)
+	if sum.Series != MaxSeries {
+		t.Fatalf("series = %d, want %d (bounded)", sum.Series, MaxSeries)
 	}
 	if sum.DroppedSeries != 2 {
 		t.Fatalf("dropped = %d, want 2", sum.DroppedSeries)
@@ -154,17 +135,14 @@ func TestCollectorMaxSeries(t *testing.T) {
 
 func TestNilCollectorAndHub(t *testing.T) {
 	var c *Collector
-	c.Tick()
-	c.SetClock(time.Now)
-	stop := c.Start()
-	stop()
-	if c.Summarize() != nil || c.Hub() != nil || len(c.JSON("", "").Series) != 0 {
+	c.Sample(nil, time.Time{})
+	if c.Summarize() != nil || len(c.JSON("", "").Series) != 0 {
 		t.Fatal("nil collector views should be empty")
 	}
 	var h *Hub
 	h.Publish("x", nil)
 	h.PublishJSON("x", 1)
-	if h.Subscribe(1) != nil || h.Subscribers() != 0 || h.Drops() != 0 {
+	if h.Subscribe() != nil || h.Subscribers() != 0 || h.Drops() != 0 {
 		t.Fatal("nil hub should no-op")
 	}
 	var s *Sub
@@ -186,35 +164,48 @@ func TestHubFanoutUnderLoad(t *testing.T) {
 
 	const nFast = 8
 	const nEvents = 500
-	slowQueue := 4
-	slow := h.Subscribe(slowQueue)
+	slow := h.Subscribe()
 
 	var wg sync.WaitGroup
-	counts := make([]int, nFast)
+	counts := make([]atomic.Int64, nFast)
 	for i := 0; i < nFast; i++ {
-		sub := h.Subscribe(nEvents + 1)
+		sub := h.Subscribe()
 		wg.Add(1)
 		go func(i int, sub *Sub) {
 			defer wg.Done()
 			for range sub.C() {
-				counts[i]++
+				counts[i].Add(1)
 			}
 		}(i, sub)
 		defer sub.Close()
 	}
 
-	start := time.Now()
-	for i := 0; i < nEvents; i++ {
-		h.Publish(EventMetrics, []byte(`{"k":"x","v":1}`))
+	// Publish one queue's worth, let the fast subscribers drain it, then
+	// publish the rest: the fast queues never overflow, the slow one
+	// drops everything past its first QueueDepth events.
+	var elapsed time.Duration
+	publish := func(n int) {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			h.Publish(EventMetrics, []byte(`{"k":"x","v":1}`))
+		}
+		elapsed += time.Since(start)
 	}
-	elapsed := time.Since(start)
+	publish(QueueDepth)
+	deadline := time.Now().Add(5 * time.Second)
+	for i := range counts {
+		for counts[i].Load() < QueueDepth && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	publish(nEvents - QueueDepth)
 	// Non-blocking publish: 500 events to 9 subscribers must not take
 	// anywhere near a second even on a loaded CI box.
 	if elapsed > time.Second {
 		t.Fatalf("publishing took %v; slow client blocked the hub?", elapsed)
 	}
 
-	wantDrops := uint64(nEvents - slowQueue)
+	wantDrops := uint64(nEvents - QueueDepth)
 	if got := slow.Drops(); got != wantDrops {
 		t.Fatalf("slow sub drops = %d, want %d", got, wantDrops)
 	}
@@ -237,8 +228,8 @@ func TestHubFanoutUnderLoad(t *testing.T) {
 		s.Close()
 	}
 	wg.Wait()
-	for i, n := range counts {
-		if n != nEvents {
+	for i := range counts {
+		if n := counts[i].Load(); n != nEvents {
 			t.Fatalf("fast sub %d saw %d/%d events", i, n, nEvents)
 		}
 	}
@@ -247,7 +238,7 @@ func TestHubFanoutUnderLoad(t *testing.T) {
 	}
 
 	// Goroutine-leak check with a settle loop (runtime bookkeeping lags).
-	deadline := time.Now().Add(2 * time.Second)
+	deadline = time.Now().Add(2 * time.Second)
 	for {
 		runtime.GC()
 		if runtime.NumGoroutine() <= before || time.Now().After(deadline) {
@@ -267,7 +258,7 @@ func TestHubPublishJSONSkipsMarshalWithoutSubscribers(t *testing.T) {
 	if h.Published() != 0 {
 		t.Fatal("publish with zero subscribers should be dropped before marshal")
 	}
-	sub := h.Subscribe(1)
+	sub := h.Subscribe()
 	defer sub.Close()
 	h.PublishJSON(EventMetrics, map[string]int{"a": 1})
 	select {
@@ -337,8 +328,8 @@ func TestSSEHandlerStreams(t *testing.T) {
 func TestServeHTTPTSDocument(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("epvf_x_total").Add(3)
-	c := New(Config{Registry: reg, Stride: time.Second})
-	c.Tick()
+	c := New(nil)
+	c.Sample(reg.Snapshot(), time.Now())
 	rr := httptest.NewRecorder()
 	c.ServeHTTP(rr, httptest.NewRequest("GET", "/ts?prefix=epvf_x", nil))
 	if rr.Code != 200 {

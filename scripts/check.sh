@@ -38,8 +38,8 @@ go test ./...
 # profile capture and resolve on a coordinator's dashboard).
 # ./cmd/epvf/... runs `epvf diff` and `epvf gate` end to end: TestDiffCmd,
 # TestGateCmd and TestGateMatchesAnalyzeModule.
-echo "== go test -race (obs + ts + alert + dashboard + campaign + dist + snapshot + mem + fi + attr + cache + inc + serve + vm + rangeprop + trace + traced CLIs)"
-go test -race ./internal/obs/... ./internal/obs/ts/... ./internal/obs/alert/... \
+echo "== go test -race (obs/... with ts and alert + dashboard + campaign + dist + snapshot + mem + fi + attr + cache + inc + serve + vm + rangeprop + trace + traced CLIs)"
+go test -race ./internal/obs/... \
     ./internal/dashboard/... ./internal/campaign/... ./internal/dist/... \
     ./internal/snapshot/... ./internal/mem/... ./internal/fi/... ./internal/attr/... \
     ./internal/cache/... ./internal/inc/... ./internal/serve/... ./internal/vm/... \
