@@ -73,10 +73,11 @@
 // analysis daemon's handling spans all share one trace. Spans persist
 // in the campaign log at checkpoints; `campaign trace -log` renders
 // them as a text waterfall and `-html` as a self-contained timeline.
-// `-trace-out spans.jsonl` additionally streams every span as JSONL. A
-// bounded flight recorder is always on: /debug/flight on any -obs-addr
-// server dumps the recent spans and per-shard slowest/crash-class
-// injection exemplars, and an abnormal exit dumps them to stderr.
+// `-trace-out spans.jsonl` additionally streams every span as JSONL.
+// Each tracer is its process's bounded flight recorder: /debug/flight on
+// the `run`/`work` -obs-addr server and the `serve` -addr server shows
+// its recent spans (shard spans with their slowest/crash-class injection
+// exemplars), and an abnormal exit dumps them to stderr.
 package main
 
 import (
@@ -110,13 +111,12 @@ import (
 )
 
 func main() {
-	// The flight recorder is always on — when a campaign dies with an
-	// error, its last spans and injection exemplars go to stderr so the
-	// failure explains its own recent past.
-	obs.SetDefaultFlight(obs.NewFlight())
+	// When a campaign dies with an error, the recent spans and injection
+	// exemplars of the tracer it ran with go to stderr, so the failure
+	// explains its own recent past.
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "campaign:", err)
-		obs.DumpDefaultFlight(os.Stderr)
+		obs.DumpFlight(os.Stderr, err)
 		os.Exit(1)
 	}
 }
@@ -175,7 +175,7 @@ func startObs(addr string, reg *obs.Registry, out io.Writer, register func(*obs.
 }
 
 // runCampaign handles the module-bearing subcommands: plan, run, resume.
-func runCampaign(cmd string, args []string, out io.Writer) error {
+func runCampaign(cmd string, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("campaign "+cmd, flag.ContinueOnError)
 	benchName := fs.String("bench", "", "built-in benchmark name")
 	srcPath := fs.String("src", "", "path to a MiniC source file (or .ll textual IR) instead")
@@ -247,7 +247,7 @@ func runCampaign(cmd string, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer stopTracing()
+	defer func() { err = stopTracing(err) }()
 	// With a daemon, a plan that already completed anywhere is fetched
 	// instead of re-executed: the log lands locally and Run replays it
 	// without injecting a single fault. The client propagates the plan's
@@ -315,6 +315,7 @@ func runCampaign(cmd string, args []string, out io.Writer) error {
 		stop, err := startObs(*obsAddr, reg, out, func(srv *obs.Server) {
 			srv.HandleJSON("/campaign", func() (any, error) { return mon.Status() })
 			srv.Handle("/attr", attr.Handler(ledger.Snapshot, meta))
+			srv.Handle("/debug/flight", obs.FlightHandler(tracer))
 			mounted = dashboard.Mount(srv, dashboard.Config{
 				Registry:     reg,
 				Title:        fmt.Sprintf("campaign %s [%s]", plan.ID, label),
@@ -459,7 +460,7 @@ func runMerge(args []string, out io.Writer) error {
 // runServe runs the distributed coordinator: it owns the shard plan and
 // durable merged log, hands TTL leases to workers, and exits with the
 // merged result once every shard has been delivered.
-func runServe(args []string, out io.Writer) error {
+func runServe(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("campaign serve", flag.ContinueOnError)
 	benchName := fs.String("bench", "", "built-in benchmark name")
 	srcPath := fs.String("src", "", "path to a MiniC source file (or .ll textual IR) instead")
@@ -521,7 +522,7 @@ func runServe(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer stopTracing()
+	defer func() { err = stopTracing(err) }()
 	// One server carries everything: the coordinator's /v1/* worker
 	// protocol, /metrics, /healthz (with fleet and degradation sections),
 	// /fleet, /attr and the live /dashboard + /events telemetry surface —
@@ -561,6 +562,7 @@ func runServe(args []string, out io.Writer) error {
 	srv.Handle("/v1/", coord)
 	srv.HandleJSON("/fleet", func() (any, error) { return coord.Status(), nil })
 	srv.Handle("/attr", attr.Handler(ledger.Snapshot, meta))
+	srv.Handle("/debug/flight", obs.FlightHandler(tracer))
 	srv.AddHealth("fleet", func() any { return coord.Status() })
 	srv.Start()
 	if !*quiet {
@@ -608,7 +610,7 @@ func runServe(args []string, out io.Writer) error {
 
 // runWork runs one worker process against a coordinator. SIGINT drains:
 // the in-flight shard finishes and delivers before exit.
-func runWork(args []string, out io.Writer) error {
+func runWork(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("campaign work", flag.ContinueOnError)
 	coordURL := fs.String("coordinator", "", "coordinator base URL, e.g. http://host:8766 (required)")
 	benchName := fs.String("bench", "", "built-in benchmark name")
@@ -646,7 +648,7 @@ func runWork(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer stopTracing()
+	defer func() { err = stopTracing(err) }()
 	cfg := dist.WorkerConfig{
 		Coordinator: strings.TrimRight(*coordURL, "/"),
 		Name:        procName,
@@ -667,6 +669,7 @@ func runWork(args []string, out io.Writer) error {
 		cfg.Registry = reg
 		var mounted *dashboard.Mounted
 		stop, err := startObs(*obsAddr, reg, out, func(srv *obs.Server) {
+			srv.Handle("/debug/flight", obs.FlightHandler(tracer))
 			mounted = dashboard.Mount(srv, dashboard.Config{
 				Registry: reg,
 				Title:    fmt.Sprintf("worker %s", procName),

@@ -13,8 +13,10 @@ import (
 // setupTracing builds the always-on tracer every campaign subcommand
 // records correlated spans with. proc names this process in the spans;
 // traceOut, when non-empty, additionally streams every span as JSONL.
-// The returned closer flushes the sink.
-func setupTracing(proc, traceOut string) (*obs.Tracer, func(), error) {
+// The returned closer flushes the sink and marks the subcommand's error,
+// if any, with the tracer, so main's abnormal-exit dump shows its recent
+// spans.
+func setupTracing(proc, traceOut string) (*obs.Tracer, func(error) error, error) {
 	var sink *os.File
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
@@ -30,15 +32,13 @@ func setupTracing(proc, traceOut string) (*obs.Tracer, func(), error) {
 		tracer = obs.NewTracer(nil)
 	}
 	tracer.SetProc(proc)
-	// Long campaigns produce one span per shard plus exemplars; bound the
-	// in-memory copy anyway so pathological runs cannot grow it.
-	tracer.SetRetain(obs.DefaultFlightSpans * 8)
 	obs.SetDefaultTracer(tracer)
-	stop := func() {
+	stop := func(err error) error {
 		obs.SetDefaultTracer(nil)
 		if sink != nil {
 			sink.Close()
 		}
+		return obs.WithFlight(err, tracer)
 	}
 	return tracer, stop, nil
 }

@@ -25,10 +25,6 @@ import (
 // the daemon's /debug/flight must be non-empty; and `campaign trace
 // -html` must write a well-formed timeline.
 func TestCrossProcessTrace(t *testing.T) {
-	prev := obs.DefaultFlight()
-	obs.SetDefaultFlight(obs.NewFlight())
-	defer obs.SetDefaultFlight(prev)
-
 	tracer := obs.NewTracer(nil)
 	tracer.SetProc("epvf-serve")
 	daemon, err := serve.New(serve.Config{Addr: "127.0.0.1:0", CacheDir: t.TempDir(), Tracer: tracer})

@@ -30,10 +30,11 @@
 // time, allocations) and prints the phase summary table. Combined with
 // `-server`, the request runs under a local root span and the daemon's
 // handling spans come back in the reply — one correlated trace across
-// both processes. The daemon itself always traces (bounded retention;
-// `epvf serve -trace-out` streams its spans as JSONL), and a bounded
-// flight recorder is always on: /debug/flight dumps it live, and an
-// abnormal exit dumps it to stderr.
+// both processes. The daemon itself always traces (`epvf serve
+// -trace-out` streams its spans as JSONL), and its tracer is a bounded
+// flight recorder: /debug/flight shows its recent spans live. An
+// abnormal exit dumps the recent spans of the tracer the command ran
+// with to stderr.
 package main
 
 import (
@@ -57,9 +58,8 @@ import (
 )
 
 func main() {
-	// Always-on flight recorder: an abnormal exit dumps the recent spans
-	// so a failed analysis explains its own recent past.
-	obs.SetDefaultFlight(obs.NewFlight())
+	// An abnormal exit dumps the recent spans of the tracer the command
+	// ran with, so a failed analysis explains its own recent past.
 	args := os.Args[1:]
 	var err error
 	switch {
@@ -76,7 +76,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "epvf:", err)
-		obs.DumpDefaultFlight(os.Stderr)
+		obs.DumpFlight(os.Stderr, err)
 		os.Exit(1)
 	}
 }
@@ -85,7 +85,7 @@ func main() {
 // with a content-addressed result cache, drained gracefully when ctx is
 // cancelled (SIGINT/SIGTERM from main). announce, when non-nil, is told
 // the bound address (tests use it; main prints instead).
-func runServe(ctx context.Context, args []string, announce func(addr string)) error {
+func runServe(ctx context.Context, args []string, announce func(addr string)) (err error) {
 	fs := flag.NewFlagSet("epvf serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:0", "listen address (host:port; :0 picks a free port)")
 	cacheDir := fs.String("cache-dir", "", "disk cache directory (results survive restarts; empty keeps them in memory only)")
@@ -99,7 +99,7 @@ func runServe(ctx context.Context, args []string, announce func(addr string)) er
 	defer obs.SetDefault(nil)
 	// The daemon always traces its handling spans (they return to
 	// clients, who stitch them into their own traces); -trace-out adds a
-	// local JSONL sink. Retention is bounded — the daemon is long-lived.
+	// local JSONL sink.
 	var sink *os.File
 	if *traceOut != "" {
 		f, cerr := os.Create(*traceOut)
@@ -116,9 +116,9 @@ func runServe(ctx context.Context, args []string, announce func(addr string)) er
 		tracer = obs.NewTracer(nil)
 	}
 	tracer.SetProc("epvf-serve")
-	tracer.SetRetain(obs.DefaultFlightSpans * 8)
 	obs.SetDefaultTracer(tracer)
 	defer obs.SetDefaultTracer(nil)
+	defer func() { err = obs.WithFlight(err, tracer) }()
 	srv, err := serve.New(serve.Config{
 		Addr:          *addr,
 		CacheDir:      *cacheDir,
@@ -145,7 +145,7 @@ func runServe(ctx context.Context, args []string, announce func(addr string)) er
 	return srv.Shutdown(sctx)
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("epvf", flag.ContinueOnError)
 	benchName := fs.String("bench", "", "built-in benchmark name (see -list)")
 	srcPath := fs.String("src", "", "path to a MiniC source file (or .ll textual IR) to analyze instead")
@@ -199,6 +199,7 @@ func run(args []string) error {
 		obs.SetDefaultTracer(tracer)
 		defer obs.SetDefaultTracer(nil)
 	}
+	defer func() { err = obs.WithFlight(err, tracer) }()
 
 	if *list {
 		t := report.NewTable("Built-in benchmarks", "Name", "Domain", "MiniC LOC")

@@ -228,6 +228,26 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 	budgetLeft := opts.Budget
 	budgetExhausted := false
 	interrupted := false
+	// A shard's span closes with its exemplar spans ingested into the
+	// tracer, also when cancellation, the budget or an error return cuts
+	// the shard short: the tracer's recent spans then show where the
+	// campaign stopped. Only completed shards persist spans to the log.
+	var (
+		shardSpan *obs.Span
+		exemplars *Exemplars
+		spanShard int
+	)
+	endShard := func() []obs.SpanRecord {
+		if shardSpan == nil {
+			return nil
+		}
+		rec := shardSpan.EndRecord()
+		spans := append([]obs.SpanRecord{rec}, exemplars.Spans(plan, spanShard, rec.Proc)...)
+		opts.Tracer.Ingest(spans[1:]...)
+		shardSpan, exemplars = nil, nil
+		return spans
+	}
+	defer endShard()
 	for _, si := range shardOrder {
 		if st.stopped {
 			break
@@ -245,8 +265,6 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 				missing = append(missing, idx)
 			}
 		}
-		var shardSpan *obs.Span
-		var exemplars *obs.InjectionSet
 		if len(missing) > 0 {
 			if opts.Budget > 0 {
 				if budgetLeft <= 0 {
@@ -260,7 +278,8 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 			}
 			if root != nil {
 				shardSpan = root.ChildExact(fmt.Sprintf("shard %d", si), ShardSpanID(plan.ID, si))
-				exemplars = obs.NewInjectionSet()
+				exemplars = new(Exemplars)
+				spanShard = si
 			}
 			var n int64
 			err := runner.Run(ctx, missing, opts.Workers, func(i int64, rec fi.Record, t0 time.Time, dur time.Duration) error {
@@ -271,8 +290,8 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 						return err
 					}
 				}
-				mon.record(si, i, rec, t0, dur)
-				exemplars.Observe(NewInjection(si, i, rec, t0, dur))
+				mon.record(rec, dur)
+				exemplars.Observe(i, rec, t0, dur)
 				if opts.Ledger != nil {
 					opts.Ledger.Observe(rec)
 				}
@@ -293,14 +312,10 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 				if err := w.append(logRecord{Kind: kindShardDone, Shard: si}); err != nil {
 					return nil, err
 				}
-				if shardSpan != nil {
-					shardRec := shardSpan.EndRecord()
-					spans := append([]obs.SpanRecord{shardRec},
-						InjectionSpans(plan, si, shardRec.Proc, exemplars.Notable())...)
+				if spans := endShard(); spans != nil {
 					if err := w.appendSpans(spans); err != nil {
 						return nil, err
 					}
-					shardSpan = nil
 				}
 				if err := mon.timedCheckpoint(w); err != nil {
 					return nil, err
@@ -310,9 +325,7 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 				st.checkStop(opts.Epsilon, minRuns)
 			}
 		}
-		// An interrupted/budget-cut shard still closes its span (sink +
-		// flight recorder see it); only completed shards persist spans.
-		shardSpan.End()
+		endShard()
 		if budgetExhausted || interrupted {
 			break
 		}

@@ -141,9 +141,8 @@ func (m *Monitor) begin(plan *Plan, w io.Writer, replayed map[fi.Outcome]int) {
 }
 
 // record tallies one executed run and its latency (overall and
-// per-outcome), feeds the flight recorder's shard exemplars, then
-// refreshes the progress line if due.
-func (m *Monitor) record(shard int, index int64, rec fi.Record, t0 time.Time, dur time.Duration) {
+// per-outcome), then refreshes the progress line if due.
+func (m *Monitor) record(rec fi.Record, dur time.Duration) {
 	id := m.planID()
 	outcome := rec.Outcome.String()
 	m.reg.Counter("epvf_campaign_runs_total", "id", id, "outcome", outcome).Inc()
@@ -151,7 +150,6 @@ func (m *Monitor) record(shard int, index int64, rec fi.Record, t0 time.Time, du
 	m.reg.Histogram("epvf_campaign_run_seconds", nil, "id", id).Observe(dur.Seconds())
 	m.reg.Histogram("epvf_injection_latency_seconds", obs.LatencyBuckets,
 		"id", id, "stage", "campaign", "outcome", outcome).Observe(dur.Seconds())
-	obs.DefaultFlight().ObserveInjection(NewInjection(shard, index, rec, t0, dur))
 	m.maybePrint()
 	m.publishStatus(true)
 }

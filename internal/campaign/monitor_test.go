@@ -36,19 +36,19 @@ func TestProgressThrottle(t *testing.T) {
 	mon.begin(p, &buf, nil)
 
 	rec := fi.Record{Outcome: fi.OutcomeBenign}
-	mon.record(0, 0, rec, time.Time{}, time.Millisecond)
+	mon.record(rec, time.Millisecond)
 	if got := strings.Count(buf.String(), "\n"); got != 1 {
 		t.Fatalf("first record printed %d lines, want 1: %q", got, buf.String())
 	}
 	for i := 0; i < 10; i++ {
 		clk.advance(printEvery / 20)
-		mon.record(0, 0, rec, time.Time{}, time.Millisecond)
+		mon.record(rec, time.Millisecond)
 	}
 	if got := strings.Count(buf.String(), "\n"); got != 1 {
 		t.Errorf("throttled records printed %d lines, want 1", got)
 	}
 	clk.advance(printEvery)
-	mon.record(0, 0, rec, time.Time{}, time.Millisecond)
+	mon.record(rec, time.Millisecond)
 	if got := strings.Count(buf.String(), "\n"); got != 2 {
 		t.Errorf("after the window %d lines, want 2:\n%s", got, buf.String())
 	}
@@ -66,7 +66,7 @@ func TestProgressNoDivisionHazards(t *testing.T) {
 	mon.SetClock(clk.now)
 	mon.begin(p, &buf, nil)
 	// Elapsed is exactly zero here: the old code divided done/elapsed.
-	mon.record(0, 0, fi.Record{Outcome: fi.OutcomeCrash}, time.Time{}, 0)
+	mon.record(fi.Record{Outcome: fi.OutcomeCrash}, 0)
 	out := buf.String()
 	if strings.Contains(out, "Inf") || strings.Contains(out, "NaN") {
 		t.Errorf("progress line leaks Inf/NaN: %q", out)

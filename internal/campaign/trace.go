@@ -1,7 +1,10 @@
 package campaign
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"time"
 
@@ -39,50 +42,74 @@ func InjectionSpanID(planID string, index int64) string {
 	return obs.DeterministicSpanID(TraceContext(planID).TraceID, "run", strconv.FormatInt(index, 10))
 }
 
-// injectionName renders the exemplar span name ("run 17 (crash/SegFault)").
-func injectionName(inj obs.Injection) string {
-	if inj.Class != "" {
-		return fmt.Sprintf("run %d (%s/%s)", inj.Index, inj.Outcome, inj.Class)
-	}
-	return fmt.Sprintf("run %d (%s)", inj.Index, inj.Outcome)
+// exemplarSlowest is how many of a shard's slowest injections become
+// exemplar spans, besides the first injection of each crash class.
+const exemplarSlowest = 4
+
+// Exemplars picks a shard's notable injections — the exemplarSlowest
+// slowest plus the first of each crash class — for the exemplar spans
+// that ship with its results. It is bounded by construction (one entry
+// per distinct crash class). The zero value is ready to use; Observe on
+// a nil *Exemplars no-ops, so untraced shards pay one nil check per run.
+type Exemplars struct {
+	slowest []exemplar // descending wall
+	classes []exemplar // first of each crash class, first-seen order
 }
 
-// InjectionSpans converts a shard's notable injections (obs.InjectionSet
-// exemplars) into spans parented under the shard span, with
-// deterministic IDs. Both the in-process engine and dist workers use it,
-// so single-process and distributed logs carry identically-shaped trees.
-func InjectionSpans(plan *Plan, shard int, proc string, injs []obs.Injection) []obs.SpanRecord {
+// exemplar is one completed injection an Exemplars retains.
+type exemplar struct {
+	index int64
+	rec   fi.Record
+	start time.Time
+	wall  time.Duration
+}
+
+// Observe feeds one completed injection.
+func (s *Exemplars) Observe(index int64, rec fi.Record, start time.Time, wall time.Duration) {
+	if s == nil {
+		return
+	}
+	e := exemplar{index, rec, start, wall}
+	if i := sort.Search(len(s.slowest), func(i int) bool { return s.slowest[i].wall < wall }); i < exemplarSlowest {
+		s.slowest = slices.Insert(s.slowest, i, e)[:min(len(s.slowest)+1, exemplarSlowest)]
+	}
+	if rec.Outcome == fi.OutcomeCrash && !slices.ContainsFunc(s.classes, func(c exemplar) bool { return c.rec.Exc == rec.Exc }) {
+		s.classes = append(s.classes, e)
+	}
+}
+
+// Spans renders the notable injections, by index, as spans parented
+// under the shard span, with deterministic IDs and names such as
+// "run 17 (crash/segmentation fault)". Both the in-process engine and
+// dist workers use it, so single-process and distributed logs carry
+// identically-shaped trees.
+func (s *Exemplars) Spans(plan *Plan, shard int, proc string) []obs.SpanRecord {
+	if s == nil {
+		return nil
+	}
+	notable := slices.Concat(s.slowest, s.classes)
+	slices.SortFunc(notable, func(a, b exemplar) int { return cmp.Compare(a.index, b.index) })
+	notable = slices.CompactFunc(notable, func(a, b exemplar) bool { return a.index == b.index })
 	ctx := TraceContext(plan.ID)
 	parent := ShardSpanID(plan.ID, shard)
-	out := make([]obs.SpanRecord, 0, len(injs))
-	for _, inj := range injs {
+	out := make([]obs.SpanRecord, 0, len(notable))
+	for _, e := range notable {
+		name := fmt.Sprintf("run %d (%s)", e.index, e.rec.Outcome)
+		if e.rec.Outcome == fi.OutcomeCrash {
+			name = fmt.Sprintf("run %d (%s/%s)", e.index, e.rec.Outcome, e.rec.Exc)
+		}
 		out = append(out, obs.SpanRecord{
-			Name:     injectionName(inj),
+			Name:     name,
 			TraceID:  ctx.TraceID,
-			SpanID:   InjectionSpanID(plan.ID, inj.Index),
+			SpanID:   InjectionSpanID(plan.ID, e.index),
 			ParentID: parent,
 			Proc:     proc,
 			Depth:    2,
-			Start:    inj.Start,
-			WallNS:   inj.WallNS,
+			Start:    e.start,
+			WallNS:   e.wall.Nanoseconds(),
 		})
 	}
 	return out
-}
-
-// NewInjection builds the flight-recorder view of one completed run.
-func NewInjection(shard int, index int64, rec fi.Record, start time.Time, wall time.Duration) obs.Injection {
-	inj := obs.Injection{
-		Shard:   shard,
-		Index:   index,
-		Outcome: rec.Outcome.String(),
-		Start:   start,
-		WallNS:  wall.Nanoseconds(),
-	}
-	if rec.Outcome == fi.OutcomeCrash {
-		inj.Class = rec.Exc.String()
-	}
-	return inj
 }
 
 // AppendSpans appends one span batch to an existing campaign log and

@@ -71,6 +71,19 @@ func TestMountServesDashboardSurface(t *testing.T) {
 		t.Fatalf("/alerts missing built-in rules: %s", body)
 	}
 
+	// /debug/vars stays one JSON document carrying the telemetry
+	// sections next to the server's own registry.
+	_, body = get(t, base+"/debug/vars")
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &vars); err != nil {
+		t.Fatalf("/debug/vars is not JSON: %v", err)
+	}
+	for _, key := range []string{"epvf_obs", "epvf_ts", "epvf_alerts"} {
+		if _, ok := vars[key]; !ok {
+			t.Errorf("/debug/vars lacks %s", key)
+		}
+	}
+
 	// The index advertises the new routes.
 	_, body = get(t, base+"/")
 	if !strings.Contains(body, "/dashboard") || !strings.Contains(body, "/events") {

@@ -1017,3 +1017,44 @@ func TestLargeSpanBatchKeepsLogReadable(t *testing.T) {
 		t.Fatal("refused span reached the log")
 	}
 }
+
+// TestUntracedWorkerObservesInjectionLatency: a worker with a registry
+// but no tracer still feeds epvf_injection_latency_seconds{stage="dist"}
+// one observation per run it executes.
+func TestUntracedWorkerObservesInjectionLatency(t *testing.T) {
+	g := golden(t, kernelSrc)
+	plan := testPlan(t, g, 60, 20)
+	coord, err := NewCoordinator(CoordinatorConfig{Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Shutdown(context.Background())
+	reg := obs.NewRegistry()
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: "http://" + coord.Addr(),
+		Name:        "untraced",
+		Module:      g.Trace.Module,
+		Golden:      g,
+		Workers:     2,
+		Registry:    reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runs := reg.Snapshot().Counter("epvf_dist_worker_runs_total", "worker", "untraced")
+	var observed int64
+	for _, s := range reg.Snapshot().Samples {
+		if s.Name == "epvf_injection_latency_seconds" && s.Labels["stage"] == "dist" {
+			observed += s.Count
+		}
+	}
+	if runs != plan.Runs || observed != runs {
+		t.Errorf("latency histogram holds %d observations for %d executed runs (plan %d)", observed, runs, plan.Runs)
+	}
+}

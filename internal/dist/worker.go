@@ -234,13 +234,13 @@ func (w *Worker) executeShard(ctx context.Context, lease LeaseResponse) (bool, e
 	// redelivered record. Outgoing requests (heartbeats, the delivery)
 	// propagate it via the Traceparent header while it is open.
 	var span *obs.Span
-	var exemplars *obs.InjectionSet
+	var exemplars *campaign.Exemplars
 	if w.cfg.Tracer != nil {
 		root := campaign.TraceContext(w.plan.ID)
 		sctx := obs.SpanContext{TraceID: root.TraceID, SpanID: campaign.ShardSpanID(w.plan.ID, lease.Shard)}
 		span = w.cfg.Tracer.StartExact(fmt.Sprintf("shard %d", lease.Shard), sctx, root.SpanID)
 		w.traceCtx = sctx
-		exemplars = obs.NewInjectionSet()
+		exemplars = new(campaign.Exemplars)
 		defer func() { w.traceCtx = obs.SpanContext{} }()
 	}
 
@@ -263,19 +263,24 @@ func (w *Worker) executeShard(ctx context.Context, lease LeaseResponse) (bool, e
 	// set needs no lock.
 	_ = w.runner.Run(context.WithoutCancel(ctx), idxs, w.cfg.Workers, func(index int64, rec fi.Record, start time.Time, wall time.Duration) error {
 		records[index-lease.Lo] = rec
-		if span != nil {
-			inj := campaign.NewInjection(lease.Shard, index, rec, start, wall)
-			exemplars.Observe(inj)
-			obs.DefaultFlight().ObserveInjection(inj)
-			if w.cfg.Registry != nil {
-				w.cfg.Registry.Histogram("epvf_injection_latency_seconds", obs.LatencyBuckets,
-					"id", w.plan.ID, "stage", "dist", "outcome", rec.Outcome.String()).Observe(wall.Seconds())
-			}
+		exemplars.Observe(index, rec, start, wall)
+		if w.cfg.Registry != nil {
+			w.cfg.Registry.Histogram("epvf_injection_latency_seconds", obs.LatencyBuckets,
+				"id", w.plan.ID, "stage", "dist", "outcome", rec.Outcome.String()).Observe(wall.Seconds())
 		}
 		return nil
 	})
 	close(stop)
 	<-beatDone
+	// The shard span ends with its execution; its exemplar spans join the
+	// worker's own tracer as well as the subtree shipped to the
+	// coordinator.
+	var subtree []obs.SpanRecord
+	if span != nil {
+		rec := span.EndRecord()
+		subtree = append([]obs.SpanRecord{rec}, exemplars.Spans(w.plan, lease.Shard, rec.Proc)...)
+		w.cfg.Tracer.Ingest(subtree[1:]...)
+	}
 
 	recs := make([]campaign.RunRec, len(records))
 	for i, rec := range records {
@@ -298,16 +303,13 @@ func (w *Worker) executeShard(ctx context.Context, lease LeaseResponse) (bool, e
 	// Detached context: a drain must still deliver the finished shard.
 	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Minute)
 	defer cancel()
-	if span != nil {
+	if subtree != nil {
 		// The subtree ships before the results so the coordinator holds
 		// every delivered shard's spans by the moment the campaign
 		// completes (it may shut down right after). A requeued shard
 		// re-ships identical deterministic span IDs and the coordinator
 		// drops them as duplicates; a failed shipment is noted and
 		// dropped — spans are observability, never correctness.
-		rec := span.EndRecord()
-		subtree := append([]obs.SpanRecord{rec},
-			campaign.InjectionSpans(w.plan, lease.Shard, rec.Proc, exemplars.Notable())...)
 		if err := w.shipSpans(dctx, lease.Shard, subtree); err != nil {
 			w.progress("worker %s: shard %d span shipment dropped: %v", w.cfg.Name, lease.Shard, err)
 		}

@@ -23,17 +23,3 @@ func TestRingKeepsNewestOldestFirst(t *testing.T) {
 		t.Fatalf("wrapped ring = %v (len %d), want [5 6 7]", got, r.Len())
 	}
 }
-
-func TestFlightRingRetainsLastSpans(t *testing.T) {
-	f := NewFlight()
-	for i := 0; i < DefaultFlightSpans+10; i++ {
-		f.Record(SpanRecord{Name: "s", WallNS: int64(i)})
-	}
-	v := f.View()
-	if v.SpansTotal != DefaultFlightSpans+10 || len(v.RecentSpans) != DefaultFlightSpans {
-		t.Fatalf("total %d retained %d", v.SpansTotal, len(v.RecentSpans))
-	}
-	if first := v.RecentSpans[0].WallNS; first != 10 {
-		t.Fatalf("oldest retained span = %d, want 10", first)
-	}
-}

@@ -36,10 +36,6 @@ type healthSection struct {
 	fn   func() any
 }
 
-// expvarOnce guards the one-time expvar publication of the obs snapshot
-// (expvar.Publish panics on duplicate names).
-var expvarOnce sync.Once
-
 // NewServer binds addr (host:port; :0 picks a free port) and builds the
 // route table, but does not serve until Start.
 func NewServer(addr string, reg *Registry) (*Server, error) {
@@ -50,19 +46,13 @@ func NewServer(addr string, reg *Registry) (*Server, error) {
 	s := &Server{reg: reg, mux: http.NewServeMux(), ln: ln, started: time.Now()}
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
-	s.mux.HandleFunc("/debug/flight", s.handleFlight)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.mux.Handle("/debug/vars", expvar.Handler())
+	s.mux.HandleFunc("/debug/vars", s.handleVars)
 	s.mux.HandleFunc("/", s.handleIndex)
-	expvarOnce.Do(func() {
-		expvar.Publish("epvf_obs", expvar.Func(func() any {
-			return s.reg.Snapshot().Samples
-		}))
-	})
 	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
 	return s, nil
 }
@@ -156,25 +146,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.srv.Shutdown(ctx)
 }
 
-// handleFlight dumps the process-wide flight recorder: JSON by default,
-// the text rendering with ?format=text. 404 when no recorder is
-// installed (CLIs install one at startup, so in practice it is always
-// on).
-func (s *Server) handleFlight(w http.ResponseWriter, req *http.Request) {
-	f := DefaultFlight()
-	if f == nil {
-		http.Error(w, "flight recorder not installed", http.StatusNotFound)
+// handleVars serves the process's published expvars, as
+// expvar.Handler does, plus this server's registry samples under
+// epvf_obs: every server shows its own registry, not whichever was
+// published first.
+func (s *Server) handleVars(w http.ResponseWriter, req *http.Request) {
+	samples, err := json.Marshal(s.reg.Snapshot().Samples)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if req.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		f.WriteText(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(f.View())
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	fmt.Fprintf(w, "{\n%q: %s", "epvf_obs", samples)
+	expvar.Do(func(kv expvar.KeyValue) {
+		fmt.Fprintf(w, ",\n%q: %s", kv.Key, kv.Value)
+	})
+	fmt.Fprintf(w, "\n}\n")
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
@@ -202,7 +189,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, req *http.Request) {
 	fmt.Fprintln(w, "  /ts                 metric time-series rings (?res=1s|10s|60s, ?prefix=)")
 	fmt.Fprintln(w, "  /events             SSE stream: metrics, campaign, fleet, span, alert events")
 	fmt.Fprintln(w, "  /alerts             alert rule states + transition log")
-	fmt.Fprintln(w, "  /debug/flight       flight recorder: recent spans + shard exemplars (?format=text)")
+	fmt.Fprintln(w, "  /debug/flight       flight recorder: the owner's tracer's recent spans (?format=text)")
 	fmt.Fprintln(w, "  /debug/pprof/       CPU, heap, goroutine profiles")
 	fmt.Fprintln(w, "  /debug/vars         expvar (includes the epvf_obs snapshot)")
 }

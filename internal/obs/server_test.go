@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -288,5 +289,38 @@ func TestHealthz(t *testing.T) {
 	// Sections registered after Start serve too.
 	if got.Fleet != "idle" {
 		t.Errorf("fleet section = %q", got.Fleet)
+	}
+}
+
+// TestDebugVarsShowsOwnRegistry: each server's /debug/vars carries its
+// own registry under epvf_obs, and still every other published expvar.
+func TestDebugVarsShowsOwnRegistry(t *testing.T) {
+	expvar.Publish("obs_test_published", expvar.Func(func() any { return "present" }))
+	first, second := NewRegistry(), NewRegistry()
+	first.Counter("first_only_total").Inc()
+	second.Counter("second_only_total").Inc()
+	for _, tc := range []struct {
+		reg        *Registry
+		own, other string
+	}{
+		{first, "first_only_total", "second_only_total"},
+		{second, "second_only_total", "first_only_total"},
+	} {
+		srv := startTestServer(t, tc.reg)
+		srv.Start()
+		code, body := get(t, "http://"+srv.Addr()+"/debug/vars")
+		var vars map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(body), &vars); code != http.StatusOK || err != nil {
+			t.Fatalf("/debug/vars: code %d, %v\n%s", code, err, body)
+		}
+		obsVars := string(vars["epvf_obs"])
+		if !strings.Contains(obsVars, tc.own) || strings.Contains(obsVars, tc.other) {
+			t.Errorf("epvf_obs = %s; want %s and not %s", obsVars, tc.own, tc.other)
+		}
+		for _, key := range []string{"memstats", "cmdline", "obs_test_published"} {
+			if _, ok := vars[key]; !ok {
+				t.Errorf("/debug/vars lacks %s", key)
+			}
+		}
 	}
 }

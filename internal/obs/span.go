@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"runtime"
 	"sort"
 	"sync"
@@ -42,20 +43,41 @@ type SpanRecord struct {
 // Tracer records nestable phase spans. A nil *Tracer (the disabled
 // default) hands out nil *Span handles whose methods no-op, so
 // instrumented pipelines pay one nil check per phase.
+//
+// A tracer is also its process's flight recorder: it keeps the newest
+// DefaultFlightSpans completed spans in a ring (what /debug/flight and
+// the abnormal-exit dump show) plus running per-name totals, so memory
+// stays bounded however long it records while Aggregate still covers
+// every span.
 type Tracer struct {
 	mu     sync.Mutex
 	w      io.Writer // JSONL sink, may be nil
 	now    func() time.Time
 	proc   string
-	retain int // when > 0, keep only the most recent retain spans in memory
-	spans  []SpanRecord
-	drops  atomic.Int64
+	recent *Ring[SpanRecord]
+	total  uint64 // spans ever recorded
+	phases map[string]*PhaseStat
+	order  []string // phase first-seen order
 }
+
+// A tracer keeps per-name totals for at most maxPhases names. Campaign
+// spans are named after their shard or run, so without a bound the
+// totals would grow with the campaign; spans with a new name past the
+// bound are totalled under otherPhase.
+const (
+	maxPhases  = 1024
+	otherPhase = "(other)"
+)
 
 // NewTracer returns a tracer. w, when non-nil, receives one JSON line per
 // completed span.
 func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{w: w, now: time.Now}
+	return &Tracer{
+		w:      w,
+		now:    time.Now,
+		recent: NewRing[SpanRecord](DefaultFlightSpans),
+		phases: make(map[string]*PhaseStat),
+	}
 }
 
 // SetProc names the producing process; every span recorded afterwards
@@ -67,26 +89,6 @@ func (t *Tracer) SetProc(name string) {
 	t.mu.Lock()
 	t.proc = name
 	t.mu.Unlock()
-}
-
-// SetRetain bounds the in-memory span list to the most recent n spans
-// (0 = unbounded, the default). Long-lived daemons set it so the tracer
-// cannot grow without bound; the JSONL sink still sees every span.
-func (t *Tracer) SetRetain(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.retain = n
-	t.mu.Unlock()
-}
-
-// Drops returns how many span JSONL lines were lost to sink errors.
-func (t *Tracer) Drops() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.drops.Load()
 }
 
 // SetClock injects the time source (tests; the campaign progress reporter
@@ -261,9 +263,10 @@ func (sp *Span) EndRecord() SpanRecord {
 	return sp.rec
 }
 
-// Ingest records remote spans verbatim (JSONL sink, in-memory list,
-// flight recorder): the coordinator ingests worker shard subtrees, a
-// -server client ingests the daemon's handling spans.
+// Ingest records spans built elsewhere verbatim (JSONL sink, recent-span
+// ring, phase totals): the coordinator ingests worker shard subtrees, a
+// -server client ingests the daemon's handling spans, and the campaign
+// engine and dist workers ingest each shard's injection exemplars.
 func (t *Tracer) Ingest(recs ...SpanRecord) {
 	if t == nil {
 		return
@@ -303,13 +306,30 @@ func SetSpanSink(fn func(SpanRecord)) (remove func()) {
 // keeps working — one bad write must not poison subsequent spans.
 func (t *Tracer) record(rec SpanRecord) {
 	t.mu.Lock()
-	t.spans = append(t.spans, rec)
-	if t.retain > 0 && len(t.spans) > t.retain {
-		t.spans = append(t.spans[:0], t.spans[len(t.spans)-t.retain:]...)
+	t.recent.Push(rec)
+	t.total++
+	name := rec.Name
+	if t.phases[name] == nil && len(t.order) >= maxPhases {
+		name = otherPhase
+	}
+	st := t.phases[name]
+	if st == nil {
+		st = &PhaseStat{Name: name}
+		t.phases[name] = st
+		t.order = append(t.order, name)
+	}
+	st.Count++
+	st.WallNS += rec.WallNS
+	st.Allocs += rec.Allocs
+	st.AllocBytes += rec.AllocBytes
+	for k, v := range rec.Counters {
+		if st.Counters == nil {
+			st.Counters = make(map[string]int64)
+		}
+		st.Counters[k] += v
 	}
 	w := t.w
 	t.mu.Unlock()
-	DefaultFlight().Record(rec)
 	if sink := spanSink.Load(); sink != nil {
 		(*sink)(rec)
 	}
@@ -318,32 +338,30 @@ func (t *Tracer) record(rec SpanRecord) {
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
-		t.drop()
+		drop()
 		return
 	}
 	t.mu.Lock()
 	_, werr := w.Write(append(line, '\n'))
 	t.mu.Unlock()
 	if werr != nil {
-		t.drop()
+		drop()
 	}
 }
 
-// drop counts a span line lost to a sink error, both on the tracer and on
-// the default registry's epvf_obs_trace_drops counter.
-func (t *Tracer) drop() {
-	t.drops.Add(1)
-	Default().Counter("epvf_obs_trace_drops").Add(1)
-}
+// drop counts a span line lost to a sink error on the default registry's
+// epvf_obs_trace_drops counter.
+func drop() { Default().Counter("epvf_obs_trace_drops").Add(1) }
 
-// Spans returns a copy of every completed span in end order.
+// Spans returns a copy of the newest DefaultFlightSpans completed spans,
+// oldest first (every span, for a tracer that recorded no more).
 func (t *Tracer) Spans() []SpanRecord {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]SpanRecord(nil), t.spans...)
+	return t.recent.Items()
 }
 
 // PhaseStat aggregates every completed span of one name.
@@ -356,39 +374,20 @@ type PhaseStat struct {
 	Counters   map[string]int64 `json:"counters,omitempty"`
 }
 
-// Aggregate folds completed spans into per-phase totals, sorted by
-// descending wall time.
+// Aggregate returns the per-phase totals of every span the tracer ever
+// recorded, sorted by descending wall time.
 func (t *Tracer) Aggregate() []PhaseStat {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	byName := make(map[string]*PhaseStat)
-	order := []string{}
-	for i := range t.spans {
-		rec := &t.spans[i]
-		st := byName[rec.Name]
-		if st == nil {
-			st = &PhaseStat{Name: rec.Name}
-			byName[rec.Name] = st
-			order = append(order, rec.Name)
-		}
-		st.Count++
-		st.WallNS += rec.WallNS
-		st.Allocs += rec.Allocs
-		st.AllocBytes += rec.AllocBytes
-		for k, v := range rec.Counters {
-			if st.Counters == nil {
-				st.Counters = make(map[string]int64)
-			}
-			st.Counters[k] += v
-		}
+	out := make([]PhaseStat, 0, len(t.order))
+	for _, n := range t.order {
+		st := *t.phases[n]
+		st.Counters = maps.Clone(st.Counters)
+		out = append(out, st)
 	}
 	t.mu.Unlock()
-	out := make([]PhaseStat, 0, len(order))
-	for _, n := range order {
-		out = append(out, *byName[n])
-	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].WallNS > out[j].WallNS })
 	return out
 }

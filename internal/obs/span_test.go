@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -179,9 +181,6 @@ func TestSinkErrorDoesNotPoisonTracer(t *testing.T) {
 	for _, name := range []string{"a", "b", "c", "d"} {
 		tr.Start(name).End()
 	}
-	if got := tr.Drops(); got != 2 {
-		t.Errorf("Drops() = %d, want 2", got)
-	}
 	if got := reg.Snapshot().Counter("epvf_obs_trace_drops"); got != 2 {
 		t.Errorf("epvf_obs_trace_drops = %d, want 2", got)
 	}
@@ -200,5 +199,135 @@ func TestSinkErrorDoesNotPoisonTracer(t *testing.T) {
 		if rec.Name != want {
 			t.Errorf("sink line %d = span %q, want %q", i, rec.Name, want)
 		}
+	}
+}
+
+// TestTracerKeepsNewestSpans records DefaultFlightSpans+10 spans from
+// several goroutines: the tracer's ring keeps the newest
+// DefaultFlightSpans, oldest first, while Aggregate and the flight
+// total still count every span with exact wall sums.
+func TestTracerKeepsNewestSpans(t *testing.T) {
+	const goroutines = 6
+	const total = DefaultFlightSpans + 10
+	const per = total / goroutines
+	if per*goroutines != total {
+		t.Fatalf("%d spans do not split over %d goroutines", total, goroutines)
+	}
+	tr := NewTracer(nil)
+	tr.SetProc("flight-test")
+	walls := make([]int64, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				sp := tr.Start(fmt.Sprintf("g%d", g))
+				sp.Add("seq", int64(i))
+				walls[g] += sp.EndRecord().WallNS
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	spans := tr.Spans()
+	if len(spans) != DefaultFlightSpans {
+		t.Fatalf("Spans() holds %d, want %d", len(spans), DefaultFlightSpans)
+	}
+	// Eviction drops the globally oldest spans, so each goroutine keeps a
+	// suffix of its own sequence, in order, ending at its last span.
+	next := make(map[string]int64)
+	for _, rec := range spans {
+		seq := rec.Counters["seq"]
+		if want, seen := next[rec.Name]; seen && seq != want {
+			t.Fatalf("%s: retained seq %d after %d, want %d (not oldest first, or a gap)", rec.Name, seq, want-1, want)
+		}
+		next[rec.Name] = seq + 1
+	}
+	for name, n := range next {
+		if n != per {
+			t.Errorf("%s: newest retained seq %d, want %d", name, n-1, per-1)
+		}
+	}
+	if v := tr.Flight(); v.SpansTotal != total || len(v.RecentSpans) != DefaultFlightSpans {
+		t.Errorf("flight view: %d recorded, %d retained; want %d, %d", v.SpansTotal, len(v.RecentSpans), total, DefaultFlightSpans)
+	}
+
+	agg := tr.Aggregate()
+	if len(agg) != goroutines {
+		t.Fatalf("Aggregate has %d phases, want %d", len(agg), goroutines)
+	}
+	for _, st := range agg {
+		var g int
+		fmt.Sscanf(st.Name, "g%d", &g)
+		if st.Count != per || st.WallNS != walls[g] || st.Counters["seq"] != per*(per-1)/2 {
+			t.Errorf("%s: count %d wall %d seq sum %d; want %d, %d, %d",
+				st.Name, st.Count, st.WallNS, st.Counters["seq"], per, walls[g], per*(per-1)/2)
+		}
+	}
+
+	var text bytes.Buffer
+	tr.WriteFlight(&text)
+	if !strings.HasPrefix(text.String(), fmt.Sprintf("flight recorder: %d spans recorded (%d retained)", total, DefaultFlightSpans)) {
+		t.Errorf("text view header: %q", strings.SplitN(text.String(), "\n", 2)[0])
+	}
+	if rows := strings.Count(text.String(), "flight-test"); rows != DefaultFlightSpans {
+		t.Errorf("text view lists %d spans, want %d", rows, DefaultFlightSpans)
+	}
+}
+
+// TestDumpFlightPrintsMarkedTracer: an error marked with the tracer a
+// command ran with dumps that tracer, also through wrapping; an unmarked
+// error or a tracer that recorded nothing prints nothing.
+func TestDumpFlightPrintsMarkedTracer(t *testing.T) {
+	tr := NewTracer(nil)
+	base := errors.New("boom")
+	var out bytes.Buffer
+	DumpFlight(&out, WithFlight(base, tr))
+	if out.Len() != 0 {
+		t.Errorf("empty tracer dumped:\n%s", out.String())
+	}
+	tr.Start("phase").End()
+	err := fmt.Errorf("command: %w", WithFlight(base, tr))
+	if !errors.Is(err, base) || err.Error() != "command: boom" {
+		t.Errorf("marked error = %q, want it to wrap %q unchanged", err, base)
+	}
+	DumpFlight(&out, err)
+	if !strings.Contains(out.String(), "1 spans recorded") || !strings.Contains(out.String(), "phase") {
+		t.Errorf("dump lacks the tracer's span:\n%s", out.String())
+	}
+	out.Reset()
+	DumpFlight(&out, base)
+	if WithFlight(nil, tr) != nil || out.Len() != 0 {
+		t.Error("unmarked or nil errors must not dump")
+	}
+}
+
+// TestTracerBoundsPhaseTotals: past maxPhases distinct names, new names
+// fold into otherPhase, so the totals stay bounded and still count
+// every span.
+func TestTracerBoundsPhaseTotals(t *testing.T) {
+	tr := NewTracer(nil)
+	for i := 0; i < maxPhases+10; i++ {
+		tr.Ingest(SpanRecord{Name: fmt.Sprintf("shard %d", i), WallNS: 1})
+	}
+	tr.Ingest(SpanRecord{Name: "shard 0", WallNS: 1})
+	agg := tr.Aggregate()
+	if len(agg) != maxPhases+1 {
+		t.Fatalf("Aggregate has %d phases, want %d", len(agg), maxPhases+1)
+	}
+	var count, wall int64
+	for _, st := range agg {
+		count += st.Count
+		wall += st.WallNS
+		if st.Name == otherPhase && st.Count != 10 {
+			t.Errorf("%s counts %d spans, want 10", otherPhase, st.Count)
+		}
+		if st.Name == "shard 0" && st.Count != 2 {
+			t.Errorf("shard 0 counts %d spans, want 2", st.Count)
+		}
+	}
+	if count != maxPhases+11 || wall != maxPhases+11 {
+		t.Errorf("totals cover %d spans and %d ns, want %d of each", count, wall, maxPhases+11)
 	}
 }

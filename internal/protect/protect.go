@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 
-	"repro/internal/attr"
 	"repro/internal/epvf"
 	"repro/internal/ir"
 )
@@ -70,39 +69,6 @@ func RankByEPVFDensity(per map[*ir.Instr]*epvf.InstrVuln) Ranking {
 		da, db := density(a), density(b)
 		if da != db {
 			return da > db
-		}
-		return a.Instr.ID < b.Instr.ID
-	})
-}
-
-// RankByMisprediction orders eligible instructions by observed danger
-// rather than modeled danger: an attribution snapshot (internal/attr)
-// counts, per static instruction, the injections that actually produced
-// an SDC plus the undershoots — faults the model called benign (unACE)
-// that corrupted state anyway. Instructions the model most underestimates
-// rank first; ties break by per-instruction ePVF (the model's own
-// signal), then static ID. Instructions the campaign never hit fall back
-// to pure ePVF order below every observed one.
-func RankByMisprediction(per map[*ir.Instr]*epvf.InstrVuln, s *attr.Snapshot) Ranking {
-	danger := make(map[int]int64)
-	if s != nil {
-		for i := range s.Cells {
-			cj := &s.Cells[i]
-			w := cj.SDC
-			if cj.Class == attr.ClassUnACE.String() {
-				// Undershoot mass not already counted as SDC.
-				w += cj.Hang + cj.Detected
-			}
-			danger[cj.Instr] += w
-		}
-	}
-	return rank(per, func(a, b *epvf.InstrVuln) bool {
-		da, db := danger[a.Instr.ID], danger[b.Instr.ID]
-		if da != db {
-			return da > db
-		}
-		if a.EPVF() != b.EPVF() {
-			return a.EPVF() > b.EPVF()
 		}
 		return a.Instr.ID < b.Instr.ID
 	})

@@ -16,7 +16,7 @@ type HTMLDoc struct {
 
 // htmlBlock is one rendered section. Kind selects the template branch.
 type htmlBlock struct {
-	Kind     string // "heading", "para", "table", "heatmap", "pre", "timeline", "div", "script"
+	Kind     string // "heading", "para", "table", "heatmap", "timeline", "div", "script"
 	Text     string
 	Table    *Table
 	Heatmap  *Heatmap
@@ -37,11 +37,6 @@ func (d *HTMLDoc) AddHeading(text string) {
 // AddParagraph appends a paragraph of plain text (escaped).
 func (d *HTMLDoc) AddParagraph(text string) {
 	d.blocks = append(d.blocks, htmlBlock{Kind: "para", Text: text})
-}
-
-// AddPre appends preformatted text (escaped, monospace).
-func (d *HTMLDoc) AddPre(text string) {
-	d.blocks = append(d.blocks, htmlBlock{Kind: "pre", Text: text})
 }
 
 // AddTable appends a table.
@@ -213,7 +208,6 @@ caption { caption-side: top; text-align: left; font-weight: 600; padding: 0.25em
 .hm td { width: 1.1em; height: 1.1em; padding: 0; border: 1px solid #eee; }
 .hm th { font-weight: 400; font-size: 0.75em; background: none; border: none; }
 .hm td.lbl { width: auto; padding: 0 0.6em 0 0; border: none; white-space: nowrap; font-size: 0.85em; }
-pre { background: #f7f7f7; padding: 0.75em; overflow-x: auto; }
 .tl { margin: 0.75em 0; }
 .tlcap { font-weight: 600; padding: 0.25em 0; }
 .tlrow { display: flex; align-items: center; height: 1.35em; }
@@ -228,7 +222,6 @@ pre { background: #f7f7f7; padding: 0.75em; overflow-x: auto; }
 <h1>{{.Title}}</h1>
 {{range .Blocks}}{{if eq .Kind "heading"}}<h2>{{.Text}}</h2>
 {{else if eq .Kind "para"}}<p>{{.Text}}</p>
-{{else if eq .Kind "pre"}}<pre>{{.Text}}</pre>
 {{else if eq .Kind "table"}}<table>
 <caption>{{.Table.Title}}</caption>
 <tr>{{range .Table.Columns}}<th>{{.}}</th>{{end}}</tr>

@@ -59,7 +59,8 @@ type Config struct {
 	// Tracer, when non-nil, records a handling span per request and
 	// returns it to the caller (in the analyze reply, or the X-Epvf-Span
 	// header for blob endpoints) so clients can stitch the daemon's work
-	// into their own traces. Long-lived daemons should SetRetain on it.
+	// into their own traces. /debug/flight shows its recent spans; its
+	// memory stays bounded however long the daemon runs.
 	Tracer *obs.Tracer
 	// Incremental enables the incremental analysis tier: below the
 	// summary cache, analyses compose from per-function section profiles
@@ -107,6 +108,7 @@ func New(cfg Config) (*Server, error) {
 	osrv.Handle("/v1/analyze", http.HandlerFunc(s.handleAnalyze))
 	osrv.Handle("/v1/campaign/log", s.blobHandler(KindCampaign))
 	osrv.Handle("/v1/attr/snapshot", s.blobHandler(KindAttr))
+	osrv.Handle("/debug/flight", obs.FlightHandler(cfg.Tracer))
 	osrv.AddHealth("cache", func() any { return store.Stats() })
 	// The live telemetry layer — /ts, /events, /alerts, /dashboard —
 	// rides the same listener; alert firings capture pprof bundles into
@@ -118,11 +120,6 @@ func New(cfg Config) (*Server, error) {
 	})
 	return s, nil
 }
-
-// Obs exposes the underlying observability server so callers can mount
-// additional handlers (the campaign coordinator, /attr views) on the
-// same listener.
-func (s *Server) Obs() *obs.Server { return s.obs }
 
 // Store exposes the daemon's result store (the experiments suite and
 // tests put campaign logs in directly).

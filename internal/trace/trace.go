@@ -166,11 +166,6 @@ type Use struct {
 // String renders the use for diagnostics.
 func (u Use) String() string { return fmt.Sprintf("ev%d.op%d", u.Event, u.Op) }
 
-// UseWidth returns the bit width of the given operand use.
-func (t *Trace) UseWidth(u Use) int {
-	return OperandWidth(t.Instr(u.Event), u.Op)
-}
-
 // OperandWidth returns the bit width of operand op of instruction in, under
 // the phi convention (a phi event stores only the chosen incoming value).
 func OperandWidth(in *ir.Instr, op int) int {

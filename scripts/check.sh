@@ -33,7 +33,8 @@ echo "== go test"
 go test ./...
 
 # ./cmd/campaign/... carries the end-to-end checks of the CLIs' live
-# surfaces: TestCrossProcessTrace (one span tree across processes) and
+# surfaces: TestCrossProcessTrace (one span tree across processes, and
+# the analysis daemon's /debug/flight holding its epvf-serve spans) and
 # TestDashboardStallFiresAndResolves (alert fire, /healthz degrade,
 # profile capture and resolve on a coordinator's dashboard).
 # ./cmd/epvf/... runs `epvf diff` and `epvf gate` end to end: TestDiffCmd,
