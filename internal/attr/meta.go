@@ -36,7 +36,7 @@ func NewMeta(tr *trace.Trace) *Meta {
 	// event ev.
 	consumers := make([]int64, tr.NumEvents())
 	for _, d := range tr.OpDefs {
-		if d != trace.NoDef {
+		if d >= 0 {
 			consumers[d]++
 		}
 	}

@@ -8,9 +8,7 @@
 package dashboard
 
 import (
-	"expvar"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -56,9 +54,8 @@ func (m *Mounted) Publish(event string, v any) {
 	m.Hub.PublishJSON(event, v)
 }
 
-// Stop tears the layer down: the sampling goroutine, the span sink, and
-// the /debug/vars sections' pointer (only if still ours — a later Mount
-// is never clobbered).
+// Stop tears the layer down: the sampling goroutine and the span sink.
+// The server's /debug/vars sections keep showing the layer's last state.
 func (m *Mounted) Stop() {
 	if m == nil {
 		return
@@ -80,14 +77,6 @@ func (m *Mounted) tick(now time.Time) {
 		m.Hub.PublishJSON(ts.EventAlert, tr)
 	}
 }
-
-// latest is the most recent live Mount; the /debug/vars ts and alerts
-// sections read it.
-var latest atomic.Pointer[Mounted]
-
-// expvarOnce guards the one-time /debug/vars publication of the ts and
-// alerts sections (expvar.Publish panics on duplicates).
-var expvarOnce sync.Once
 
 // Mount wires the live-telemetry layer onto srv and starts its one
 // sampling goroutine, which ticks every ts.Stride. The returned handle
@@ -139,22 +128,9 @@ func mount(srv *obs.Server, cfg Config) *Mounted {
 		hub.PublishJSON(ts.EventSpan, rec)
 	})
 
-	latest.Store(m)
-	expvarOnce.Do(func() {
-		expvar.Publish("epvf_ts", expvar.Func(func() any {
-			if l := latest.Load(); l != nil {
-				return l.Collector.Summarize()
-			}
-			return nil
-		}))
-		expvar.Publish("epvf_alerts", expvar.Func(func() any {
-			if l := latest.Load(); l != nil {
-				return l.Alerts.Summarize()
-			}
-			return nil
-		}))
-	})
+	srv.AddVars("epvf_ts", func() any { return m.Collector.Summarize() })
+	srv.AddVars("epvf_alerts", func() any { return m.Alerts.Summarize() })
 
-	m.stops = []func(){removeSink, func() { latest.CompareAndSwap(m, nil) }}
+	m.stops = []func(){removeSink}
 	return m
 }

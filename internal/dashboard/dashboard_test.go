@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -266,4 +267,33 @@ func TestMountedPublishAndStopIdempotent(t *testing.T) {
 	var nilM *Mounted
 	nilM.Publish("x", 1)
 	nilM.Stop()
+}
+
+// TestDebugVarsShowsOwnMount: each server's /debug/vars carries its own
+// mount's epvf_ts and epvf_alerts sections, so stopping a later mount on
+// another server leaves an earlier live one's sections in place.
+func TestDebugVarsShowsOwnMount(t *testing.T) {
+	srvA, a := mountTest(t, Config{Registry: obs.NewRegistry()})
+	a.Alerts.Add(pressureRule)
+	for range 3 {
+		a.tick(time.Now())
+	}
+	_, b := mountTest(t, Config{Registry: obs.NewRegistry()})
+	b.tick(time.Now())
+	b.Stop()
+
+	_, body := get(t, "http://"+srvA.Addr()+"/debug/vars")
+	var vars struct {
+		TS     *ts.Summary    `json:"epvf_ts"`
+		Alerts *alert.Summary `json:"epvf_alerts"`
+	}
+	if err := json.Unmarshal([]byte(body), &vars); err != nil {
+		t.Fatalf("/debug/vars is not JSON: %v", err)
+	}
+	if vars.TS == nil || vars.TS.Ticks != 3 {
+		t.Errorf("A's epvf_ts = %+v, want A's 3 ticks", vars.TS)
+	}
+	if vars.Alerts == nil || !slices.ContainsFunc(vars.Alerts.Rules, func(r alert.RuleView) bool { return r.Name == pressureRule.Name }) {
+		t.Errorf("A's epvf_alerts = %+v, want A's %q rule", vars.Alerts, pressureRule.Name)
+	}
 }

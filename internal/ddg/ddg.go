@@ -35,8 +35,8 @@ func (g *Graph) NumEvents() int64 { return g.tr.NumEvents() }
 // loaded value.
 func (g *Graph) AppendPreds(dst []int64, ev int64) []int64 {
 	for _, d := range g.tr.OpDefsOf(ev) {
-		if d != trace.NoDef {
-			dst = append(dst, d)
+		if d >= 0 {
+			dst = append(dst, int64(d))
 		}
 	}
 	if d := g.tr.MemDefOf(ev); d != trace.NoDef {

@@ -49,7 +49,7 @@ func (g *Graph) Dot(opts DotOptions) string {
 		}
 		fmt.Fprintf(&sb, "  n%d [label=\"%s\"%s];\n", i, label, attrs)
 		for _, d := range e.OpDefs {
-			if d != trace.NoDef && d < limit {
+			if d >= 0 && d < limit {
 				fmt.Fprintf(&sb, "  n%d -> n%d;\n", i, d)
 			}
 		}

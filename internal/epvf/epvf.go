@@ -158,7 +158,8 @@ func AnalyzeModule(m *ir.Module, cfg Config) (*Analysis, *interp.Result, error) 
 }
 
 // ErrHang reports a golden run that exhausted its instruction budget
-// (interp.Config.MaxDynInstrs, MaxGoldenEvents by default). Its trace is a
+// (interp.Config.MaxDynInstrs, MaxGoldenEvents by default, and never more
+// than trace.MaxBudget, the most a trace can index). Its trace is a
 // truncated prefix, not a profile of the program, so no analysis runs on
 // it.
 var ErrHang = errors.New("golden run exhausted its instruction budget")
@@ -166,9 +167,10 @@ var ErrHang = errors.New("golden run exhausted its instruction budget")
 // MaxGoldenEvents is the default budget of a golden run, in dynamic
 // instructions (one trace event each), for every caller that leaves
 // interp.Config.MaxDynInstrs zero: the CLIs, the experiments and the
-// daemon. An analysis holds about 134 B per event at its peak (measured
-// on lavamd and on a spinning loop at 1M events), so the budget caps one
-// analysis near 270 MB. Every built-in kernel fits at scales 1 and 2 (the
+// daemon. An analysis holds at most about 95 B per event at its peak
+// (peak live heap of AnalyzeModule: 94 B on lavamd at scale 2, 78 B on a
+// spinning loop at 1M events), so the budget caps one analysis near
+// 190 MB. Every built-in kernel fits at scales 1 and 2 (the
 // largest, lavamd at scale 2, records 917,845 events). A module that runs
 // longer fails with ErrHang.
 //

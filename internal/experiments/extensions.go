@@ -9,7 +9,6 @@ import (
 	"repro/internal/fi"
 	"repro/internal/ir"
 	"repro/internal/report"
-	"repro/internal/trace"
 )
 
 // Extension experiments: the studies the paper's Discussion and Summary
@@ -101,12 +100,11 @@ func ExtYBranch(s *Suite) (*ExtYBranchResult, error) {
 		// Collect comparison defs that feed condbr events.
 		var targets []int64
 		for i := range tr.NumEvents() {
-			e := tr.Event(i)
-			if e.Instr.Op != ir.OpCondBr || len(e.OpDefs) == 0 {
+			if tr.Instr(i).Op != ir.OpCondBr {
 				continue
 			}
-			if d := e.OpDefs[0]; d != trace.NoDef {
-				targets = append(targets, d)
+			if d := tr.OpDefsOf(i); len(d) > 0 && d[0] >= 0 {
+				targets = append(targets, int64(d[0]))
 			}
 		}
 		if len(targets) == 0 {

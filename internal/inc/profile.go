@@ -147,7 +147,7 @@ func (pr *sectionProfile) addTo(tr *trace.Trace, p *partition, merged *rangeprop
 				e.Ordinal, sec.name, len(sec.events))
 		}
 		ev := sec.events[e.Ordinal]
-		if n := len(tr.OpsOf(ev)); e.Op < 0 || e.Op >= n {
+		if n := len(tr.OpDefsOf(ev)); e.Op < 0 || e.Op >= n {
 			return fmt.Errorf("inc: profile operand %d out of range for event %d (%d operands)", e.Op, ev, n)
 		}
 		uses[i] = trace.Use{Event: ev, Op: e.Op}

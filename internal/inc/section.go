@@ -102,8 +102,8 @@ func sectionize(tr *trace.Trace, aceMask []bool) *partition {
 //   - the function's static IR (content.FuncHash — opcode, operand shape,
 //     widths, GEP element sizes all live there);
 //   - per event: the static instruction's function-local ID, the operand
-//     bit patterns (Ops), and the def links (OpDefs, and MemDef for loads)
-//     expressed as (owner section, local ordinal) pairs — relative
+//     bit patterns (Trace.Op), and the def links (OpDefs, and MemDef for
+//     loads) expressed as (owner section, local ordinal) pairs — relative
 //     coordinates, so an unrelated change elsewhere shifting global event
 //     indices does not disturb the hash;
 //   - for the section's own seeds (ACE memory accesses): the crash-model
@@ -131,15 +131,15 @@ func (p *partition) hashSections(tr *trace.Trace, aceMask []bool, cfg rangeprop.
 		h.Printf("func %s %s\n", s.name, static)
 		for _, ev := range s.events {
 			in := instrs[tr.InstrID[ev]]
-			ops, defs := tr.OpsOf(ev), tr.OpDefsOf(ev)
+			slots := int(tr.OpBase[ev])
 			buf = buf[:0]
 			buf = append(buf, 'e', ' ')
 			buf = strconv.AppendInt(buf, int64(in.LocalID), 10)
-			for i, v := range ops {
+			for i, d := range tr.OpDefsOf(ev) {
 				buf = append(buf, ' ')
-				buf = strconv.AppendUint(buf, v, 10)
+				buf = strconv.AppendUint(buf, tr.Op(slots+i), 10)
 				buf = append(buf, ':')
-				buf = p.appendRef(buf, defs[i])
+				buf = p.appendRef(buf, int64(d))
 			}
 			if in.Op == ir.OpLoad {
 				buf = append(buf, " m:"...)
@@ -158,7 +158,7 @@ func (p *partition) hashSections(tr *trace.Trace, aceMask []bool, cfg rangeprop.
 						if in.Op == ir.OpStore {
 							ptrOp = 1
 						}
-						mask := model.MaskExact(tr, ev, ops[ptrOp], trace.OperandWidth(in, ptrOp))
+						mask := model.MaskExact(tr, ev, tr.Op(slots+ptrOp), trace.OperandWidth(in, ptrOp))
 						buf = append(buf, " x:"...)
 						buf = strconv.AppendUint(buf, mask, 10)
 					}
@@ -174,9 +174,9 @@ func (p *partition) hashSections(tr *trace.Trace, aceMask []bool, cfg rangeprop.
 }
 
 // appendRef renders a def link in relative coordinates ("name.ordinal"),
-// or "-" for no def.
+// or "-" for no def (a negative def).
 func (p *partition) appendRef(buf []byte, def int64) []byte {
-	if def == trace.NoDef {
+	if def < 0 {
 		return append(buf, '-')
 	}
 	buf = append(buf, p.sections[p.owner[def]].name...)

@@ -12,10 +12,12 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // Normalize applies the interpreter's configuration defaults (layout, hang
 // budget, alignment policy, entry name) and resolves the entry function.
+// A recording run's budget is clamped to trace.MaxBudget.
 // Engines call it so an empty Config means the same thing everywhere.
 func Normalize(m *ir.Module, cfg Config) (Config, *ir.Function, error) {
 	if cfg.Layout == (mem.Layout{}) {
@@ -23,6 +25,9 @@ func Normalize(m *ir.Module, cfg Config) (Config, *ir.Function, error) {
 	}
 	if cfg.MaxDynInstrs == 0 {
 		cfg.MaxDynInstrs = DefaultMaxDynInstrs
+	}
+	if cfg.Record {
+		cfg.MaxDynInstrs = min(cfg.MaxDynInstrs, trace.MaxBudget(m))
 	}
 	if cfg.Align == 0 {
 		cfg.Align = AlignFourByte

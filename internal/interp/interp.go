@@ -237,7 +237,10 @@ func (vm *machine) finish() (*Result, error) {
 		Executed:  vm.executed,
 	}
 	if vm.rec != nil {
-		res.Trace = vm.rec.Finish(vm.outputs, vm.as.Snapshots(), vm.cfg.Layout)
+		var err error
+		if res.Trace, err = vm.rec.Finish(vm.outputs, vm.as.Snapshots(), vm.cfg.Layout); err != nil && vm.fatal == nil {
+			vm.fatal = err
+		}
 	}
 	vm.flushObs()
 	return res, vm.fatal
@@ -289,8 +292,7 @@ type machine struct {
 	rec     *trace.Recorder
 	outputs []trace.Output
 	memDef  map[uint64]int64
-	// ops and opDefs are the operand scratch of a step that does not
-	// record.
+	// ops and opDefs are the operand scratch of a step.
 	ops    []uint64
 	opDefs []int64
 
@@ -450,19 +452,27 @@ func (vm *machine) run() {
 	}
 }
 
-// operands returns the operand slots of a step of in: a new trace event's
-// when recording (the step retires as that event), else the machine's
-// scratch.
+// operands returns the machine's operand scratch, sized for a step of in.
 func (vm *machine) operands(in *ir.Instr) ([]uint64, []int64) {
-	if vm.rec != nil {
-		return vm.rec.Begin(in)
-	}
 	n := len(in.Args)
 	if cap(vm.ops) < n {
 		// Sized for any common instruction, so a run allocates it once.
 		vm.ops, vm.opDefs = make([]uint64, max(n, 8)), make([]int64, max(n, 8))
 	}
 	return vm.ops[:n], vm.opDefs[:n]
+}
+
+// record records a new trace event of in with the given operands, when
+// the run records.
+func (vm *machine) record(in *ir.Instr, ops []uint64, defs []int64) {
+	if vm.rec == nil {
+		return
+	}
+	rops, rdefs := vm.rec.Begin(in)
+	copy(rops, ops)
+	for i, d := range defs {
+		rdefs[i] = int32(d)
+	}
 }
 
 // retire assigns the next dynamic index and returns it.
@@ -539,7 +549,7 @@ func (vm *machine) stepPhis(fr *frame) {
 				bits, def := vm.operand(fr, in.Args[ei])
 				if vm.rec != nil {
 					ops, defs := vm.rec.Begin(in)
-					ops[0], defs[0] = bits, def
+					ops[0], defs[0] = bits, int32(def)
 				}
 				vals[i] = phiVal{bits: bits, idx: vm.retire()}
 				found = true
@@ -587,6 +597,7 @@ func (vm *machine) step() {
 	for ai, a := range in.Args {
 		ops[ai], defs[ai] = vm.operand(fr, a)
 	}
+	vm.record(in, ops, defs)
 	idx := vm.retire()
 	if vm.hang {
 		return

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/ir"
+	"repro/internal/trace"
 )
 
 func TestMathIntrinsics(t *testing.T) {
@@ -300,5 +301,29 @@ func TestDeepButBoundedRecursion(t *testing.T) {
 	}
 	if res.Outputs[0].Bits != 1000 {
 		t.Errorf("depth count = %d", res.Outputs[0].Bits)
+	}
+}
+
+// TestNormalizeClampsRecordingBudget: a recording run's budget is clamped
+// to what a trace can index, and a run that does not record keeps its
+// budget.
+func TestNormalizeClampsRecordingBudget(t *testing.T) {
+	m, err := ir.Parse("define void @main() {\nentry:\n  output i64 1\n  ret void\n}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := int64(math.MaxInt64)
+	cfg, _, err := Normalize(m, Config{Record: true, MaxDynInstrs: huge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.MaxDynInstrs != trace.MaxBudget(m) {
+		t.Errorf("recording budget %d, want trace.MaxBudget %d", cfg.MaxDynInstrs, trace.MaxBudget(m))
+	}
+	if cfg, _, _ = Normalize(m, Config{Record: true}); cfg.MaxDynInstrs != DefaultMaxDynInstrs {
+		t.Errorf("default recording budget %d, want %d", cfg.MaxDynInstrs, DefaultMaxDynInstrs)
+	}
+	if cfg, _, _ = Normalize(m, Config{MaxDynInstrs: huge}); cfg.MaxDynInstrs != huge {
+		t.Errorf("budget of a run that does not record clamped to %d", cfg.MaxDynInstrs)
 	}
 }

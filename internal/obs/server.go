@@ -25,13 +25,15 @@ type Server struct {
 	started time.Time
 
 	healthMu sync.Mutex
-	health   []healthSection
+	health   []section
+	vars     []section
 	degraded func() []string
 }
 
-// healthSection is one named stats provider on /healthz (e.g. "cache" →
-// cache.Stats, "fleet" → coordinator status).
-type healthSection struct {
+// section is one named stats provider on /healthz (e.g. "cache" →
+// cache.Stats, "fleet" → coordinator status) or /debug/vars (e.g.
+// "epvf_ts" → the dashboard's time-series summary).
+type section struct {
 	name string
 	fn   func() any
 }
@@ -89,7 +91,17 @@ func (s *Server) Handle(path string, h http.Handler) {
 func (s *Server) AddHealth(name string, fn func() any) {
 	s.healthMu.Lock()
 	defer s.healthMu.Unlock()
-	s.health = append(s.health, healthSection{name: name, fn: fn})
+	s.health = append(s.health, section{name: name, fn: fn})
+}
+
+// AddVars attaches a named section to this server's /debug/vars: fn's
+// value is rendered as JSON under that key on every request, next to the
+// server's registry (the dashboard adds its epvf_ts and epvf_alerts
+// sections here). Safe to call before or after Start.
+func (s *Server) AddVars(name string, fn func() any) {
+	s.healthMu.Lock()
+	defer s.healthMu.Unlock()
+	s.vars = append(s.vars, section{name: name, fn: fn})
 }
 
 // SetDegraded installs the degradation probe: when fn returns a
@@ -112,7 +124,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, req *http.Request) {
 		"uptime_seconds": time.Since(s.started).Seconds(),
 	}
 	s.healthMu.Lock()
-	sections := append([]healthSection(nil), s.health...)
+	sections := append([]section(nil), s.health...)
 	degraded := s.degraded
 	s.healthMu.Unlock()
 	if degraded != nil {
@@ -148,16 +160,29 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // handleVars serves the process's published expvars, as
 // expvar.Handler does, plus this server's registry samples under
-// epvf_obs: every server shows its own registry, not whichever was
-// published first.
+// epvf_obs and its AddVars sections: every server shows its own
+// registry and sections, not whichever were published first.
 func (s *Server) handleVars(w http.ResponseWriter, req *http.Request) {
-	samples, err := json.Marshal(s.reg.Snapshot().Samples)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	s.healthMu.Lock()
+	sections := append([]section{{"epvf_obs", func() any { return s.reg.Snapshot().Samples }}}, s.vars...)
+	s.healthMu.Unlock()
+	values := make([][]byte, len(sections))
+	for i, sec := range sections {
+		v, err := json.Marshal(sec.fn())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		values[i] = v
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n%q: %s", "epvf_obs", samples)
+	for i, sec := range sections {
+		sep := ","
+		if i == 0 {
+			sep = "{"
+		}
+		fmt.Fprintf(w, "%s\n%q: %s", sep, sec.name, values[i])
+	}
 	expvar.Do(func(kv expvar.KeyValue) {
 		fmt.Fprintf(w, ",\n%q: %s", kv.Key, kv.Value)
 	})

@@ -41,12 +41,12 @@ type Config struct {
 
 // Result is the computed CRASHING_BIT_LIST plus aggregate counts. Its
 // masks are dense arrays over the trace's events: operand op of event ev
-// owns use slot opBase[ev]+op — the slot of its entry in the trace's Ops
-// column — and every event owns one def slot. A zero mask means no bit
-// of that use or register is predicted to crash.
+// owns use slot opBase[ev]+op — its operand slot in the trace — and every
+// event owns one def slot. A zero mask means no bit of that use or
+// register is predicted to crash.
 type Result struct {
 	// opBase is the trace's OpBase column, shared read-only.
-	opBase []int
+	opBase []int32
 	// use holds, per dynamic operand use, the mask of bits predicted to
 	// crash the program if flipped at that use.
 	use []uint64
@@ -70,7 +70,7 @@ type Result struct {
 // NewResult returns an empty result laid out for tr's operand uses: no
 // mask set, every count zero.
 func NewResult(tr *trace.Trace) *Result {
-	return &Result{opBase: tr.OpBase, use: make([]uint64, len(tr.Ops))}
+	return &Result{opBase: tr.OpBase, use: make([]uint64, tr.NumSlots())}
 }
 
 // slot returns the use slot of u, or -1 when u is not an operand use of
@@ -79,8 +79,8 @@ func (r *Result) slot(u trace.Use) int {
 	if u.Event < 0 || u.Event >= int64(len(r.opBase)-1) || u.Op < 0 {
 		return -1
 	}
-	s := r.opBase[u.Event] + u.Op
-	if s >= r.opBase[u.Event+1] {
+	s := int(r.opBase[u.Event]) + u.Op
+	if s >= int(r.opBase[u.Event+1]) {
 		return -1
 	}
 	return s
@@ -144,10 +144,10 @@ func (r *Result) EachUse(fn func(u trace.Use, mask uint64)) {
 		if m == 0 {
 			continue
 		}
-		for r.opBase[ev+1] <= s {
+		for int(r.opBase[ev+1]) <= s {
 			ev++
 		}
-		fn(trace.Use{Event: int64(ev), Op: s - r.opBase[ev]}, m)
+		fn(trace.Use{Event: int64(ev), Op: s - int(r.opBase[ev])}, m)
 	}
 }
 
@@ -236,7 +236,7 @@ func (r *Result) Finalize(tr *trace.Trace) {
 			continue
 		}
 		r.UseCrashBitCount += int64(crash.PopCount(m))
-		if d := tr.OpDefs[s]; d != trace.NoDef {
+		if d := tr.OpDefs[s]; d >= 0 {
 			r.def[d] |= m
 		}
 	}
@@ -319,9 +319,9 @@ func (w *walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound) {
 			touch(it.ev)
 		}
 		row := &w.rows[tr.InstrID[it.ev]]
-		slot := tr.OpBase[it.ev] + it.op
+		slot := int(tr.OpBase[it.ev]) + it.op
 		if row.inj&(1<<it.op) != 0 {
-			v, width := tr.Ops[slot], int(row.width[it.op])
+			v, width := tr.Op(slot), int(row.width[it.op])
 			var mask uint64
 			if it.direct && w.cfg.ExactAddress {
 				mask = w.cfg.Model.MaskExact(tr, it.ev, v, width)
@@ -334,7 +334,7 @@ func (w *walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound) {
 		}
 
 		def := tr.OpDefs[slot]
-		if def == trace.NoDef || w.visited[def] == w.epoch {
+		if def < 0 || w.visited[def] == w.epoch {
 			continue
 		}
 		if w.maxDepth > 0 && it.depth >= w.maxDepth {
@@ -342,9 +342,9 @@ func (w *walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound) {
 		}
 		w.visited[def] = w.epoch
 		if touch != nil {
-			touch(def)
+			touch(int64(def))
 		}
-		work = invert(work, tr, &w.rows[tr.InstrID[def]], def, it.r, it.depth+1)
+		work = invert(work, tr, &w.rows[tr.InstrID[def]], int64(def), it.r, it.depth+1)
 	}
 	w.work = work
 }
@@ -354,11 +354,11 @@ func (w *walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound) {
 // for def's own operand uses and append them, at the given walk depth, to
 // work.
 func invert(work []item, tr *trace.Trace, in *instrOps, def int64, r crash.Bound, depth int) []item {
-	ops := tr.OpsOf(def)
+	base := int(tr.OpBase[def])
 	mk := func(op int, b crash.Bound) item { return item{ev: def, op: op, r: b, depth: depth} }
 
 	signedOp := func(op int) int64 {
-		return ir.SignExtend(ops[op], int(in.width[op]))
+		return ir.SignExtend(tr.Op(base+op), int(in.width[op]))
 	}
 
 	switch in.op {
@@ -434,7 +434,7 @@ func invert(work []item, tr *trace.Trace, in *instrOps, def int64, r crash.Bound
 	case ir.OpSelect:
 		// The chosen arm carried the value; determine it from the recorded
 		// condition.
-		if ops[0]&1 != 0 {
+		if tr.Op(base)&1 != 0 {
 			return append(work, mk(1, r))
 		}
 		return append(work, mk(2, r))

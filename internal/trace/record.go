@@ -1,14 +1,31 @@
 package trace
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/mem"
 )
 
+// MaxBudget returns the largest instruction budget
+// (interp.Config.MaxDynInstrs) a recording run of m may have: a run that
+// exhausts budget B retires B+1 events, each with at most as many operand
+// slots as m's widest instruction, and every event and slot index of a
+// trace must fit in an int32. Both engines clamp a recording run's budget
+// to it, so a run that reaches it ends as a hang.
+func MaxBudget(m *ir.Module) int64 {
+	width := 1
+	for _, in := range m.Instrs() {
+		width = max(width, NumOperands(in))
+	}
+	return math.MaxInt32/int64(width) - 1
+}
+
 // Chunk sizes of a recording, in elements. A chunk of events holds 16 B
-// per event and a chunk of accesses 28 B per access, so each is a few
+// per event and a chunk of accesses 24 B per access, so each is a few
 // hundred KiB.
 const (
 	chunkBits  = 14
@@ -29,15 +46,16 @@ type eventChunk struct {
 type accessChunk struct {
 	addr   [chunkLen]uint64
 	sp     [chunkLen]uint64
-	memDef [chunkLen]int64
+	memDef [chunkLen]int32
 	ver    [chunkLen]int32
 }
 
-// opChunk holds the operands of consecutive events: room for at least
-// opChunkLen of them, n in use.
+// opChunk holds the operands of consecutive events, their values and defs
+// as the engines read them: room for at least opChunkLen of them, n in
+// use.
 type opChunk struct {
 	ops  []uint64
-	defs []int64
+	defs []int32
 	n    int
 }
 
@@ -49,7 +67,7 @@ var (
 	eventChunks  = sync.Pool{New: func() any { return new(eventChunk) }}
 	accessChunks = sync.Pool{New: func() any { return new(accessChunk) }}
 	opChunks     = sync.Pool{New: func() any {
-		return &opChunk{ops: make([]uint64, opChunkLen), defs: make([]int64, opChunkLen)}
+		return &opChunk{ops: make([]uint64, opChunkLen), defs: make([]int32, opChunkLen)}
 	}}
 )
 
@@ -81,9 +99,11 @@ func NewRecorder(m *ir.Module) *Recorder {
 
 // Begin records a new event of instruction in and returns its operand
 // slots, NumOperands(in) of each, for the caller to fill before the next
-// Begin. The event's result is zero and, for a load or store, its access
-// state is zero with no memory def, until set.
-func (r *Recorder) Begin(in *ir.Instr) (ops []uint64, defs []int64) {
+// Begin: each operand's value, and its defining event or -1 (NoDef). The
+// event's result is zero and, for a load or store, its access state is
+// zero with no memory def, until set. The caller keeps the recording
+// within MaxBudget.
+func (r *Recorder) Begin(in *ir.Instr) (ops []uint64, defs []int32) {
 	i := r.n & chunkMask
 	if i == 0 {
 		r.events = append(r.events, eventChunks.Get().(*eventChunk))
@@ -98,7 +118,7 @@ func (r *Recorder) Begin(in *ir.Instr) (ops []uint64, defs []int64) {
 			r.accs = append(r.accs, accessChunks.Get().(*accessChunk))
 		}
 		a := r.accs[len(r.accs)-1]
-		a.addr[j], a.sp[j], a.memDef[j], a.ver[j] = 0, 0, NoDef, 0
+		a.addr[j], a.sp[j], a.memDef[j], a.ver[j] = 0, 0, int32(NoDef), 0
 		c.acc[i] = int32(r.na)
 		r.na++
 	}
@@ -110,7 +130,7 @@ func (r *Recorder) Begin(in *ir.Instr) (ops []uint64, defs []int64) {
 			oc = opChunks.Get().(*opChunk)
 		} else {
 			// An event with more operands than a chunk holds gets its own.
-			oc = &opChunk{ops: make([]uint64, n), defs: make([]int64, n)}
+			oc = &opChunk{ops: make([]uint64, n), defs: make([]int32, n)}
 		}
 		oc.n = 0
 		r.ops = append(r.ops, oc)
@@ -144,25 +164,31 @@ func (r *Recorder) SetAccess(ev int64, addr, sp uint64, vmaVer int) {
 // event ev.
 func (r *Recorder) SetMemDef(ev, def int64) {
 	c, j := r.access(ev)
-	c.memDef[j] = def
+	c.memDef[j] = int32(def)
 }
 
 // Finish returns the recorded trace, completed with the run's outputs,
-// the VMA snapshots it took and the layout it ran under. The recorder's
-// chunks go back for the next recording, and the recorder is empty
-// afterwards.
-func (r *Recorder) Finish(outputs []Output, snapshots map[int][]mem.VMA, layout mem.Layout) *Trace {
+// the VMA snapshots it took and the layout it ran under. It moves the
+// values of operands without a def to the Imm column, and checks that
+// every other operand's value is its def's result: a recording where one
+// is not is an error, never a trace. The recorder's chunks go back for the
+// next recording, and the recorder is empty afterwards.
+func (r *Recorder) Finish(outputs []Output, snapshots map[int][]mem.VMA, layout mem.Layout) (*Trace, error) {
+	defer func() { *r = Recorder{} }()
+	if r.n > math.MaxInt32 || r.nops > math.MaxInt32 {
+		r.recycle()
+		return nil, fmt.Errorf("trace: %d events and %d operand slots exceed the recording limit", r.n, r.nops)
+	}
 	t := &Trace{
 		Module:    r.mod,
 		InstrID:   make([]int32, r.n),
 		Result:    make([]uint64, r.n),
 		Acc:       make([]int32, r.n),
-		OpBase:    make([]int, r.n+1),
-		Ops:       make([]uint64, 0, r.nops),
-		OpDefs:    make([]int64, 0, r.nops),
+		OpBase:    make([]int32, r.n+1),
+		OpDefs:    make([]int32, r.nops),
 		Addr:      make([]uint64, r.na),
 		SP:        make([]uint64, r.na),
-		MemDef:    make([]int64, r.na),
+		MemDef:    make([]int32, r.na),
 		VMAVer:    make([]int32, r.na),
 		Outputs:   outputs,
 		Snapshots: snapshots,
@@ -175,7 +201,6 @@ func (r *Recorder) Finish(outputs []Output, snapshots map[int][]mem.VMA, layout 
 		copy(t.InstrID[lo:], c.id[:m])
 		copy(t.Acc[lo:], c.acc[:m])
 		copy(t.Result[lo:], c.res[:m])
-		eventChunks.Put(c)
 	}
 	for k, c := range r.accs {
 		lo := k << chunkBits
@@ -184,20 +209,72 @@ func (r *Recorder) Finish(outputs []Output, snapshots map[int][]mem.VMA, layout 
 		copy(t.SP[lo:], c.sp[:m])
 		copy(t.MemDef[lo:], c.memDef[:m])
 		copy(t.VMAVer[lo:], c.ver[:m])
-		accessChunks.Put(c)
-	}
-	for _, c := range r.ops {
-		t.Ops = append(t.Ops, c.ops[:c.n]...)
-		t.OpDefs = append(t.OpDefs, c.defs[:c.n]...)
-		opChunks.Put(c)
 	}
 	// Each event's operands follow the previous event's, so OpBase is the
 	// running sum of the recorded instructions' operand counts.
-	base := 0
+	base := int32(0)
 	for i, id := range t.InstrID {
-		base += NumOperands(r.instrs[id])
+		base += int32(NumOperands(r.instrs[id]))
 		t.OpBase[i+1] = base
 	}
-	*r = Recorder{}
-	return t
+	nimm := 0
+	for _, c := range r.ops {
+		nimm += noDefs(c.defs[:c.n])
+	}
+	t.Imm = make([]uint64, 0, nimm)
+	s := 0
+	for _, c := range r.ops {
+		if err := t.setOperands(s, c.defs[:c.n], c.ops[:c.n]); err != nil {
+			r.recycle()
+			return nil, err
+		}
+		s += c.n
+	}
+	r.recycle()
+	return t, nil
+}
+
+// noDefs counts the operands without a def.
+func noDefs(defs []int32) int {
+	n := 0
+	for _, d := range defs {
+		if d < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// setOperands fills the OpDefs entries of the operand slots from s on
+// with the defs and values the operands were read with, a negative def
+// meaning none: a value without a def goes to Imm, and one with a def
+// must be that def's result. Result and OpBase must be complete, every def
+// an earlier event, and Imm must have room for the values it receives.
+func (t *Trace) setOperands(s int, defs []int32, vals []uint64) error {
+	for j, d := range defs {
+		v := vals[j]
+		if d < 0 {
+			d = ^int32(len(t.Imm))
+			t.Imm = append(t.Imm, v)
+		} else if t.Result[d] != v {
+			ev := sort.Search(len(t.InstrID), func(i int) bool { return int(t.OpBase[i+1]) > s+j })
+			return fmt.Errorf("trace: event %d operand %d is %#x, but its def, event %d, produced %#x",
+				ev, s+j-int(t.OpBase[ev]), v, d, t.Result[d])
+		}
+		t.OpDefs[s+j] = d
+	}
+	return nil
+}
+
+// recycle returns the recorder's chunks to their pools.
+func (r *Recorder) recycle() {
+	for _, c := range r.events {
+		eventChunks.Put(c)
+	}
+	for _, c := range r.accs {
+		accessChunks.Put(c)
+	}
+	for _, c := range r.ops {
+		opChunks.Put(c)
+	}
 }

@@ -26,7 +26,7 @@ func dropRecycledChunks() {
 // of want.
 func sameTrace(t *testing.T, label string, got, want *trace.Trace) {
 	t.Helper()
-	names := []string{"InstrID", "Result", "Acc", "OpBase", "Ops", "OpDefs", "Addr", "SP", "MemDef", "VMAVer"}
+	names := []string{"InstrID", "Result", "Acc", "OpBase", "OpDefs", "Imm", "Addr", "SP", "MemDef", "VMAVer"}
 	g, w := columns(got), columns(want)
 	for i, name := range names {
 		if !reflect.DeepEqual(g[i], w[i]) {
@@ -51,7 +51,7 @@ func cutRuns(t *testing.T) func() (crashed, cut *trace.Trace) {
 	for ev := range golden.NumEvents() {
 		switch op := golden.Instr(ev).Op; {
 		case op == ir.OpLoad && addrDef == trace.NoDef:
-			addrDef = golden.OpDefsOf(ev)[0]
+			addrDef = max(int64(golden.OpDefsOf(ev)[0]), trace.NoDef)
 		case op == ir.OpStore && ev > golden.NumEvents()/2 && store == trace.NoDef:
 			store = ev
 		}

@@ -18,8 +18,8 @@ import (
 // re-analyzing offline mirrors how the paper separates its profiling and
 // modelling phases.
 //
-// The format is the in-memory columns, written in order as varints after
-// a magic line and a format version:
+// The format is the trace's columns, written in order as varints after a
+// magic line and a format version:
 //
 //	"epvf-trace\n" version
 //	module name, static instruction count
@@ -28,9 +28,12 @@ import (
 //	outputs
 //	snapshots, in version order
 //
-// Every column and list is prefixed with its length; strings likewise.
-// Unsigned values are uvarints and signed ones zig-zag varints. The bytes
-// are a function of the trace alone.
+// Ops is not a column of Trace: it is every operand slot's value (what
+// Trace.Op returns), and OpDefs writes a slot without a def as NoDef, so
+// the in-memory Imm column is not written. Every column and list is
+// prefixed with its length; strings likewise. Unsigned values are
+// uvarints and signed ones zig-zag varints. The bytes are a function of
+// the trace alone.
 
 const formatVersion = 2
 
@@ -54,8 +57,14 @@ func (t *Trace) Save(w io.Writer) error {
 	putUints(e, t.Result)
 	putInts(e, t.Acc)
 	putInts(e, t.OpBase)
-	putUints(e, t.Ops)
-	putInts(e, t.OpDefs)
+	e.uvarint(uint64(t.NumSlots()))
+	for k := range t.OpDefs {
+		e.uvarint(t.Op(k))
+	}
+	e.uvarint(uint64(t.NumSlots()))
+	for _, d := range t.OpDefs {
+		e.varint(max(int64(d), NoDef))
+	}
 	putUints(e, t.Addr)
 	putUints(e, t.SP)
 	putInts(e, t.MemDef)
@@ -131,7 +140,7 @@ func putUints(e *encoder, xs []uint64) {
 	}
 }
 
-func putInts[T int | int32 | int64](e *encoder, xs []T) {
+func putInts(e *encoder, xs []int32) {
 	e.uvarint(uint64(len(xs)))
 	for _, x := range xs {
 		e.varint(int64(x))
@@ -192,13 +201,14 @@ func getUints(d *decoder) []uint64 {
 	return xs
 }
 
-func getInts[T int | int32 | int64](d *decoder) []T {
-	xs := make([]T, d.count(1))
+// getInts reads a column of 32-bit integers; every index column is one.
+func getInts(d *decoder, name string) []int32 {
+	xs := make([]int32, d.count(1))
 	for i := range xs {
 		v := d.varint()
-		xs[i] = T(v)
+		xs[i] = int32(v)
 		if int64(xs[i]) != v && d.err == nil {
-			d.err = fmt.Errorf("value %d out of range", v)
+			d.err = fmt.Errorf("%s entry %d is %d, outside int32", name, i, v)
 		}
 	}
 	return xs
@@ -209,8 +219,10 @@ func getInts[T int | int32 | int64](d *decoder) []T {
 // It rejects any other format version, and any trace whose columns
 // disagree in length, whose instruction IDs fall outside m, whose operand
 // offsets do not step by each instruction's operand count, whose access
-// numbers are not dense over exactly the loads and stores, or whose
-// operand, memory or output defs point anywhere but an earlier event.
+// numbers are not dense over exactly the loads and stores, whose operand,
+// memory or output defs point anywhere but an earlier event, or where an
+// operand's value differs from its def's result (the in-memory layout
+// keeps only the latter).
 func Load(r io.Reader, m *ir.Module) (*Trace, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -233,16 +245,16 @@ func Load(r io.Reader, m *ir.Module) (*Trace, error) {
 	}
 	l.InitialStackPages = int(d.varint())
 	tr := &Trace{Module: m, Layout: l, instrs: m.Instrs()}
-	tr.InstrID = getInts[int32](d)
+	tr.InstrID = getInts(d, "InstrID")
 	tr.Result = getUints(d)
-	tr.Acc = getInts[int32](d)
-	tr.OpBase = getInts[int](d)
-	tr.Ops = getUints(d)
-	tr.OpDefs = getInts[int64](d)
+	tr.Acc = getInts(d, "Acc")
+	tr.OpBase = getInts(d, "OpBase")
+	ops := getUints(d)
+	tr.OpDefs = getInts(d, "OpDefs")
 	tr.Addr = getUints(d)
 	tr.SP = getUints(d)
-	tr.MemDef = getInts[int64](d)
-	tr.VMAVer = getInts[int32](d)
+	tr.MemDef = getInts(d, "MemDef")
+	tr.VMAVer = getInts(d, "VMAVer")
 	tr.Outputs = make([]Output, d.count(4))
 	for i := range tr.Outputs {
 		tr.Outputs[i] = Output{EventIdx: d.varint(), Def: d.varint(), Bits: d.uvarint(), Width: int(d.varint())}
@@ -270,23 +282,28 @@ func Load(r io.Reader, m *ir.Module) (*Trace, error) {
 		return nil, fmt.Errorf("trace: saved against %d static instructions, module has %d",
 			numInstrs, m.NumInstrs())
 	}
-	if err := tr.validate(); err != nil {
+	if err := tr.validate(ops); err != nil {
+		return nil, err
+	}
+	tr.Imm = make([]uint64, 0, noDefs(tr.OpDefs))
+	if err := tr.setOperands(0, tr.OpDefs, ops); err != nil {
 		return nil, err
 	}
 	return tr, nil
 }
 
-// validate checks a decoded trace's columns against each other and its
-// module, so an analysis of a loaded trace never indexes out of range.
-func (t *Trace) validate() error {
+// validate checks a decoded trace's columns against each other, its
+// module and ops, the saved value of every operand slot, so neither
+// setOperands nor an analysis of a loaded trace indexes out of range.
+func (t *Trace) validate(ops []uint64) error {
 	n := len(t.InstrID)
 	if len(t.Result) != n || len(t.Acc) != n || len(t.OpBase) != n+1 {
 		return fmt.Errorf("trace: %d events but %d results, %d access numbers and %d operand offsets",
 			n, len(t.Result), len(t.Acc), len(t.OpBase))
 	}
-	if len(t.OpDefs) != len(t.Ops) || t.OpBase[n] != len(t.Ops) {
+	if len(t.OpDefs) != len(ops) || int(t.OpBase[n]) != len(ops) {
 		return fmt.Errorf("trace: %d operands and %d operand defs, offsets end at %d",
-			len(t.Ops), len(t.OpDefs), t.OpBase[n])
+			len(ops), len(t.OpDefs), t.OpBase[n])
 	}
 	na := len(t.Addr)
 	if len(t.SP) != na || len(t.MemDef) != na || len(t.VMAVer) != na {
@@ -303,14 +320,15 @@ func (t *Trace) validate() error {
 			return fmt.Errorf("trace: event %d references unknown instruction %d", i, id)
 		}
 		in := t.instrs[id]
-		if t.OpBase[i+1] > len(t.Ops) {
-			return fmt.Errorf("trace: event %d operands end at %d, past the %d recorded", i, t.OpBase[i+1], len(t.Ops))
+		lo, hi := int(t.OpBase[i]), int(t.OpBase[i+1])
+		if hi > len(ops) {
+			return fmt.Errorf("trace: event %d operands end at %d, past the %d recorded", i, hi, len(ops))
 		}
-		if got := t.OpBase[i+1] - t.OpBase[i]; got != NumOperands(in) {
+		if got := hi - lo; got != NumOperands(in) {
 			return fmt.Errorf("trace: event %d records %d operands, %s has %d", i, got, in.Op, NumOperands(in))
 		}
-		for _, d := range t.OpDefs[t.OpBase[i]:t.OpBase[i+1]] {
-			if !validDef(d, int64(i)) {
+		for _, d := range t.OpDefs[lo:hi] {
+			if !validDef(int64(d), int64(i)) {
 				return fmt.Errorf("trace: event %d has operand def %d outside [0, %d)", i, d, i)
 			}
 		}
@@ -322,7 +340,7 @@ func (t *Trace) validate() error {
 		if t.Acc[i] != want {
 			return fmt.Errorf("trace: event %d (%s) has access number %d, want %d", i, in.Op, t.Acc[i], want)
 		}
-		if want >= 0 && int(want) < na && !validDef(t.MemDef[want], int64(i)) {
+		if want >= 0 && int(want) < na && !validDef(int64(t.MemDef[want]), int64(i)) {
 			return fmt.Errorf("trace: event %d has memory def %d outside [0, %d)", i, t.MemDef[want], i)
 		}
 	}

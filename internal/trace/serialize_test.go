@@ -48,7 +48,7 @@ func record(t testing.TB, src string) *trace.Trace {
 
 // columns lists a trace's columns, for comparing two traces whole.
 func columns(tr *trace.Trace) []any {
-	return []any{tr.InstrID, tr.Result, tr.Acc, tr.OpBase, tr.Ops, tr.OpDefs,
+	return []any{tr.InstrID, tr.Result, tr.Acc, tr.OpBase, tr.OpDefs, tr.Imm,
 		tr.Addr, tr.SP, tr.MemDef, tr.VMAVer}
 }
 
@@ -166,15 +166,36 @@ func TestSaveDeterministic(t *testing.T) {
 	}
 }
 
-// luleshSavedSHA256 pins the saved bytes of lulesh's golden trace: a
-// change to the format, or to what the engines record, must update it on
-// purpose (and bump the format version when old files no longer load).
+// savedSHA256 pins the saved bytes of every kernel's golden trace at
+// scale 1: a change to the format, to the in-memory layout Save writes
+// from, or to what the engines record, must update it on purpose (and
+// bump the format version when old files no longer load).
+var savedSHA256 = map[string]string{
+	"lulesh":         luleshSavedSHA256,
+	"particlefilter": "317c47f1e0bb3d6bb6c340373300fb5d8f0ae106f47f96f1657972b258346027",
+	"srad":           "23e2f7110b7e21ec409ff285df42f3678c5f16fd4835986d681e916f1509eb1d",
+	"nw":             "b1a796d1100803bab582ff35d1a51de9f841e4f40223c0ca5eb778a5f21ee074",
+	"hotspot":        "67a462e5fc2e82f95665bd68722c155fd9a15c3b47f293bfda2abd03cdbdd579",
+	"lavamd":         "716ce2ac1af6543f8afc03c369d9fe7b920686f5939d14b661702c1c0ed8024a",
+	"bfs":            "b9aa1706a4ba181708063e685c50f9f140dea70705eeb0f88c2b7f033aee9d3b",
+	"lud":            "83da90868dede831bc735b45328b03ce318065b3b3a3926d76b59c30167dd95b",
+	"pathfinder":     "e9415ff9b9ffd4cb82c6fce305f3cb94188858a46c408ee1ece81f51444a0d99",
+	"mm":             "d79a3dd58316c93e990b5447d0f7b1be24c9fbbab2b61ae4bc01b6c11f67b9c3",
+	"kmeans":         "7cc8989dd70678fbbc3518bdf56918072553f95100b8dc4fa64617fcc0032ea8",
+}
+
 const luleshSavedSHA256 = "5ce877f54ef7a6a7ed70039a67c9580aa458629eab275bfa16bb98e138a5af66"
 
 func TestSavedBytesPinned(t *testing.T) {
-	b, _ := bench.Get("lulesh")
-	sum := sha256.Sum256(saveBytes(t, recordKernel(t, b)))
-	if got := hex.EncodeToString(sum[:]); got != luleshSavedSHA256 {
-		t.Errorf("lulesh saved trace sha256 = %s, want %s", got, luleshSavedSHA256)
+	for _, b := range bench.All() {
+		want, ok := savedSHA256[b.Name]
+		if !ok {
+			t.Errorf("%s: no pinned saved-trace sha256", b.Name)
+			continue
+		}
+		sum := sha256.Sum256(saveBytes(t, recordKernel(t, b)))
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s saved trace sha256 = %s, want %s", b.Name, got, want)
+		}
 	}
 }

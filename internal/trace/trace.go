@@ -13,37 +13,46 @@ import (
 	"repro/internal/mem"
 )
 
-// NoDef marks an operand with no defining event (a constant immediate or a
-// global's address).
+// NoDef marks a memory or output def with no defining event: a load of
+// initial memory (globals, zero-fill), a store, or an output of a constant.
+// Operand defs mark a slot without a def by a negative entry instead (see
+// Trace).
 const NoDef = int64(-1)
 
 // Trace is a full dynamic execution record of one program run, stored as
 // flat columns that hold no pointers: the garbage collector never scans
 // them, and a walk over one property of every event reads only that
-// property. Events are numbered from zero in retirement order.
+// property. Events are numbered from zero in retirement order. Every index
+// column is 32-bit: a recording never holds more than math.MaxInt32 events
+// or operand slots (see MaxBudget).
 //
 // Per event i:
 //
 //   - InstrID[i] is the static instruction that executed (an index into
 //     Instrs, the module's instruction table);
 //   - Result[i] is the raw result bit pattern of a value-producing
-//     instruction (zero for the others);
+//     instruction, as finally written: injected bits included (zero for
+//     the others);
 //   - Acc[i] is the event's access number for loads and stores, an index
 //     into the access columns, and -1 for every other event. Accesses are
 //     numbered densely in event order;
-//   - Ops[OpBase[i]:OpBase[i+1]] are the raw operand bit patterns as read
-//     at execution time (for phi, a single entry: the chosen incoming
-//     value; for condbr, the condition), and OpDefs over the same range
-//     gives, for each operand, the index of the event whose result
-//     produced it, or NoDef.
+//   - OpBase[i]:OpBase[i+1] are the event's operand slots (for phi, a
+//     single slot: the chosen incoming value; for condbr, the condition).
+//
+// Per operand slot s, OpDefs[s] = d says where the operand's value came
+// from. For d >= 0, event d produced it, and its value is Result[d]. For
+// d < 0, no event did (a constant immediate or a global's address), and
+// its value is Imm[^d]. Imm holds only those slots' values, in slot
+// order; Op(s) reads either kind. A slot's value is the raw operand bit
+// pattern as read at execution time.
 //
 // Per access a (the state the crash model replays):
 //
 //   - Addr[a] is the effective address;
 //   - SP[a] is the stack pointer at the access;
 //   - MemDef[a] is, for loads, the store event that last wrote the loaded
-//     location, or NoDef for initial memory (globals, zero-fill); always
-//     NoDef for stores;
+//     location, or -1 (NoDef) for initial memory (globals, zero-fill);
+//     always -1 for stores;
 //   - VMAVer[a] is the VMA-table version, a key of Snapshots.
 type Trace struct {
 	Module *ir.Module
@@ -51,13 +60,13 @@ type Trace struct {
 	InstrID []int32
 	Result  []uint64
 	Acc     []int32
-	OpBase  []int
-	Ops     []uint64
-	OpDefs  []int64
+	OpBase  []int32
+	OpDefs  []int32
+	Imm     []uint64
 
 	Addr   []uint64
 	SP     []uint64
-	MemDef []int64
+	MemDef []int32
 	VMAVer []int32
 
 	Outputs []Output
@@ -76,6 +85,9 @@ type Trace struct {
 // NumEvents returns the dynamic instruction count.
 func (t *Trace) NumEvents() int64 { return int64(len(t.InstrID)) }
 
+// NumSlots returns the number of operand slots, over all events.
+func (t *Trace) NumSlots() int { return len(t.OpDefs) }
+
 // Instrs returns the instruction table that InstrID indexes. Callers must
 // not modify it.
 func (t *Trace) Instrs() []*ir.Instr { return t.instrs }
@@ -83,13 +95,19 @@ func (t *Trace) Instrs() []*ir.Instr { return t.instrs }
 // Instr returns the static instruction of event ev.
 func (t *Trace) Instr(ev int64) *ir.Instr { return t.instrs[t.InstrID[ev]] }
 
-// OpsOf returns the recorded operand bit patterns of event ev, a view
-// into the Ops column.
-func (t *Trace) OpsOf(ev int64) []uint64 { return t.Ops[t.OpBase[ev]:t.OpBase[ev+1]] }
+// Op returns the raw bit pattern of operand slot s: its def's result, or
+// its immediate when it has no def.
+func (t *Trace) Op(s int) uint64 {
+	d := t.OpDefs[s]
+	if d >= 0 {
+		return t.Result[d]
+	}
+	return t.Imm[^d]
+}
 
-// OpDefsOf returns the defining events of event ev's operands, a view
-// into the OpDefs column.
-func (t *Trace) OpDefsOf(ev int64) []int64 { return t.OpDefs[t.OpBase[ev]:t.OpBase[ev+1]] }
+// OpDefsOf returns the OpDefs entries of event ev's operand slots, a view
+// into the column: a negative entry marks a slot without a def.
+func (t *Trace) OpDefsOf(ev int64) []int32 { return t.OpDefs[t.OpBase[ev]:t.OpBase[ev+1]] }
 
 // IsMemAccess reports whether event ev is a load or store.
 func (t *Trace) IsMemAccess(ev int64) bool { return t.Acc[ev] >= 0 }
@@ -98,14 +116,13 @@ func (t *Trace) IsMemAccess(ev int64) bool { return t.Acc[ev] >= 0 }
 // event ev, or NoDef when ev is not a load or read initial memory.
 func (t *Trace) MemDefOf(ev int64) int64 {
 	if a := t.Acc[ev]; a >= 0 {
-		return t.MemDef[a]
+		return int64(t.MemDef[a])
 	}
 	return NoDef
 }
 
-// Event records one dynamic instruction execution. It is a by-value view
-// of one event's columns for cold callers; Ops and OpDefs alias the
-// trace's columns.
+// Event records one dynamic instruction execution. It is a by-value copy
+// of one event's columns for cold callers.
 type Event struct {
 	// Instr is the static instruction that executed.
 	Instr *ir.Instr
@@ -127,17 +144,21 @@ type Event struct {
 // IsMemAccess reports whether the event is a load or store.
 func (e *Event) IsMemAccess() bool { return e.Instr.Op.IsMemAccess() }
 
-// Event returns the view of event ev.
+// Event returns a copy of event ev.
 func (t *Trace) Event(ev int64) Event {
+	lo, hi := int(t.OpBase[ev]), int(t.OpBase[ev+1])
 	e := Event{
 		Instr:  t.Instr(ev),
-		Ops:    t.OpsOf(ev),
-		OpDefs: t.OpDefsOf(ev),
+		Ops:    make([]uint64, hi-lo),
+		OpDefs: make([]int64, hi-lo),
 		Result: t.Result[ev],
 		MemDef: NoDef,
 	}
+	for k := range e.Ops {
+		e.Ops[k], e.OpDefs[k] = t.Op(lo+k), max(int64(t.OpDefs[lo+k]), NoDef)
+	}
 	if a := t.Acc[ev]; a >= 0 {
-		e.Addr, e.MemDef, e.VMAVer, e.SP = t.Addr[a], t.MemDef[a], int(t.VMAVer[a]), t.SP[a]
+		e.Addr, e.MemDef, e.VMAVer, e.SP = t.Addr[a], int64(t.MemDef[a]), int(t.VMAVer[a]), t.SP[a]
 	}
 	return e
 }

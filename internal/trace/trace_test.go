@@ -1,9 +1,13 @@
 package trace
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/mem"
 )
 
 func TestOperandWidth(t *testing.T) {
@@ -80,5 +84,99 @@ func TestUseString(t *testing.T) {
 	u := Use{Event: 42, Op: 1}
 	if u.String() != "ev42.op1" {
 		t.Errorf("Use.String() = %q", u.String())
+	}
+}
+
+// TestMaxBudget checks the recording limit's arithmetic on a module whose
+// widest instruction is a seven-argument call: a run that exhausts the
+// budget retires one event more than it, and at seven slots an event,
+// those events' slots must still fit in an int32 while one more event's
+// would not.
+func TestMaxBudget(t *testing.T) {
+	m, err := ir.Parse(`define i64 @sum(i64 %a, i64 %b, i64 %c, i64 %d, i64 %e, i64 %f, i64 %g) {
+entry:
+  %x = add i64 %a, %g
+  ret i64 %x
+}
+define void @main() {
+entry:
+  %r = call i64 @sum(i64 1, i64 2, i64 3, i64 4, i64 5, i64 6, i64 7)
+  output i64 %r
+  ret void
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const width = 7
+	b := MaxBudget(m)
+	if want := int64(math.MaxInt32/width - 1); b != want {
+		t.Fatalf("MaxBudget = %d, want %d", b, want)
+	}
+	if events := b + 1; events*width > math.MaxInt32 || (events+1)*width <= math.MaxInt32 {
+		t.Errorf("budget %d: %d events of %d slots do not fill the int32 slot range tightly", b, events, width)
+	}
+	// Without the call, the widest instruction has two operands.
+	narrow, err := ir.Parse(`define void @main() {
+entry:
+  %x = add i64 1, 2
+  output i64 %x
+  ret void
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := MaxBudget(narrow), int64(math.MaxInt32/2-1); got != want {
+		t.Errorf("MaxBudget without a call = %d, want %d", got, want)
+	}
+}
+
+// TestFinishSplitsOperands records two events by hand: operands without
+// a def go to Imm, one with a def reads its def's result, and a recording
+// where that result is not the value the operand was read with is an
+// error naming the operand.
+func TestFinishSplitsOperands(t *testing.T) {
+	m, err := ir.Parse(`define void @main() {
+entry:
+  %x = add i64 1, 2
+  %y = add i64 %x, 4
+  output i64 %y
+  ret void
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := m.Instrs()[0], m.Instrs()[1]
+	record := func(read uint64) (*Trace, error) {
+		r := NewRecorder(m)
+		ops, defs := r.Begin(x)
+		copy(ops, []uint64{1, 2})
+		copy(defs, []int32{-1, -1})
+		r.SetResult(0, 3)
+		ops, defs = r.Begin(y)
+		copy(ops, []uint64{read, 4})
+		copy(defs, []int32{0, -1})
+		r.SetResult(1, read+4)
+		return r.Finish(nil, nil, mem.Layout{})
+	}
+	tr, err := record(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{^0, ^1, 0, ^2}; !slices.Equal(tr.OpDefs, want) {
+		t.Errorf("OpDefs = %v, want %v", tr.OpDefs, want)
+	}
+	if want := []uint64{1, 2, 4}; !slices.Equal(tr.Imm, want) {
+		t.Errorf("Imm = %v, want %v", tr.Imm, want)
+	}
+	for s, want := range []uint64{1, 2, 3, 4} {
+		if got := tr.Op(s); got != want {
+			t.Errorf("Op(%d) = %d, want %d", s, got, want)
+		}
+	}
+	if _, err := record(5); err == nil || !strings.Contains(err.Error(), "event 1 operand 0") {
+		t.Errorf("Finish error %v, want one naming event 1 operand 0", err)
 	}
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // recordingSlack bounds what a warm recording of lulesh allocates beside
-// its trace's columns: about 240 KiB today, while a single access chunk
-// holds 448 KiB.
+// its trace's columns: about 220 KiB today, while a single access chunk
+// holds 384 KiB.
 const recordingSlack = 512 << 10
 
 // recordLulesh compiles lulesh for the VM.
@@ -50,7 +50,7 @@ func TestRecordingAllocsPerEvent(t *testing.T) {
 // traceColumnBytes is the memory tr's columns hold.
 func traceColumnBytes(tr *trace.Trace) int {
 	return colBytes(tr.InstrID) + colBytes(tr.Result) + colBytes(tr.Acc) +
-		colBytes(tr.OpBase) + colBytes(tr.Ops) + colBytes(tr.OpDefs) +
+		colBytes(tr.OpBase) + colBytes(tr.OpDefs) + colBytes(tr.Imm) +
 		colBytes(tr.Addr) + colBytes(tr.SP) + colBytes(tr.MemDef) + colBytes(tr.VMAVer)
 }
 
@@ -62,10 +62,10 @@ func colBytes[T any](col []T) int {
 }
 
 // TestTraceBytesPerEvent gates the recorded trace's footprint: the bytes
-// its columns hold, per lulesh event, stay at most 80. A layout that kept
-// an instruction pointer and two slice headers per event (96 B before any
-// operand) cannot pass. Column capacities follow Go's append growth, so
-// the figure is deterministic.
+// its columns hold, per lulesh event, stay at most 40. A layout that kept
+// every operand's value beside its def, or 64-bit index columns (about
+// 58 B per event), cannot pass. Columns are allocated at their exact
+// size, so the figure is deterministic.
 func TestTraceBytesPerEvent(t *testing.T) {
 	res, err := recordLulesh(t).Run(interp.Config{Record: true})
 	if err != nil {
@@ -75,8 +75,8 @@ func TestTraceBytesPerEvent(t *testing.T) {
 	total := traceColumnBytes(tr)
 	perEvent := float64(total) / float64(tr.NumEvents())
 	t.Logf("lulesh: %d column bytes for %d events (%.1f B per event)", total, tr.NumEvents(), perEvent)
-	if perEvent > 80 {
-		t.Fatalf("lulesh trace keeps %.1f B per event, want <= 80", perEvent)
+	if perEvent > 40 {
+		t.Fatalf("lulesh trace keeps %.1f B per event, want <= 40", perEvent)
 	}
 }
 

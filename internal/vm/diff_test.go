@@ -1,12 +1,16 @@
 package vm_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/epvf"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -362,6 +366,77 @@ func TestDifferentialEdgeCases(t *testing.T) {
 			_, err = interp.Run(m, cfg)
 			if got := fmt.Sprint(err); tc.fatal == "" && err != nil || tc.fatal != "" && !strings.Contains(got, tc.fatal) {
 				t.Fatalf("run error %v, want %q", err, tc.fatal)
+			}
+		})
+	}
+}
+
+// TestDifferentialSavedTraces checks recordings through the saved format
+// on every kernel, every edge case and 20 random programs: the walker's
+// and the VM's traces save to the same bytes, Load then Save writes those
+// bytes again, and the loaded trace analyzes exactly as the recorded one.
+func TestDifferentialSavedTraces(t *testing.T) {
+	type program struct {
+		name string
+		m    *ir.Module
+		cfg  interp.Config
+	}
+	var progs []program
+	for _, b := range bench.All() {
+		progs = append(progs, program{b.Name, b.MustModule(1), interp.Config{Record: true}})
+	}
+	edge := interp.Config{Record: true, MaxDynInstrs: 400_000}
+	for _, tc := range edgeCasePrograms {
+		m, err := lang.Compile(tc.name, tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		progs = append(progs, program{tc.name, m, edge})
+	}
+	for _, tc := range edgeCaseModules {
+		m, err := ir.Parse(tc.ir)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		progs = append(progs, program{tc.name, m, edge})
+	}
+	for seed := range 20 {
+		name := fmt.Sprintf("random%d", seed)
+		m, err := lang.Compile(name, bench.RandomProgram(rand.New(rand.NewSource(int64(seed)))))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		progs = append(progs, program{name, m, interp.Config{Record: true}})
+	}
+	save := func(t *testing.T, tr *trace.Trace) []byte {
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, p := range progs {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			walker, vmr := runBoth(t, p.m, p.cfg)
+			if walker == nil {
+				return // a fatal run records no trace
+			}
+			data := save(t, vmr.Trace)
+			if !bytes.Equal(save(t, walker.Trace), data) {
+				t.Fatal("the walker's and the VM's traces save to different bytes")
+			}
+			back, err := trace.Load(bytes.NewReader(data), p.m)
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			if !bytes.Equal(save(t, back), data) {
+				t.Fatal("saving the loaded trace writes different bytes")
+			}
+			a, b := epvf.AnalyzeTrace(vmr.Trace, epvf.Config{}), epvf.AnalyzeTrace(back, epvf.Config{})
+			if a.TotalBits != b.TotalBits || a.ACEBits != b.ACEBits || a.ACENodes != b.ACENodes ||
+				!slices.Equal(a.ACEMask, b.ACEMask) || !reflect.DeepEqual(a.CrashResult, b.CrashResult) {
+				t.Fatal("the loaded trace analyzes differently from the recorded one")
 			}
 		})
 	}

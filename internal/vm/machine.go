@@ -136,7 +136,10 @@ func (m *machine) finish() (*interp.Result, error) {
 		Converged: m.converged,
 	}
 	if m.rec != nil {
-		res.Trace = m.rec.Finish(m.outputs, m.as.Snapshots(), m.cfg.Layout)
+		var err error
+		if res.Trace, err = m.rec.Finish(m.outputs, m.as.Snapshots(), m.cfg.Layout); err != nil && m.fatal == nil {
+			m.fatal = err
+		}
 	}
 	m.flushObs()
 	return res, m.fatal
@@ -228,7 +231,7 @@ func (m *machine) recordEvent(fr *vframe, fc *fnCode, localID int32) {
 	ops, defs := m.rec.Begin(fc.instrs[localID])
 	for i, s := range fc.meta[localID].argSlots {
 		ops[i] = fr.regs[s]
-		defs[i] = fr.defs[s]
+		defs[i] = int32(fr.defs[s])
 	}
 }
 
@@ -650,7 +653,7 @@ func (m *machine) stepPhiGroup(fr *vframe, fc *fnCode, aux uint32) int32 {
 		m.executed++
 		if m.rec != nil {
 			ops, defs := m.rec.Begin(g.phis[i])
-			ops[0], defs[0] = bits, def
+			ops[0], defs[0] = bits, int32(def)
 		}
 		m.phiVals[i] = bits
 		m.phiIdx[i] = idx

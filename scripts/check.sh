@@ -53,9 +53,12 @@ go test -race ./internal/obs/... \
 # and 20 random programs). TestDifferentialEdgeCases also runs the IR
 # modules MiniC never emits, which the VM once left to the walker: a phi
 # in an entry block, a 4.8 GB GEP stride, and frames over 4 GiB and over
-# the stack pointer.
-echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB, fuzz corpus seeds, snapshot resumes, snapshot runners)"
-go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|FuzzDifferential|TestDifferentialResume' -count=1
+# the stack pointer. TestDifferentialSavedTraces takes the kernels, the
+# edge cases and 20 random programs through the saved trace format: both
+# engines' recordings save to the same bytes, Load then Save writes them
+# again, and the loaded trace analyzes identically.
+echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds, snapshot resumes, snapshot runners)"
+go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialSavedTraces|FuzzDifferential|TestDifferentialResume' -count=1
 go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch' -count=1
 
 # The benchmark's selftest: every workload runs once at a small size and
