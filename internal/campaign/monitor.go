@@ -56,6 +56,21 @@ type Monitor struct {
 	// /campaign and `campaign status -json`).
 	tsSrc    func() *ts.Summary
 	alertSrc func() *alert.Summary
+
+	// series caches the handles record updates, resolved once per plan
+	// ID and outcome (indexed by fi.Outcome) on that outcome's first run.
+	// Registry resets zero series without invalidating handles, so they
+	// stay valid across invocations. Guarded by mu.
+	seriesID string
+	series   [fi.OutcomeDetected + 1]runSeries
+}
+
+// runSeries holds the series record updates for one outcome of a plan.
+type runSeries struct {
+	runs       *obs.Counter
+	executed   *obs.Counter
+	runSeconds *obs.Histogram
+	latency    *obs.Histogram
 }
 
 // NewMonitor returns a monitor writing into reg; nil reg allocates a
@@ -143,15 +158,39 @@ func (m *Monitor) begin(plan *Plan, w io.Writer, replayed map[fi.Outcome]int) {
 // record tallies one executed run and its latency (overall and
 // per-outcome), then refreshes the progress line if due.
 func (m *Monitor) record(rec fi.Record, dur time.Duration) {
-	id := m.planID()
-	outcome := rec.Outcome.String()
-	m.reg.Counter("epvf_campaign_runs_total", "id", id, "outcome", outcome).Inc()
-	m.reg.Counter("epvf_campaign_runs_executed_total", "id", id).Inc()
-	m.reg.Histogram("epvf_campaign_run_seconds", nil, "id", id).Observe(dur.Seconds())
-	m.reg.Histogram("epvf_injection_latency_seconds", obs.LatencyBuckets,
-		"id", id, "stage", "campaign", "outcome", outcome).Observe(dur.Seconds())
+	s := m.seriesFor(rec.Outcome)
+	s.runs.Inc()
+	s.executed.Inc()
+	s.runSeconds.Observe(dur.Seconds())
+	s.latency.Observe(dur.Seconds())
 	m.maybePrint()
 	m.publishStatus(true)
+}
+
+// seriesFor returns the series record updates for outcome o of the bound
+// plan, looking them up in the registry only on first use.
+func (m *Monitor) seriesFor(o fi.Outcome) runSeries {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	id := ""
+	if m.plan != nil {
+		id = m.plan.ID
+	}
+	if id != m.seriesID {
+		m.seriesID, m.series = id, [len(m.series)]runSeries{}
+	}
+	s := &m.series[o]
+	if s.runs == nil {
+		outcome := o.String()
+		*s = runSeries{
+			runs:       m.reg.Counter("epvf_campaign_runs_total", "id", id, "outcome", outcome),
+			executed:   m.reg.Counter("epvf_campaign_runs_executed_total", "id", id),
+			runSeconds: m.reg.Histogram("epvf_campaign_run_seconds", nil, "id", id),
+			latency: m.reg.Histogram("epvf_injection_latency_seconds", obs.LatencyBuckets,
+				"id", id, "stage", "campaign", "outcome", outcome),
+		}
+	}
+	return *s
 }
 
 // publishEvery throttles live progress events onto the SSE stream.

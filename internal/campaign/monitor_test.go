@@ -252,3 +252,50 @@ func httpGet(t *testing.T, url string) string {
 	}
 	return string(body)
 }
+
+// TestMonitorCachedSeriesMatchLookups reuses one monitor for two plans,
+// rerunning one of them, and checks that the series record updates
+// through its cached handles expose exactly the counts and buckets that
+// looking each series up per run gives.
+func TestMonitorCachedSeriesMatchLookups(t *testing.T) {
+	g := golden(t, kernelSrc)
+	a, b := testPlan(t, g, 100, 50), testPlan(t, g, 200, 50)
+	if a.ID == b.ID {
+		t.Fatal("test plans share an ID")
+	}
+	cached, looked := obs.NewRegistry(), obs.NewRegistry()
+	mon, ref := NewMonitor(cached), NewMonitor(looked)
+	// lookupRecord is record with every series looked up per run.
+	lookupRecord := func(id string, rec fi.Record, dur time.Duration) {
+		outcome := rec.Outcome.String()
+		looked.Counter("epvf_campaign_runs_total", "id", id, "outcome", outcome).Inc()
+		looked.Counter("epvf_campaign_runs_executed_total", "id", id).Inc()
+		looked.Histogram("epvf_campaign_run_seconds", nil, "id", id).Observe(dur.Seconds())
+		looked.Histogram("epvf_injection_latency_seconds", obs.LatencyBuckets,
+			"id", id, "stage", "campaign", "outcome", outcome).Observe(dur.Seconds())
+	}
+	for k, p := range []*Plan{a, b, b, a} {
+		replayed := map[fi.Outcome]int{fi.OutcomeSDC: k}
+		mon.begin(p, nil, replayed)
+		ref.begin(p, nil, replayed)
+		for i := range 40 + 7*k {
+			rec := fi.Record{Outcome: fi.FailureOutcomes[(i*i+k)%len(fi.FailureOutcomes)]}
+			dur := time.Duration(i*i*(k+1)) * time.Microsecond
+			mon.record(rec, dur)
+			lookupRecord(p.ID, rec, dur)
+		}
+	}
+	var got, want strings.Builder
+	if err := cached.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := looked.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("cached series:\n%s\nper-run lookups:\n%s", got.String(), want.String())
+	}
+	if !strings.Contains(got.String(), `epvf_injection_latency_seconds_bucket{id="`+b.ID) {
+		t.Fatalf("no latency buckets for plan %s:\n%s", b.ID, got.String())
+	}
+}

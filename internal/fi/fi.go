@@ -395,9 +395,16 @@ func (r *Runner) SnapshotView() *snapshot.View {
 	return &v
 }
 
+// rngs recycles the generators Draw seeds: a fresh source costs a ~5 KB
+// allocation, and Seed leaves a generator in exactly the state
+// rand.NewSource would.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Draw deterministically derives run index's target and memory layout.
 func (r *Runner) Draw(index int64) (Target, mem.Layout) {
-	rng := rand.New(rand.NewSource(TargetSeed(r.cfg.Seed, index)))
+	rng := rngs.Get().(*rand.Rand)
+	defer rngs.Put(rng)
+	rng.Seed(TargetSeed(r.cfg.Seed, index))
 	tgt, _ := r.sampler.SampleMulti(rng, r.cfg.FaultBits)
 	layout := mem.DefaultLayout()
 	if r.cfg.JitterWindow > 0 {
@@ -498,7 +505,8 @@ func (r *Runner) Run(ctx context.Context, idxs []int64, workers int, done func(i
 		start time.Time
 		wall  time.Duration
 	}
-	idxs = r.OrderByEvent(idxs)
+	// With snapshots, ordering drew every target already.
+	drawn := r.orderByEvent(idxs)
 	workers = max(1, min(workers, len(idxs)))
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -516,7 +524,12 @@ func (r *Runner) Run(ctx context.Context, idxs []int64, workers int, done func(i
 					return
 				}
 				start := time.Now()
-				rec := r.RunIndex(idxs[k])
+				var rec Record
+				if drawn != nil {
+					rec = r.runSnapshot(drawn[k])
+				} else {
+					rec = r.RunIndex(idxs[k])
+				}
 				results <- finished{idxs[k], rec, start, time.Since(start)}
 			}
 		}()
@@ -564,21 +577,36 @@ func (r *Runner) RunRange(lo, hi int64, workers int) []Record {
 // gain nothing from event locality. Results are keyed by index, so
 // dispatch order never affects them.
 func (r *Runner) OrderByEvent(idxs []int64) []int64 {
-	if r.chain == nil {
-		return idxs
-	}
-	events := make(map[int64]int64, len(idxs))
-	for _, idx := range idxs {
-		tgt, _ := r.Draw(idx)
-		events[idx] = tgt.Event
-	}
-	sort.Slice(idxs, func(a, b int) bool {
-		if events[idxs[a]] != events[idxs[b]] {
-			return events[idxs[a]] < events[idxs[b]]
-		}
-		return idxs[a] < idxs[b]
-	})
+	r.orderByEvent(idxs)
 	return idxs
+}
+
+// orderByEvent is OrderByEvent, returning the target drawn for each
+// sorted index, or nil when it drew none (snapshots disabled).
+func (r *Runner) orderByEvent(idxs []int64) []Target {
+	if r.chain == nil {
+		return nil
+	}
+	type drawn struct {
+		index int64
+		tgt   Target
+	}
+	ds := make([]drawn, len(idxs))
+	for i, idx := range idxs {
+		ds[i].index = idx
+		ds[i].tgt, _ = r.Draw(idx)
+	}
+	sort.Slice(ds, func(a, b int) bool {
+		if ds[a].tgt.Event != ds[b].tgt.Event {
+			return ds[a].tgt.Event < ds[b].tgt.Event
+		}
+		return ds[a].index < ds[b].index
+	})
+	tgts := make([]Target, len(ds))
+	for i, d := range ds {
+		idxs[i], tgts[i] = d.index, d.tgt
+	}
+	return tgts
 }
 
 // MeasureRecall computes the crash-prediction recall (§IV-B): among

@@ -475,3 +475,53 @@ func TestRunTargetEnginesAgree(t *testing.T) {
 		}
 	}
 }
+
+// freshDraw is Draw on a generator of its own, the reference the pooled
+// generators must match.
+func freshDraw(r *Runner, index int64) (Target, mem.Layout) {
+	rng := rand.New(rand.NewSource(TargetSeed(r.cfg.Seed, index)))
+	tgt, _ := r.sampler.SampleMulti(rng, r.cfg.FaultBits)
+	layout := mem.DefaultLayout()
+	if r.cfg.JitterWindow > 0 {
+		layout = layout.Jitter(rng, r.cfg.JitterWindow)
+	}
+	return tgt, layout
+}
+
+// TestDrawMatchesFreshSource checks that Draw's pooled, re-seeded
+// generators draw exactly what a fresh rand.NewSource per run draws, with
+// and without jitter, for single- and multi-bit faults, while 4
+// goroutines share the pool.
+func TestDrawMatchesFreshSource(t *testing.T) {
+	g := golden(t, kernelSrc)
+	for _, jitter := range []uint64{0, 64 * mem.PageSize} {
+		for _, bits := range []int{1, 2} {
+			cfg := Config{Seed: 2016, JitterWindow: jitter, FaultBits: bits, Engine: EngineWalker}
+			r, err := NewRunner(g.Trace.Module, g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n, workers = 4096, 4
+			errs := make(chan error, workers)
+			for w := range workers {
+				go func() {
+					for i := int64(w); i < n; i += workers {
+						gt, gl := r.Draw(i)
+						wt, wl := freshDraw(r, i)
+						if gt != wt || gl != wl {
+							errs <- fmt.Errorf("jitter %d, bits %d, index %d: Draw = %+v %+v, fresh source %+v %+v",
+								jitter, bits, i, gt, gl, wt, wl)
+							return
+						}
+					}
+					errs <- nil
+				}()
+			}
+			for range workers {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}

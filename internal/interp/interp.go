@@ -218,7 +218,6 @@ func newMachine(m *ir.Module, cfg Config) (*machine, error) {
 	}
 	vm := &machine{cfg: cfg, mod: m, as: mem.New(cfg.Layout), entryFn: fn}
 	if cfg.Record {
-		vm.memDef = make(map[uint64]int64)
 		vm.rec = trace.NewRecorder(m)
 	}
 	if err := vm.loadGlobals(); err != nil {
@@ -291,7 +290,6 @@ type machine struct {
 	// rec records the run's trace; nil when the run does not record.
 	rec     *trace.Recorder
 	outputs []trace.Output
-	memDef  map[uint64]int64
 	// ops and opDefs are the operand scratch of a step.
 	ops    []uint64
 	opDefs []int64
@@ -753,9 +751,7 @@ func (vm *machine) load(in *ir.Instr, idx int64, addr uint64) (uint64, bool) {
 		v = ir.TruncateToWidth(v, in.Ty.Bits)
 	}
 	if vm.rec != nil {
-		if d, ok := vm.memDef[addr]; ok {
-			vm.rec.SetMemDef(idx, d)
-		}
+		vm.rec.SetLoadDef(idx, addr)
 	}
 	return v, true
 }
@@ -776,9 +772,7 @@ func (vm *machine) store(in *ir.Instr, idx int64, val, addr uint64) bool {
 	}
 	vm.as.WriteUint(addr, size, val)
 	if vm.rec != nil {
-		for i := int64(0); i < size; i++ {
-			vm.memDef[addr+uint64(i)] = idx
-		}
+		vm.rec.SetStore(idx, addr, size)
 	}
 	return true
 }

@@ -11,6 +11,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -205,18 +206,52 @@ type AddressSpace struct {
 	// page" cost.
 	dirtied int64
 
-	// One-entry VMA-bounds caches for the LoadFast/StoreFast hot path.
-	// Each caches the [lo, hi) of the VMA that satisfied the most recent
-	// fast access, tagged with the version that made it valid; any VMA
-	// table change bumps version and so invalidates both. VMAs only ever
-	// grow or get appended (Free keeps mmap segments mapped), so a cached
-	// range at the current version can never cover unmapped addresses.
-	// The zero value is invalid (hi == 0 admits no address), which is why
-	// Fork need not copy these.
-	fastRLo, fastRHi uint64
-	fastRVer         int
-	fastWLo, fastWHi uint64
-	fastWVer         int
+	// Two-entry VMA-bounds caches for the LoadFast/StoreFast hot path, one
+	// pair for loads and one for stores (stack and heap/global accesses
+	// alternate, so one entry would thrash). Each entry caches the [lo, hi)
+	// of a VMA that satisfied a recent fast access, tagged with the
+	// version that made it valid; any VMA table change bumps version and
+	// so invalidates all of them. VMAs only ever grow or get appended
+	// (Free keeps mmap segments mapped), so a cached range at the current
+	// version can never cover unmapped addresses. The zero value is
+	// invalid (hi == 0 admits no address), which is why Fork need not copy
+	// these.
+	fastR, fastW [2]vmaBounds
+
+	// rkey/rpage cache the page of the last fast load: pages[rkey], or
+	// &zeroPage when that page is absent. writablePage clears rpage at
+	// both of its page-map writes (materialize and copy-on-write), the
+	// only points where pages[rkey] can change, so a set rpage is always
+	// what the map holds. Fork need not copy it either.
+	rkey  uint64
+	rpage *page
+}
+
+// vmaBounds is one version-tagged entry of the fast-path VMA caches.
+type vmaBounds struct {
+	lo, hi uint64
+	ver    int
+}
+
+// hit reports whether [addr, last] lies inside one of the entries that
+// are valid at version ver.
+func hit(c *[2]vmaBounds, ver int, addr, last uint64) bool {
+	if last < addr {
+		return false
+	}
+	for i := range c {
+		if c[i].ver == ver && addr >= c[i].lo && last < c[i].hi {
+			return true
+		}
+	}
+	return false
+}
+
+// install makes [lo, hi) the newest entry, keeping the previous newest
+// as the other.
+func install(c *[2]vmaBounds, lo, hi uint64, ver int) {
+	c[1] = c[0]
+	c[0] = vmaBounds{lo: lo, hi: hi, ver: ver}
 }
 
 // New creates an address space with the given layout and reserves the text,
@@ -440,6 +475,7 @@ func (as *AddressSpace) writablePage(addr uint64) *page {
 	if p == nil {
 		p = newPage()
 		as.pages[key] = p
+		as.rpage = nil
 		as.dirtied++
 		return p
 	}
@@ -448,6 +484,7 @@ func (as *AddressSpace) writablePage(addr uint64) *page {
 		cp.data = p.data
 		p.refs.Add(-1)
 		as.pages[key] = cp
+		as.rpage = nil
 		as.dirtied++
 		return cp
 	}
@@ -603,64 +640,97 @@ func (as *AddressSpace) ReadUint(addr uint64, size int64) uint64 {
 
 // LoadFast validates and performs a little-endian load in one pass. It is
 // observably identical to CheckAccess(addr, size, false) followed by
-// ReadUint, but skips the binary VMA search when the access lands in the
-// same segment as the last fast load at an unchanged VMA version, and
-// reads page bytes in place instead of through an allocated slice. Loads
-// never require read permission (checkOne does not test it), so a cache
-// hit needs only a bounds check.
+// ReadUint, but skips the binary VMA search when the access lands in one
+// of the two segments recent fast loads hit at an unchanged VMA version,
+// skips the page-map lookup when it lands in the last page read, and
+// reads whole words in place instead of through an allocated slice.
+// Loads never require read permission (checkOne does not test it), so a
+// cache hit needs only a bounds check.
 func (as *AddressSpace) LoadFast(addr uint64, size int64) (uint64, error) {
 	if size <= 0 {
 		size = 1
 	}
 	last := addr + uint64(size) - 1
-	if !(as.fastRVer == as.version && addr >= as.fastRLo && last < as.fastRHi && last >= addr) {
+	if !hit(&as.fastR, as.version, addr, last) {
 		if err := as.CheckAccess(addr, size, false); err != nil {
 			return 0, err
 		}
 		// CheckAccess may have grown the stack (and bumped version), so
 		// re-resolve the governing VMA for the refreshed cache entry.
 		if i, ok := as.findVMA(addr); ok && last < as.vmas[i].End {
-			as.fastRLo, as.fastRHi, as.fastRVer = as.vmas[i].Start, as.vmas[i].End, as.version
+			install(&as.fastR, as.vmas[i].Start, as.vmas[i].End, as.version)
 		}
 	}
 	off := addr % PageSize
-	if off+uint64(size) <= PageSize {
-		var v uint64
-		if p := as.pages[addr/PageSize]; p != nil {
-			for i := int64(0); i < size; i++ {
-				v |= uint64(p.data[off+uint64(i)]) << (8 * uint(i))
-			}
-		}
-		return v, nil
+	if off+uint64(size) > PageSize {
+		return as.ReadUint(addr, size), nil
 	}
-	return as.ReadUint(addr, size), nil
+	key := addr / PageSize
+	p := as.rpage
+	if p == nil || as.rkey != key {
+		if p = as.pages[key]; p == nil {
+			p = &zeroPage
+		}
+		as.rkey, as.rpage = key, p
+	}
+	b := p.data[off:]
+	switch size {
+	case 1:
+		return uint64(b[0]), nil
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b)), nil
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b)), nil
+	case 8:
+		return binary.LittleEndian.Uint64(b), nil
+	}
+	var v uint64
+	for i := int64(0); i < size; i++ {
+		v |= uint64(b[i]) << (8 * uint(i))
+	}
+	return v, nil
 }
 
+// zeroPage stands in for an absent page in the last-read-page cache; it is
+// never written, since every write goes through writablePage.
+var zeroPage page
+
 // StoreFast validates and performs a little-endian store in one pass —
-// the write counterpart of LoadFast. The cached range is only installed
+// the write counterpart of LoadFast. The cached ranges are only installed
 // for writable VMAs, so a hit implies write permission.
 func (as *AddressSpace) StoreFast(addr uint64, size int64, v uint64) error {
 	if size <= 0 {
 		size = 1
 	}
 	last := addr + uint64(size) - 1
-	if !(as.fastWVer == as.version && addr >= as.fastWLo && last < as.fastWHi && last >= addr) {
+	if !hit(&as.fastW, as.version, addr, last) {
 		if err := as.CheckAccess(addr, size, true); err != nil {
 			return err
 		}
 		if i, ok := as.findVMA(addr); ok && last < as.vmas[i].End && as.vmas[i].Perm&PermWrite != 0 {
-			as.fastWLo, as.fastWHi, as.fastWVer = as.vmas[i].Start, as.vmas[i].End, as.version
+			install(&as.fastW, as.vmas[i].Start, as.vmas[i].End, as.version)
 		}
 	}
 	off := addr % PageSize
-	if off+uint64(size) <= PageSize {
-		p := as.writablePage(addr)
-		for i := int64(0); i < size; i++ {
-			p.data[off+uint64(i)] = byte(v >> (8 * uint(i)))
-		}
+	if off+uint64(size) > PageSize {
+		as.WriteUint(addr, size, v)
 		return nil
 	}
-	as.WriteUint(addr, size, v)
+	b := as.writablePage(addr).data[off:]
+	switch size {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	default:
+		for i := int64(0); i < size; i++ {
+			b[i] = byte(v >> (8 * uint(i)))
+		}
+	}
 	return nil
 }
 

@@ -69,11 +69,15 @@ var (
 	opChunks     = sync.Pool{New: func() any {
 		return &opChunk{ops: make([]uint64, opChunkLen), defs: make([]int32, opChunkLen)}
 	}}
+	// memDefPages holds zeroed shadow pages.
+	memDefPages = sync.Pool{New: func() any { return new(memDefPage) }}
 )
 
 // Recorder builds the trace of one run. Both execution engines record
-// through it: Begin for every retired event, then SetResult, SetAccess and
-// SetMemDef as the event executes, and Finish at the end of the run.
+// through it: Begin for every retired event, then SetResult, SetAccess,
+// SetStore and SetLoadDef as the event executes, and Finish at the end of
+// the run. The recorder tracks which store last wrote each byte, so a
+// load's memory def needs only its address.
 // Events go to fixed-size chunks, so a growing recording never copies what
 // it holds; Finish copies each column once into its flat, exact-size
 // form. A Recorder is not safe for concurrent use.
@@ -90,7 +94,24 @@ type Recorder struct {
 	ops  []*opChunk
 	cur  *opChunk
 	nops int // operands recorded
+
+	// defs shadows simulated memory per page: for each byte, the last
+	// store that wrote it (see memDefPage). defKey/defPage cache the page
+	// of the last load or store, &noMemDefs for a page no store wrote.
+	defs    map[uint64]*memDefPage
+	defKey  uint64
+	defPage *memDefPage
 }
+
+// memDefPage holds, for each byte of one simulated page, one more than
+// the event of the last store that wrote it, or zero when no store of the
+// run has. Event indices fit in an int32 (MaxBudget), so one more does
+// too.
+type memDefPage [mem.PageSize]int32
+
+// noMemDefs stands in for a page no store has written. It is never
+// written: SetStore replaces it with a page of its own first.
+var noMemDefs memDefPage
 
 // NewRecorder returns a recorder for a run of m.
 func NewRecorder(m *ir.Module) *Recorder {
@@ -160,11 +181,48 @@ func (r *Recorder) SetAccess(ev int64, addr, sp uint64, vmaVer int) {
 	c.addr[j], c.sp[j], c.ver[j] = addr, sp, int32(vmaVer)
 }
 
-// SetMemDef records the store event that produced the value loaded at
-// event ev.
-func (r *Recorder) SetMemDef(ev, def int64) {
-	c, j := r.access(ev)
-	c.memDef[j] = int32(def)
+// SetStore records that the store at event ev wrote size bytes at addr,
+// so a later load of any of them has ev as its memory def.
+func (r *Recorder) SetStore(ev int64, addr uint64, size int64) {
+	for size > 0 {
+		key, off := addr/mem.PageSize, addr%mem.PageSize
+		p := r.memDefs(key)
+		if p == &noMemDefs {
+			p = memDefPages.Get().(*memDefPage)
+			if r.defs == nil {
+				r.defs = make(map[uint64]*memDefPage)
+			}
+			r.defs[key], r.defPage = p, p
+		}
+		n := min(uint64(size), mem.PageSize-off)
+		for i := range n {
+			p[off+i] = int32(ev + 1)
+		}
+		addr += n
+		size -= int64(n)
+	}
+}
+
+// SetLoadDef records the memory def of the load at event ev that read
+// addr: the last store that wrote the byte at addr, if any.
+func (r *Recorder) SetLoadDef(ev int64, addr uint64) {
+	if d := r.memDefs(addr / mem.PageSize)[addr%mem.PageSize]; d != 0 {
+		c, j := r.access(ev)
+		c.memDef[j] = d - 1
+	}
+}
+
+// memDefs returns the shadow page of page key, &noMemDefs when no store
+// has written it, and caches it as the last page touched.
+func (r *Recorder) memDefs(key uint64) *memDefPage {
+	if r.defPage == nil || r.defKey != key {
+		p := r.defs[key]
+		if p == nil {
+			p = &noMemDefs
+		}
+		r.defKey, r.defPage = key, p
+	}
+	return r.defPage
 }
 
 // Finish returns the recorded trace, completed with the run's outputs,
@@ -276,5 +334,9 @@ func (r *Recorder) recycle() {
 	}
 	for _, c := range r.ops {
 		opChunks.Put(c)
+	}
+	for _, p := range r.defs {
+		clear(p[:])
+		memDefPages.Put(p)
 	}
 }

@@ -180,3 +180,53 @@ entry:
 		t.Errorf("Finish error %v, want one naming event 1 operand 0", err)
 	}
 }
+
+// TestMemDefsSpanPages checks the recorder's memory-def shadow: a load's
+// memory def is the last store covering its first byte, across a page
+// boundary, after an overwrite, and none for bytes no store wrote.
+func TestMemDefsSpanPages(t *testing.T) {
+	m, err := ir.Parse(`define void @main() {
+entry:
+  %a = alloca i64
+  store i64 7, i64* %a
+  %v = load i64, i64* %a
+  ret void
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, load := m.Instrs()[1], m.Instrs()[2]
+	const page = 9 * mem.PageSize
+	r := NewRecorder(m)
+	begin := func(in *ir.Instr) {
+		_, defs := r.Begin(in)
+		for i := range defs {
+			defs[i] = int32(NoDef)
+		}
+	}
+	begin(store)
+	r.SetStore(0, page-4, 8)
+	begin(store)
+	r.SetStore(1, page+2, 2)
+	loads := []struct {
+		addr uint64
+		want int64
+	}{
+		{page - 4, 0}, {page - 1, 0}, {page, 0}, {page + 2, 1}, {page + 3, 1},
+		{page + 4, NoDef}, {page - 5, NoDef}, {5 * page, NoDef},
+	}
+	for i, l := range loads {
+		begin(load)
+		r.SetLoadDef(int64(2+i), l.addr)
+	}
+	tr, err := r.Finish(nil, nil, mem.Layout{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range loads {
+		if got := tr.MemDefOf(int64(2 + i)); got != l.want {
+			t.Errorf("load at %#x: memory def %d, want %d", l.addr, got, l.want)
+		}
+	}
+}

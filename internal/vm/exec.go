@@ -8,6 +8,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -15,10 +16,11 @@ import (
 	"repro/internal/trace"
 )
 
-// hook runs before every dispatch while it is set: a paused Exec stops
-// there, a resumed run tries convergence there. It returns true to stop
-// the dispatch loop. A run without either leaves it nil and pays only the
-// nil test.
+// hook runs before a dispatch once the machine's event count reaches
+// its wake point: a paused Exec wakes before every dispatch and stops
+// there, a resumed run wakes only at the event its convergence check
+// waits for. It returns true to stop the dispatch loop. A run without
+// either never wakes.
 type hook interface {
 	at(m *machine) bool
 }
@@ -77,7 +79,7 @@ func (p *Program) NewExec(cfg interp.Config) (*Exec, error) {
 		return nil, err
 	}
 	e := &Exec{m: m}
-	m.hook = &e.pause
+	m.hook, m.wake = &e.pause, 0
 	return e, nil
 }
 
@@ -197,42 +199,45 @@ func Resume(st *State, opts ResumeOptions) (*interp.Result, error) {
 		// A hung golden run has no final state to converge to: the faulty
 		// run's larger budget would run past the golden horizon.
 		m.hook = &convState{golden: c.Golden, next: c.Next}
+		if m.inj == nil || m.inj.Applied {
+			m.wake = m.dyn
+		}
+		// Otherwise injectBits wakes the hook once the fault applies.
 	}
 	m.run()
 	return m.finish()
 }
 
-// at is called between dispatches: when the machine sits exactly on a
-// golden checkpoint event and its state equals that checkpoint, it
-// splices the golden tail and halts. Checkpoints are captured at dispatch
-// boundaries too, so none falls where the run cannot look.
+// at is called between dispatches once the machine reaches the event it
+// waits for: when the machine sits exactly on a golden checkpoint event
+// and its state equals that checkpoint, it splices the golden tail and
+// halts. Checkpoints are captured at dispatch boundaries too, so none
+// falls where the run cannot look.
 func (c *convState) at(m *machine) bool {
 	if m.inj != nil && !m.inj.Applied {
 		// Before the fault applies the run IS the golden prefix; comparing
-		// now would trivially "converge" and skip the injection.
+		// now would trivially "converge" and skip the injection. Sleep
+		// until injectBits wakes the hook.
+		m.wake = math.MaxInt64
 		return false
 	}
-	for {
-		if c.pending == nil {
-			c.pending = c.next(m.dyn - 1)
-			if c.pending == nil {
-				m.hook = nil // no further checkpoints will ever exist
-				return false
-			}
+	if c.pending == nil || c.pending.event < m.dyn {
+		// No checkpoint yet, or a multi-event dispatch jumped over it:
+		// fetch the first one at or after this event.
+		if c.pending = c.next(m.dyn - 1); c.pending == nil {
+			// No further checkpoints will ever exist.
+			m.hook, m.wake = nil, math.MaxInt64
+			return false
 		}
-		if c.pending.event >= m.dyn {
-			break
-		}
-		// A multi-event dispatch jumped over the checkpoint; fetch the
-		// next one.
-		c.pending = nil
 	}
 	if c.pending.event > m.dyn {
+		m.wake = c.pending.event
 		return false
 	}
 	st := c.pending
 	c.pending = nil
 	if !m.stateEqual(st) {
+		m.wake = m.dyn + 1
 		return false
 	}
 	m.outputs = append(m.outputs, c.golden.Outputs[len(st.outputs):]...)

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -59,13 +60,16 @@ type machine struct {
 	// rec records the run's trace; nil when the run does not record.
 	rec     *trace.Recorder
 	outputs []trace.Output
-	memDef  map[uint64]int64
 
 	exc       *interp.Exception
 	hang      bool
 	fatal     error
 	converged bool
-	hook      hook
+	// hook, when set, is called before a dispatch once dyn reaches wake;
+	// a run without one keeps wake at math.MaxInt64, so the dispatch loop
+	// pays one compare per dispatch either way.
+	hook hook
+	wake int64
 
 	phiVals []uint64
 	phiIdx  []int64
@@ -81,6 +85,7 @@ func newMachine(p *Program, cfg interp.Config, as *mem.AddressSpace, globals map
 		pool:    make([][]*vframe, len(p.fns)),
 		max:     cfg.MaxDynInstrs,
 		inj:     cfg.Injection,
+		wake:    math.MaxInt64,
 	}
 	maxPhi := 0
 	for _, fc := range p.fns {
@@ -118,7 +123,6 @@ func (p *Program) start(cfg interp.Config) (*machine, error) {
 	}
 	m := newMachine(p, cfg, as, globals)
 	if cfg.Record {
-		m.memDef = make(map[uint64]int64)
 		m.rec = trace.NewRecorder(p.mod)
 	}
 	m.pushFrame(p.fnIdx[entry], nil, nil)
@@ -253,6 +257,11 @@ func (m *machine) injectBits(in *ir.Instr, bits uint64) uint64 {
 	}
 	inj.Original = bits
 	inj.Applied = true
+	if m.hook != nil {
+		// A convergence hook sleeps until the fault applies; wake it for
+		// the next dispatch.
+		m.wake = m.dyn
+	}
 	return bits ^ mask
 }
 
@@ -279,7 +288,7 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 	iters := int64(0)
 	defer func() { m.iters += iters }()
 	for {
-		if m.hook != nil {
+		if m.dyn >= m.wake {
 			fr.pc = pc
 			if m.hook.at(m) {
 				return
@@ -740,9 +749,7 @@ func (m *machine) load(in *ir.Instr, idx int64, addr uint64, aux uint32) (uint64
 	}
 	v := truncTo(raw, mw)
 	if m.rec != nil {
-		if d, ok := m.memDef[addr]; ok {
-			m.rec.SetMemDef(idx, d)
-		}
+		m.rec.SetLoadDef(idx, addr)
 	}
 	return v, true
 }
@@ -763,9 +770,7 @@ func (m *machine) store(in *ir.Instr, idx int64, val, addr uint64, aux uint32) b
 		return false
 	}
 	if m.rec != nil {
-		for i := int64(0); i < size; i++ {
-			m.memDef[addr+uint64(i)] = idx
-		}
+		m.rec.SetStore(idx, addr, size)
 	}
 	return true
 }
@@ -788,6 +793,11 @@ func (m *machine) alignOK(size, align int64, addr uint64) bool {
 			req = 4
 		}
 	}
+	if req&(req-1) == 0 {
+		return addr&uint64(req-1) == 0
+	}
+	// Type.Align is the size for types up to 8 bytes, so an i24 or i56
+	// asks for 3 or 7.
 	return addr%uint64(req) == 0
 }
 

@@ -53,13 +53,20 @@ go test -race ./internal/obs/... \
 # and 20 random programs). TestDifferentialEdgeCases also runs the IR
 # modules MiniC never emits, which the VM once left to the walker: a phi
 # in an entry block, a 4.8 GB GEP stride, and frames over 4 GiB and over
-# the stack pointer. TestDifferentialSavedTraces takes the kernels, the
-# edge cases and 20 random programs through the saved trace format: both
-# engines' recordings save to the same bytes, Load then Save writes them
-# again, and the loaded trace analyzes identically.
-echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds, snapshot resumes, snapshot runners)"
+# the stack pointer; and i24/i56 loads and stores at every offset under
+# each alignment policy, whose 3- and 7-byte alignments take the VM's
+# modulo check instead of its power-of-two mask. TestDifferentialSavedTraces
+# takes the kernels, the edge cases and 20 random programs through the
+# saved trace format: both engines' recordings save to the same bytes,
+# Load then Save writes them again, and the loaded trace analyzes
+# identically. The VM's memory fast path (two VMA-bounds entries, the
+# last-read page, word accesses) is checked against the reference path
+# by TestFastPath*, and Draw's pooled generators against fresh sources by
+# TestDrawMatchesFreshSource.
+echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB / i24 and i56 accesses at odd alignments, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds, snapshot resumes, snapshot runners; mem fast path vs reference path; pooled vs fresh target draws)"
 go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialSavedTraces|FuzzDifferential|TestDifferentialResume' -count=1
-go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch' -count=1
+go test ./internal/mem/ -run 'TestFastPath' -count=1
+go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch|TestDrawMatchesFreshSource' -count=1
 
 # The benchmark's selftest: every workload runs once at a small size and
 # its pinned digests and deterministic counts must match.
