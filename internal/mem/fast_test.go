@@ -110,8 +110,9 @@ func TestFastPathCOWReadAfterWrite(t *testing.T) {
 }
 
 // TestFastPathMatchesReference runs random interleavings of fast loads and
-// stores with malloc, mmap-sized allocations, frame pushes and pops, stack
-// growth and forks followed by copy-on-write writes, and checks every
+// stores with malloc, mmap-sized allocations, frees of either, frame
+// pushes and pops, stack growth and forks followed by copy-on-write
+// writes, and checks every
 // access against the reference path on a twin address space: the same
 // values, the same AccessError text and the same VMA tables.
 func TestFastPathMatchesReference(t *testing.T) {
@@ -170,7 +171,16 @@ func fastPathWalk(t *testing.T, rng *rand.Rand, steps int) {
 				t.Fatalf("malloc(%d) = %#x, reference %#x", size, a, b)
 			}
 			blocks = append(blocks, a)
-		case r < 92:
+		case r < 89:
+			// Free a block (or free it again, or free a segment start,
+			// which is no block): freed blocks stay mapped, and pick
+			// keeps reaching them, mmap-sized ones included.
+			b := blocks[rng.Intn(len(blocks))]
+			aerr, berr := w.fast.Free(b), w.ref.Free(b)
+			if fmt.Sprint(aerr) != fmt.Sprint(berr) {
+				t.Fatalf("free(%#x): %v; reference %v", b, aerr, berr)
+			}
+		case r < 94:
 			size := uint64(rng.Intn(3 * PageSize))
 			a, aerr := w.fast.PushFrame(size)
 			b, berr := w.ref.PushFrame(size)
@@ -180,7 +190,7 @@ func fastPathWalk(t *testing.T, rng *rand.Rand, steps int) {
 			if aerr == nil {
 				frames = append(frames, w.fast.SP()+(size+15)&^15)
 			}
-		case r < 96:
+		case r < 97:
 			if n := len(frames); n > 0 {
 				w.fast.PopFrame(frames[n-1])
 				w.ref.PopFrame(frames[n-1])

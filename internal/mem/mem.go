@@ -209,13 +209,13 @@ type AddressSpace struct {
 	// Two-entry VMA-bounds caches for the LoadFast/StoreFast hot path, one
 	// pair for loads and one for stores (stack and heap/global accesses
 	// alternate, so one entry would thrash). Each entry caches the [lo, hi)
-	// of a VMA that satisfied a recent fast access, tagged with the
-	// version that made it valid; any VMA table change bumps version and
-	// so invalidates all of them. VMAs only ever grow or get appended
-	// (Free keeps mmap segments mapped), so a cached range at the current
-	// version can never cover unmapped addresses. The zero value is
-	// invalid (hi == 0 admits no address), which is why Fork need not copy
-	// these.
+	// of a VMA that satisfied a recent fast access, and stays valid for
+	// the life of the address space. That holds only while the VMA table
+	// never shrinks: a VMA may grow or a new one be appended, but none is
+	// ever unmapped, narrowed or loses a permission (Free keeps mmap
+	// segments mapped). Any change that breaks this must clear both
+	// caches. The zero value is invalid (hi == 0 admits no address),
+	// which is why Fork need not copy these.
 	fastR, fastW [2]vmaBounds
 
 	// rkey/rpage cache the page of the last fast load: pages[rkey], or
@@ -227,20 +227,16 @@ type AddressSpace struct {
 	rpage *page
 }
 
-// vmaBounds is one version-tagged entry of the fast-path VMA caches.
-type vmaBounds struct {
-	lo, hi uint64
-	ver    int
-}
+// vmaBounds is one entry of the fast-path VMA caches.
+type vmaBounds struct{ lo, hi uint64 }
 
-// hit reports whether [addr, last] lies inside one of the entries that
-// are valid at version ver.
-func hit(c *[2]vmaBounds, ver int, addr, last uint64) bool {
+// hit reports whether [addr, last] lies inside one of the entries.
+func hit(c *[2]vmaBounds, addr, last uint64) bool {
 	if last < addr {
 		return false
 	}
 	for i := range c {
-		if c[i].ver == ver && addr >= c[i].lo && last < c[i].hi {
+		if addr >= c[i].lo && last < c[i].hi {
 			return true
 		}
 	}
@@ -249,9 +245,9 @@ func hit(c *[2]vmaBounds, ver int, addr, last uint64) bool {
 
 // install makes [lo, hi) the newest entry, keeping the previous newest
 // as the other.
-func install(c *[2]vmaBounds, lo, hi uint64, ver int) {
+func install(c *[2]vmaBounds, lo, hi uint64) {
 	c[1] = c[0]
-	c[0] = vmaBounds{lo: lo, hi: hi, ver: ver}
+	c[0] = vmaBounds{lo: lo, hi: hi}
 }
 
 // New creates an address space with the given layout and reserves the text,
@@ -641,9 +637,9 @@ func (as *AddressSpace) ReadUint(addr uint64, size int64) uint64 {
 // LoadFast validates and performs a little-endian load in one pass. It is
 // observably identical to CheckAccess(addr, size, false) followed by
 // ReadUint, but skips the binary VMA search when the access lands in one
-// of the two segments recent fast loads hit at an unchanged VMA version,
-// skips the page-map lookup when it lands in the last page read, and
-// reads whole words in place instead of through an allocated slice.
+// of the two segments recent fast loads hit, skips the page-map lookup
+// when it lands in the last page read, and reads whole words in place
+// instead of through an allocated slice.
 // Loads never require read permission (checkOne does not test it), so a
 // cache hit needs only a bounds check.
 func (as *AddressSpace) LoadFast(addr uint64, size int64) (uint64, error) {
@@ -651,14 +647,14 @@ func (as *AddressSpace) LoadFast(addr uint64, size int64) (uint64, error) {
 		size = 1
 	}
 	last := addr + uint64(size) - 1
-	if !hit(&as.fastR, as.version, addr, last) {
+	if !hit(&as.fastR, addr, last) {
 		if err := as.CheckAccess(addr, size, false); err != nil {
 			return 0, err
 		}
-		// CheckAccess may have grown the stack (and bumped version), so
-		// re-resolve the governing VMA for the refreshed cache entry.
+		// CheckAccess may have grown the stack, so re-resolve the
+		// governing VMA for the refreshed cache entry.
 		if i, ok := as.findVMA(addr); ok && last < as.vmas[i].End {
-			install(&as.fastR, as.vmas[i].Start, as.vmas[i].End, as.version)
+			install(&as.fastR, as.vmas[i].Start, as.vmas[i].End)
 		}
 	}
 	off := addr % PageSize
@@ -703,12 +699,12 @@ func (as *AddressSpace) StoreFast(addr uint64, size int64, v uint64) error {
 		size = 1
 	}
 	last := addr + uint64(size) - 1
-	if !hit(&as.fastW, as.version, addr, last) {
+	if !hit(&as.fastW, addr, last) {
 		if err := as.CheckAccess(addr, size, true); err != nil {
 			return err
 		}
 		if i, ok := as.findVMA(addr); ok && last < as.vmas[i].End && as.vmas[i].Perm&PermWrite != 0 {
-			install(&as.fastW, as.vmas[i].Start, as.vmas[i].End, as.version)
+			install(&as.fastW, as.vmas[i].Start, as.vmas[i].End)
 		}
 	}
 	off := addr % PageSize

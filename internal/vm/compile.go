@@ -92,18 +92,9 @@ func (c *fnCompiler) compile() (*fnCode, error) {
 			}
 			i = n
 		}
-		for ; i < len(blk.Instrs); i++ {
-			in := blk.Instrs[i]
+		for _, in := range blk.Instrs[i:] {
 			if in.Op == ir.OpPhi {
 				c.emitTrap(in, trapMidBlockPhi)
-				continue
-			}
-			fused, err := c.tryFuse(blk, i)
-			if err != nil {
-				return nil, err
-			}
-			if fused {
-				i++
 				continue
 			}
 			if err := c.emit(in); err != nil {
@@ -188,41 +179,8 @@ func (c *fnCompiler) emitTrap(in *ir.Instr, kind int) {
 
 func auxFits(v int64) bool { return v >= 0 && v <= math.MaxUint32 }
 
-func (c *fnCompiler) tryFuse(blk *ir.Block, i int) (bool, error) {
-	in := blk.Instrs[i]
-	if i+1 >= len(blk.Instrs) {
-		return false, nil
-	}
-	next := blk.Instrs[i+1]
-	switch {
-	case in.Op == ir.OpICmp && in.Pred >= ir.IEQ && in.Pred <= ir.IUGE &&
-		next.Op == ir.OpCondBr && len(next.Args) == 1 && next.Args[0] == ir.Value(in):
-	case in.Op == ir.OpGEP && auxFits(in.Elem.Size()) && next.Op == ir.OpLoad &&
-		len(next.Args) == 1 && next.Args[0] == ir.Value(in):
-	default:
-		return false, nil
-	}
-	fusedOp := vopICmpBr
-	if in.Op == ir.OpGEP {
-		fusedOp = vopGEPLoad
-	}
-	if err := c.emitAs(fusedOp, in); err != nil {
-		return false, err
-	}
-	// The second half keeps its plain encoding in its own slot, where the
-	// fused handler decodes it.
-	if err := c.emit(next); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// emit translates one non-phi instruction at its natural opcode.
-func (c *fnCompiler) emit(in *ir.Instr) error { return c.emitAs(0, in) }
-
-// emitAs translates in, overriding the opcode for the first half of a
-// fused pair.
-func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
+// emit translates one non-phi instruction.
+func (c *fnCompiler) emit(in *ir.Instr) error {
 	fc := c.fc
 	slots, err := c.argSlots(in)
 	if err != nil {
@@ -395,9 +353,6 @@ func (c *fnCompiler) emitAs(fusedOp vop, in *ir.Instr) error {
 	default:
 		// ir.Verify rejects unknown opcodes.
 		return fmt.Errorf("%w: opcode %s", ErrUnsupported, in.Op)
-	}
-	if fusedOp != 0 {
-		op = fusedOp
 	}
 	fc.code = append(fc.code, encWord0(op, dst, a, b, cc), encWord1(in.LocalID, aux))
 	return nil

@@ -319,6 +319,63 @@ entry:
   ret void
 }
 `},
+	// Compares used beyond their block's branch: a loop condition that
+	// a select, a zext and the exit block also read, a signed compare
+	// feeding the branch, and an unsigned compare followed by a branch
+	// on another value.
+	{name: "icmp_shared", ir: `define void @main() {
+entry:
+  br label %loop
+loop:
+  %i = phi i32 [ 0, %entry ], [ %next, %body ]
+  %c = icmp ult i32 %i, 5
+  br i1 %c, label %body, label %exit
+body:
+  %pick = select i1 %c, i32 %i, i32 100
+  %wide = zext i1 %c to i32
+  %sum = add i32 %pick, %wide
+  output i32 %sum
+  %next = add i32 %i, 1
+  %s = icmp sgt i32 %next, -1
+  br i1 %s, label %loop, label %exit
+exit:
+  %last = zext i1 %c to i64
+  output i64 %last
+  %d = icmp eq i32 %i, 5
+  %e = icmp ne i32 %i, 0
+  output i1 %e
+  br i1 %d, label %done, label %done
+done:
+  ret void
+}
+`},
+	// Addresses feeding a load and other users: a store through the same
+	// address, a second load, a pointer-to-integer cast and a further
+	// address; a load of an older address right after a new one; and a
+	// load that faults.
+	{name: "gep_shared", ir: `define void @main() {
+entry:
+  %buf = malloc i32*, i64 64
+  %p = getelementptr i32, i32* %buf, i64 3
+  %v = load i32, i32* %p
+  store i32 9, i32* %p
+  %w = load i32, i32* %p
+  %a = ptrtoint i32* %p to i64
+  %q = getelementptr i32, i32* %p, i32 -1
+  %x = load i32, i32* %p
+  store i32 %w, i32* %q
+  %y = load i32, i32* %q
+  output i32 %v
+  output i32 %w
+  output i32 %x
+  output i32 %y
+  output i64 %a
+  %far = getelementptr i32, i32* %q, i64 1073741824
+  %z = load i32, i32* %far
+  output i32 %z
+  ret void
+}
+`},
 	// A frame larger than the stack pointer itself, which must overflow
 	// the stack rather than wrap below address zero.
 	{name: "frame_over_sp", ir: `define void @main() {

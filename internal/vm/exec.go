@@ -50,15 +50,13 @@ func (p *pause) at(m *machine) bool {
 }
 
 // dispatchCost returns how many events the dispatch at fr.pc retires: a
-// phi group retires all its members, a fused pair both halves, and a trap
-// none.
+// phi group retires all its members, a trap none, and any other
+// instruction one.
 func dispatchCost(fr *vframe) int64 {
 	fc := fr.fc
 	switch vop(fc.code[fr.pc] >> 56) {
 	case vopPhiGroup:
 		return int64(len(fc.phiTab[uint32(fc.code[fr.pc+1])].phis))
-	case vopICmpBr, vopGEPLoad:
-		return 2
 	case vopTrap:
 		return 0
 	}
@@ -84,9 +82,10 @@ func (p *Program) NewExec(cfg interp.Config) (*Exec, error) {
 }
 
 // Advance executes until the next dispatch would retire an event past
-// stopAt, pausing at an event <= stopAt. Pauses fall on dispatch
-// boundaries, never inside a phi group or a fused pair, so the pause may
-// undershoot. It returns true while the program is still live; false once
+// stopAt, pausing at an event <= stopAt. Every instruction is a dispatch
+// of its own except a block-leading phi group, so the pause lands exactly
+// on stopAt unless stopAt falls inside a phi group, where it stops before
+// the group. It returns true while the program is still live; false once
 // it terminated (return, exception, hang, or fatal error).
 func (e *Exec) Advance(stopAt int64) bool {
 	m := e.m
@@ -222,7 +221,7 @@ func (c *convState) at(m *machine) bool {
 		return false
 	}
 	if c.pending == nil || c.pending.event < m.dyn {
-		// No checkpoint yet, or a multi-event dispatch jumped over it:
+		// No checkpoint yet, or a phi group's dispatch jumped over it:
 		// fetch the first one at or after this event.
 		if c.pending = c.next(m.dyn - 1); c.pending == nil {
 			// No further checkpoints will ever exist.

@@ -14,8 +14,8 @@ import (
 )
 
 // buildLoopCall builds a loop of n iterations that calls a helper, stores
-// into a stack array, and emits outputs — phi groups, calls, loads, stores
-// and fused pairs all cross snapshot boundaries.
+// into a stack array, and emits outputs — phi groups, calls, loads,
+// stores, compares and branches all cross snapshot boundaries.
 func buildLoopCall(n int64) *ir.Module {
 	b := ir.NewBuilder("loopcall")
 	f := b.NewFunc("f", ir.I32, &ir.Param{Name: "x", Ty: ir.I32})
@@ -374,23 +374,74 @@ func TestExecRejectsRecordAndInjection(t *testing.T) {
 	}
 }
 
+// TestAdvancePausesAtOrBelowStop pins the pause rule: every instruction
+// is a dispatch of its own except a block-leading phi group, so Advance
+// stops exactly at stop unless stop falls inside a phi group, where it
+// stops at the group's first event. The walker's trace tells where the
+// groups are. buildLoopCall is advanced to every event; lulesh, mm and bfs
+// to every 97th.
 func TestAdvancePausesAtOrBelowStop(t *testing.T) {
-	ex, err := compileProg(t, buildLoopCall(80)).NewExec(interp.Config{})
-	if err != nil {
-		t.Fatal(err)
+	mods := []*ir.Module{buildLoopCall(80)}
+	for _, name := range []string{"lulesh", "mm", "bfs"} {
+		b, ok := bench.Get(name)
+		if !ok {
+			t.Fatalf("%s benchmark missing", name)
+		}
+		mods = append(mods, b.MustModule(1))
 	}
-	prev := int64(0)
-	for stop := int64(10); ex.Advance(stop); stop += 10 {
-		if ex.Event() > stop {
-			t.Fatalf("paused at %d past stop %d", ex.Event(), stop)
+	grouped := 0
+	for i, m := range mods {
+		first, step := int64(7), int64(97)
+		if i == 0 {
+			first, step = 1, 1
 		}
-		if ex.Event() < prev {
-			t.Fatalf("event went backwards: %d -> %d", prev, ex.Event())
+		tr := walkerRun(t, m, interp.Config{Record: true}).Trace
+		// groupEnd returns the event after the phi group starting at ev,
+		// or ev when no group starts there.
+		groupEnd := func(ev int64) int64 {
+			in := tr.Instr(ev)
+			if in.Op != ir.OpPhi || ev > 0 && tr.Instr(ev-1).Op == ir.OpPhi && tr.Instr(ev-1).Parent == in.Parent {
+				return ev
+			}
+			end := ev + 1
+			for end < tr.NumEvents() && tr.Instr(end).Op == ir.OpPhi && tr.Instr(end).Parent == in.Parent {
+				end++
+			}
+			return end
 		}
-		prev = ex.Event()
-		if st := ex.Capture(); st.Event() != ex.Event() {
-			t.Fatalf("capture event %d != exec event %d", st.Event(), ex.Event())
+		ex, err := compileProg(t, m).NewExec(interp.Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		prev, stops, inGroup := int64(0), 0, 0
+		for stop := first; ex.Advance(stop); stop += step {
+			stops++
+			ev := ex.Event()
+			switch {
+			case ev < prev:
+				t.Fatalf("%s: event went backwards: %d -> %d", m.Name, prev, ev)
+			case ev == stop:
+			case ev < stop && stop < groupEnd(ev):
+				inGroup++
+			default:
+				t.Fatalf("%s: paused at %d for stop %d, not inside a phi group starting there", m.Name, ev, stop)
+			}
+			prev = ev
+			if st := ex.Capture(); st.Event() != ev {
+				t.Fatalf("%s: capture event %d != exec event %d", m.Name, st.Event(), ev)
+			}
+		}
+		if err := ex.Err(); err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		if stops < 100 {
+			t.Fatalf("%s: only %d stops", m.Name, stops)
+		}
+		t.Logf("%s: %d stops, %d inside phi groups", m.Name, stops, inGroup)
+		grouped += inGroup
+	}
+	if grouped == 0 {
+		t.Fatal("no stop fell inside a phi group")
 	}
 }
 

@@ -1,9 +1,13 @@
 package vm_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -62,52 +66,91 @@ func FuzzDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("vm.Compile rejected a verified module: %v", err)
 		}
-		cfg := interp.Config{Record: true, MaxDynInstrs: 50_000}
-		walker, werr := interp.Run(m, cfg)
-		vmr, verr := prog.Run(cfg)
-		if (werr == nil) != (verr == nil) {
-			t.Fatalf("engine error mismatch: walker=%v vm=%v", werr, verr)
-		}
-		if werr != nil {
-			if werr.Error() != verr.Error() {
-				t.Fatalf("fatal error text mismatch:\nwalker=%v\nvm=%v", werr, verr)
-			}
-			return
-		}
-		diffResults(t, "fuzz", walker, vmr)
-
-		// Replay with a fault at the (clamped) fuzzed coordinate.
-		n := walker.Trace.NumEvents()
-		if n == 0 {
-			return
-		}
-		ev := injEvent % n
-		if ev < 0 {
-			ev = -ev % n
-		}
-		w := trace.DefWidth(walker.Trace.Instr(ev))
-		if w == 0 {
-			return
-		}
-		bit := injBit % w
-		if bit < 0 {
-			bit = -bit % w
-		}
-		wi := &interp.Injection{Event: ev, Bit: bit}
-		vi := &interp.Injection{Event: ev, Bit: bit}
-		fw, werr := interp.Run(m, interp.Config{MaxDynInstrs: 50_000, Injection: wi})
-		fv, verr := prog.Run(interp.Config{MaxDynInstrs: 50_000, Injection: vi})
-		if (werr == nil) != (verr == nil) {
-			t.Fatalf("faulty-run error mismatch: walker=%v vm=%v", werr, verr)
-		}
-		if werr != nil {
-			return
-		}
-		if fw.Hang != fv.Hang || fw.DynInstrs != fv.DynInstrs {
-			t.Fatalf("faulty-run outcome mismatch: walker hang=%v dyn=%d, vm hang=%v dyn=%d",
-				fw.Hang, fw.DynInstrs, fv.Hang, fv.DynInstrs)
-		}
-		diffExc(t, "fuzz-fault", fw.Exception, fv.Exception)
-		diffOutputs(t, "fuzz-fault", fw.Outputs, fv.Outputs)
+		fuzzBoth(t, m, prog, injEvent, injBit)
 	})
+}
+
+// FuzzDifferentialIR fuzzes the IR the front end never emits: it mutates
+// the textual IR of the built-in kernels and of the edge-case modules,
+// keeps what ir.Parse (which verifies) accepts, and holds the engines to
+// FuzzDifferential's bit-identity. Mutants reach shapes MiniC never
+// produces: a compare used outside its block's branch, an address feeding
+// a load and other users, phis, unusual widths and strides.
+func FuzzDifferentialIR(f *testing.F) {
+	for i, b := range bench.All() {
+		f.Add(ir.Print(b.MustModule(1)), int64(997*i+3), i)
+	}
+	for i, tc := range edgeCaseModules {
+		f.Add(tc.ir, int64(3+i), 17+i)
+	}
+	f.Fuzz(func(t *testing.T, text string, injEvent int64, injBit int) {
+		m, err := ir.Parse(text)
+		if err != nil {
+			t.Skip()
+		}
+		prog, err := vm.Compile(m, vm.Options{})
+		if err != nil {
+			// The one verified shape the VM refuses: a function over
+			// the register-slot limit.
+			if errors.Is(err, vm.ErrUnsupported) && strings.Contains(err.Error(), "register file needs") {
+				t.Skip()
+			}
+			t.Fatalf("vm.Compile rejected a verified module: %v", err)
+		}
+		fuzzBoth(t, m, prog, injEvent, injBit)
+	})
+}
+
+// fuzzBoth runs m on the walker and prog on the VM under a 50k-event
+// budget, recorded and then with one fault at the clamped coordinate,
+// and fails on any difference.
+func fuzzBoth(t *testing.T, m *ir.Module, prog *vm.Program, injEvent int64, injBit int) {
+	t.Helper()
+	cfg := interp.Config{Record: true, MaxDynInstrs: 50_000}
+	walker, werr := interp.Run(m, cfg)
+	vmr, verr := prog.Run(cfg)
+	if (werr == nil) != (verr == nil) {
+		t.Fatalf("engine error mismatch: walker=%v vm=%v", werr, verr)
+	}
+	if werr != nil {
+		if werr.Error() != verr.Error() {
+			t.Fatalf("fatal error text mismatch:\nwalker=%v\nvm=%v", werr, verr)
+		}
+		return
+	}
+	diffResults(t, "fuzz", walker, vmr)
+
+	// Replay with a fault at the (clamped) fuzzed coordinate.
+	n := walker.Trace.NumEvents()
+	if n == 0 {
+		return
+	}
+	ev := injEvent % n
+	if ev < 0 {
+		ev = -ev % n
+	}
+	w := trace.DefWidth(walker.Trace.Instr(ev))
+	if w == 0 {
+		return
+	}
+	bit := injBit % w
+	if bit < 0 {
+		bit = -bit % w
+	}
+	wi := &interp.Injection{Event: ev, Bit: bit}
+	vi := &interp.Injection{Event: ev, Bit: bit}
+	fw, werr := interp.Run(m, interp.Config{MaxDynInstrs: 50_000, Injection: wi})
+	fv, verr := prog.Run(interp.Config{MaxDynInstrs: 50_000, Injection: vi})
+	if (werr == nil) != (verr == nil) {
+		t.Fatalf("faulty-run error mismatch: walker=%v vm=%v", werr, verr)
+	}
+	if werr != nil {
+		return
+	}
+	if fw.Hang != fv.Hang || fw.DynInstrs != fv.DynInstrs {
+		t.Fatalf("faulty-run outcome mismatch: walker hang=%v dyn=%d, vm hang=%v dyn=%d",
+			fw.Hang, fw.DynInstrs, fv.Hang, fv.DynInstrs)
+	}
+	diffExc(t, "fuzz-fault", fw.Exception, fv.Exception)
+	diffOutputs(t, "fuzz-fault", fw.Outputs, fv.Outputs)
 }

@@ -54,7 +54,6 @@ type machine struct {
 	executed int64
 	loads    int64
 	stores   int64
-	iters    int64
 	max      int64
 	inj      *interp.Injection
 	// rec records the run's trace; nil when the run does not record.
@@ -285,8 +284,6 @@ func (m *machine) live() bool {
 // a free function so the hot state lives in locals the compiler can keep
 // in registers.
 func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, defs []int64, pc int32) {
-	iters := int64(0)
-	defer func() { m.iters += iters }()
 	for {
 		if m.dyn >= m.wake {
 			fr.pc = pc
@@ -294,7 +291,6 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 				return
 			}
 		}
-		iters++
 		w0 := code[pc]
 		w1 := code[pc+1]
 		op := vop(w0 >> 56)
@@ -498,82 +494,6 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 		case vopDetect:
 			m.raise(interp.ExcDetected, fc.instrs[src], 0, "duplication check mismatch")
 			return
-		case vopICmpBr:
-			// Fused compare+branch: the icmp result is set (injection
-			// included), then the following condbr retires reading the
-			// committed register, exactly as two walker steps would.
-			r = icmpBits(aux, regs[a], regs[b])
-			if m.inj != nil && !m.inj.Applied && m.inj.Event == idx {
-				r = m.injectBits(fc.instrs[src], r)
-			}
-			regs[dst] = r
-			defs[dst] = idx
-			if m.rec != nil {
-				m.rec.SetResult(idx, r)
-			}
-			// Second half: plain condbr words at pc (already advanced).
-			w3 := code[pc+1]
-			src2 := int32(uint32(w3 >> 32))
-			aux2 := uint32(w3)
-			m.dyn++
-			m.executed++
-			if m.rec != nil {
-				m.recordEvent(fr, fc, src2)
-			}
-			if m.dyn > m.max {
-				m.hang = true
-				fr.pc = pc
-				return
-			}
-			t := &fc.condTab[aux2]
-			fr.prev = t.from
-			if regs[dst]&1 != 0 {
-				pc = t.tpc
-			} else {
-				pc = t.fpc
-			}
-			continue
-		case vopGEPLoad:
-			// Fused address+load, same two-step commit order.
-			r = regs[a] + uint64(aux)*uint64(ir.SignExtend(regs[b], cc))
-			if m.inj != nil && !m.inj.Applied && m.inj.Event == idx {
-				r = m.injectBits(fc.instrs[src], r)
-			}
-			regs[dst] = r
-			defs[dst] = idx
-			if m.rec != nil {
-				m.rec.SetResult(idx, r)
-			}
-			w2 := code[pc]
-			w3 := code[pc+1]
-			dst2 := int(w2 >> 42 & (maxSlots - 1))
-			src2 := int32(uint32(w3 >> 32))
-			aux2 := uint32(w3)
-			idx2 := m.dyn
-			m.dyn++
-			m.executed++
-			if m.rec != nil {
-				m.recordEvent(fr, fc, src2)
-			}
-			if m.dyn > m.max {
-				m.hang = true
-				fr.pc = pc
-				return
-			}
-			lv, ok := m.load(fc.instrs[src2], idx2, regs[dst], aux2)
-			if !ok {
-				return
-			}
-			if m.inj != nil && !m.inj.Applied && m.inj.Event == idx2 {
-				lv = m.injectBits(fc.instrs[src2], lv)
-			}
-			regs[dst2] = lv
-			defs[dst2] = idx2
-			if m.rec != nil {
-				m.rec.SetResult(idx2, lv)
-			}
-			pc += 2
-			continue
 		default:
 			m.raiseFatal(fc.instrs[src], "unimplemented opcode")
 			return

@@ -25,7 +25,6 @@ func noteRun(m *machine) {
 	}
 	r.Counter("epvf_vm_runs_total").Inc()
 	r.Counter("epvf_vm_instructions_total").Add(m.executed)
-	r.Counter("epvf_vm_dispatch_iterations_total").Add(m.iters)
 	r.Counter("epvf_vm_loads_total").Add(m.loads)
 	r.Counter("epvf_vm_stores_total").Add(m.stores)
 	if m.exc != nil {

@@ -26,10 +26,9 @@
 //
 // with a parallel []int64 of defining dynamic-event indices, so operand
 // reads are uniform one-index loads for every value kind. Jump targets
-// are resolved to word offsets at compile time; the common pairs
-// icmp+condbr and gep+load are fused into single dispatches (the second
-// instruction of a fused pair keeps its plain encoding in its own slot,
-// where the fused handler decodes it).
+// are resolved to word offsets at compile time. Every instruction
+// retires in a dispatch of its own, except a block-leading phi group,
+// whose parallel assignment retires all its members in one.
 //
 // Compile accepts every module that ir.Verify accepts, with one limit: a
 // function whose register file needs more than 2^14 slots fails with
@@ -101,13 +100,9 @@ const (
 	// block, misplaced phi) at the exact point the walker would; aux =
 	// trapTab index. It retires no event.
 	vopTrap
-	// Fused pairs. The handler decodes the following instruction's words
-	// directly, retiring both events in walker order.
-	vopICmpBr
-	vopGEPLoad
 	// Memory with an immediate too wide for aux, read from the constant
 	// pool instead: vopAllocaWide a = offset slot; vopGEPWide c = stride
-	// slot and aux = index width. They never fuse.
+	// slot and aux = index width.
 	vopAllocaWide
 	vopGEPWide
 )

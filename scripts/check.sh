@@ -55,7 +55,12 @@ go test -race ./internal/obs/... \
 # in an entry block, a 4.8 GB GEP stride, and frames over 4 GiB and over
 # the stack pointer; and i24/i56 loads and stores at every offset under
 # each alignment policy, whose 3- and 7-byte alignments take the VM's
-# modulo check instead of its power-of-two mask. TestDifferentialSavedTraces
+# modulo check instead of its power-of-two mask; and a compare read beyond
+# its block's branch and an address feeding a load and other users.
+# FuzzDifferentialIR runs its seed corpus: the kernels' and the edge-case
+# modules' printed IR, each with one injection. TestAdvancePausesAtOrBelowStop
+# pins where Exec.Advance pauses: exactly at the stop, unless the stop
+# falls inside a phi group. TestDifferentialSavedTraces
 # takes the kernels, the edge cases and 20 random programs through the
 # saved trace format: both engines' recordings save to the same bytes,
 # Load then Save writes them again, and the loaded trace analyzes
@@ -63,8 +68,8 @@ go test -race ./internal/obs/... \
 # last-read page, word accesses) is checked against the reference path
 # by TestFastPath*, and Draw's pooled generators against fresh sources by
 # TestDrawMatchesFreshSource.
-echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB / i24 and i56 accesses at odd alignments, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds, snapshot resumes, snapshot runners; mem fast path vs reference path; pooled vs fresh target draws)"
-go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialSavedTraces|FuzzDifferential|TestDifferentialResume' -count=1
+echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB / i24 and i56 accesses at odd alignments / shared icmp and gep results, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds of MiniC and of IR, snapshot resumes, Advance pause points, snapshot runners; mem fast path vs reference path; pooled vs fresh target draws)"
+go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialSavedTraces|FuzzDifferential|FuzzDifferentialIR|TestDifferentialResume|TestAdvancePausesAtOrBelowStop' -count=1
 go test ./internal/mem/ -run 'TestFastPath' -count=1
 go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch|TestDrawMatchesFreshSource' -count=1
 
