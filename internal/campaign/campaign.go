@@ -118,7 +118,7 @@ func contentHash(m *ir.Module, p *Plan) string {
 	h.Printf("runs=%d shard=%d seed=%d jitter=%d hang=%g bits=%d align=%d\n",
 		p.Runs, p.ShardSize, p.Seed, p.JitterWindow, p.HangFactor, p.FaultBits, p.Align)
 	h.Printf("trace=%d totalbits=%d\n", p.TraceEvents, p.TotalBits)
-	h.Write([]byte(ir.Print(m)))
+	h.Write([]byte(m.Text()))
 	return h.Sum()
 }
 

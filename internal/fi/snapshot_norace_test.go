@@ -7,6 +7,7 @@
 package fi
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/snapshot"
+	"repro/internal/vm"
 )
 
 // TestSnapshotRunnerMatchesWalkerScratch is the end-to-end check that
@@ -63,5 +65,122 @@ func TestSnapshotRunnerMatchesWalkerScratch(t *testing.T) {
 		if v := snap.SnapshotView(); v.Restores != runs {
 			t.Errorf("%s: %d restores, want %d", name, v.Restores, runs)
 		}
+	}
+}
+
+// TestConvergedResumeMatchesScratch checks the convergence fast path run
+// by run: every run of mm, bfs and lulesh campaigns, of 20 random program
+// campaigns and of a loop whose bound lives in memory (so some runs
+// hang), resumed from its snapshot with convergence, returns the record,
+// outputs, exception, hang flag and event count of its from-scratch VM
+// run. Executed counts the events the resumed run retired itself: up to
+// the checkpoint it converged at, else to its end, hung and crashed runs
+// included.
+func TestConvergedResumeMatchesScratch(t *testing.T) {
+	type campaign struct {
+		m    *ir.Module
+		runs int64
+		cfg  Config
+	}
+	camps := map[string]campaign{}
+	for _, name := range []string{"mm", "bfs", "lulesh"} {
+		b, _ := bench.Get(name)
+		camps[name] = campaign{b.MustModule(1), 256, Config{Seed: 2016}}
+	}
+	for seed := range 20 {
+		name := fmt.Sprintf("random%d", seed)
+		m, err := lang.Compile(name, bench.RandomProgram(rand.New(rand.NewSource(int64(seed)))))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		camps[name] = campaign{m, 32, Config{Seed: 2016}}
+	}
+	loop, err := lang.Compile("loopbound", `
+void main() {
+  int i = 0;
+  int n = 1000;
+  int s = 0;
+  while (i < n) { s = s + i; i = i + 1; }
+  output(s);
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	camps["loopbound"] = campaign{loop, 256, Config{Seed: 12, HangFactor: 3}}
+	var converged, hung, crashed, other int
+	for name, c := range camps {
+		g, err := interp.Run(c.m, interp.Config{Record: true})
+		if err != nil {
+			t.Fatalf("%s: golden: %v", name, err)
+		}
+		r, err := NewRunner(c.m, g, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ok, err := r.EnableSnapshots(snapshot.Config{}); err != nil || !ok {
+			t.Fatalf("%s: EnableSnapshots = %v, %v", name, ok, err)
+		}
+		for i := range c.runs {
+			tgt, layout := r.Draw(i)
+			inj := func() *interp.Injection {
+				return &interp.Injection{Event: tgt.Event, Bit: tgt.Bit, Mask: tgt.Mask}
+			}
+			want, err := r.prog.Run(interp.Config{
+				Layout:       layout,
+				MaxDynInstrs: int64(cmp.Or(c.cfg.HangFactor, 10) * float64(g.DynInstrs)),
+				Injection:    inj(),
+			})
+			if err != nil {
+				t.Fatalf("%s run %d: scratch: %v", name, i, err)
+			}
+			st := r.chain.Nearest(tgt.Event)
+			var last *vm.State // the checkpoint a converged run stopped at
+			got, err := vm.Resume(st, vm.ResumeOptions{
+				Injection: inj(),
+				Convergence: &vm.Convergence{Golden: g, Next: func(after int64) *vm.State {
+					s := r.chain.Next(after)
+					if s != nil {
+						last = s
+					}
+					return s
+				}},
+			})
+			if err != nil {
+				t.Fatalf("%s run %d: resume: %v", name, i, err)
+			}
+			if gr, wr := classify(g, got, tgt), classify(g, want, tgt); gr != wr {
+				t.Errorf("%s run %d: resumed record %+v, scratch %+v", name, i, gr, wr)
+			}
+			if got.DynInstrs != want.DynInstrs || got.Hang != want.Hang ||
+				fmt.Sprint(got.Exception) != fmt.Sprint(want.Exception) ||
+				fmt.Sprint(got.Outputs) != fmt.Sprint(want.Outputs) {
+				t.Errorf("%s run %d: resumed %d events, hang %v, exception %v, %d outputs; scratch %d, %v, %v, %d",
+					name, i, got.DynInstrs, got.Hang, got.Exception, len(got.Outputs),
+					want.DynInstrs, want.Hang, want.Exception, len(want.Outputs))
+			}
+			if want.Executed != want.DynInstrs {
+				t.Errorf("%s run %d: scratch executed %d of %d events", name, i, want.Executed, want.DynInstrs)
+			}
+			end := got.DynInstrs
+			switch {
+			case got.Converged:
+				converged++
+				end = last.Event()
+			case got.Hang:
+				hung++
+			case got.Exception != nil:
+				crashed++
+			default:
+				other++
+			}
+			if got.Executed != end-st.Event() {
+				t.Errorf("%s run %d: resumed at %d, converged %v, executed %d, want %d",
+					name, i, st.Event(), got.Converged, got.Executed, end-st.Event())
+			}
+		}
+	}
+	t.Logf("%d converged, %d hung, %d crashed, %d ran to the end", converged, hung, crashed, other)
+	if converged == 0 || hung == 0 || crashed == 0 || other == 0 {
+		t.Errorf("the campaigns must cover every kind of run")
 	}
 }

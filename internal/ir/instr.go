@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Opcode enumerates the instruction set.
 type Opcode int
@@ -351,6 +354,21 @@ type Module struct {
 	// instrs is the dense instruction table by static ID, built by
 	// Finish.
 	instrs []*Instr
+	// text memoizes Print for Text; Finish clears it.
+	text atomic.Pointer[string]
+}
+
+// Text returns Print(m), printing the module once per Finish: callers
+// that check a module against a stored digest on every call (a campaign's
+// plan ID) pay for the print once. A module changed after Finish must be
+// finished again, as before it is executed or analyzed.
+func (m *Module) Text() string {
+	if t := m.text.Load(); t != nil {
+		return *t
+	}
+	t := Print(m)
+	m.text.Store(&t)
+	return t
 }
 
 // Func returns the function with the given name, or nil.
@@ -379,6 +397,7 @@ func (m *Module) Global(name string) *Global {
 // before the module is executed or analyzed. The table is never built
 // lazily: a finished module is read concurrently by campaign workers.
 func (m *Module) Finish() {
+	m.text.Store(nil)
 	// A fresh table: one handed out before a re-Finish stays as it was.
 	n := 0
 	for _, f := range m.Funcs {

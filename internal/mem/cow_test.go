@@ -94,6 +94,73 @@ func TestForkPreservesAllocatorState(t *testing.T) {
 	}
 }
 
+// TestForkSharesHistoryCopyOnWrite checks that the allocation map and the
+// VMA version history a fork shares stay private to each side: after the
+// fork both sides bump the version to the same number with different VMA
+// tables and change their allocations, and neither sees the other's.
+func TestForkSharesHistoryCopyOnWrite(t *testing.T) {
+	as := New(DefaultLayout())
+	small, err := as.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := as.Version()
+	fork := as.Fork()
+	grand := fork.Fork() // a fork of a fork shares the same maps
+
+	if _, err := as.PushFrame(16 * PageSize); err != nil {
+		t.Fatal(err)
+	}
+	big, err := as.Malloc(MmapThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fork.PushFrame(8 * PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := fork.Free(small); err != nil {
+		t.Fatal(err)
+	}
+	if as.Version() <= v || fork.Version() != v+1 {
+		t.Fatalf("versions %d and %d after the fork at %d", as.Version(), fork.Version(), v)
+	}
+	if stackVMA(as.SnapshotAt(v+1)) == stackVMA(fork.SnapshotAt(v+1)) {
+		t.Fatalf("both sides record the same stack at version %d: %+v", v+1, stackVMA(as.SnapshotAt(v+1)))
+	}
+	if got, want := stackVMA(fork.SnapshotAt(v+1)), stackVMA(fork.VMAs()); got != want {
+		t.Fatalf("fork's version %d stack %+v, want its own %+v", v+1, got, want)
+	}
+	for name, s := range map[string]*AddressSpace{"parent": as, "fork": fork, "grandchild": grand} {
+		for ver := range s.Snapshots() {
+			if ver > s.Version() {
+				t.Errorf("%s at version %d holds history version %d", name, s.Version(), ver)
+			}
+		}
+	}
+	if _, ok := as.AllocSize(small); !ok {
+		t.Error("fork's Free reached the parent")
+	}
+	if _, ok := grand.AllocSize(small); !ok {
+		t.Error("fork's Free reached the grandchild")
+	}
+	if _, ok := fork.AllocSize(big); ok {
+		t.Error("parent's Malloc reached the fork")
+	}
+	if grand.Version() != v || len(grand.Snapshots()) != v {
+		t.Errorf("grandchild at version %d with %d history entries, want %d", grand.Version(), len(grand.Snapshots()), v)
+	}
+}
+
+// stackVMA returns the stack VMA of a VMA table.
+func stackVMA(vmas []VMA) VMA {
+	for _, v := range vmas {
+		if v.Kind == SegStack {
+			return v
+		}
+	}
+	return VMA{}
+}
+
 func TestEqualZeroPageSemantics(t *testing.T) {
 	a := New(DefaultLayout())
 	b := New(DefaultLayout())

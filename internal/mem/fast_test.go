@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -46,11 +47,21 @@ func (w *twin) store(addr uint64, size int64, v uint64) error {
 }
 
 // same checks that the two spaces agree on everything but their caches:
-// VMA table, version, stack pointer, allocations and page contents.
+// VMA table, version and its history, stack pointer, allocations and page
+// contents.
 func (w *twin) same() {
 	w.t.Helper()
 	if !w.fast.Equal(w.ref) {
 		w.t.Fatalf("step %d: address spaces diverged:\n%s\nreference:\n%s", w.step, w.fast.Maps(), w.ref.Maps())
+	}
+	fh, rh := w.fast.Snapshots(), w.ref.Snapshots()
+	if len(fh) != len(rh) {
+		w.t.Fatalf("step %d: %d history versions, reference %d", w.step, len(fh), len(rh))
+	}
+	for v, vmas := range rh {
+		if !slices.Equal(fh[v], vmas) {
+			w.t.Fatalf("step %d: history version %d is %v, reference %v", w.step, v, fh[v], vmas)
+		}
 	}
 }
 
@@ -62,8 +73,8 @@ func (w *twin) fork() (fast, ref *AddressSpace) {
 	return fast, ref
 }
 
-// TestFastPathCOWReadAfterWrite pins the invalidation of the last-read
-// page: a read caches a page, a write then copies it (or materializes it),
+// TestFastPathCOWReadAfterWrite pins the invalidation of the load page
+// cache: a read caches a page, a write then copies it (or materializes it),
 // and a second read of the same page must see the private copy, while the
 // frozen space the copy was forked from keeps the old bytes.
 func TestFastPathCOWReadAfterWrite(t *testing.T) {
@@ -106,6 +117,64 @@ func TestFastPathCOWReadAfterWrite(t *testing.T) {
 	w.store(fresh, 4, 0x5555)
 	if v, _ := w.load(fresh, 4); v != 0x5555 {
 		t.Fatalf("read after materialize = %#x, want 0x5555", v)
+	}
+}
+
+// TestFastPathPageCacheCollisions alternates loads and stores over ten
+// pages that share one entry of each page cache, and their neighbours,
+// which take the other entries, so every access evicts; between rounds
+// the space forks and goes on writing through pages its caches hold from
+// before the fork, which must copy them. Every access is checked against
+// the reference path, and every frozen space must keep its bytes.
+func TestFastPathPageCacheCollisions(t *testing.T) {
+	l := DefaultLayout()
+	w := &twin{t: t, fast: New(l), ref: New(l)}
+	base, _ := w.fast.Malloc(48 * PageSize)
+	if b, _ := w.ref.Malloc(48 * PageSize); b != base || base%PageSize != 0 {
+		t.Fatalf("mmap block at %#x and %#x, want one page-aligned address", base, b)
+	}
+	addr := func(k, neighbour int) uint64 {
+		return base + uint64(4*k+neighbour)*PageSize + uint64(8*k)
+	}
+	val := func(round, k, neighbour int) uint64 { return uint64(round<<16 | k<<8 | neighbour) }
+	type frozen struct {
+		fast  *AddressSpace
+		round int
+	}
+	var frozens []frozen
+	for round := range 6 {
+		for k := range 10 {
+			for n := range 2 {
+				w.store(addr(k, n), 8, val(round, k, n))
+				if k > 0 {
+					if got, _ := w.load(addr(k-1, n), 8); got != val(round, k-1, n) {
+						t.Fatalf("round %d: page %d reads %#x, want %#x", round, k-1, got, val(round, k-1, n))
+					}
+				}
+			}
+		}
+		for k := range 10 {
+			w.load(addr(k, 1), 4)
+			w.store(addr(k, 0), 4, val(round, k, 2))
+		}
+		w.same()
+		// Continue on the fork or on the space it was forked from; the
+		// other side is frozen with this round's bytes.
+		parentFast, parentRef := w.fork()
+		f := frozen{fast: parentFast, round: round}
+		if round%2 == 1 {
+			f.fast = w.fast
+			w.fast, w.ref = parentFast, parentRef
+		}
+		frozens = append(frozens, f)
+	}
+	for _, f := range frozens {
+		for k := range 10 {
+			want := val(f.round, k, 2)
+			if got, err := f.fast.LoadFast(addr(k, 0), 8); err != nil || got != want {
+				t.Fatalf("space frozen after round %d: page %d reads %#x, %v; want %#x", f.round, k, got, err, want)
+			}
+		}
 	}
 }
 

@@ -218,13 +218,32 @@ type AddressSpace struct {
 	// which is why Fork need not copy these.
 	fastR, fastW [2]vmaBounds
 
-	// rkey/rpage cache the page of the last fast load: pages[rkey], or
-	// &zeroPage when that page is absent. writablePage clears rpage at
-	// both of its page-map writes (materialize and copy-on-write), the
-	// only points where pages[rkey] can change, so a set rpage is always
-	// what the map holds. Fork need not copy it either.
-	rkey  uint64
-	rpage *page
+	// snapShared and allocsShared mark snapshots and allocs as shared
+	// with a fork: after a Fork, either side copies a shared map before
+	// its first change to it (bump for snapshots, Malloc or Free for
+	// allocs). They are atomic because concurrent forks of one frozen
+	// space all set them.
+	snapShared, allocsShared atomic.Bool
+
+	// rcache caches the pages of recent fast loads, direct-mapped by page
+	// number: a set entry e holds pages[e.key], or &zeroPage when that
+	// page is absent. writablePage clears the entry of its key at both of
+	// its page-map writes (materialize and copy-on-write), the only points
+	// where pages[key] can change, so a set entry is always what the map
+	// holds. wcache caches, in the same shape, pages writablePage returned;
+	// an entry is used only while its page's refs is 1, the same test of
+	// sole ownership writablePage makes, so a Fork (which raises refs)
+	// disables it without touching it. Fork need not copy either cache.
+	rcache, wcache [pageWays]pageEntry
+}
+
+// pageWays is the number of entries in each page cache.
+const pageWays = 4
+
+// pageEntry is one page-cache entry; p == nil marks it empty.
+type pageEntry struct {
+	key uint64
+	p   *page
 }
 
 // vmaBounds is one entry of the fast-path VMA caches.
@@ -279,10 +298,38 @@ func New(l Layout) *AddressSpace {
 func (as *AddressSpace) Layout() Layout { return as.layout }
 
 func (as *AddressSpace) bump() {
+	if as.snapShared.Load() {
+		as.snapshots = copyMap(as.snapshots)
+		as.snapShared.Store(false)
+	}
 	as.version++
 	cp := make([]VMA, len(as.vmas))
 	copy(cp, as.vmas)
 	as.snapshots[as.version] = cp
+}
+
+// copyMap returns a copy of m with room for one more entry.
+func copyMap[K comparable, V any](m map[K]V) map[K]V {
+	cp := make(map[K]V, len(m)+1)
+	for k, v := range m {
+		cp[k] = v
+	}
+	return cp
+}
+
+// share marks the allocation map and the version history as shared with
+// a fork.
+func (as *AddressSpace) share() {
+	as.snapShared.Store(true)
+	as.allocsShared.Store(true)
+}
+
+// ownAllocs makes the allocation map private before a change to it.
+func (as *AddressSpace) ownAllocs() {
+	if as.allocsShared.Load() {
+		as.allocs = copyMap(as.allocs)
+		as.allocsShared.Store(false)
+	}
 }
 
 // Version returns the current VMA-table version.
@@ -467,24 +514,35 @@ func (as *AddressSpace) checkOne(addr uint64, size int64, write bool) error {
 // so no concurrent Fork can be incrementing it.
 func (as *AddressSpace) writablePage(addr uint64) *page {
 	key := addr / PageSize
+	w := &as.wcache[key%pageWays]
+	if w.p != nil && w.key == key && w.p.refs.Load() == 1 {
+		return w.p
+	}
 	p := as.pages[key]
-	if p == nil {
+	switch {
+	case p == nil:
 		p = newPage()
 		as.pages[key] = p
-		as.rpage = nil
+		as.dropRead(key)
 		as.dirtied++
-		return p
-	}
-	if p.refs.Load() > 1 {
+	case p.refs.Load() > 1:
 		cp := newPage()
 		cp.data = p.data
 		p.refs.Add(-1)
-		as.pages[key] = cp
-		as.rpage = nil
+		p = cp
+		as.pages[key] = p
+		as.dropRead(key)
 		as.dirtied++
-		return cp
 	}
+	*w = pageEntry{key: key, p: p}
 	return p
+}
+
+// dropRead clears the load cache's entry for page key, if it holds one.
+func (as *AddressSpace) dropRead(key uint64) {
+	if r := &as.rcache[key%pageWays]; r.key == key {
+		r.p = nil
+	}
 }
 
 // WriteBytes copies b into memory at addr. The caller must have validated
@@ -520,11 +578,13 @@ func (as *AddressSpace) ReadBytes(addr uint64, n int64) []byte {
 	return out
 }
 
-// Fork returns a copy-on-write clone of the address space: VMA table,
-// registers of the allocator (sp, brk, mmap cursor), allocation metadata
-// and the VMA version history are copied; data pages are shared with their
-// refcounts incremented, so the fork costs O(mapped pages) pointer copies
-// and no page data moves until one side writes.
+// Fork returns a copy-on-write clone of the address space: the VMA table
+// and the registers of the allocator (sp, brk, mmap cursor) are copied;
+// data pages are shared with their refcounts incremented, so the fork
+// costs O(mapped pages) pointer copies and no page data moves until one
+// side writes. The allocation metadata and the VMA version history (whose
+// slices are immutable once recorded) are shared as whole maps, and
+// whichever side changes one next copies it first.
 //
 // Fork must only be called on an address space that is no longer written
 // (a frozen snapshot) or from the goroutine that owns it; the returned
@@ -537,19 +597,15 @@ func (as *AddressSpace) Fork() *AddressSpace {
 		sp:        as.sp,
 		brk:       as.brk,
 		mmapNext:  as.mmapNext,
-		allocs:    make(map[uint64]uint64, len(as.allocs)),
+		allocs:    as.allocs,
 		version:   as.version,
-		snapshots: make(map[int][]VMA, len(as.snapshots)),
+		snapshots: as.snapshots,
 	}
+	as.share()
+	cp.share()
 	for k, p := range as.pages {
 		p.refs.Add(1)
 		cp.pages[k] = p
-	}
-	for k, v := range as.allocs {
-		cp.allocs[k] = v
-	}
-	for k, v := range as.snapshots {
-		cp.snapshots[k] = v // VMA history slices are immutable once recorded
 	}
 	return cp
 }
@@ -638,7 +694,7 @@ func (as *AddressSpace) ReadUint(addr uint64, size int64) uint64 {
 // observably identical to CheckAccess(addr, size, false) followed by
 // ReadUint, but skips the binary VMA search when the access lands in one
 // of the two segments recent fast loads hit, skips the page-map lookup
-// when it lands in the last page read, and reads whole words in place
+// when its page sits in the load page cache, and reads whole words in place
 // instead of through an allocated slice.
 // Loads never require read permission (checkOne does not test it), so a
 // cache hit needs only a bounds check.
@@ -662,12 +718,13 @@ func (as *AddressSpace) LoadFast(addr uint64, size int64) (uint64, error) {
 		return as.ReadUint(addr, size), nil
 	}
 	key := addr / PageSize
-	p := as.rpage
-	if p == nil || as.rkey != key {
+	r := &as.rcache[key%pageWays]
+	p := r.p
+	if p == nil || r.key != key {
 		if p = as.pages[key]; p == nil {
 			p = &zeroPage
 		}
-		as.rkey, as.rpage = key, p
+		*r = pageEntry{key: key, p: p}
 	}
 	b := p.data[off:]
 	switch size {
@@ -687,7 +744,7 @@ func (as *AddressSpace) LoadFast(addr uint64, size int64) (uint64, error) {
 	return v, nil
 }
 
-// zeroPage stands in for an absent page in the last-read-page cache; it is
+// zeroPage stands in for an absent page in the load page cache; it is
 // never written, since every write goes through writablePage.
 var zeroPage page
 
@@ -761,6 +818,7 @@ func (as *AddressSpace) Malloc(size uint64) (uint64, error) {
 			break
 		}
 	}
+	as.ownAllocs()
 	as.allocs[addr] = size
 	return addr, nil
 }
@@ -780,6 +838,7 @@ func (as *AddressSpace) mmapAlloc(size uint64) (uint64, error) {
 	})
 	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
 	as.bump()
+	as.ownAllocs()
 	as.allocs[addr] = size
 	return addr, nil
 }
@@ -791,6 +850,7 @@ func (as *AddressSpace) Free(addr uint64) error {
 	if _, ok := as.allocs[addr]; !ok {
 		return fmt.Errorf("free of unallocated address %#x", addr)
 	}
+	as.ownAllocs()
 	delete(as.allocs, addr)
 	return nil
 }

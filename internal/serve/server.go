@@ -69,7 +69,7 @@ type Config struct {
 	// benchmark's serve workload (perfbench/serve.go) and this package's
 	// tests set it; no command does. It stays because that workload still
 	// starts an incremental daemon, and goes with internal/inc once the
-	// benchmark moves it onto a plain daemon (ROADMAP item 2).
+	// benchmark moves it onto a plain daemon (ROADMAP item 1).
 	Incremental bool
 }
 

@@ -156,13 +156,13 @@ type ResumeOptions struct {
 
 // Convergence lets a resumed faulty run stop early: after the injection
 // applies, whenever execution reaches the event index of a golden
-// checkpoint, the machine compares its complete state (frames, registers,
-// memory) against that checkpoint. Equality means the fault's effects are
-// gone — a deterministic machine in an identical state produces an
-// identical future — so the run splices the golden tail (remaining
-// outputs, exception, final event count) instead of executing it. COW
-// page sharing makes the comparison cost proportional to the pages that
-// diverged, not to total memory.
+// checkpoint, the machine compares its state (frames, the registers live
+// at each frame's pc, memory) against that checkpoint. Equality means the
+// fault's effects are gone — a deterministic machine in a state with the
+// same live values produces an identical future — so the run splices the
+// golden tail (remaining outputs, exception, final event count) instead
+// of executing it. COW page sharing makes the comparison cost
+// proportional to the pages that diverged, not to total memory.
 type Convergence struct {
 	// Golden is the fault-free run of the same configuration.
 	Golden *interp.Result
@@ -192,11 +192,12 @@ func Resume(st *State, opts ResumeOptions) (*interp.Result, error) {
 	cfg.Injection = opts.Injection
 	m := newMachine(st.prog, cfg, st.as.Fork(), st.globals)
 	m.stack = copyFrames(st.frames)
-	m.dyn = st.event
+	m.dyn, m.start = st.event, st.event
 	m.outputs = append([]trace.Output(nil), st.outputs...)
 	if c := opts.Convergence; c != nil && c.Golden != nil && c.Next != nil && !c.Golden.Hang {
 		// A hung golden run has no final state to converge to: the faulty
 		// run's larger budget would run past the golden horizon.
+		st.prog.ensureLiveness()
 		m.hook = &convState{golden: c.Golden, next: c.Next}
 		if m.inj == nil || m.inj.Applied {
 			m.wake = m.dyn
@@ -240,6 +241,7 @@ func (c *convState) at(m *machine) bool {
 		return false
 	}
 	m.outputs = append(m.outputs, c.golden.Outputs[len(st.outputs):]...)
+	m.executed = m.dyn - m.start
 	m.dyn = c.golden.DynInstrs
 	m.exc = c.golden.Exception
 	m.converged = true
@@ -247,10 +249,10 @@ func (c *convState) at(m *machine) bool {
 	return true
 }
 
-// stateEqual reports whether the live machine is bit-identical to a
-// captured state: same call stack (functions, pcs, registers, dynamic
-// defs, pending call sites) and same address space. Top frames compare
-// first — they diverge soonest in a faulty run.
+// stateEqual reports whether the live machine has the same future as a
+// captured state: same call stack (functions, pcs, live registers and
+// their dynamic defs, pending call sites) and same address space. Top
+// frames compare first — they diverge soonest in a faulty run.
 func (m *machine) stateEqual(st *State) bool {
 	if len(m.stack) != len(st.frames) {
 		return false
@@ -263,17 +265,24 @@ func (m *machine) stateEqual(st *State) bool {
 	return m.as.Equal(st.as)
 }
 
-// frameEqual compares two frames' continuations and their locals and
-// parameters; the constant and global tail is fixed per program and
-// layout.
+// frameEqual compares two frames' continuations and the locals and
+// parameters live at their pc (live.go); a dead slot is written before it
+// is read again, so it cannot change the future. A frame waiting on a call
+// also leaves out the call's result slot, which popFrame writes before the
+// frame resumes. The constant and global tail is fixed per program and
+// layout. The program's liveness tables must be built.
 func frameEqual(a, b *vframe) bool {
 	if a.fc != b.fc || a.pc != b.pc || a.prev != b.prev ||
 		a.base != b.base || a.savedSP != b.savedSP ||
 		a.callInstr != b.callInstr || a.callIdx != b.callIdx {
 		return false
 	}
-	for i := 0; i < a.fc.constBase; i++ {
-		if a.regs[i] != b.regs[i] || a.defs[i] != b.defs[i] {
+	ret := -1
+	if in := a.callInstr; in != nil && !in.Ty.IsVoid() {
+		ret = in.LocalID
+	}
+	for _, s := range a.fc.live.at(a.pc) {
+		if int(s) != ret && (a.regs[s] != b.regs[s] || a.defs[s] != b.defs[s]) {
 			return false
 		}
 	}

@@ -1,0 +1,12 @@
+package vm
+
+// LiveSlots returns the slots the convergence check compares at pc in the
+// program's function fn, building the liveness tables first.
+func LiveSlots(p *Program, fn int, pc int32) []uint16 {
+	p.ensureLiveness()
+	return p.fns[fn].live.at(pc)
+}
+
+// BlockPCs returns the pc of each block's first instruction in the
+// program's function fn.
+func BlockPCs(p *Program, fn int) []int32 { return p.fns[fn].blockPC }

@@ -50,12 +50,20 @@ type machine struct {
 
 	stack []*vframe
 
-	dyn      int64
+	dyn int64
+	// start is dyn when the run began (a resumed run's snapshot event);
+	// the run executed dyn - start events, or executed once it converged
+	// and dyn jumped to the golden end.
+	start    int64
 	executed int64
 	loads    int64
 	stores   int64
 	max      int64
 	inj      *interp.Injection
+	// injAt is the event whose result the pending fault corrupts, or -1
+	// once injectBits has run (or with no fault), so the dispatch loop
+	// tests for the injection with one compare.
+	injAt int64
 	// rec records the run's trace; nil when the run does not record.
 	rec     *trace.Recorder
 	outputs []trace.Output
@@ -84,7 +92,11 @@ func newMachine(p *Program, cfg interp.Config, as *mem.AddressSpace, globals map
 		pool:    make([][]*vframe, len(p.fns)),
 		max:     cfg.MaxDynInstrs,
 		inj:     cfg.Injection,
+		injAt:   -1,
 		wake:    math.MaxInt64,
+	}
+	if m.inj != nil && !m.inj.Applied {
+		m.injAt = m.inj.Event
 	}
 	maxPhi := 0
 	for _, fc := range p.fns {
@@ -130,6 +142,9 @@ func (p *Program) start(cfg interp.Config) (*machine, error) {
 
 // finish assembles the Result exactly as the walker does.
 func (m *machine) finish() (*interp.Result, error) {
+	if !m.converged {
+		m.executed = m.dyn - m.start
+	}
 	res := &interp.Result{
 		Outputs:   m.outputs,
 		Exception: m.exc,
@@ -239,9 +254,11 @@ func (m *machine) recordEvent(fr *vframe, fc *fnCode, localID int32) {
 }
 
 // injectBits applies the pending fault to a result being defined; the
-// caller has already checked that this event is the target.
+// caller has already checked that this event is the target. The fault
+// has had its one chance either way, so injAt is cleared.
 func (m *machine) injectBits(in *ir.Instr, bits uint64) uint64 {
 	inj := m.inj
+	m.injAt = -1
 	width := in.Type().BitWidth()
 	mask := inj.Mask
 	if mask == 0 {
@@ -325,7 +342,6 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 		}
 		idx := m.dyn
 		m.dyn++
-		m.executed++
 		if m.rec != nil {
 			m.recordEvent(fr, fc, src)
 		}
@@ -501,7 +517,7 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 
 		// Common result commit: truncation already applied per-op,
 		// injection targets this event, trace records the final bits.
-		if m.inj != nil && !m.inj.Applied && m.inj.Event == idx {
+		if idx == m.injAt {
 			r = m.injectBits(fc.instrs[src], r)
 		}
 		regs[dst] = r
@@ -579,7 +595,6 @@ func (m *machine) stepPhiGroup(fr *vframe, fc *fnCode, aux uint32) int32 {
 		bits, def := fr.regs[sl], fr.defs[sl]
 		idx := m.dyn
 		m.dyn++
-		m.executed++
 		if m.rec != nil {
 			ops, defs := m.rec.Begin(g.phis[i])
 			ops[0], defs[0] = bits, int32(def)
@@ -603,7 +618,7 @@ func (m *machine) stepPhiGroup(fr *vframe, fc *fnCode, aux uint32) int32 {
 		in := g.phis[i]
 		r := m.phiVals[i]
 		idx := m.phiIdx[i]
-		if m.inj != nil && !m.inj.Applied && m.inj.Event == idx {
+		if idx == m.injAt {
 			r = m.injectBits(in, r)
 		}
 		fr.regs[in.LocalID] = r
@@ -639,7 +654,7 @@ func (m *machine) popFrame(retVal uint64, retDef int64) {
 	if in.Ty.IsInt() {
 		bits = ir.TruncateToWidth(bits, in.Ty.Bits)
 	}
-	if m.inj != nil && !m.inj.Applied && m.inj.Event == fr.callIdx {
+	if fr.callIdx == m.injAt {
 		bits = m.injectBits(in, bits)
 	}
 	fr.regs[in.LocalID] = bits

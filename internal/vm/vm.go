@@ -39,6 +39,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/ir"
@@ -199,6 +200,9 @@ type fnCode struct {
 	phiTab           []phiGroup
 	callTab          []callEntry
 	trapTab          []trapEntry
+
+	// live is built on first use by Program.ensureLiveness (live.go).
+	live liveTab
 }
 
 // ErrUnsupported marks a module the VM cannot compile. For a verified
@@ -216,6 +220,8 @@ type Program struct {
 	mod   *ir.Module
 	fns   []*fnCode
 	fnIdx map[*ir.Function]int32
+
+	liveOnce sync.Once
 
 	// CompileNanos is the wall time spent compiling; CodeBytes the
 	// bytecode footprint in bytes.

@@ -64,14 +64,23 @@ go test -race ./internal/obs/... \
 # takes the kernels, the edge cases and 20 random programs through the
 # saved trace format: both engines' recordings save to the same bytes,
 # Load then Save writes them again, and the loaded trace analyzes
-# identically. The VM's memory fast path (two VMA-bounds entries, the
-# last-read page, word accesses) is checked against the reference path
-# by TestFastPath*, and Draw's pooled generators against fresh sources by
-# TestDrawMatchesFreshSource.
-echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB / i24 and i56 accesses at odd alignments / shared icmp and gep results, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds of MiniC and of IR, snapshot resumes, Advance pause points, snapshot runners; mem fast path vs reference path; pooled vs fresh target draws)"
-go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialSavedTraces|FuzzDifferential|FuzzDifferentialIR|TestDifferentialResume|TestAdvancePausesAtOrBelowStop' -count=1
+# identically. TestLivenessMatchesPathSearch checks the live register
+# slots the convergence check compares, at every pc of every function of
+# the kernels, 20 random programs and the IR edge cases, against a
+# per-slot search over the IR's paths; TestConvergedResumeMatchesScratch
+# checks, run by run on mm, bfs, lulesh, 20 random programs and a loop
+# that can hang, that a run resumed with convergence returns its scratch
+# run's record, outputs, exception and event count, and that Executed
+# counts what the resumed run retired itself. The VM's memory fast path
+# (two VMA-bounds entries, the 4-entry load and store page caches, word
+# accesses) is checked against the reference path by TestFastPath*,
+# including loads and stores over pages that collide in the page caches
+# and writes through cached pages after a fork, and Draw's pooled
+# generators against fresh sources by TestDrawMatchesFreshSource.
+echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB / i24 and i56 accesses at odd alignments / shared icmp and gep results, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds of MiniC and of IR, snapshot resumes, Advance pause points, convergence liveness vs path search, snapshot runners, converged resumes vs scratch runs; mem fast path vs reference path incl. page-cache collisions and writes after fork; pooled vs fresh target draws)"
+go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialSavedTraces|FuzzDifferential|FuzzDifferentialIR|TestDifferentialResume|TestAdvancePausesAtOrBelowStop|TestLivenessMatchesPathSearch' -count=1
 go test ./internal/mem/ -run 'TestFastPath' -count=1
-go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch|TestDrawMatchesFreshSource' -count=1
+go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch|TestConvergedResumeMatchesScratch|TestDrawMatchesFreshSource' -count=1
 
 # The benchmark's selftest: every workload runs once at a small size and
 # its pinned digests and deterministic counts must match.
