@@ -478,7 +478,7 @@ func (r *Runner) runSnapshot(tgt Target) Record {
 	start := time.Now()
 	res, err := vm.Resume(st, vm.ResumeOptions{
 		Injection:   &interp.Injection{Event: tgt.Event, Bit: tgt.Bit, Mask: tgt.Mask},
-		Convergence: &vm.Convergence{Golden: r.golden, Next: r.chain.Next},
+		Convergence: &vm.Convergence{Golden: r.golden, Checkpoints: r.chain.Checkpoints()},
 	})
 	r.vmTally.note(res, start)
 	if err != nil {
@@ -489,8 +489,9 @@ func (r *Runner) runSnapshot(tgt Target) Record {
 }
 
 // Run executes the given run indices on max(workers, 1) goroutines, in
-// OrderByEvent order (sorting idxs in place), and reports each finished run to done: its index,
-// record, start time and wall time. done is called once per executed
+// OrderByEvent order (sorting idxs in place, so runs that restore one
+// snapshot run together), and reports each finished run to done: its
+// index, record, start time and wall time. done is called once per executed
 // run, one call at a time, on the calling goroutine, so it needs no
 // locking. Cancelling ctx stops issuing runs; runs already issued still
 // finish and reach done, so a caller that logs from done never holds a
@@ -571,11 +572,10 @@ func (r *Runner) RunRange(lo, hi int64, workers int) []Record {
 
 // OrderByEvent sorts run indices by their (deterministically drawn)
 // injection event, in place, returning the slice. With snapshots enabled
-// this makes the lazily-extended chain grow monotonically — early runs
-// hit snapshots that already exist instead of serializing behind one
-// long extension. Without snapshots it is the identity: scratch runs
-// gain nothing from event locality. Results are keyed by index, so
-// dispatch order never affects them.
+// runs that restore the same snapshot then execute back to back, while
+// its frames and pages are still in the CPU caches. Without snapshots it
+// is the identity: scratch runs gain nothing from event locality.
+// Results are keyed by index, so dispatch order never affects them.
 func (r *Runner) OrderByEvent(idxs []int64) []int64 {
 	r.orderByEvent(idxs)
 	return idxs

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/bench"
@@ -133,17 +134,10 @@ void main() {
 			if err != nil {
 				t.Fatalf("%s run %d: scratch: %v", name, i, err)
 			}
-			st := r.chain.Nearest(tgt.Event)
-			var last *vm.State // the checkpoint a converged run stopped at
+			st, cps := r.chain.Nearest(tgt.Event), r.chain.Checkpoints()
 			got, err := vm.Resume(st, vm.ResumeOptions{
-				Injection: inj(),
-				Convergence: &vm.Convergence{Golden: g, Next: func(after int64) *vm.State {
-					s := r.chain.Next(after)
-					if s != nil {
-						last = s
-					}
-					return s
-				}},
+				Injection:   inj(),
+				Convergence: &vm.Convergence{Golden: g, Checkpoints: cps},
 			})
 			if err != nil {
 				t.Fatalf("%s run %d: resume: %v", name, i, err)
@@ -165,7 +159,24 @@ void main() {
 			switch {
 			case got.Converged:
 				converged++
-				end = last.Event()
+				// The run stopped on the checkpoint it converged at, which
+				// lies past its fault: without that checkpoint and the ones
+				// after it, the same run must not converge at all.
+				end = st.Event() + got.Executed
+				k := sort.Search(len(cps), func(k int) bool { return cps[k].Event() >= end })
+				if end <= tgt.Event || k == len(cps) || cps[k].Event() != end {
+					t.Errorf("%s run %d: resumed at %d, converged at %d, not a checkpoint past the fault at %d",
+						name, i, st.Event(), end, tgt.Event)
+					continue
+				}
+				early, err := vm.Resume(st, vm.ResumeOptions{
+					Injection:   inj(),
+					Convergence: &vm.Convergence{Golden: g, Checkpoints: cps[:k]},
+				})
+				if err != nil || early.Converged {
+					t.Errorf("%s run %d: converged before checkpoint %d at event %d (err %v)", name, i, k, end, err)
+				}
+				continue
 			case got.Hang:
 				hung++
 			case got.Exception != nil:
@@ -174,8 +185,8 @@ void main() {
 				other++
 			}
 			if got.Executed != end-st.Event() {
-				t.Errorf("%s run %d: resumed at %d, converged %v, executed %d, want %d",
-					name, i, st.Event(), got.Converged, got.Executed, end-st.Event())
+				t.Errorf("%s run %d: resumed at %d, executed %d, want %d",
+					name, i, st.Event(), got.Executed, end-st.Event())
 			}
 		}
 	}

@@ -209,3 +209,36 @@ func TestSnapshotsHalveLuleshEvents(t *testing.T) {
 		t.Errorf("snapshot runner executed %.2f of the scratch runner's events, want <= 0.5", ratio)
 	}
 }
+
+// TestLuleshSnapshotViewPinned fails if checkpoint placement or the
+// convergence rule drifts: a 128-run lulesh snapshot runner reports
+// exactly these chain stats. Every field is deterministic — captures and
+// dirty pages come from the one golden pass, and the per-run counts from
+// bit-identical resumed runs — so any change is a change in where
+// checkpoints sit or where runs converge.
+func TestLuleshSnapshotViewPinned(t *testing.T) {
+	b, ok := bench.Get("lulesh")
+	if !ok {
+		t.Fatal("lulesh benchmark missing")
+	}
+	m := b.MustModule(1)
+	g, err := interp.Run(m, interp.Config{Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(m, g, Config{Seed: 2016})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := r.EnableSnapshots(snapshot.Config{}); err != nil || !ok {
+		t.Fatalf("EnableSnapshots = %v, %v", ok, err)
+	}
+	r.RunRange(0, 128, 2)
+	want := snapshot.View{
+		Enabled: true, Stride: 291, Captures: 293, Restores: 128, Converged: 15,
+		ReplayedEvents: 1775472, SkippedEvents: 6128226, DirtyPages: 586,
+	}
+	if got := *r.SnapshotView(); got != want {
+		t.Errorf("view = %+v\nwant   %+v", got, want)
+	}
+}

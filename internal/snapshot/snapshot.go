@@ -4,23 +4,19 @@
 // delta instead of replaying the whole prefix (the FastFlip observation
 // applied to our execution layer).
 //
-// A Chain owns one stepwise golden execution on the bytecode VM (vm.Exec)
-// and captures its state every stride events, lazily: snapshots
-// materialize the first time a caller asks for an event beyond the
-// captured frontier, and the chain never runs further than the furthest
-// request. Capture cost is
-// O(dirty pages) thanks to mem's page-level COW fork; restore cost is an
-// O(frames + page pointers) fork of the frozen state.
+// NewChain captures the whole chain in one golden execution on the
+// bytecode VM (vm.Program.Checkpoints), one state every stride events.
+// Capture cost is O(dirty pages) thanks to mem's page-level COW fork;
+// restore cost is an O(frames + page pointers) fork of the frozen state.
 //
-// Chains are safe for concurrent use: lookups serialize only the lazy
-// extension, and the returned States are immutable (vm.Resume forks
-// them).
+// Chains are safe for concurrent use without a lock: the snapshot slice
+// never changes after NewChain, the States are immutable (vm.Resume forks
+// them), and the stats are atomic.
 package snapshot
 
 import (
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/interp"
@@ -83,23 +79,17 @@ type View struct {
 	DirtyPages     int64 `json:"dirty_pages"`
 }
 
-// Chain is a lazily-extended sequence of golden-path snapshots.
+// Chain is an immutable, event-sorted sequence of golden-path snapshots.
 type Chain struct {
-	mu     sync.Mutex
-	exec   *vm.Exec
-	live   bool  // golden execution still has instructions left
-	cursor int64 // next nominal capture event
 	snaps  []*vm.State
 	stride int64
-
-	lastDirty int64
-	stats     Stats
+	stats  Stats
 }
 
-// NewChain starts a golden execution of p under cfg and captures its
-// event-0 state. totalEvents is the golden trace length: snapshots sit
-// AutoStride(totalEvents) events apart, widened so that at most
-// DefaultMaxSnapshots fit. cfg must match the fault-injection run
+// NewChain runs p under cfg once and captures its state at event 0 and
+// every stride events after. totalEvents is the golden trace length:
+// snapshots sit AutoStride(totalEvents) events apart, widened so that at
+// most DefaultMaxSnapshots fit. cfg must match the fault-injection run
 // configuration exactly (layout, alignment, budget) or resumed runs will
 // diverge from scratch runs.
 func NewChain(p *vm.Program, cfg interp.Config, totalEvents int64) (*Chain, error) {
@@ -115,81 +105,40 @@ func chainStride(totalEvents int64) int64 {
 	return stride
 }
 
-// newChain starts a chain that captures every stride events.
+// newChain builds a chain that captures every stride events.
 func newChain(p *vm.Program, cfg interp.Config, stride int64) (*Chain, error) {
-	exec, err := p.NewExec(cfg)
+	snaps, err := p.Checkpoints(cfg, stride)
 	if err != nil {
 		return nil, err
 	}
-	c := &Chain{exec: exec, live: true, cursor: stride, stride: stride}
-	c.capture()
+	c := &Chain{snaps: snaps, stride: stride}
+	c.stats.Captures.Store(int64(len(snaps)))
+	for _, st := range snaps {
+		c.stats.DirtyPages.Add(st.DirtyPages())
+	}
+	if r := obs.Default(); r != nil {
+		r.Counter("epvf_snapshot_captures_total").Add(int64(len(snaps)))
+		h := r.Histogram("epvf_snapshot_dirty_pages", DirtyPageBuckets)
+		for _, st := range snaps {
+			h.Observe(float64(st.DirtyPages()))
+		}
+	}
 	return c, nil
 }
 
 // Stride returns the effective snapshot spacing.
 func (c *Chain) Stride() int64 { return c.stride }
 
-// capture records the execution's current state. Caller holds mu (or is
-// the constructor).
-func (c *Chain) capture() {
-	c.snaps = append(c.snaps, c.exec.Capture())
-	dirty := c.exec.DirtyPages() - c.lastDirty
-	c.lastDirty = c.exec.DirtyPages()
-	c.stats.Captures.Add(1)
-	c.stats.DirtyPages.Add(dirty)
-	if r := obs.Default(); r != nil {
-		r.Counter("epvf_snapshot_captures_total").Inc()
-		r.Histogram("epvf_snapshot_dirty_pages", DirtyPageBuckets).Observe(float64(dirty))
-	}
-}
-
-// extendTo advances the golden execution, capturing at stride boundaries,
-// until the next nominal capture point would pass event (or the program
-// ends). Caller holds mu.
-func (c *Chain) extendTo(event int64) {
-	for c.live && c.cursor <= event {
-		stop := c.cursor
-		c.cursor += c.stride
-		c.live = c.exec.Advance(stop)
-		if !c.live {
-			return
-		}
-		// Pauses fall on dispatch boundaries, so they can undershoot the
-		// nominal point; skip duplicate captures at an unchanged event.
-		if c.exec.Event() > c.snaps[len(c.snaps)-1].Event() {
-			c.capture()
-		}
-	}
-}
-
-// Nearest returns the latest snapshot at-or-below event, extending the
-// chain if the frontier has not reached it yet. The event-0 snapshot
-// guarantees a hit.
+// Nearest returns the latest snapshot at-or-below event. The event-0
+// snapshot guarantees a hit.
 func (c *Chain) Nearest(event int64) *vm.State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.extendTo(event)
 	i := sort.Search(len(c.snaps), func(i int) bool { return c.snaps[i].Event() > event })
 	return c.snaps[i-1]
 }
 
-// Next returns the first snapshot with Event > after, or nil when the
-// golden execution ends before another snapshot exists. It serves as the
-// checkpoint source for vm.Convergence.
-func (c *Chain) Next(after int64) *vm.State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		i := sort.Search(len(c.snaps), func(i int) bool { return c.snaps[i].Event() > after })
-		if i < len(c.snaps) {
-			return c.snaps[i]
-		}
-		if !c.live {
-			return nil
-		}
-		c.extendTo(c.cursor) // one more stride step
-	}
-}
+// Checkpoints returns the chain's snapshots in event order, the
+// checkpoint list of vm.Convergence. Callers must not modify it.
+func (c *Chain) Checkpoints() []*vm.State { return c.snaps }
 
 // NoteRestore records one resumed run's accounting: events actually
 // executed versus skipped (restored prefix plus any converged tail).

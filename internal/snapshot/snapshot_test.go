@@ -30,9 +30,6 @@ func compileVM(t *testing.T, m *ir.Module) *vm.Program {
 	return p
 }
 
-// captures is the number of snapshots the chain holds.
-func captures(ch *Chain) int64 { return ch.View().Captures }
-
 const loopSrc = `
 int f(int x) { return x * 3 + 1; }
 int main() {
@@ -64,9 +61,6 @@ func TestChainInvariants(t *testing.T) {
 	if ch.Stride() != 100 {
 		t.Fatalf("stride = %d", ch.Stride())
 	}
-	if n := captures(ch); n != 1 {
-		t.Fatalf("fresh chain has %d snapshots, want 1 (event 0)", n)
-	}
 	for _, event := range []int64{0, 1, 99, 100, 101, 555, golden.DynInstrs - 1} {
 		st := ch.Nearest(event)
 		if st.Event() > event {
@@ -76,31 +70,21 @@ func TestChainInvariants(t *testing.T) {
 			t.Fatalf("Nearest(%d) = %d, more than two strides below", event, st.Event())
 		}
 	}
-	// Lazy: asking for an early event again must not extend further.
-	grown := captures(ch)
-	ch.Nearest(0)
-	if captures(ch) != grown {
-		t.Fatal("Nearest(0) extended the chain")
-	}
-	// Next walks strictly forward and ends with nil.
+	// The checkpoints run strictly forward from event 0.
 	var last int64 = -1
-	for n := 0; ; n++ {
-		st := ch.Next(last)
-		if st == nil {
-			break
-		}
+	for _, st := range ch.Checkpoints() {
 		if st.Event() <= last {
-			t.Fatalf("Next(%d) = %d, not strictly above", last, st.Event())
+			t.Fatalf("checkpoint %d follows %d, not strictly above", st.Event(), last)
 		}
 		last = st.Event()
-		if n > 10000 {
-			t.Fatal("Next never terminated")
-		}
+	}
+	if ch.Checkpoints()[0].Event() != 0 {
+		t.Fatalf("first checkpoint at %d, want 0", ch.Checkpoints()[0].Event())
 	}
 	if last >= golden.DynInstrs {
 		t.Fatalf("snapshot at %d past the program end %d", last, golden.DynInstrs)
 	}
-	if v := ch.View(); v.Captures < 2 || !v.Enabled || v.Stride != 100 {
+	if v := ch.View(); v.Captures != int64(len(ch.Checkpoints())) || v.Captures < 2 || !v.Enabled || v.Stride != 100 {
 		t.Fatalf("View = %+v", v)
 	}
 }
@@ -205,7 +189,7 @@ func TestPropertyResumedRunsBitIdentical(t *testing.T) {
 			st := ch.Nearest(event)
 			got, err := vm.Resume(st, vm.ResumeOptions{
 				Injection:   inj(),
-				Convergence: &vm.Convergence{Golden: golden, Next: ch.Next},
+				Convergence: &vm.Convergence{Golden: golden, Checkpoints: ch.Checkpoints()},
 			})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
@@ -243,7 +227,7 @@ func TestPropertyResumedRunsBitIdentical(t *testing.T) {
 }
 
 // TestConcurrentNearestResume hammers one chain from many goroutines under
-// -race: lazy extension, concurrent state forks, and stats updates.
+// -race: lock-free lookups, concurrent state forks, and stats updates.
 func TestConcurrentNearestResume(t *testing.T) {
 	m := compile(t, loopSrc)
 	cfg := interp.Config{MaxDynInstrs: 1 << 20}
@@ -264,7 +248,7 @@ func TestConcurrentNearestResume(t *testing.T) {
 				st := ch.Nearest(event)
 				res, err := vm.Resume(st, vm.ResumeOptions{
 					Injection:   &interp.Injection{Event: event, Bit: rng.Intn(16)},
-					Convergence: &vm.Convergence{Golden: golden, Next: ch.Next},
+					Convergence: &vm.Convergence{Golden: golden, Checkpoints: ch.Checkpoints()},
 				})
 				if err != nil {
 					done <- err

@@ -1,14 +1,16 @@
-// Execution snapshots: a paused machine is captured into an immutable
-// State — frames, continuation, and a copy-on-write fork of the address
-// space — and any number of runs later resume from it, each on its own
-// fork. A resumed run is bit-identical to a from-scratch run of the same
-// configuration: the machine is deterministic, so replaying the prefix and
-// restoring it are indistinguishable.
+// Execution snapshots: one golden run captures its machine at chosen
+// events into immutable States — frames, continuation, and a
+// copy-on-write fork of the address space — and any number of runs later
+// resume from them, each on its own fork. A resumed run is bit-identical
+// to a from-scratch run of the same configuration: the machine is
+// deterministic, so replaying the prefix and restoring it are
+// indistinguishable.
 package vm
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -17,36 +19,86 @@ import (
 )
 
 // hook runs before a dispatch once the machine's event count reaches
-// its wake point: a paused Exec wakes before every dispatch and stops
-// there, a resumed run wakes only at the event its convergence check
-// waits for. It returns true to stop the dispatch loop. A run without
-// either never wakes.
+// its wake point: a checkpointing run wakes just before each capture
+// point, a resumed run only at the event its convergence check waits
+// for. It returns true to stop the dispatch loop. A run without either
+// never wakes.
 type hook interface {
 	at(m *machine) bool
 }
 
-// Exec is a stepwise execution handle: it advances a machine to chosen
-// dynamic-event boundaries and captures snapshots there. Record mode is
-// not supported (snapshots exist to avoid re-executing work; a recording
-// run needs every event anyway), and injection happens at Resume.
-type Exec struct {
-	m     *machine
-	pause pause
-}
-
-// pause stops the dispatch loop before the first dispatch that would
-// retire an event past stopAt.
-type pause struct {
-	stopAt int64
-	hit    bool
-}
-
-func (p *pause) at(m *machine) bool {
-	if m.dyn+dispatchCost(m.stack[len(m.stack)-1]) > p.stopAt {
-		p.hit = true
-		return true
+// Checkpoints runs the program once under cfg and captures its state at
+// event 0 and every stride events after: at each multiple of stride or,
+// where one falls inside a block-leading phi group (which retires as one
+// dispatch), at the group's first event, never twice at one event. The
+// states are sorted by event, immutable and safe for concurrent Resume
+// calls; a capture costs O(frames + mapped-page pointers), page data
+// being shared copy-on-write. Record mode and injection are rejected:
+// checkpoints exist to skip re-executing the golden prefix, and faults
+// are injected at Resume.
+func (p *Program) Checkpoints(cfg interp.Config, stride int64) ([]*State, error) {
+	if cfg.Record {
+		return nil, fmt.Errorf("vm: Checkpoints does not support Record mode")
 	}
+	if cfg.Injection != nil {
+		return nil, fmt.Errorf("vm: Checkpoints does not support injection; inject via Resume")
+	}
+	if stride < 1 {
+		return nil, fmt.Errorf("vm: checkpoint stride %d, want at least 1", stride)
+	}
+	m, err := p.start(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// A dispatch retires at most reach events, so none before
+	// stop-reach+1 can carry the run past stop.
+	c := &capturer{stride: stride, stop: stride, reach: int64(max(1, len(m.phiVals)))}
+	c.states = []*State{c.capture(m)}
+	m.hook, m.wake = c, c.stop-c.reach+1
+	m.run()
+	if m.fatal != nil {
+		return nil, m.fatal
+	}
+	return c.states, nil
+}
+
+// capturer is Checkpoints' hook: before the first dispatch that would
+// carry the run past stop, it captures the machine in place (inner stored
+// the top frame's pc before calling the hook) and moves stop on.
+type capturer struct {
+	stride, stop, reach int64
+	states              []*State
+	dirty               int64 // the address space's dirty pages at the last capture
+}
+
+func (c *capturer) at(m *machine) bool {
+	cost := dispatchCost(m.stack[len(m.stack)-1])
+	for m.dyn+cost > c.stop {
+		if m.dyn > c.states[len(c.states)-1].event {
+			c.states = append(c.states, c.capture(m))
+		}
+		c.stop += c.stride
+	}
+	m.wake = c.stop - c.reach + 1
 	return false
+}
+
+// capture snapshots the machine, charging it the pages dirtied since the
+// previous capture.
+func (c *capturer) capture(m *machine) *State {
+	dirty := m.as.DirtyPages()
+	st := &State{
+		prog:    m.prog,
+		event:   m.dyn,
+		frames:  copyFrames(m.stack),
+		as:      m.as.Fork(),
+		outputs: m.outputs[:len(m.outputs):len(m.outputs)],
+		globals: m.globals,
+		cfg:     m.cfg,
+		dirty:   dirty - c.dirty,
+	}
+	c.dirty = dirty
+	return st
 }
 
 // dispatchCost returns how many events the dispatch at fr.pc retires: a
@@ -63,67 +115,6 @@ func dispatchCost(fr *vframe) int64 {
 	return 1
 }
 
-// NewExec prepares the program for stepwise execution under cfg. The
-// entry frame is pushed; no instructions have executed yet (event 0).
-func (p *Program) NewExec(cfg interp.Config) (*Exec, error) {
-	if cfg.Record {
-		return nil, fmt.Errorf("vm: Exec does not support Record mode")
-	}
-	if cfg.Injection != nil {
-		return nil, fmt.Errorf("vm: Exec does not support injection; inject via Resume")
-	}
-	m, err := p.start(cfg)
-	if err != nil {
-		return nil, err
-	}
-	e := &Exec{m: m}
-	m.hook, m.wake = &e.pause, 0
-	return e, nil
-}
-
-// Advance executes until the next dispatch would retire an event past
-// stopAt, pausing at an event <= stopAt. Every instruction is a dispatch
-// of its own except a block-leading phi group, so the pause lands exactly
-// on stopAt unless stopAt falls inside a phi group, where it stops before
-// the group. It returns true while the program is still live; false once
-// it terminated (return, exception, hang, or fatal error).
-func (e *Exec) Advance(stopAt int64) bool {
-	m := e.m
-	e.pause = pause{stopAt: stopAt}
-	for !e.pause.hit && m.live() {
-		fr := m.stack[len(m.stack)-1]
-		inner(m, fr, fr.fc, fr.fc.code, fr.regs, fr.defs, fr.pc)
-	}
-	return e.pause.hit
-}
-
-// Event returns the machine's current dynamic-event position.
-func (e *Exec) Event() int64 { return e.m.dyn }
-
-// Err returns the harness-level fatal error, if any.
-func (e *Exec) Err() error { return e.m.fatal }
-
-// DirtyPages returns the cumulative count of pages the execution has
-// privately materialized or copy-on-write faulted; the delta between two
-// captures is the page cost of the second snapshot.
-func (e *Exec) DirtyPages() int64 { return e.m.as.DirtyPages() }
-
-// Capture snapshots the paused machine. The returned State is immutable
-// and safe for concurrent Resume calls; the capture costs O(frames +
-// mapped-page pointers) — page data is shared copy-on-write.
-func (e *Exec) Capture() *State {
-	m := e.m
-	return &State{
-		prog:    m.prog,
-		event:   m.dyn,
-		frames:  copyFrames(m.stack),
-		as:      m.as.Fork(),
-		outputs: append([]trace.Output(nil), m.outputs...),
-		globals: m.globals,
-		cfg:     m.cfg,
-	}
-}
-
 // State is a captured point of one execution of a Program: the call stack
 // with register files and pcs, emitted outputs, and a frozen COW fork of
 // the simulated address space (stack pointer, heap break, VMA-table
@@ -136,11 +127,17 @@ type State struct {
 	outputs []trace.Output
 	globals map[*ir.Global]uint64
 	cfg     interp.Config
+	dirty   int64
 }
 
 // Event returns the dynamic-event index the state was captured at: the
-// number of events retired before the pause.
+// number of events retired before the capture.
 func (st *State) Event() int64 { return st.event }
+
+// DirtyPages returns how many pages the golden run privately
+// materialized or copy-on-write faulted between the previous capture and
+// this one: the page cost of this state.
+func (st *State) DirtyPages() int64 { return st.dirty }
 
 // ResumeOptions controls one resumed run.
 type ResumeOptions struct {
@@ -166,16 +163,17 @@ type ResumeOptions struct {
 type Convergence struct {
 	// Golden is the fault-free run of the same configuration.
 	Golden *interp.Result
-	// Next returns the first golden checkpoint with Event > after, or nil
-	// when no further checkpoint exists.
-	Next func(after int64) *State
+	// Checkpoints are states of that run, sorted by event, as
+	// Program.Checkpoints returns them.
+	Checkpoints []*State
 }
 
 // convState is the machine-side cursor over golden checkpoints.
 type convState struct {
-	golden  *interp.Result
-	next    func(after int64) *State
-	pending *State
+	golden *interp.Result
+	// cps are the checkpoints the run has not yet passed; cps[0] is the
+	// one it waits for.
+	cps []*State
 }
 
 // Resume continues execution from a captured state on a fresh COW fork
@@ -194,11 +192,13 @@ func Resume(st *State, opts ResumeOptions) (*interp.Result, error) {
 	m.stack = copyFrames(st.frames)
 	m.dyn, m.start = st.event, st.event
 	m.outputs = append([]trace.Output(nil), st.outputs...)
-	if c := opts.Convergence; c != nil && c.Golden != nil && c.Next != nil && !c.Golden.Hang {
+	if c := opts.Convergence; c != nil && c.Golden != nil && !c.Golden.Hang {
 		// A hung golden run has no final state to converge to: the faulty
 		// run's larger budget would run past the golden horizon.
 		st.prog.ensureLiveness()
-		m.hook = &convState{golden: c.Golden, next: c.Next}
+		cps := c.Checkpoints
+		cps = cps[sort.Search(len(cps), func(i int) bool { return cps[i].event >= st.event }):]
+		m.hook = &convState{golden: c.Golden, cps: cps}
 		if m.inj == nil || m.inj.Applied {
 			m.wake = m.dyn
 		}
@@ -221,21 +221,20 @@ func (c *convState) at(m *machine) bool {
 		m.wake = math.MaxInt64
 		return false
 	}
-	if c.pending == nil || c.pending.event < m.dyn {
-		// No checkpoint yet, or a phi group's dispatch jumped over it:
-		// fetch the first one at or after this event.
-		if c.pending = c.next(m.dyn - 1); c.pending == nil {
-			// No further checkpoints will ever exist.
-			m.hook, m.wake = nil, math.MaxInt64
-			return false
-		}
+	for len(c.cps) > 0 && c.cps[0].event < m.dyn {
+		// The run starts past it, or a phi group's dispatch jumped over it.
+		c.cps = c.cps[1:]
 	}
-	if c.pending.event > m.dyn {
-		m.wake = c.pending.event
+	if len(c.cps) == 0 {
+		m.hook, m.wake = nil, math.MaxInt64
 		return false
 	}
-	st := c.pending
-	c.pending = nil
+	st := c.cps[0]
+	if st.event > m.dyn {
+		m.wake = st.event
+		return false
+	}
+	c.cps = c.cps[1:]
 	if !m.stateEqual(st) {
 		m.wake = m.dyn + 1
 		return false

@@ -159,30 +159,6 @@ func sameRun(t *testing.T, name string, walker, resumed *interp.Result) {
 	diffOutputs(t, name, walker.Outputs, resumed.Outputs)
 }
 
-// captureEvery advances an Exec capturing a state every stride events
-// until the program ends; includes the event-0 state.
-func captureEvery(t *testing.T, prog *vm.Program, cfg interp.Config, stride int64) []*vm.State {
-	t.Helper()
-	ex, err := prog.NewExec(cfg)
-	if err != nil {
-		t.Fatalf("NewExec: %v", err)
-	}
-	states := []*vm.State{ex.Capture()}
-	for cursor := stride; ; cursor += stride {
-		live := ex.Advance(cursor)
-		if err := ex.Err(); err != nil {
-			t.Fatalf("Advance: %v", err)
-		}
-		if !live {
-			break
-		}
-		if ex.Event() > states[len(states)-1].Event() {
-			states = append(states, ex.Capture())
-		}
-	}
-	return states
-}
-
 func nearestState(states []*vm.State, event int64) *vm.State {
 	best := states[0]
 	for _, st := range states {
@@ -193,24 +169,15 @@ func nearestState(states []*vm.State, event int64) *vm.State {
 	return best
 }
 
-// nextAfter is a Convergence.Next over a captured list.
-func nextAfter(states []*vm.State) func(int64) *vm.State {
-	return func(after int64) *vm.State {
-		for _, st := range states {
-			if st.Event() > after {
-				return st
-			}
-		}
-		return nil
-	}
-}
-
 func TestResumeNoInjectionMatchesScratch(t *testing.T) {
 	for _, m := range []*ir.Module{buildLoopCall(150), buildFib(12), buildDivCrash(40)} {
 		prog := compileProg(t, m)
 		cfg := interp.Config{MaxDynInstrs: 1 << 20}
 		want := walkerRun(t, m, cfg)
-		states := captureEvery(t, prog, cfg, 37)
+		states, err := prog.Checkpoints(cfg, 37)
+		if err != nil {
+			t.Fatalf("%s: Checkpoints: %v", m.Name, err)
+		}
 		if len(states) < 3 {
 			t.Fatalf("%s: only %d states captured", m.Name, len(states))
 		}
@@ -232,7 +199,10 @@ func TestResumeWithInjectionMatchesScratch(t *testing.T) {
 		prog := compileProg(t, m)
 		cfg := interp.Config{MaxDynInstrs: 1 << 20}
 		golden := walkerRun(t, m, cfg)
-		states := captureEvery(t, prog, cfg, 23)
+		states, err := prog.Checkpoints(cfg, 23)
+		if err != nil {
+			t.Fatalf("%s: Checkpoints: %v", m.Name, err)
+		}
 		total := golden.DynInstrs
 		for _, event := range []int64{0, 1, total / 4, total / 2, total - 2, total - 1} {
 			for _, bit := range []int{0, 3, 17} {
@@ -256,7 +226,11 @@ func TestResumeHangMatchesScratch(t *testing.T) {
 	if !want.Hang {
 		t.Fatal("expected scratch run to hang")
 	}
-	for _, st := range captureEvery(t, compileProg(t, m), cfg, 101) {
+	states, err := compileProg(t, m).Checkpoints(cfg, 101)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range states {
 		got, err := vm.Resume(st, vm.ResumeOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -288,12 +262,15 @@ func TestConvergenceFastForward(t *testing.T) {
 	if event < 0 {
 		t.Fatal("no call event found")
 	}
-	states := captureEvery(t, compileProg(t, m), cfg, 50)
+	states, err := compileProg(t, m).Checkpoints(cfg, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
 	scratch := walkerRun(t, m, interp.Config{MaxDynInstrs: cfg.MaxDynInstrs,
 		Injection: &interp.Injection{Event: event, Bit: 3}})
 	got, err := vm.Resume(nearestState(states, event), vm.ResumeOptions{
 		Injection:   &interp.Injection{Event: event, Bit: 3},
-		Convergence: &vm.Convergence{Golden: golden, Next: nextAfter(states)},
+		Convergence: &vm.Convergence{Golden: golden, Checkpoints: states},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +292,10 @@ func TestConvergenceNeverFiresBeforeInjection(t *testing.T) {
 	m := buildTempStore(300)
 	cfg := interp.Config{MaxDynInstrs: 1 << 20}
 	golden := walkerRun(t, m, cfg)
-	states := captureEvery(t, compileProg(t, m), cfg, 40)
+	states, err := compileProg(t, m).Checkpoints(cfg, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Inject near the end; resume from event 0 so many golden checkpoints
 	// are crossed before the fault applies.
 	event := golden.DynInstrs - 3
@@ -323,7 +303,7 @@ func TestConvergenceNeverFiresBeforeInjection(t *testing.T) {
 		Injection: &interp.Injection{Event: event, Bit: 1}})
 	got, err := vm.Resume(states[0], vm.ResumeOptions{
 		Injection:   &interp.Injection{Event: event, Bit: 1},
-		Convergence: &vm.Convergence{Golden: golden, Next: nextAfter(states)},
+		Convergence: &vm.Convergence{Golden: golden, Checkpoints: states},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +315,10 @@ func TestConvergenceNeverFiresBeforeInjection(t *testing.T) {
 // capture event is a caller bug (that event already executed, uncorrupted,
 // inside the snapshot) and Resume rejects it.
 func TestResumeInjectionBeforeSnapshot(t *testing.T) {
-	states := captureEvery(t, compileProg(t, buildLoopCall(60)), interp.Config{}, 100)
+	states, err := compileProg(t, buildLoopCall(60)).Checkpoints(interp.Config{}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	late := states[len(states)-1]
 	if late.Event() == 0 {
 		t.Fatal("no late state")
@@ -348,7 +331,10 @@ func TestResumeInjectionBeforeSnapshot(t *testing.T) {
 // TestResumeRejectsEarlierInjection: the same rejection holds from every
 // snapshot of the run, not only the last one.
 func TestResumeRejectsEarlierInjection(t *testing.T) {
-	states := captureEvery(t, compileProg(t, buildLoopCall(60)), interp.Config{}, 100)
+	states, err := compileProg(t, buildLoopCall(60)).Checkpoints(interp.Config{}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checked := 0
 	for _, st := range states {
 		if st.Event() == 0 {
@@ -364,23 +350,27 @@ func TestResumeRejectsEarlierInjection(t *testing.T) {
 	}
 }
 
-func TestExecRejectsRecordAndInjection(t *testing.T) {
+func TestCheckpointsRejectRecordAndInjection(t *testing.T) {
 	prog := compileProg(t, buildLoopCall(10))
-	if _, err := prog.NewExec(interp.Config{Record: true}); err == nil {
-		t.Fatal("NewExec accepted Record mode")
+	if _, err := prog.Checkpoints(interp.Config{Record: true}, 10); err == nil {
+		t.Fatal("Checkpoints accepted Record mode")
 	}
-	if _, err := prog.NewExec(interp.Config{Injection: &interp.Injection{Event: 1}}); err == nil {
-		t.Fatal("NewExec accepted an injection")
+	if _, err := prog.Checkpoints(interp.Config{Injection: &interp.Injection{Event: 1}}, 10); err == nil {
+		t.Fatal("Checkpoints accepted an injection")
+	}
+	if _, err := prog.Checkpoints(interp.Config{}, 0); err == nil {
+		t.Fatal("Checkpoints accepted stride 0")
 	}
 }
 
-// TestAdvancePausesAtOrBelowStop pins the pause rule: every instruction
-// is a dispatch of its own except a block-leading phi group, so Advance
-// stops exactly at stop unless stop falls inside a phi group, where it
-// stops at the group's first event. The walker's trace tells where the
-// groups are. buildLoopCall is advanced to every event; lulesh, mm and bfs
-// to every 97th.
-func TestAdvancePausesAtOrBelowStop(t *testing.T) {
+// TestCheckpointsAtStridePoints pins the capture rule: every instruction
+// is a dispatch of its own except a block-leading phi group, so a
+// checkpoint lands exactly on each multiple of the stride below the
+// program's end unless that falls inside a phi group, where it lands on
+// the group's first event, and no event is captured twice. The walker's
+// trace tells where the groups are. buildLoopCall is captured at every
+// event; lulesh, mm and bfs at every 97th.
+func TestCheckpointsAtStridePoints(t *testing.T) {
 	mods := []*ir.Module{buildLoopCall(80)}
 	for _, name := range []string{"lulesh", "mm", "bfs"} {
 		b, ok := bench.Get(name)
@@ -391,57 +381,50 @@ func TestAdvancePausesAtOrBelowStop(t *testing.T) {
 	}
 	grouped := 0
 	for i, m := range mods {
-		first, step := int64(7), int64(97)
+		stride := int64(97)
 		if i == 0 {
-			first, step = 1, 1
+			stride = 1
 		}
 		tr := walkerRun(t, m, interp.Config{Record: true}).Trace
-		// groupEnd returns the event after the phi group starting at ev,
-		// or ev when no group starts there.
-		groupEnd := func(ev int64) int64 {
-			in := tr.Instr(ev)
-			if in.Op != ir.OpPhi || ev > 0 && tr.Instr(ev-1).Op == ir.OpPhi && tr.Instr(ev-1).Parent == in.Parent {
-				return ev
+		// groupStart returns the first event of the phi group holding ev,
+		// or ev when it is not a phi.
+		groupStart := func(ev int64) int64 {
+			for ev > 0 && tr.Instr(ev).Op == ir.OpPhi && tr.Instr(ev-1).Op == ir.OpPhi &&
+				tr.Instr(ev-1).Parent == tr.Instr(ev).Parent {
+				ev--
 			}
-			end := ev + 1
-			for end < tr.NumEvents() && tr.Instr(end).Op == ir.OpPhi && tr.Instr(end).Parent == in.Parent {
-				end++
-			}
-			return end
+			return ev
 		}
-		ex, err := compileProg(t, m).NewExec(interp.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev, stops, inGroup := int64(0), 0, 0
-		for stop := first; ex.Advance(stop); stop += step {
-			stops++
-			ev := ex.Event()
-			switch {
-			case ev < prev:
-				t.Fatalf("%s: event went backwards: %d -> %d", m.Name, prev, ev)
-			case ev == stop:
-			case ev < stop && stop < groupEnd(ev):
+		want, inGroup := []int64{0}, 0
+		for s := stride; s < tr.NumEvents(); s += stride {
+			ev := groupStart(s)
+			if ev != s {
 				inGroup++
-			default:
-				t.Fatalf("%s: paused at %d for stop %d, not inside a phi group starting there", m.Name, ev, stop)
 			}
-			prev = ev
-			if st := ex.Capture(); st.Event() != ev {
-				t.Fatalf("%s: capture event %d != exec event %d", m.Name, st.Event(), ev)
+			if ev > want[len(want)-1] {
+				want = append(want, ev)
 			}
 		}
-		if err := ex.Err(); err != nil {
+		states, err := compileProg(t, m).Checkpoints(interp.Config{}, stride)
+		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
-		if stops < 100 {
-			t.Fatalf("%s: only %d stops", m.Name, stops)
+		if len(states) != len(want) {
+			t.Fatalf("%s: %d checkpoints, want %d", m.Name, len(states), len(want))
 		}
-		t.Logf("%s: %d stops, %d inside phi groups", m.Name, stops, inGroup)
+		for k, st := range states {
+			if st.Event() != want[k] {
+				t.Fatalf("%s: checkpoint %d at event %d, want %d", m.Name, k, st.Event(), want[k])
+			}
+		}
+		if len(states) < 100 {
+			t.Fatalf("%s: only %d checkpoints", m.Name, len(states))
+		}
+		t.Logf("%s: %d checkpoints, %d stride points inside phi groups", m.Name, len(states), inGroup)
 		grouped += inGroup
 	}
 	if grouped == 0 {
-		t.Fatal("no stop fell inside a phi group")
+		t.Fatal("no stride point fell inside a phi group")
 	}
 }
 
@@ -468,15 +451,14 @@ func TestDifferentialResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chain: %v", err)
 	}
-	conv := &vm.Convergence{Golden: walkerRun(t, m, cfg), Next: chain.Next}
+	cps := chain.Checkpoints()
+	conv := &vm.Convergence{Golden: walkerRun(t, m, cfg), Checkpoints: cps}
 
 	rng := rand.New(rand.NewSource(7))
-	snaps := 0
-	for st := chain.Nearest(0); st != nil; st = chain.Next(st.Event()) {
-		snaps++
+	for k, st := range cps {
 		end := total
-		if next := chain.Next(st.Event()); next != nil {
-			end = next.Event()
+		if k+1 < len(cps) {
+			end = cps[k+1].Event()
 		}
 		// An injectable event between this snapshot and the next.
 		ev := st.Event() + rng.Int63n(end-st.Event())
@@ -503,7 +485,7 @@ func TestDifferentialResume(t *testing.T) {
 			}
 		}
 	}
-	if snaps < 10 {
-		t.Fatalf("chain held only %d snapshots", snaps)
+	if len(cps) < 10 {
+		t.Fatalf("chain held only %d snapshots", len(cps))
 	}
 }

@@ -58,9 +58,12 @@ go test -race ./internal/obs/... \
 # modulo check instead of its power-of-two mask; and a compare read beyond
 # its block's branch and an address feeding a load and other users.
 # FuzzDifferentialIR runs its seed corpus: the kernels' and the edge-case
-# modules' printed IR, each with one injection. TestAdvancePausesAtOrBelowStop
-# pins where Exec.Advance pauses: exactly at the stop, unless the stop
-# falls inside a phi group. TestDifferentialSavedTraces
+# modules' printed IR, each with one injection. TestCheckpointsAtStridePoints
+# pins where Program.Checkpoints captures: exactly at each stride point,
+# unless it falls inside a phi group, where the capture takes the group's
+# first event; TestLuleshSnapshotViewPinned pins a 128-run lulesh
+# runner's chain stats, so placement cannot drift unseen.
+# TestDifferentialSavedTraces
 # takes the kernels, the edge cases and 20 random programs through the
 # saved trace format: both engines' recordings save to the same bytes,
 # Load then Save writes them again, and the loaded trace analyzes
@@ -77,10 +80,10 @@ go test -race ./internal/obs/... \
 # including loads and stores over pages that collide in the page caches
 # and writes through cached pages after a fork, and Draw's pooled
 # generators against fresh sources by TestDrawMatchesFreshSource.
-echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB / i24 and i56 accesses at odd alignments / shared icmp and gep results, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds of MiniC and of IR, snapshot resumes, Advance pause points, convergence liveness vs path search, snapshot runners, converged resumes vs scratch runs; mem fast path vs reference path incl. page-cache collisions and writes after fork; pooled vs fresh target draws)"
-go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialSavedTraces|FuzzDifferential|FuzzDifferentialIR|TestDifferentialResume|TestAdvancePausesAtOrBelowStop|TestLivenessMatchesPathSearch' -count=1
+echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB / i24 and i56 accesses at odd alignments / shared icmp and gep results, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds of MiniC and of IR, snapshot resumes, checkpoint placement and pinned lulesh chain stats, convergence liveness vs path search, snapshot runners, converged resumes vs scratch runs; mem fast path vs reference path incl. page-cache collisions and writes after fork; pooled vs fresh target draws)"
+go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialSavedTraces|FuzzDifferential|FuzzDifferentialIR|TestDifferentialResume|TestCheckpointsAtStridePoints|TestLivenessMatchesPathSearch' -count=1
 go test ./internal/mem/ -run 'TestFastPath' -count=1
-go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch|TestConvergedResumeMatchesScratch|TestDrawMatchesFreshSource' -count=1
+go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch|TestConvergedResumeMatchesScratch|TestLuleshSnapshotViewPinned|TestDrawMatchesFreshSource' -count=1
 
 # The benchmark's selftest: every workload runs once at a small size and
 # its pinned digests and deterministic counts must match.
