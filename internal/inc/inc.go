@@ -278,23 +278,21 @@ func depsMatch(p *partition, deps []footprintDep) bool {
 // computeSection runs the section's walks fresh, recording the footprint,
 // and stores the manifest + profile for next time.
 func (cfg *Config) computeSection(tr *trace.Trace, p *partition, s *section, cfgKey string) *sectionProfile {
-	touched := make(map[int32]bool)
-	touched[int32(s.index)] = true // the seeds themselves live here
-	if p.ops == nil {
-		tab := rangeprop.NewOperandTable(tr)
-		p.ops = &tab
+	if p.walker == nil {
+		p.walker = rangeprop.NewSeedWalker(tr, cfg.Epvf.Prop)
 	}
-	res := rangeprop.AnalyzeSeeds(tr, *p.ops, cfg.Epvf.Prop, s.seeds, func(ev int64) {
-		touched[p.owner[ev]] = true
-	})
-	pr := buildProfile(res, p)
+	touched, owner := make([]bool, len(p.sections)), p.owner
+	touched[s.index] = true // the seeds themselves live here
+	pr := p.buildProfile(p.walker.Walk(s.seeds, func(ev int64) { touched[owner[ev]] = true }))
 
-	deps := make([]footprintDep, 0, len(touched))
-	for si := range touched {
-		sec := p.sections[si]
-		deps = append(deps, footprintDep{Name: sec.name, Hash: sec.hash})
+	// Walking the sections in name order keeps the footprint sorted.
+	var deps []footprintDep
+	for _, si := range p.nameOrder {
+		if touched[si] {
+			sec := p.sections[si]
+			deps = append(deps, footprintDep{Name: sec.name, Hash: sec.hash})
+		}
 	}
-	sortFootprint(deps)
 	cfg.Store.Put(KindSection, profileKey(cfgKey, s.name, deps), pr.encode())
 
 	// Append the footprint to the manifest. The read-modify-write is not

@@ -3,7 +3,7 @@ package inc
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/content"
 	"repro/internal/rangeprop"
@@ -49,7 +49,7 @@ func manifestKey(cfgKey, name, sliceHash string) string {
 }
 
 // profileKey addresses the profile computed under one exact footprint.
-// deps must be sorted by name (sortFootprint).
+// deps must be sorted by name.
 func profileKey(cfgKey, name string, deps []footprintDep) string {
 	h := content.NewHasher("epvf-inc-profile-v1")
 	h.Printf("%s\n%s\n", cfgKey, name)
@@ -57,10 +57,6 @@ func profileKey(cfgKey, name string, deps []footprintDep) string {
 		h.Printf("dep %s %s\n", d.Name, d.Hash)
 	}
 	return h.Sum()
-}
-
-func sortFootprint(deps []footprintDep) {
-	sort.Slice(deps, func(i, j int) bool { return deps[i].Name < deps[j].Name })
 }
 
 // profEntry is one crash-mask contribution in relative coordinates: bits
@@ -84,44 +80,35 @@ type sectionProfile struct {
 	Entries  []profEntry
 }
 
-// buildProfile converts a fresh AnalyzeSeeds result into its relative-
-// coordinate profile. The name table and entries are sorted, so equal
-// results encode to equal bytes.
-func buildProfile(res *rangeprop.Result, p *partition) *sectionProfile {
-	pr := &sectionProfile{Accesses: res.AccessesAnalyzed}
-	used := make(map[int32]int)
-	res.EachUse(func(u trace.Use, _ uint64) {
-		used[p.owner[u.Event]] = 0
-	})
-	secs := make([]int32, 0, len(used))
-	for si := range used {
-		secs = append(secs, si)
-	}
-	sort.Slice(secs, func(i, j int) bool {
-		return p.sections[secs[i]].name < p.sections[secs[j]].name
-	})
-	for i, si := range secs {
-		used[si] = i
-		pr.Names = append(pr.Names, p.sections[si].name)
-	}
-	res.EachUse(func(u trace.Use, m uint64) {
-		pr.Entries = append(pr.Entries, profEntry{
-			NameIdx: used[p.owner[u.Event]],
-			Ordinal: int64(p.ordinal[u.Event]),
-			Op:      u.Op,
-			Mask:    m,
-		})
-	})
-	sort.Slice(pr.Entries, func(i, j int) bool {
-		a, b := pr.Entries[i], pr.Entries[j]
-		if a.NameIdx != b.NameIdx {
-			return a.NameIdx < b.NameIdx
+// buildProfile turns the seed walker's masks into a relative-coordinate
+// profile and clears them. The name table is sorted by name and each
+// name's entries by ordinal and operand, so equal results encode to equal
+// bytes: Masks hands the masks out in event order, which within a section
+// is ordinal order, and a counting pass buckets them by section in name
+// order.
+func (p *partition) buildProfile(accesses int64) *sectionProfile {
+	owner := p.owner
+	start, nameIdx := make([]int, len(p.sections)), make([]int, len(p.sections))
+	p.walker.Masks(func(u trace.Use, _ uint64) { start[owner[u.Event]]++ })
+	// start[si] turns from section si's entry count into the position of
+	// its first entry.
+	pr := &sectionProfile{Accesses: accesses}
+	n := 0
+	for _, si := range p.nameOrder {
+		if c := start[si]; c > 0 {
+			start[si] = n
+			nameIdx[si] = len(pr.Names)
+			pr.Names = append(pr.Names, p.sections[si].name)
+			n += c
 		}
-		if a.Ordinal != b.Ordinal {
-			return a.Ordinal < b.Ordinal
-		}
-		return a.Op < b.Op
+	}
+	pr.Entries = make([]profEntry, n)
+	p.walker.Masks(func(u trace.Use, m uint64) {
+		si := owner[u.Event]
+		pr.Entries[start[si]] = profEntry{NameIdx: nameIdx[si], Ordinal: int64(p.ordinal[u.Event]), Op: u.Op, Mask: m}
+		start[si]++
 	})
+	p.walker.Clear()
 	return pr
 }
 
@@ -133,27 +120,29 @@ func buildProfile(res *rangeprop.Result, p *partition) *sectionProfile {
 // and recomputes. Every entry is checked before any is applied, so a
 // rejected profile leaves merged untouched.
 func (pr *sectionProfile) addTo(tr *trace.Trace, p *partition, merged *rangeprop.Result) error {
-	uses := make([]trace.Use, len(pr.Entries))
-	for i, e := range pr.Entries {
+	secs := make([]*section, len(pr.Names))
+	for _, e := range pr.Entries {
 		if e.NameIdx < 0 || e.NameIdx >= len(pr.Names) {
 			return fmt.Errorf("inc: profile references name %d of %d", e.NameIdx, len(pr.Names))
 		}
-		sec := p.byName[pr.Names[e.NameIdx]]
+		sec := secs[e.NameIdx]
 		if sec == nil {
-			return fmt.Errorf("inc: profile references unknown section %q", pr.Names[e.NameIdx])
+			if sec = p.byName[pr.Names[e.NameIdx]]; sec == nil {
+				return fmt.Errorf("inc: profile references unknown section %q", pr.Names[e.NameIdx])
+			}
+			secs[e.NameIdx] = sec
 		}
 		if e.Ordinal < 0 || e.Ordinal >= int64(len(sec.events)) {
 			return fmt.Errorf("inc: profile ordinal %d out of range for section %q (%d events)",
 				e.Ordinal, sec.name, len(sec.events))
 		}
-		ev := sec.events[e.Ordinal]
+		ev := int64(sec.events[e.Ordinal])
 		if n := len(tr.OpDefsOf(ev)); e.Op < 0 || e.Op >= n {
 			return fmt.Errorf("inc: profile operand %d out of range for event %d (%d operands)", e.Op, ev, n)
 		}
-		uses[i] = trace.Use{Event: ev, Op: e.Op}
 	}
-	for i, e := range pr.Entries {
-		merged.AddUseMask(uses[i], e.Mask)
+	for _, e := range pr.Entries {
+		merged.AddUseMask(trace.Use{Event: int64(secs[e.NameIdx].events[e.Ordinal]), Op: e.Op}, e.Mask)
 	}
 	merged.AccessesAnalyzed += pr.Accesses
 	return nil
@@ -165,32 +154,48 @@ func (pr *sectionProfile) addTo(tr *trace.Trace, p *partition, merged *rangeprop
 var profileMagic = []byte("epvf-incp1\n")
 
 func (pr *sectionProfile) encode() []byte {
-	buf := append([]byte(nil), profileMagic...)
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
-	putUvarint(uint64(pr.Accesses))
-	putUvarint(uint64(len(pr.Names)))
+	// Size the buffer exactly, walking the fields as the loop below
+	// writes them.
+	size := len(profileMagic) + uvarintLen(uint64(pr.Accesses)) +
+		uvarintLen(uint64(len(pr.Names))) + uvarintLen(uint64(len(pr.Entries)))
 	for _, n := range pr.Names {
-		putUvarint(uint64(len(n)))
-		buf = append(buf, n...)
+		size += uvarintLen(uint64(len(n))) + len(n)
 	}
-	putUvarint(uint64(len(pr.Entries)))
 	prevName, prevOrd := -1, int64(0)
 	for _, e := range pr.Entries {
 		if e.NameIdx != prevName {
 			prevName, prevOrd = e.NameIdx, 0
 		}
-		putUvarint(uint64(e.NameIdx))
-		putUvarint(uint64(e.Ordinal - prevOrd)) // sorted: never negative
+		size += uvarintLen(uint64(e.NameIdx)) + uvarintLen(uint64(e.Ordinal-prevOrd)) +
+			uvarintLen(uint64(e.Op)) + uvarintLen(e.Mask)
 		prevOrd = e.Ordinal
-		putUvarint(uint64(e.Op))
-		putUvarint(e.Mask)
+	}
+
+	buf := make([]byte, 0, size)
+	buf = append(buf, profileMagic...)
+	buf = binary.AppendUvarint(buf, uint64(pr.Accesses))
+	buf = binary.AppendUvarint(buf, uint64(len(pr.Names)))
+	for _, n := range pr.Names {
+		buf = binary.AppendUvarint(buf, uint64(len(n)))
+		buf = append(buf, n...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(pr.Entries)))
+	prevName, prevOrd = -1, 0
+	for _, e := range pr.Entries {
+		if e.NameIdx != prevName {
+			prevName, prevOrd = e.NameIdx, 0
+		}
+		buf = binary.AppendUvarint(buf, uint64(e.NameIdx))
+		buf = binary.AppendUvarint(buf, uint64(e.Ordinal-prevOrd)) // sorted: never negative
+		prevOrd = e.Ordinal
+		buf = binary.AppendUvarint(buf, uint64(e.Op))
+		buf = binary.AppendUvarint(buf, e.Mask)
 	}
 	return buf
 }
+
+// uvarintLen returns the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func decodeProfile(data []byte) (*sectionProfile, error) {
 	if len(data) < len(profileMagic) || string(data[:len(profileMagic)]) != string(profileMagic) {

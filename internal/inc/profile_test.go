@@ -32,13 +32,12 @@ func kernelPartition(tb testing.TB, name string) (*trace.Trace, *partition) {
 }
 
 // freshProfiles encodes every section's profile as a cold analysis stores
-// it.
+// it: one seed walker walks the sections in turn.
 func freshProfiles(tr *trace.Trace, p *partition) [][]byte {
 	var out [][]byte
-	tab := rangeprop.NewOperandTable(tr)
+	p.walker = rangeprop.NewSeedWalker(tr, rangeprop.Config{})
 	for _, s := range p.sections {
-		res := rangeprop.AnalyzeSeeds(tr, tab, rangeprop.Config{}, s.seeds, nil)
-		out = append(out, buildProfile(res, p).encode())
+		out = append(out, p.buildProfile(p.walker.Walk(s.seeds, nil)).encode())
 	}
 	return out
 }
@@ -65,7 +64,7 @@ func TestProfileBytesGolden(t *testing.T) {
 func TestAddToRejectsOperandBeyondEvent(t *testing.T) {
 	tr, p := kernelPartition(t, "nw")
 	s := p.sections[0]
-	ev := s.events[0]
+	ev := int64(s.events[0])
 	pr := &sectionProfile{
 		Accesses: 1,
 		Names:    []string{s.name},

@@ -26,19 +26,9 @@ type instrOps struct {
 	stride int64
 }
 
-// OperandTable is the per-instruction operand table of one trace, indexed
-// by the trace's InstrID column. It is only read once built, so any
-// number of walks may share it.
-type OperandTable struct{ rows []instrOps }
-
-// NewOperandTable builds tr's operand table from the instruction table the
-// trace names.
-func NewOperandTable(tr *trace.Trace) OperandTable {
-	return OperandTable{rows: operandRows(tr.Instrs())}
-}
-
 // operandRows returns the operand row of every instruction of an
-// instruction table, in table order.
+// instruction table, in table order: a walker's operand table, indexed by
+// its trace's InstrID column.
 func operandRows(instrs []*ir.Instr) []instrOps {
 	rows := make([]instrOps, len(instrs))
 	for id, in := range instrs {

@@ -302,10 +302,40 @@ func TestAnalyzeMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSeedsTouchSequence: the footprint hook sees exactly the
-// reference walk's event sequence, and the unfinalized result carries the
-// same per-use masks.
-func TestAnalyzeSeedsTouchSequence(t *testing.T) {
+// aceSeeds returns tr's ACE-graph memory accesses, in event order.
+func aceSeeds(tr *trace.Trace, aceMask []bool) []int64 {
+	var seeds []int64
+	for i, a := range tr.Acc {
+		if a >= 0 && aceMask[i] {
+			seeds = append(seeds, int64(i))
+		}
+	}
+	return seeds
+}
+
+// flushed collects the masks w.Masks hands out, checking they arrive in
+// ascending use order, and clears them.
+func flushed(t *testing.T, w *SeedWalker) map[trace.Use]uint64 {
+	t.Helper()
+	out := make(map[trace.Use]uint64)
+	prev := trace.Use{Event: -1}
+	defer w.Clear()
+	w.Masks(func(u trace.Use, m uint64) {
+		if u.Event < prev.Event || (u.Event == prev.Event && u.Op <= prev.Op) {
+			t.Fatalf("Masks visited %v after %v", u, prev)
+		}
+		if m == 0 {
+			t.Fatalf("Masks visited %v with a zero mask", u)
+		}
+		out[u], prev = m, u
+	})
+	return out
+}
+
+// TestSeedWalkerTouchSequence: the footprint hook sees exactly the
+// reference walk's event sequence, and the flushed masks, finalized, match
+// the reference's per-use and per-def masks.
+func TestSeedWalkerTouchSequence(t *testing.T) {
 	for _, name := range []string{"nw", "lud", "random1"} {
 		tr := oracleTrace(t, name)
 		aceMask := ddg.New(tr).ACEMask()
@@ -313,18 +343,62 @@ func TestAnalyzeSeedsTouchSequence(t *testing.T) {
 			cfg := Config{MaxDepth: depth}
 			var want, got []int64
 			ref := oracleAnalyze(tr, aceMask, cfg, func(ev int64) { want = append(want, ev) })
-			var seeds []int64
-			for i, a := range tr.Acc {
-				if a >= 0 && aceMask[i] {
-					seeds = append(seeds, int64(i))
-				}
-			}
-			res := AnalyzeSeeds(tr, NewOperandTable(tr), cfg, seeds, func(ev int64) { got = append(got, ev) })
+			w := NewSeedWalker(tr, cfg)
+			res := NewResult(tr)
+			res.AccessesAnalyzed = w.Walk(aceSeeds(tr, aceMask), func(ev int64) { got = append(got, ev) })
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s depth=%d: touch sequences differ (%d vs %d calls)", name, depth, len(want), len(got))
 			}
+			for u, m := range flushed(t, w) {
+				res.AddUseMask(u, m)
+			}
 			res.Finalize(tr)
 			assertMatchesOracle(t, fmt.Sprintf("%s depth=%d seeds", name, depth), ref, res)
+		}
+	}
+}
+
+// TestSeedWalkerSharedScratch: walking seed batches one after another on
+// one walker gives each batch exactly the masks, access count and touch
+// sequence a fresh walker gives it, so Clear leaves no mask behind. The
+// batches split the seeds by owning function, as the incremental layer
+// does, and the last batch repeats the first.
+func TestSeedWalkerSharedScratch(t *testing.T) {
+	for _, name := range []string{"nw", "lud", "random1"} {
+		tr := oracleTrace(t, name)
+		aceMask := ddg.New(tr).ACEMask()
+		var batches [][]int64
+		batchOf := make(map[*ir.Function]int)
+		for _, ev := range aceSeeds(tr, aceMask) {
+			fn := tr.Instr(ev).Func()
+			b, ok := batchOf[fn]
+			if !ok {
+				b = len(batches)
+				batchOf[fn] = b
+				batches = append(batches, nil)
+			}
+			batches[b] = append(batches[b], ev)
+		}
+		if len(batches) < 2 {
+			t.Fatalf("%s: seeds fall in %d function(s), want at least 2", name, len(batches))
+		}
+		batches = append(batches, batches[0])
+		shared := NewSeedWalker(tr, Config{})
+		for i, seeds := range batches {
+			var wantTouch, gotTouch []int64
+			fresh := NewSeedWalker(tr, Config{})
+			wantAcc := fresh.Walk(seeds, func(ev int64) { wantTouch = append(wantTouch, ev) })
+			want := flushed(t, fresh)
+			gotAcc := shared.Walk(seeds, func(ev int64) { gotTouch = append(gotTouch, ev) })
+			got := flushed(t, shared)
+			if wantAcc != gotAcc || !reflect.DeepEqual(wantTouch, gotTouch) {
+				t.Fatalf("%s batch %d: shared walker analyzed %d accesses over %d touches, fresh %d over %d",
+					name, i, gotAcc, len(gotTouch), wantAcc, len(wantTouch))
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s batch %d: shared walker flushed %d masks, fresh walker %d (or they differ)",
+					name, i, len(got), len(want))
+			}
 		}
 	}
 }

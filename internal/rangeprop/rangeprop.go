@@ -10,6 +10,7 @@ package rangeprop
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/crash"
 	"repro/internal/ddg"
@@ -183,9 +184,8 @@ func withDefaults(cfg Config) (Config, int) {
 // backward slice of the address.
 func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result {
 	cfg, maxDepth := withDefaults(cfg)
-	tab := NewOperandTable(tr)
 	res := NewResult(tr)
-	w := newWalker(tr, tab, cfg, maxDepth, res, nil)
+	w := newWalker(tr, operandRows(tr.Instrs()), cfg, maxDepth, res)
 	for i, a := range tr.Acc {
 		if a >= 0 && aceMask[i] {
 			w.access(int64(i))
@@ -200,28 +200,72 @@ func Analyze(tr *trace.Trace, g *ddg.Graph, aceMask []bool, cfg Config) *Result 
 	return res
 }
 
-// AnalyzeSeeds runs the boundary check and backward walk for the given
-// seed accesses only, serially, and returns the raw per-use crash masks
-// (Finalize has not been called: the def masks and the counts are not yet
-// populated). Seed subsets are how the incremental layer (internal/inc)
-// sections the model: per-seed walks are independent and their masks merge
-// by union, so a whole-trace Analyze equals the union of AnalyzeSeeds over
-// any partition of its seeds. tab is tr's operand table, which every
-// AnalyzeSeeds call over the trace may share.
-//
-// touch, when non-nil, is invoked with the index of every event whose
-// content the walks read — the seeds themselves plus every event reached
-// along the backward slices. The incremental layer records this footprint
-// to know which program sections a cached walk result depends on. cfg
+// SeedWalker runs the boundary checks and backward walks of chosen seed
+// accesses over one trace, one batch at a time. Seed subsets are how the
+// incremental layer (internal/inc) sections the model: per-seed walks are
+// independent and their masks merge by union, so a whole-trace Analyze
+// equals the union of the batches over any partition of its seeds. Every
+// batch shares one mask array and one visited array: the walker marks
+// each use its walks reach in a bitmap of four bits per event, Masks hands
+// out the nonzero masks among them and Clear zeroes them, so a batch costs
+// what its walks reach plus a scan of the bitmap, not a pass over the
+// trace.
+type SeedWalker struct{ w *walker }
+
+// NewSeedWalker returns a walker over tr whose masks are all zero. cfg
 // defaulting matches Analyze (nil Model, zero MaxDepth).
-func AnalyzeSeeds(tr *trace.Trace, tab OperandTable, cfg Config, seeds []int64, touch func(ev int64)) *Result {
+func NewSeedWalker(tr *trace.Trace, cfg Config) *SeedWalker {
 	cfg, maxDepth := withDefaults(cfg)
-	res := NewResult(tr)
-	w := newWalker(tr, tab, cfg, maxDepth, res, touch)
+	w := newWalker(tr, operandRows(tr.Instrs()), cfg, maxDepth, NewResult(tr))
+	w.reached = make([]uint64, (tr.NumEvents()*4+63)/64)
+	return &SeedWalker{w}
+}
+
+// Walk runs the boundary check and backward walk of each seed access, in
+// order, and returns how many of the seeds' boundaries resolved: the
+// AccessesAnalyzed the batch adds to a result. touch, when non-nil, is
+// called with the index of every event whose content the walks read — the
+// seeds themselves plus every event reached along the backward slices.
+// The incremental layer records this footprint to know which program
+// sections a cached walk result depends on.
+func (s *SeedWalker) Walk(seeds []int64, touch func(ev int64)) int64 {
+	w := s.w
+	if touch == nil {
+		touch = func(int64) {}
+	}
+	w.touch = touch
+	before := w.res.AccessesAnalyzed
 	for _, ev := range seeds {
 		w.access(ev)
 	}
-	return res
+	return w.res.AccessesAnalyzed - before
+}
+
+// Masks calls fn for every use the walks since the last Clear gave a
+// nonzero mask, in event order and, within an event, in operand order.
+func (s *SeedWalker) Masks(fn func(u trace.Use, mask uint64)) {
+	w := s.w
+	for i, word := range w.reached {
+		for ; word != 0; word &= word - 1 {
+			k := i*64 + bits.TrailingZeros64(word)
+			u := trace.Use{Event: int64(k >> 2), Op: k & 3}
+			if m := w.res.use[int(w.tr.OpBase[u.Event])+u.Op]; m != 0 {
+				fn(u, m)
+			}
+		}
+	}
+}
+
+// Clear zeroes the masks Masks visits, so the next batch starts from none.
+func (s *SeedWalker) Clear() {
+	w := s.w
+	for i, word := range w.reached {
+		for ; word != 0; word &= word - 1 {
+			k := i*64 + bits.TrailingZeros64(word)
+			w.res.use[int(w.tr.OpBase[k>>2])+(k&3)] = 0
+		}
+		w.reached[i] = 0
+	}
 }
 
 // Finalize aggregates the per-use crash masks into the def-granular view
@@ -245,16 +289,21 @@ func (r *Result) Finalize(tr *trace.Trace) {
 	}
 }
 
-// walker runs the backward walks of one Analyze worker or AnalyzeSeeds
-// call into res, reusing its visited stamps and worklist across every
-// access it walks.
+// walker runs the backward walks of one Analyze call or SeedWalker into
+// res, reusing its visited stamps and worklist across every access it
+// walks.
 type walker struct {
 	tr       *trace.Trace
 	rows     []instrOps
 	cfg      Config
 	maxDepth int
 	res      *Result
-	touch    func(ev int64)
+	// touch is nil under Analyze. A SeedWalker sets it, and the walk then
+	// also marks in the bitmap reached each use it visits: bit
+	// event<<2 | operand (walks reach operands 0..2 only), so that the
+	// bits run in use order.
+	touch   func(ev int64)
+	reached []uint64
 	// visited[def] == epoch marks def as already expanded by the current
 	// access's walk.
 	visited []uint32
@@ -262,9 +311,9 @@ type walker struct {
 	work    []item
 }
 
-func newWalker(tr *trace.Trace, tab OperandTable, cfg Config, maxDepth int, res *Result, touch func(ev int64)) *walker {
+func newWalker(tr *trace.Trace, rows []instrOps, cfg Config, maxDepth int, res *Result) *walker {
 	return &walker{
-		tr: tr, rows: tab.rows, cfg: cfg, maxDepth: maxDepth, res: res, touch: touch,
+		tr: tr, rows: rows, cfg: cfg, maxDepth: maxDepth, res: res,
 		visited: make([]uint32, tr.NumEvents()),
 		work:    make([]item, 0, 64),
 	}
@@ -317,6 +366,8 @@ func (w *walker) crashCalc(accessEv int64, ptrOp int, bound crash.Bound) {
 
 		if touch != nil {
 			touch(it.ev)
+			k := it.ev<<2 | int64(it.op)
+			w.reached[k>>6] |= 1 << (k & 63)
 		}
 		row := &w.rows[tr.InstrID[it.ev]]
 		slot := int(tr.OpBase[it.ev]) + it.op

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/crash"
 	"repro/internal/epvf"
 	"repro/internal/report"
 )
@@ -96,7 +97,7 @@ func Summarize(moduleName string, a *epvf.Analysis, dynInstrs int64) *Summary {
 		ModelsSeconds:     a.Timing.Models.Seconds(),
 	}
 	for _, d := range a.DefClasses() {
-		nc := int64(popcount(d.CrashMask))
+		nc := int64(crash.PopCount(d.CrashMask))
 		s.Classes.CrashBits += nc
 		if d.ACE {
 			s.Classes.ACEBits += int64(d.Width) - nc
@@ -126,14 +127,6 @@ func Summarize(moduleName string, a *epvf.Analysis, dynInstrs int64) *Summary {
 		return s.PerInstr[i].ID < s.PerInstr[j].ID
 	})
 	return s
-}
-
-func popcount(m uint64) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
 }
 
 // ratio mirrors the guarded divisions of internal/epvf exactly.
