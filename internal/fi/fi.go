@@ -297,6 +297,8 @@ type Runner struct {
 	// never by NewRunner, which also builds runners that execute no
 	// indexed runs (the targeted injections of MeasurePrecision).
 	chain *snapshot.Chain
+	// conv lets resumed runs converge against the chain; built with it.
+	conv *vm.Convergence
 	// prog, when non-nil, is the bytecode-compiled module and runs
 	// injections on the VM engine; nil runs everything on the walker
 	// (Config.Engine == EngineWalker).
@@ -379,6 +381,7 @@ func (r *Runner) EnableSnapshots(snapshot.Config) (bool, error) {
 		return false, err
 	}
 	r.chain = ch
+	r.conv = &vm.Convergence{Golden: r.golden, Checkpoints: ch.Checkpoints()}
 	return true, nil
 }
 
@@ -478,7 +481,7 @@ func (r *Runner) runSnapshot(tgt Target) Record {
 	start := time.Now()
 	res, err := vm.Resume(st, vm.ResumeOptions{
 		Injection:   &interp.Injection{Event: tgt.Event, Bit: tgt.Bit, Mask: tgt.Mask},
-		Convergence: &vm.Convergence{Golden: r.golden, Checkpoints: r.chain.Checkpoints()},
+		Convergence: r.conv,
 	})
 	r.vmTally.note(res, start)
 	if err != nil {

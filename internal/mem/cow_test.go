@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -229,7 +230,8 @@ func TestWriteSpanningPages(t *testing.T) {
 
 // TestConcurrentForkWriters exercises the refcount protocol under the race
 // detector: a frozen snapshot space is forked by many goroutines that each
-// write their own clone while the others do the same on shared pages.
+// write their own clone, and release it, while the others do the same on
+// shared pages and take the pages released clones recycle.
 func TestConcurrentForkWriters(t *testing.T) {
 	frozen := New(DefaultLayout())
 	base := DefaultLayout().DataBase
@@ -252,6 +254,7 @@ func TestConcurrentForkWriters(t *testing.T) {
 			if !clone.ReadBytesEqualsFrozenTail(frozen, base, 16) {
 				panic("clone lost untouched tail bytes")
 			}
+			clone.Release()
 		}(g)
 	}
 	wg.Wait()
@@ -259,6 +262,9 @@ func TestConcurrentForkWriters(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		if got := frozen.ReadBytes(base+uint64(i)*PageSize, 1)[0]; got != byte(i) {
 			t.Fatalf("frozen page %d corrupted: %d", i, got)
+		}
+		if refs := frozen.pages[(base/PageSize)+uint64(i)].refs.Load(); refs != 1 {
+			t.Fatalf("frozen page %d: refs %d after every clone was released, want 1", i, refs)
 		}
 	}
 }
@@ -273,4 +279,79 @@ func (as *AddressSpace) ReadBytesEqualsFrozenTail(frozen *AddressSpace, base uin
 		}
 	}
 	return true
+}
+
+// TestReleaseRecyclesOnlyUnsharedPages checks Release against the
+// refcount protocol. Two children fork a frozen space and one of them,
+// after a copy-on-write fault and a fresh page, is released: the frozen
+// space and the sibling keep their bytes, the sibling still copies on its
+// next write, each page's refs is 1 plus the number of live forks, and a
+// fresh materialization that draws a recycled page reads all zero.
+func TestReleaseRecyclesOnlyUnsharedPages(t *testing.T) {
+	const shared = 4
+	// One P, so the pool hands released pages back to this goroutine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := DefaultLayout().DataBase
+	frozen := New(DefaultLayout())
+	want := make([][]byte, shared)
+	for i := range shared {
+		want[i] = bytes.Repeat([]byte{byte(i + 1)}, PageSize)
+		frozen.WriteBytes(base+uint64(i)*PageSize, want[i])
+	}
+	checkRefs := func(forks int32) {
+		t.Helper()
+		for k, p := range frozen.pages {
+			if got := p.refs.Load(); got != 1+forks {
+				t.Fatalf("page %#x: refs %d with %d live forks, want %d", k*PageSize, got, forks, 1+forks)
+			}
+		}
+	}
+	a, b := frozen.Fork(), frozen.Fork()
+	checkRefs(2)
+
+	// a copies page 0 on write and materializes page shared+1, filling
+	// both with 0xaa.
+	junk := bytes.Repeat([]byte{0xaa}, PageSize)
+	a.WriteBytes(base, junk)
+	a.WriteBytes(base+(shared+1)*PageSize, junk)
+	private := map[*page]bool{a.pages[base/PageSize]: true, a.pages[base/PageSize+shared+1]: true}
+	a.Release()
+	checkRefs(1)
+	for i := range shared {
+		addr := base + uint64(i)*PageSize
+		if !bytes.Equal(frozen.ReadBytes(addr, PageSize), want[i]) || !bytes.Equal(b.ReadBytes(addr, PageSize), want[i]) {
+			t.Fatalf("page %d changed under the frozen space or the sibling after Release", i)
+		}
+	}
+
+	// The sibling's write copies page 0, whatever a recycled page held.
+	b.WriteBytes(base+7, []byte{0xee})
+	if b.pages[base/PageSize] == frozen.pages[base/PageSize] {
+		t.Fatal("sibling wrote a page it shares with the frozen space")
+	}
+	got, exp := b.ReadBytes(base, PageSize), bytes.Clone(want[0])
+	exp[7] = 0xee
+	if !bytes.Equal(got, exp) || !bytes.Equal(frozen.ReadBytes(base, PageSize), want[0]) {
+		t.Fatal("copy-on-write after Release lost bytes of the frozen page")
+	}
+	b.Release()
+	checkRefs(0)
+
+	// Fresh materializations in a new space read zero past the byte each
+	// writes, and in a normal build take the recycled pages.
+	fresh := New(DefaultLayout())
+	recycled := 0
+	for i := range uint64(8) {
+		addr := base + (8+i)*PageSize
+		fresh.WriteBytes(addr, []byte{1})
+		if private[fresh.pages[addr/PageSize]] {
+			recycled++
+		}
+		if rest := fresh.ReadBytes(addr+1, PageSize-1); !bytes.Equal(rest, make([]byte, PageSize-1)) {
+			t.Fatalf("fresh page %d reads stale bytes", i)
+		}
+	}
+	if !raceEnabled && recycled == 0 {
+		t.Fatal("no fresh page reused a released one")
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -167,8 +168,8 @@ func (e *AccessError) Error() string {
 }
 
 // page is one refcounted copy-on-write page. refs counts the address
-// spaces referencing it; a write through an address space that is not the
-// sole owner first copies the page (write-fault semantics). An absent page
+// spaces holding it; a write through an address space that is not the
+// sole holder first copies the page (write-fault semantics). An absent page
 // reads as zeroes, so an all-zero page and a missing page are
 // indistinguishable to programs.
 type page struct {
@@ -176,8 +177,20 @@ type page struct {
 	data [PageSize]byte
 }
 
-func newPage() *page {
-	p := &page{}
+// pages recycles the pages Release drops. A pooled page holds the bytes of
+// its last holder.
+var pages sync.Pool
+
+// newPage returns a page held once, from the pool when it has one; a
+// pooled page's bytes are stale unless zero is set.
+func newPage(zero bool) *page {
+	p, _ := pages.Get().(*page)
+	switch {
+	case p == nil:
+		p = new(page)
+	case zero:
+		p.data = [PageSize]byte{}
+	}
 	p.refs.Store(1)
 	return p
 }
@@ -509,9 +522,9 @@ func (as *AddressSpace) checkOne(addr uint64, size int64, write bool) error {
 // The refcount protocol makes concurrent forks and writes safe without a
 // lock: every address space holds one reference per page it maps, a page
 // is only ever forked from a frozen (never-written) address space, and
-// that space keeps its own reference for as long as it lives. A load of 1
-// therefore proves sole ownership — no frozen space references the page,
-// so no concurrent Fork can be incrementing it.
+// that space keeps its own reference because it is never released. A
+// load of 1 therefore proves sole ownership — no frozen space references
+// the page, so no concurrent Fork can be incrementing it.
 func (as *AddressSpace) writablePage(addr uint64) *page {
 	key := addr / PageSize
 	w := &as.wcache[key%pageWays]
@@ -521,12 +534,12 @@ func (as *AddressSpace) writablePage(addr uint64) *page {
 	p := as.pages[key]
 	switch {
 	case p == nil:
-		p = newPage()
+		p = newPage(true)
 		as.pages[key] = p
 		as.dropRead(key)
 		as.dirtied++
 	case p.refs.Load() > 1:
-		cp := newPage()
+		cp := newPage(false)
 		cp.data = p.data
 		p.refs.Add(-1)
 		p = cp
@@ -610,6 +623,22 @@ func (as *AddressSpace) Fork() *AddressSpace {
 	return cp
 }
 
+// Release gives back the address space's page references, after which
+// the space must not be used. A page no other space holds returns to the
+// pool that materializations and copy-on-write faults draw from, so a run
+// that releases its fork leaves the pages it dirtied to the next run.
+// Never release a frozen space that may still be forked: its references
+// keep its pages from being recycled under its forks.
+func (as *AddressSpace) Release() {
+	for _, p := range as.pages {
+		if p.refs.Add(-1) == 0 {
+			pages.Put(p)
+		}
+	}
+	as.pages = nil
+	as.rcache, as.wcache = [pageWays]pageEntry{}, [pageWays]pageEntry{}
+}
+
 // DirtyPages returns the number of pages privately materialized or
 // copy-on-write faulted in this address space since it was created (or
 // forked). Observability for the snapshot subsystem.
@@ -634,8 +663,9 @@ func pageEqual(a, b *page) bool {
 // layout, VMA table, stack pointer, heap state, allocation metadata,
 // version history position, and byte-for-byte page contents (an absent
 // page equals an all-zero page). Shared COW pages compare by pointer, so
-// comparing a run against a snapshot it was forked from costs O(pages
-// diverged), not O(memory).
+// comparing a run against a snapshot it was forked from costs
+// O(mapped pages) pointer compares plus a byte compare of each page that
+// diverged.
 func (as *AddressSpace) Equal(other *AddressSpace) bool {
 	if as.layout != other.layout || as.sp != other.sp || as.brk != other.brk ||
 		as.mmapNext != other.mmapNext || as.version != other.version {

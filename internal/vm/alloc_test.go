@@ -8,13 +8,15 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/interp"
+	"repro/internal/mem"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
 // recordingSlack bounds what a warm recording of lulesh allocates beside
-// its trace's columns: about 220 KiB today, while a single access chunk
-// holds 384 KiB.
+// its trace's columns: about 50 KiB today, with the run's pages and frames
+// recycled, while a single access chunk holds 384 KiB.
 const recordingSlack = 512 << 10
 
 // recordLulesh compiles lulesh for the VM.
@@ -92,6 +94,10 @@ func TestRecordingBytesPerEvent(t *testing.T) {
 	prog := recordLulesh(t)
 	gc := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gc)
+	// One P: sync.Pool hands an item back only to the P that pooled it
+	// or from its shared queue, so a goroutine moved to another P between
+	// runs would miss its own recycled items.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if _, err := prog.Run(interp.Config{Record: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,4 +115,63 @@ func TestRecordingBytesPerEvent(t *testing.T) {
 	if got > cols+recordingSlack {
 		t.Fatalf("warm lulesh recording allocates %d B, want <= %d column bytes + %d", got, cols, recordingSlack)
 	}
+}
+
+// TestResumeAllocs gates what a warm resumed run reuses: once a lulesh
+// program has run a set of injections resumed from its chain, running the
+// same set again takes every frame from its machine's frame pools and
+// every page from the page pool. The frame pools do not grow, and no run
+// allocates a page's worth of bytes beside its outputs: what is left is
+// the address-space fork, the result and the exception.
+func TestResumeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	prog := recordLulesh(t)
+	golden, err := prog.Run(interp.Config{Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := golden.Trace
+	cfg := interp.Config{MaxDynInstrs: 10 * golden.DynInstrs}
+	chain, err := snapshot.NewChain(prog, cfg, golden.DynInstrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps := chain.Checkpoints()
+	conv := &vm.Convergence{Golden: golden, Checkpoints: cps}
+	var targets []int64
+	for k := 0; k < len(cps); k += max(1, len(cps)/16) {
+		ev := cps[k].Event()
+		for trace.DefWidth(tr.Instr(ev)) == 0 {
+			ev++
+		}
+		targets = append(targets, ev)
+	}
+	gc := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gc)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pass := func(measure bool) {
+		for i, ev := range targets {
+			inj := &interp.Injection{Event: ev, Bit: i % trace.DefWidth(tr.Instr(ev))}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := vm.Resume(chain.Nearest(ev), vm.ResumeOptions{Injection: inj, Convergence: conv})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rest := int(after.TotalAlloc-before.TotalAlloc) - cap(res.Outputs)*int(unsafe.Sizeof(trace.Output{}))
+			if measure && rest >= mem.PageSize {
+				t.Errorf("warm resume at event %d allocates %d B beside its outputs, want < %d (no page)", ev, rest, mem.PageSize)
+			}
+		}
+	}
+	pass(false)
+	frames := vm.PooledFrames(prog)
+	pass(true)
+	if got := vm.PooledFrames(prog); got != frames {
+		t.Errorf("warm resumes grew the frame pools from %d to %d frames", frames, got)
+	}
+	t.Logf("%d resumes, %d pooled frames", len(targets), frames)
 }

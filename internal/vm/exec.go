@@ -32,10 +32,11 @@ type hook interface {
 // where one falls inside a block-leading phi group (which retires as one
 // dispatch), at the group's first event, never twice at one event. The
 // states are sorted by event, immutable and safe for concurrent Resume
-// calls; a capture costs O(frames + mapped-page pointers), page data
-// being shared copy-on-write. Record mode and injection are rejected:
-// checkpoints exist to skip re-executing the golden prefix, and faults
-// are injected at Resume.
+// calls; a capture costs O(live registers + mapped-page pointers), page
+// data being shared copy-on-write. Checkpoints builds the program's
+// liveness tables, which capture, Resume and the convergence check read.
+// Record mode and injection are rejected: checkpoints exist to skip
+// re-executing the golden prefix, and faults are injected at Resume.
 func (p *Program) Checkpoints(cfg interp.Config, stride int64) ([]*State, error) {
 	if cfg.Record {
 		return nil, fmt.Errorf("vm: Checkpoints does not support Record mode")
@@ -46,6 +47,7 @@ func (p *Program) Checkpoints(cfg interp.Config, stride int64) ([]*State, error)
 	if stride < 1 {
 		return nil, fmt.Errorf("vm: checkpoint stride %d, want at least 1", stride)
 	}
+	p.ensureLiveness()
 	m, err := p.start(cfg)
 	if err != nil {
 		return nil, err
@@ -56,8 +58,10 @@ func (p *Program) Checkpoints(cfg interp.Config, stride int64) ([]*State, error)
 	c.states = []*State{c.capture(m)}
 	m.hook, m.wake = c, c.stop-c.reach+1
 	m.run()
-	if m.fatal != nil {
-		return nil, m.fatal
+	err = m.fatal
+	m.release()
+	if err != nil {
+		return nil, err
 	}
 	return c.states, nil
 }
@@ -84,18 +88,30 @@ func (c *capturer) at(m *machine) bool {
 }
 
 // capture snapshots the machine, charging it the pages dirtied since the
-// previous capture.
+// previous capture. Of each frame it keeps the continuation and the
+// registers live at its pc: nothing else can affect a resumed run.
 func (c *capturer) capture(m *machine) *State {
 	dirty := m.as.DirtyPages()
+	n := 0
+	for _, fr := range m.stack {
+		n += len(fr.fc.live.at(fr.pc))
+	}
 	st := &State{
 		prog:    m.prog,
 		event:   m.dyn,
-		frames:  copyFrames(m.stack),
+		frames:  make([]frameState, len(m.stack)),
+		live:    make([]liveReg, 0, n),
 		as:      m.as.Fork(),
 		outputs: m.outputs[:len(m.outputs):len(m.outputs)],
 		globals: m.globals,
 		cfg:     m.cfg,
 		dirty:   dirty - c.dirty,
+	}
+	for i, fr := range m.stack {
+		st.frames[i] = frameState{cont: fr.cont, live: int32(len(st.live))}
+		for _, s := range fr.fc.live.at(fr.pc) {
+			st.live = append(st.live, liveReg{bits: fr.regs[s], def: fr.defs[s]})
+		}
 	}
 	c.dirty = dirty
 	return st
@@ -116,18 +132,35 @@ func dispatchCost(fr *vframe) int64 {
 }
 
 // State is a captured point of one execution of a Program: the call stack
-// with register files and pcs, emitted outputs, and a frozen COW fork of
-// the simulated address space (stack pointer, heap break, VMA-table
-// version history included). States are immutable; Resume forks them.
+// (each frame's continuation and the registers live at its pc), emitted
+// outputs, and a frozen COW fork of the simulated address space (stack
+// pointer, heap break, VMA-table version history included). States are
+// immutable; Resume forks them.
 type State struct {
-	prog    *Program
-	event   int64
-	frames  []*vframe
+	prog   *Program
+	event  int64
+	frames []frameState
+	// live holds, frame after frame, the register and def of each slot
+	// live at the frame's pc, in the order liveTab.at lists them.
+	live    []liveReg
 	as      *mem.AddressSpace
 	outputs []trace.Output
 	globals map[*ir.Global]uint64
 	cfg     interp.Config
 	dirty   int64
+}
+
+// frameState is one captured frame: its continuation, and where its live
+// registers start in State.live.
+type frameState struct {
+	cont
+	live int32
+}
+
+// liveReg is one captured live register: its bits and defining event.
+type liveReg struct {
+	bits uint64
+	def  int64
 }
 
 // Event returns the dynamic-event index the state was captured at: the
@@ -158,8 +191,8 @@ type ResumeOptions struct {
 // fault's effects are gone — a deterministic machine in a state with the
 // same live values produces an identical future — so the run splices the
 // golden tail (remaining outputs, exception, final event count) instead
-// of executing it. COW page sharing makes the comparison cost
-// proportional to the pages that diverged, not to total memory.
+// of executing it. COW page sharing makes the memory comparison a pointer
+// compare per mapped page plus a byte compare per page that diverged.
 type Convergence struct {
 	// Golden is the fault-free run of the same configuration.
 	Golden *interp.Result
@@ -180,7 +213,8 @@ type convState struct {
 // of it, on the program it was captured from. The run inherits the
 // capture-time configuration (layout, alignment, budget) and is
 // bit-identical to a from-scratch run with the same injection: same
-// outputs, exception, hang flag, and final event position.
+// outputs, exception, hang flag, and final event position. It runs on a
+// pooled machine, whose pooled frames take the state's frames.
 func Resume(st *State, opts ResumeOptions) (*interp.Result, error) {
 	if opts.Injection != nil && opts.Injection.Event < st.event {
 		return nil, fmt.Errorf("vm: injection event %d precedes snapshot event %d",
@@ -188,17 +222,32 @@ func Resume(st *State, opts ResumeOptions) (*interp.Result, error) {
 	}
 	cfg := st.cfg
 	cfg.Injection = opts.Injection
-	m := newMachine(st.prog, cfg, st.as.Fork(), st.globals)
-	m.stack = copyFrames(st.frames)
+	m := st.prog.machine(cfg, st.as.Fork(), st.globals)
+	for i := range st.frames {
+		f := &st.frames[i]
+		fr := m.takeFrame(f.fnIdx)
+		fr.cont = f.cont
+		live := st.live[f.live:]
+		for k, s := range fr.fc.live.at(f.pc) {
+			fr.regs[s], fr.defs[s] = live[k].bits, live[k].def
+		}
+		m.stack = append(m.stack, fr)
+	}
 	m.dyn, m.start = st.event, st.event
-	m.outputs = append([]trace.Output(nil), st.outputs...)
-	if c := opts.Convergence; c != nil && c.Golden != nil && !c.Golden.Hang {
+	c := opts.Convergence
+	if c != nil && c.Golden != nil {
+		m.outCap = len(c.Golden.Outputs)
+	}
+	if len(st.outputs) > 0 {
+		m.outputs = append(make([]trace.Output, 0, max(len(st.outputs), m.outCap)), st.outputs...)
+	}
+	if c != nil && c.Golden != nil && !c.Golden.Hang {
 		// A hung golden run has no final state to converge to: the faulty
 		// run's larger budget would run past the golden horizon.
-		st.prog.ensureLiveness()
 		cps := c.Checkpoints
 		cps = cps[sort.Search(len(cps), func(i int) bool { return cps[i].event >= st.event }):]
-		m.hook = &convState{golden: c.Golden, cps: cps}
+		m.conv = convState{golden: c.Golden, cps: cps}
+		m.hook = &m.conv
 		if m.inj == nil || m.inj.Applied {
 			m.wake = m.dyn
 		}
@@ -244,7 +293,7 @@ func (c *convState) at(m *machine) bool {
 	m.dyn = c.golden.DynInstrs
 	m.exc = c.golden.Exception
 	m.converged = true
-	m.stack = m.stack[:0]
+	m.dropStack()
 	return true
 }
 
@@ -257,58 +306,32 @@ func (m *machine) stateEqual(st *State) bool {
 		return false
 	}
 	for i := len(m.stack) - 1; i >= 0; i-- {
-		if !frameEqual(m.stack[i], st.frames[i]) {
+		if !frameEqual(m.stack[i], st, &st.frames[i]) {
 			return false
 		}
 	}
 	return m.as.Equal(st.as)
 }
 
-// frameEqual compares two frames' continuations and the locals and
-// parameters live at their pc (live.go); a dead slot is written before it
-// is read again, so it cannot change the future. A frame waiting on a call
-// also leaves out the call's result slot, which popFrame writes before the
-// frame resumes. The constant and global tail is fixed per program and
-// layout. The program's liveness tables must be built.
-func frameEqual(a, b *vframe) bool {
-	if a.fc != b.fc || a.pc != b.pc || a.prev != b.prev ||
-		a.base != b.base || a.savedSP != b.savedSP ||
-		a.callInstr != b.callInstr || a.callIdx != b.callIdx {
+// frameEqual compares a frame's continuation and the locals and
+// parameters live at its pc (live.go) with a captured frame of st; a dead
+// slot is written before it is read again, so it cannot change the
+// future. A frame waiting on a call also leaves out the call's result
+// slot, which popFrame writes before the frame resumes. The constant and
+// global tail is fixed per program and layout.
+func frameEqual(a *vframe, st *State, f *frameState) bool {
+	if a.cont != f.cont {
 		return false
 	}
 	ret := -1
 	if in := a.callInstr; in != nil && !in.Ty.IsVoid() {
 		ret = in.LocalID
 	}
-	for _, s := range a.fc.live.at(a.pc) {
-		if int(s) != ret && (a.regs[s] != b.regs[s] || a.defs[s] != b.defs[s]) {
+	live := st.live[f.live:]
+	for k, s := range a.fc.live.at(a.pc) {
+		if int(s) != ret && (a.regs[s] != live[k].bits || a.defs[s] != live[k].def) {
 			return false
 		}
 	}
 	return true
-}
-
-// copyFrames deep-copies a frame stack in four allocations whatever its
-// depth: the stack, the frames, and one backing array each for their
-// registers and defs.
-func copyFrames(stack []*vframe) []*vframe {
-	n := 0
-	for _, fr := range stack {
-		n += len(fr.regs)
-	}
-	frames := make([]vframe, len(stack))
-	regs := make([]uint64, 0, n)
-	defs := make([]int64, 0, n)
-	out := make([]*vframe, len(stack))
-	for i, fr := range stack {
-		cp := &frames[i]
-		*cp = *fr
-		lo := len(regs)
-		regs = append(regs, fr.regs...)
-		defs = append(defs, fr.defs...)
-		cp.regs = regs[lo:len(regs):len(regs)]
-		cp.defs = defs[lo:len(defs):len(defs)]
-		out[i] = cp
-	}
-	return out
 }

@@ -40,8 +40,9 @@ func (s liveSet) or(t liveSet) {
 }
 
 // ensureLiveness builds every function's liveness table once per program.
-// Only the convergence check reads them, so programs that never resume
-// with convergence (every analysis) never pay for them.
+// Checkpoints calls it: a capture keeps only the live registers, and the
+// convergence check compares only those, so programs that never
+// checkpoint (every analysis) never pay for the tables.
 func (p *Program) ensureLiveness() {
 	p.liveOnce.Do(func() {
 		for _, fc := range p.fns {

@@ -15,13 +15,9 @@ import (
 // register) and the subsequent NULL-page access faults.
 const heapCap = 1 << 31
 
-// vframe is one activation record: a flat register file (locals, params,
-// constants, globals) plus the continuation state the walker tracks.
-type vframe struct {
-	fc   *fnCode
-	regs []uint64
-	defs []int64
-
+// cont is a frame's continuation: everything about an activation but
+// its register file. A captured frame keeps it whole (exec.go).
+type cont struct {
 	base    uint64
 	savedSP uint64
 	pc      int32
@@ -33,9 +29,22 @@ type vframe struct {
 	fnIdx int32
 }
 
+// vframe is one activation record: a flat register file (locals, params,
+// constants, globals) plus the continuation state the walker tracks.
+type vframe struct {
+	cont
+	fc   *fnCode
+	regs []uint64
+	defs []int64
+}
+
 // machine executes compiled bytecode. It mirrors the walker's machine
 // field-for-field where the two must agree (dyn/executed counters,
 // exception/hang/fatal state, outputs, trace events).
+//
+// Machines are pooled per program (Program.machine, machine.release): a
+// run reuses the frames, fixed register tails, stack slice and phi scratch
+// of an earlier run instead of allocating them again.
 type machine struct {
 	prog    *Program
 	cfg     interp.Config
@@ -44,9 +53,10 @@ type machine struct {
 
 	// fixed caches, per function, the constant-pool + global-address
 	// tail of the register file; pool recycles frames so a call copies
-	// only arguments.
-	fixed [][]uint64
-	pool  [][]*vframe
+	// only arguments. Both hold global addresses for layout.
+	fixed  [][]uint64
+	pool   [][]*vframe
+	layout mem.Layout
 
 	stack []*vframe
 
@@ -67,6 +77,9 @@ type machine struct {
 	// rec records the run's trace; nil when the run does not record.
 	rec     *trace.Recorder
 	outputs []trace.Output
+	// outCap is the capacity outputs takes when the run emits its first
+	// output: the golden run's output count when the run knows it.
+	outCap int
 
 	exc       *interp.Exception
 	hang      bool
@@ -77,36 +90,62 @@ type machine struct {
 	// pays one compare per dispatch either way.
 	hook hook
 	wake int64
+	// conv is a resumed run's convergence cursor; hook points at it when
+	// the run checks convergence.
+	conv convState
 
 	phiVals []uint64
 	phiIdx  []int64
 }
 
-func newMachine(p *Program, cfg interp.Config, as *mem.AddressSpace, globals map[*ir.Global]uint64) *machine {
-	m := &machine{
-		prog:    p,
-		cfg:     cfg,
-		as:      as,
-		globals: globals,
-		fixed:   make([][]uint64, len(p.fns)),
-		pool:    make([][]*vframe, len(p.fns)),
-		max:     cfg.MaxDynInstrs,
-		inj:     cfg.Injection,
-		injAt:   -1,
-		wake:    math.MaxInt64,
+// machine takes a machine from the program's pool, or builds one, and
+// readies it for a run under cfg on as. A pooled machine keeps its frames,
+// fixed register tails, stack slice and phi scratch; when cfg's layout is
+// not the one its tails were built for, the tails are rebuilt, since
+// global addresses depend on the layout.
+func (p *Program) machine(cfg interp.Config, as *mem.AddressSpace, globals map[*ir.Global]uint64) *machine {
+	m, _ := p.machines.Get().(*machine)
+	if m == nil {
+		m = &machine{
+			prog:    p,
+			fixed:   make([][]uint64, len(p.fns)),
+			pool:    make([][]*vframe, len(p.fns)),
+			layout:  cfg.Layout,
+			phiVals: make([]uint64, p.maxPhi),
+			phiIdx:  make([]int64, p.maxPhi),
+		}
 	}
+	m.cfg, m.as, m.globals = cfg, as, globals
+	if cfg.Layout != m.layout {
+		m.layout = cfg.Layout
+		m.refill()
+	}
+	m.max, m.inj, m.injAt, m.wake = cfg.MaxDynInstrs, cfg.Injection, -1, math.MaxInt64
 	if m.inj != nil && !m.inj.Applied {
 		m.injAt = m.inj.Event
 	}
-	maxPhi := 0
-	for _, fc := range p.fns {
-		if fc.maxPhi > maxPhi {
-			maxPhi = fc.maxPhi
-		}
-	}
-	m.phiVals = make([]uint64, maxPhi)
-	m.phiIdx = make([]int64, maxPhi)
 	return m
+}
+
+// release ends the machine's run and returns it to its program's pool:
+// the frames left on the stack go back to the frame pools and the address
+// space gives back its pages. Everything else that ties the machine to
+// the run is dropped — hook and convergence cursor, address space,
+// globals, injection, outputs, exception — or the pool would keep a
+// finished campaign's checkpoints reachable.
+func (m *machine) release() {
+	m.dropStack()
+	m.as.Release()
+	*m = machine{
+		prog:    m.prog,
+		fixed:   m.fixed,
+		pool:    m.pool,
+		layout:  m.layout,
+		stack:   m.stack,
+		phiVals: m.phiVals,
+		phiIdx:  m.phiIdx,
+	}
+	m.prog.machines.Put(m)
 }
 
 // Run executes the program's entry function under cfg, producing a
@@ -120,7 +159,7 @@ func (p *Program) Run(cfg interp.Config) (*interp.Result, error) {
 	return m.finish()
 }
 
-// start builds a machine for cfg with the globals loaded and the entry
+// start readies a machine for cfg with the globals loaded and the entry
 // frame pushed.
 func (p *Program) start(cfg interp.Config) (*machine, error) {
 	cfg, entry, err := interp.Normalize(p.mod, cfg)
@@ -132,7 +171,7 @@ func (p *Program) start(cfg interp.Config) (*machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("interp: loading globals: %w", err)
 	}
-	m := newMachine(p, cfg, as, globals)
+	m := p.machine(cfg, as, globals)
 	if cfg.Record {
 		m.rec = trace.NewRecorder(p.mod)
 	}
@@ -140,7 +179,8 @@ func (p *Program) start(cfg interp.Config) (*machine, error) {
 	return m, nil
 }
 
-// finish assembles the Result exactly as the walker does.
+// finish assembles the Result exactly as the walker does, then releases
+// the machine.
 func (m *machine) finish() (*interp.Result, error) {
 	if !m.converged {
 		m.executed = m.dyn - m.start
@@ -160,7 +200,9 @@ func (m *machine) finish() (*interp.Result, error) {
 		}
 	}
 	m.flushObs()
-	return res, m.fatal
+	err := m.fatal
+	m.release()
+	return res, err
 }
 
 func (m *machine) raise(kind interp.ExcKind, in *ir.Instr, addr uint64, reason string) {
@@ -177,39 +219,56 @@ func (m *machine) raiseFatal(in *ir.Instr, format string, args ...any) {
 }
 
 // fixedFor returns the constant-pool + global-address values for fn,
-// building them once per machine (global addresses are layout-dependent).
+// building them once per machine and layout.
 func (m *machine) fixedFor(fnIdx int32) []uint64 {
 	if f := m.fixed[fnIdx]; f != nil {
 		return f
 	}
 	fc := m.prog.fns[fnIdx]
 	f := make([]uint64, len(fc.consts)+len(fc.globals))
-	copy(f, fc.consts)
-	for i, g := range fc.globals {
-		f[len(fc.consts)+i] = m.globals[g]
-	}
+	m.fillFixed(fc, f)
 	m.fixed[fnIdx] = f
 	return f
 }
 
-// newFrame builds a frame for fn with the fixed register tail populated.
-func (m *machine) newFrame(fnIdx int32) *vframe {
-	fc := m.prog.fns[fnIdx]
+// fillFixed writes fc's constants and global addresses into its tail f.
+func (m *machine) fillFixed(fc *fnCode, f []uint64) {
+	n := copy(f, fc.consts)
+	for i, g := range fc.globals {
+		f[n+i] = m.globals[g]
+	}
+}
+
+// refill rebuilds the tails built so far, and those of the pooled frames,
+// for the machine's globals.
+func (m *machine) refill() {
+	for fnIdx, f := range m.fixed {
+		if f == nil {
+			continue
+		}
+		fc := m.prog.fns[fnIdx]
+		m.fillFixed(fc, f)
+		for _, fr := range m.pool[fnIdx] {
+			copy(fr.regs[fc.constBase:], f)
+		}
+	}
+}
+
+// takeFrame returns a frame for fn with its fixed register tail in place:
+// a pooled one, whose locals and continuation hold what its last use left
+// there, or a new one.
+func (m *machine) takeFrame(fnIdx int32) *vframe {
 	if frs := m.pool[fnIdx]; len(frs) > 0 {
 		fr := frs[len(frs)-1]
 		m.pool[fnIdx] = frs[:len(frs)-1]
-		for i := 0; i < fc.nLocals; i++ {
-			fr.regs[i] = 0
-			fr.defs[i] = trace.NoDef
-		}
-		fr.callInstr, fr.callIdx, fr.prev = nil, 0, nil
 		return fr
 	}
+	fc := m.prog.fns[fnIdx]
 	fr := &vframe{
-		fc:    fc,
-		fnIdx: fnIdx,
-		regs:  make([]uint64, fc.nSlots),
-		defs:  make([]int64, fc.nSlots),
+		cont: cont{fnIdx: fnIdx},
+		fc:   fc,
+		regs: make([]uint64, fc.nSlots),
+		defs: make([]int64, fc.nSlots),
 	}
 	copy(fr.regs[fc.constBase:], m.fixedFor(fnIdx))
 	for i := range fr.defs {
@@ -222,6 +281,14 @@ func (m *machine) putFrame(fr *vframe) {
 	m.pool[fr.fnIdx] = append(m.pool[fr.fnIdx], fr)
 }
 
+// dropStack returns every frame on the stack to the frame pools.
+func (m *machine) dropStack() {
+	for _, fr := range m.stack {
+		m.putFrame(fr)
+	}
+	m.stack = m.stack[:0]
+}
+
 // pushFrame enters fn with arguments copied from the caller's slots.
 // Stack exhaustion raises SIGSEGV without pushing, like the walker.
 func (m *machine) pushFrame(fnIdx int32, caller *vframe, argSlots []uint16) {
@@ -232,7 +299,12 @@ func (m *machine) pushFrame(fnIdx int32, caller *vframe, argSlots []uint16) {
 		m.raise(interp.ExcSegFault, fc.entryInstr, m.as.SP()-fc.frameSize, "stack overflow")
 		return
 	}
-	fr := m.newFrame(fnIdx)
+	fr := m.takeFrame(fnIdx)
+	clear(fr.regs[:fc.nLocals])
+	for i := range fc.nLocals {
+		fr.defs[i] = trace.NoDef
+	}
+	fr.callInstr, fr.callIdx, fr.prev = nil, 0, nil
 	pb := fc.nLocals
 	for i, s := range argSlots {
 		fr.regs[pb+i] = caller.regs[s]
@@ -497,6 +569,9 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			}
 			continue
 		case vopOutput:
+			if m.outputs == nil {
+				m.outputs = make([]trace.Output, 0, m.outCap)
+			}
 			m.outputs = append(m.outputs, trace.Output{
 				EventIdx: idx,
 				Def:      defs[a],

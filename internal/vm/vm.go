@@ -215,13 +215,18 @@ var ErrUnsupported = errors.New("vm: unsupported")
 // benchmark's analysis replica (perfbench/analyze.go) still passes it.
 type Options struct{}
 
-// Program is a compiled module, immutable and safe for concurrent runs.
+// Program is a compiled module, immutable apart from its pool of
+// machines, and safe for concurrent runs.
 type Program struct {
 	mod   *ir.Module
 	fns   []*fnCode
 	fnIdx map[*ir.Function]int32
 
 	liveOnce sync.Once
+	// machines recycles machines between runs; maxPhi sizes their phi
+	// scratch.
+	machines sync.Pool
+	maxPhi   int
 
 	// CompileNanos is the wall time spent compiling; CodeBytes the
 	// bytecode footprint in bytes.
@@ -249,6 +254,7 @@ func Compile(m *ir.Module, opts Options) (*Program, error) {
 		}
 		p.fns[i] = fc
 		p.CodeBytes += int64(len(fc.code)) * 8
+		p.maxPhi = max(p.maxPhi, fc.maxPhi)
 	}
 	// Link: resolve callee functions to program indices.
 	for _, fc := range p.fns {

@@ -80,10 +80,19 @@ go test -race ./internal/obs/... \
 # including loads and stores over pages that collide in the page caches
 # and writes through cached pages after a fork, and Draw's pooled
 # generators against fresh sources by TestDrawMatchesFreshSource.
-echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB / i24 and i56 accesses at odd alignments / shared icmp and gep results, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds of MiniC and of IR, snapshot resumes, checkpoint placement and pinned lulesh chain stats, convergence liveness vs path search, snapshot runners, converged resumes vs scratch runs; mem fast path vs reference path incl. page-cache collisions and writes after fork; pooled vs fresh target draws)"
-go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialSavedTraces|FuzzDifferential|FuzzDifferentialIR|TestDifferentialResume|TestCheckpointsAtStridePoints|TestLivenessMatchesPathSearch' -count=1
-go test ./internal/mem/ -run 'TestFastPath' -count=1
-go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch|TestConvergedResumeMatchesScratch|TestLuleshSnapshotViewPinned|TestDrawMatchesFreshSource' -count=1
+# TestReleaseRecyclesOnlyUnsharedPages checks that a released fork gives
+# back only pages no other space holds, that its sibling still copies on
+# write, that refs counts the holders and that a recycled fresh page reads
+# zero. TestPooledRunsMatchFresh checks pooled machines, frames and pages:
+# a shuffled mix of scratch and resumed runs on one program, under two
+# alternating layouts, on the kernels and 20 random programs, equals the
+# same runs on freshly compiled programs. TestFinishedRunnerFreesChain
+# checks that the machine pool keeps no finished runner's checkpoints
+# alive through a collection.
+echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB / i24 and i56 accesses at odd alignments / shared icmp and gep results, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds of MiniC and of IR, snapshot resumes, checkpoint placement and pinned lulesh chain stats, convergence liveness vs path search, snapshot runners, converged resumes vs scratch runs; pooled vs fresh machines, frames and pages; finished runners free their chains; mem fast path vs reference path incl. page-cache collisions and writes after fork; released pages recycled only when unshared; pooled vs fresh target draws)"
+go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialSavedTraces|FuzzDifferential|FuzzDifferentialIR|TestDifferentialResume|TestCheckpointsAtStridePoints|TestLivenessMatchesPathSearch|TestPooledRunsMatchFresh' -count=1
+go test ./internal/mem/ -run 'TestFastPath|TestReleaseRecyclesOnlyUnsharedPages' -count=1
+go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch|TestConvergedResumeMatchesScratch|TestLuleshSnapshotViewPinned|TestDrawMatchesFreshSource|TestFinishedRunnerFreesChain' -count=1
 
 # The benchmark's selftest: every workload runs once at a small size and
 # its pinned digests and deterministic counts must match.
