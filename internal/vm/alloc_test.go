@@ -94,10 +94,6 @@ func TestRecordingBytesPerEvent(t *testing.T) {
 	prog := recordLulesh(t)
 	gc := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gc)
-	// One P: sync.Pool hands an item back only to the P that pooled it
-	// or from its shared queue, so a goroutine moved to another P between
-	// runs would miss its own recycled items.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if _, err := prog.Run(interp.Config{Record: true}); err != nil {
 		t.Fatal(err)
 	}

@@ -100,9 +100,9 @@ type machine struct {
 
 // machine takes a machine from the program's pool, or builds one, and
 // readies it for a run under cfg on as. A pooled machine keeps its frames,
-// fixed register tails, stack slice and phi scratch; when cfg's layout is
-// not the one its tails were built for, the tails are rebuilt, since
-// global addresses depend on the layout.
+// fixed register tails, stack slice and phi scratch; a run under another
+// layout than its last drops the tails and the pooled frames holding
+// them, since global addresses depend on the layout.
 func (p *Program) machine(cfg interp.Config, as *mem.AddressSpace, globals map[*ir.Global]uint64) *machine {
 	m, _ := p.machines.Get().(*machine)
 	if m == nil {
@@ -118,7 +118,8 @@ func (p *Program) machine(cfg interp.Config, as *mem.AddressSpace, globals map[*
 	m.cfg, m.as, m.globals = cfg, as, globals
 	if cfg.Layout != m.layout {
 		m.layout = cfg.Layout
-		m.refill()
+		clear(m.fixed)
+		clear(m.pool)
 	}
 	m.max, m.inj, m.injAt, m.wake = cfg.MaxDynInstrs, cfg.Injection, -1, math.MaxInt64
 	if m.inj != nil && !m.inj.Applied {
@@ -226,32 +227,12 @@ func (m *machine) fixedFor(fnIdx int32) []uint64 {
 	}
 	fc := m.prog.fns[fnIdx]
 	f := make([]uint64, len(fc.consts)+len(fc.globals))
-	m.fillFixed(fc, f)
+	copy(f, fc.consts)
+	for i, g := range fc.globals {
+		f[len(fc.consts)+i] = m.globals[g]
+	}
 	m.fixed[fnIdx] = f
 	return f
-}
-
-// fillFixed writes fc's constants and global addresses into its tail f.
-func (m *machine) fillFixed(fc *fnCode, f []uint64) {
-	n := copy(f, fc.consts)
-	for i, g := range fc.globals {
-		f[n+i] = m.globals[g]
-	}
-}
-
-// refill rebuilds the tails built so far, and those of the pooled frames,
-// for the machine's globals.
-func (m *machine) refill() {
-	for fnIdx, f := range m.fixed {
-		if f == nil {
-			continue
-		}
-		fc := m.prog.fns[fnIdx]
-		m.fillFixed(fc, f)
-		for _, fr := range m.pool[fnIdx] {
-			copy(fr.regs[fc.constBase:], f)
-		}
-	}
 }
 
 // takeFrame returns a frame for fn with its fixed register tail in place:
