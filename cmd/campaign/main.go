@@ -81,6 +81,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -103,6 +104,7 @@ import (
 	"repro/internal/epvf"
 	"repro/internal/fi"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/obs/alert"
@@ -177,14 +179,7 @@ func startObs(addr string, reg *obs.Registry, out io.Writer, register func(*obs.
 // runCampaign handles the module-bearing subcommands: plan, run, resume.
 func runCampaign(cmd string, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("campaign "+cmd, flag.ContinueOnError)
-	benchName := fs.String("bench", "", "built-in benchmark name")
-	srcPath := fs.String("src", "", "path to a MiniC source file (or .ll textual IR) instead")
-	scale := fs.Int("scale", 1, "benchmark input scale")
-	runs := fs.Int("runs", 3000, "total planned injections")
-	seed := fs.Int64("seed", 2016, "campaign seed")
-	jitterPages := fs.Uint64("jitter", 64, "ASLR jitter window in pages (0 = deterministic layout)")
-	shardSize := fs.Int("shard-size", campaign.DefaultShardSize, "runs per shard (checkpoint granularity)")
-	faultBits := fs.Int("fault-bits", 1, "bits flipped per injection")
+	pf := addPlanFlags(fs, "runs per shard (checkpoint granularity)")
 	logPath := fs.String("log", "", "JSONL result log (required for run/resume)")
 	workers := fs.Int("workers", runtime.NumCPU(), "injection worker goroutines")
 	epsilon := fs.Float64("epsilon", 0, "adaptive stop once crash & SDC ±95% CI <= epsilon (0 = fixed count)")
@@ -201,29 +196,7 @@ func runCampaign(cmd string, args []string, out io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	m, err := bench.Load(*benchName, *srcPath, *scale)
-	if err != nil {
-		return err
-	}
-	golden, err := epvf.Profile(m, interp.Config{})
-	if err != nil {
-		return fmt.Errorf("golden run: %w", err)
-	}
-	label := *benchName
-	if label == "" {
-		label = m.Name
-	}
-	plan, err := campaign.NewPlan(m, golden, campaign.PlanConfig{
-		Benchmark: label,
-		Runs:      *runs,
-		ShardSize: *shardSize,
-		FI: fi.Config{
-			Seed:         *seed,
-			JitterWindow: *jitterPages * mem.PageSize,
-			FaultBits:    *faultBits,
-		},
-	})
+	m, golden, plan, err := pf.plan()
 	if err != nil {
 		return err
 	}
@@ -318,7 +291,7 @@ func runCampaign(cmd string, args []string, out io.Writer) (err error) {
 			srv.Handle("/debug/flight", obs.FlightHandler(tracer))
 			mounted = dashboard.Mount(srv, dashboard.Config{
 				Registry:     reg,
-				Title:        fmt.Sprintf("campaign %s [%s]", plan.ID, label),
+				Title:        fmt.Sprintf("campaign %s [%s]", plan.ID, plan.Benchmark),
 				StallWindow:  *stallAfter,
 				PredictedSDC: predictedSDC,
 				Profiles:     profiles,
@@ -369,12 +342,26 @@ func runCampaign(cmd string, args []string, out io.Writer) (err error) {
 	if pub != nil {
 		if spans := pub.Spans(); len(spans) > 0 {
 			tracer.Ingest(spans...)
-			if err := campaign.AppendSpans(*logPath, spans); err != nil {
+			if err := appendSpans(*logPath, plan, spans); err != nil {
 				fmt.Fprintf(out, "campaign: persisting daemon spans: %v\n", err)
 			}
 		}
 	}
 	return nil
+}
+
+// appendSpans persists spans produced after the engine closed the log
+// (the daemon's fetch and publish hops).
+func appendSpans(path string, plan *campaign.Plan, spans []obs.SpanRecord) error {
+	l, _, err := campaign.OpenDurableLog(path, plan)
+	if err != nil {
+		return err
+	}
+	err = l.AppendSpans(spans)
+	if cerr := l.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // publishCampaign uploads a completed log (and the attribution
@@ -424,16 +411,16 @@ func runStatus(args []string, out io.Writer) error {
 	if path == "" {
 		return fmt.Errorf("status requires -log <path> or -addr <host:port>")
 	}
-	st, err := campaign.ReadStatus(path)
+	d, err := campaign.ReadLog(path)
 	if err != nil {
 		return err
 	}
 	if *asJSON {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		return enc.Encode(st.JSON())
+		return enc.Encode(d.JSON())
 	}
-	fmt.Fprint(out, st.Render())
+	fmt.Fprint(out, d.Render())
 	return nil
 }
 
@@ -449,11 +436,11 @@ func runMerge(args []string, out io.Writer) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("merge requires at least one input log")
 	}
-	st, err := campaign.MergeLogs(*outPath, fs.Args())
+	d, err := campaign.MergeLogs(*outPath, fs.Args())
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(out, st.Render())
+	fmt.Fprint(out, d.Render())
 	return nil
 }
 
@@ -462,14 +449,7 @@ func runMerge(args []string, out io.Writer) error {
 // merged result once every shard has been delivered.
 func runServe(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("campaign serve", flag.ContinueOnError)
-	benchName := fs.String("bench", "", "built-in benchmark name")
-	srcPath := fs.String("src", "", "path to a MiniC source file (or .ll textual IR) instead")
-	scale := fs.Int("scale", 1, "benchmark input scale")
-	runs := fs.Int("runs", 3000, "total planned injections")
-	seed := fs.Int64("seed", 2016, "campaign seed")
-	jitterPages := fs.Uint64("jitter", 64, "ASLR jitter window in pages (0 = deterministic layout)")
-	shardSize := fs.Int("shard-size", campaign.DefaultShardSize, "runs per shard (lease and checkpoint granularity)")
-	faultBits := fs.Int("fault-bits", 1, "bits flipped per injection")
+	pf := addPlanFlags(fs, "runs per shard (lease and checkpoint granularity)")
 	logPath := fs.String("log", "", "durable merged JSONL log (required; restart resumes from it)")
 	addr := fs.String("addr", ":8766", "listen address (coordinator /v1/*, /metrics, /healthz, /fleet, /attr, /dashboard — one server)")
 	leaseTTL := fs.Duration("lease-ttl", dist.DefaultLeaseTTL, "shard lease TTL (crashed workers' shards requeue after this)")
@@ -484,29 +464,7 @@ func runServe(args []string, out io.Writer) (err error) {
 	if *logPath == "" {
 		return fmt.Errorf("serve requires -log <path> (the durable merged log)")
 	}
-
-	m, err := bench.Load(*benchName, *srcPath, *scale)
-	if err != nil {
-		return err
-	}
-	golden, err := epvf.Profile(m, interp.Config{})
-	if err != nil {
-		return fmt.Errorf("golden run: %w", err)
-	}
-	label := *benchName
-	if label == "" {
-		label = m.Name
-	}
-	plan, err := campaign.NewPlan(m, golden, campaign.PlanConfig{
-		Benchmark: label,
-		Runs:      *runs,
-		ShardSize: *shardSize,
-		FI: fi.Config{
-			Seed:         *seed,
-			JitterWindow: *jitterPages * mem.PageSize,
-			FaultBits:    *faultBits,
-		},
-	})
+	_, golden, plan, err := pf.plan()
 	if err != nil {
 		return err
 	}
@@ -540,7 +498,7 @@ func runServe(args []string, out io.Writer) (err error) {
 	}
 	mounted := dashboard.Mount(srv, dashboard.Config{
 		Registry:     reg,
-		Title:        fmt.Sprintf("coordinator %s [%s]", plan.ID, label),
+		Title:        fmt.Sprintf("coordinator %s [%s]", plan.ID, plan.Benchmark),
 		StallWindow:  *stallAfter,
 		PredictedSDC: predictedSDC,
 		Profiles:     profiles,
@@ -613,9 +571,7 @@ func runServe(args []string, out io.Writer) (err error) {
 func runWork(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("campaign work", flag.ContinueOnError)
 	coordURL := fs.String("coordinator", "", "coordinator base URL, e.g. http://host:8766 (required)")
-	benchName := fs.String("bench", "", "built-in benchmark name")
-	srcPath := fs.String("src", "", "path to a MiniC source file (or .ll textual IR) instead")
-	scale := fs.Int("scale", 1, "benchmark input scale")
+	mf := addModuleFlags(fs, "built-in benchmark name")
 	workers := fs.Int("workers", runtime.NumCPU(), "injection worker goroutines per shard")
 	name := fs.String("name", "", "worker name in leases and fleet status (default: host-pid)")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics and /debug/pprof on this address while running")
@@ -628,14 +584,9 @@ func runWork(args []string, out io.Writer) (err error) {
 	if *coordURL == "" {
 		return fmt.Errorf("work requires -coordinator <url>")
 	}
-
-	m, err := bench.Load(*benchName, *srcPath, *scale)
+	m, golden, err := mf.load()
 	if err != nil {
 		return err
-	}
-	golden, err := epvf.Profile(m, interp.Config{})
-	if err != nil {
-		return fmt.Errorf("golden run: %w", err)
 	}
 	procName := *name
 	if procName == "" {
@@ -690,6 +641,74 @@ func runWork(args []string, out io.Writer) (err error) {
 	return w.Run(ctx)
 }
 
+// moduleFlags name the module a subcommand loads: a built-in benchmark
+// or a source file, at an input scale.
+type moduleFlags struct {
+	bench, src *string
+	scale      *int
+}
+
+func addModuleFlags(fs *flag.FlagSet, benchUsage string) moduleFlags {
+	return moduleFlags{
+		bench: fs.String("bench", "", benchUsage),
+		src:   fs.String("src", "", "path to a MiniC source file (or .ll textual IR) instead"),
+		scale: fs.Int("scale", 1, "benchmark input scale"),
+	}
+}
+
+// load loads the module and records its golden run.
+func (mf moduleFlags) load() (*ir.Module, *interp.Result, error) {
+	m, err := bench.Load(*mf.bench, *mf.src, *mf.scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	golden, err := epvf.Profile(m, interp.Config{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("golden run: %w", err)
+	}
+	return m, golden, nil
+}
+
+// planFlags add to the module flags the flags that shape a campaign
+// plan.
+type planFlags struct {
+	moduleFlags
+	runs, shardSize, faultBits *int
+	seed                       *int64
+	jitterPages                *uint64
+}
+
+func addPlanFlags(fs *flag.FlagSet, shardSizeUsage string) planFlags {
+	return planFlags{
+		moduleFlags: addModuleFlags(fs, "built-in benchmark name"),
+		runs:        fs.Int("runs", 3000, "total planned injections"),
+		seed:        fs.Int64("seed", 2016, "campaign seed"),
+		jitterPages: fs.Uint64("jitter", 64, "ASLR jitter window in pages (0 = deterministic layout)"),
+		shardSize:   fs.Int("shard-size", campaign.DefaultShardSize, shardSizeUsage),
+		faultBits:   fs.Int("fault-bits", 1, "bits flipped per injection"),
+	}
+}
+
+// plan loads the module, records its golden run and plans the campaign,
+// labelled with the benchmark name or else the module's name.
+func (pf planFlags) plan() (*ir.Module, *interp.Result, *campaign.Plan, error) {
+	m, golden, err := pf.load()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	plan, err := campaign.NewPlan(m, golden, campaign.PlanConfig{
+		Benchmark: cmp.Or(*pf.bench, m.Name),
+		Runs:      *pf.runs,
+		ShardSize: *pf.shardSize,
+		FI: fi.Config{
+			Seed:         *pf.seed,
+			JitterWindow: *pf.jitterPages * mem.PageSize,
+			FaultBits:    *pf.faultBits,
+		},
+	})
+	return m, golden, plan, err
+}
+
 // openProfileStore opens the content-addressed store alert firings
 // capture pprof bundles into (kind obs-profile-v1). An empty dir means
 // no capture: the dashboard still mounts, alerts still fire, but
@@ -718,9 +737,7 @@ func buildLedger(golden *interp.Result) (*attr.Ledger, *attr.Meta, float64) {
 func runAttr(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("campaign attr", flag.ContinueOnError)
 	logPath := fs.String("log", "", "JSONL result log (required)")
-	benchName := fs.String("bench", "", "built-in benchmark name (recomputes the ledger from the log's records)")
-	srcPath := fs.String("src", "", "path to a MiniC source file (or .ll textual IR) instead")
-	scale := fs.Int("scale", 1, "benchmark input scale")
+	mf := addModuleFlags(fs, "built-in benchmark name (recomputes the ledger from the log's records)")
 	topN := fs.Int("top", 20, "instructions to list in the misprediction ranking")
 	asJSON := fs.Bool("json", false, "emit the full report as JSON")
 	htmlPath := fs.String("html", "", "write a self-contained HTML report to this path")
@@ -734,19 +751,15 @@ func runAttr(args []string, out io.Writer) error {
 	var title string
 	switch {
 	case *logPath != "":
-		d, err := campaign.ReadLogData(*logPath)
+		d, err := campaign.ReadLog(*logPath)
 		if err != nil {
 			return err
 		}
 		snap = d.Attr
-		if *benchName != "" || *srcPath != "" {
-			m, err := bench.Load(*benchName, *srcPath, *scale)
+		if *mf.bench != "" || *mf.src != "" {
+			_, golden, err := mf.load()
 			if err != nil {
 				return err
-			}
-			golden, err := epvf.Profile(m, interp.Config{})
-			if err != nil {
-				return fmt.Errorf("golden run: %w", err)
 			}
 			if n := golden.Trace.NumEvents(); n != d.Plan.TraceEvents {
 				return fmt.Errorf("attr: golden trace has %d events, log plan %s expects %d — wrong module or scale",

@@ -62,7 +62,7 @@ func runTrace(args []string, out io.Writer) error {
 	if path == "" {
 		return fmt.Errorf("trace requires -log <path>")
 	}
-	d, err := campaign.ReadLogData(path)
+	d, err := campaign.ReadLog(path)
 	if err != nil {
 		return err
 	}

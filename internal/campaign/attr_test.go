@@ -16,7 +16,7 @@ func testLedger(t *testing.T, g *interp.Result) *attr.Ledger {
 }
 
 // TestLedgerSnapshotPersistsInLog: an engine run with a ledger appends
-// the snapshot at checkpoints; ReadLogData hands it back, and it matches
+// the snapshot at checkpoints; ReadLog hands it back, and it matches
 // both the live ledger and an exact recompute from the logged records.
 func TestLedgerSnapshotPersistsInLog(t *testing.T) {
 	g := golden(t, kernelSrc)
@@ -36,7 +36,7 @@ func TestLedgerSnapshotPersistsInLog(t *testing.T) {
 		t.Fatalf("ledger observed %d runs, want %d", want.Runs, plan.Runs)
 	}
 
-	d, err := ReadLogData(logPath)
+	d, err := ReadLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestLedgerResumeConverges(t *testing.T) {
 			got.Runs, got.Hash(), want.Runs, want.Hash())
 	}
 	// And the log's cached snapshot agrees with the resumed ledger.
-	d, err := ReadLogData(logPath)
+	d, err := ReadLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestMergeLogsDropsCachedSnapshots(t *testing.T) {
 	if _, err := MergeLogs(merged, []string{a, b}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReadLogData(merged)
+	d, err := ReadLog(merged)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,12 +159,12 @@ func TestInterruptedCampaignResumesBitwiseIdentical(t *testing.T) {
 	if first.Complete {
 		t.Fatal("interrupted campaign claims completion")
 	}
-	st, err := ReadStatus(logPath)
+	st, err := ReadLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Done != 47 {
-		t.Fatalf("log holds %d runs after interruption, want 47", st.Done)
+	if st.Done() != 47 {
+		t.Fatalf("log holds %d runs after interruption, want 47", st.Done())
 	}
 
 	resumed, err := Resume(context.Background(), g.Trace.Module, g, p, RunOptions{LogPath: logPath, Workers: 5})
@@ -342,8 +342,8 @@ func TestShardedProcessesMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Done != 100 || st.ShardsComplete != 5 {
-		t.Fatalf("merged status: %d runs, %d shards complete", st.Done, st.ShardsComplete)
+	if st.Done() != 100 || len(st.CompleteShards()) != 5 {
+		t.Fatalf("merged status: %d runs, %d shards complete", st.Done(), len(st.CompleteShards()))
 	}
 	// Resuming the merged log needs zero additional work and agrees with
 	// a monolithic campaign.
@@ -453,11 +453,11 @@ func TestMergeDedupesDuplicateShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Done != 100 || st.ShardsComplete != 5 {
-		t.Fatalf("overlapping merge double-counted: %d runs, %d shards", st.Done, st.ShardsComplete)
+	if st.Done() != 100 || len(st.CompleteShards()) != 5 {
+		t.Fatalf("overlapping merge double-counted: %d runs, %d shards", st.Done(), len(st.CompleteShards()))
 	}
-	for o, c := range st.Counts {
-		if c < 0 || int64(c) > st.Done {
+	for o, c := range st.counts() {
+		if c < 0 || int64(c) > st.Done() {
 			t.Fatalf("outcome %v count %d out of range", o, c)
 		}
 	}
@@ -485,7 +485,7 @@ func TestMergeReplacesOut(t *testing.T) {
 	}
 	holdsUnion := func(path string) {
 		t.Helper()
-		rp, err := readLog(path)
+		rp, err := ReadLog(path)
 		if err != nil {
 			t.Fatalf("reading %s back: %v", filepath.Base(path), err)
 		}
@@ -583,7 +583,7 @@ func TestStatusAndResultRender(t *testing.T) {
 	if !strings.Contains(buf.String(), "executed") {
 		t.Errorf("progress writer saw no summary: %q", buf.String())
 	}
-	st, err := ReadStatus(logPath)
+	st, err := ReadLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}

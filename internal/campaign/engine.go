@@ -165,17 +165,17 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 		plan:    plan,
 		records: make(map[int64]fi.Record),
 	}
-	var w *logWriter
+	var log *DurableLog
 	if opts.LogPath != "" {
-		var rp *replay
-		if w, rp, err = resumeLog(opts.LogPath, plan); err != nil {
+		var d *LogData
+		if log, d, err = OpenDurableLog(opts.LogPath, plan); err != nil {
 			return nil, err
 		}
-		defer w.close()
-		st.records = rp.Records
-		st.stopped = rp.Stopped
-		st.saved = rp.Saved
-		st.reason = rp.Reason
+		defer log.Close()
+		st.records = d.Records
+		st.stopped = d.Stopped
+		st.saved = d.Saved
+		st.reason = d.Reason
 	}
 	replayed := int64(len(st.records))
 	if opts.Ledger != nil {
@@ -232,19 +232,10 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 	// tracer, also when cancellation, the budget or an error return cuts
 	// the shard short: the tracer's recent spans then show where the
 	// campaign stopped. Only completed shards persist spans to the log.
-	var (
-		shardSpan *obs.Span
-		exemplars *Exemplars
-		spanShard int
-	)
+	var trace *ShardTrace
 	endShard := func() []obs.SpanRecord {
-		if shardSpan == nil {
-			return nil
-		}
-		rec := shardSpan.EndRecord()
-		spans := append([]obs.SpanRecord{rec}, exemplars.Spans(plan, spanShard, rec.Proc)...)
-		opts.Tracer.Ingest(spans[1:]...)
-		shardSpan, exemplars = nil, nil
+		spans := trace.End()
+		trace = nil
 		return spans
 	}
 	defer endShard()
@@ -276,22 +267,18 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 					budgetExhausted = true
 				}
 			}
-			if root != nil {
-				shardSpan = root.ChildExact(fmt.Sprintf("shard %d", si), ShardSpanID(plan.ID, si))
-				exemplars = new(Exemplars)
-				spanShard = si
-			}
+			trace = StartShardTrace(opts.Tracer, root, plan, si)
 			var n int64
 			err := runner.Run(ctx, missing, opts.Workers, func(i int64, rec fi.Record, t0 time.Time, dur time.Duration) error {
 				st.records[i] = rec
 				n++
-				if w != nil {
-					if err := w.append(runToLog(i, rec)); err != nil {
+				if log != nil {
+					if err := log.append(runLine(NewRunRec(i, rec))); err != nil {
 						return err
 					}
 				}
 				mon.record(rec, dur)
-				exemplars.Observe(i, rec, t0, dur)
+				trace.Observe(i, rec, t0, dur)
 				if opts.Ledger != nil {
 					opts.Ledger.Observe(rec)
 				}
@@ -308,16 +295,16 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 		}
 		if st.complete(si) {
 			mon.shardComplete()
-			if w != nil {
-				if err := w.append(logRecord{Kind: kindShardDone, Shard: si}); err != nil {
+			if log != nil {
+				if err := log.append(logRecord{Kind: kindShardDone, Shard: si}); err != nil {
 					return nil, err
 				}
 				if spans := endShard(); spans != nil {
-					if err := w.appendSpans(spans); err != nil {
+					if err := log.appendSpans(spans); err != nil {
 						return nil, err
 					}
 				}
-				if err := mon.timedCheckpoint(w); err != nil {
+				if err := mon.timedCheckpoint(log); err != nil {
 					return nil, err
 				}
 			}
@@ -330,37 +317,31 @@ func Run(ctx context.Context, m *ir.Module, golden *interp.Result, plan *Plan, o
 			break
 		}
 	}
-	if st.stopped && !loggedStop && w != nil {
-		if err := w.append(logRecord{Kind: kindStop, Done: st.stopN, Saved: st.saved, Reason: st.reason}); err != nil {
+	if st.stopped && !loggedStop && log != nil {
+		if err := log.append(logRecord{Kind: kindStop, Done: st.stopN, Saved: st.saved, Reason: st.reason}); err != nil {
 			return nil, err
 		}
-		if err := mon.timedCheckpoint(w); err != nil {
+		if err := mon.timedCheckpoint(log); err != nil {
 			return nil, err
 		}
 	}
-	if interrupted && w != nil {
+	if interrupted && log != nil {
 		// Make everything executed so far durable before handing back a
 		// resumable partial result.
-		if err := mon.timedCheckpoint(w); err != nil {
+		if err := mon.timedCheckpoint(log); err != nil {
 			return nil, err
 		}
 	}
 
-	if w != nil && opts.Ledger != nil {
-		if err := w.append(logRecord{Kind: kindAttr, Attr: opts.Ledger.Snapshot()}); err != nil {
-			return nil, err
-		}
-		if err := w.checkpoint(); err != nil {
+	if log != nil && opts.Ledger != nil {
+		if err := log.AppendAttr(opts.Ledger.Snapshot()); err != nil {
 			return nil, err
 		}
 	}
 	if root != nil {
 		rootRec := root.EndRecord()
-		if w != nil {
-			if err := w.appendSpans([]obs.SpanRecord{rootRec}); err != nil {
-				return nil, err
-			}
-			if err := w.checkpoint(); err != nil {
+		if log != nil {
+			if err := log.AppendSpans([]obs.SpanRecord{rootRec}); err != nil {
 				return nil, err
 			}
 		}

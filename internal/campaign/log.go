@@ -10,11 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"repro/internal/attr"
 	"repro/internal/fi"
-	"repro/internal/interp"
 	"repro/internal/obs"
 )
 
@@ -47,7 +45,8 @@ type logRecord struct {
 	Kind string `json:"kind"`
 	// header
 	Plan *Plan `json:"plan,omitempty"`
-	// run
+	// run: RunRec's fields, omitted when zero so run lines keep their
+	// pinned bytes; runLine and run convert.
 	Index   int64  `json:"index,omitempty"`
 	Event   int64  `json:"event,omitempty"`
 	Bit     int    `json:"bit,omitempty"`
@@ -66,28 +65,26 @@ type logRecord struct {
 	Spans []obs.SpanRecord `json:"spans,omitempty"`
 }
 
-func runToLog(index int64, rec fi.Record) logRecord {
+// runLine is the log record of one run.
+func runLine(r RunRec) logRecord {
 	return logRecord{
 		Kind:    kindRun,
-		Index:   index,
-		Event:   rec.Target.Event,
-		Bit:     rec.Target.Bit,
-		Mask:    rec.Target.Mask,
-		Outcome: int(rec.Outcome),
-		Exc:     int(rec.Exc),
+		Index:   r.Index,
+		Event:   r.Event,
+		Bit:     r.Bit,
+		Mask:    r.Mask,
+		Outcome: r.Outcome,
+		Exc:     r.Exc,
 	}
 }
 
-func (lr logRecord) fiRecord() fi.Record {
-	return fi.Record{
-		Target:  fi.Target{Event: lr.Event, Bit: lr.Bit, Mask: lr.Mask},
-		Outcome: fi.Outcome(lr.Outcome),
-		Exc:     interp.ExcKind(lr.Exc),
-	}
+// run returns a run line's fields.
+func (lr logRecord) run() RunRec {
+	return RunRec{Index: lr.Index, Event: lr.Event, Bit: lr.Bit, Mask: lr.Mask, Outcome: lr.Outcome, Exc: lr.Exc}
 }
 
-// maxLogLine bounds one log line, newline included. readLog cannot read
-// a longer line, so writers refuse to write one.
+// maxLogLine bounds one log line, newline included. ReadLog cannot read
+// a longer line, so DurableLog refuses to write one.
 const maxLogLine = 4 << 20
 
 // errLineTooLong marks a record whose line would exceed maxLogLine.
@@ -130,74 +127,76 @@ func CheckSpans(spans []obs.SpanRecord) error {
 	return nil
 }
 
-// logWriter appends records to a campaign log file. Writes are buffered;
-// Checkpoint flushes and fsyncs so completed shards survive a crash.
-type logWriter struct {
+// DurableLog is the one writer of campaign logs: the engine, the dist
+// coordinator, the merge and the CLIs all append through it. Appends are
+// buffered; a checkpoint flushes and fsyncs them, so what a checkpoint
+// covered survives a crash and the file is always a valid input to
+// ReadLog, `campaign resume` and `campaign merge`. The exported appends
+// checkpoint before they return.
+type DurableLog struct {
 	f   *os.File
 	buf *bufio.Writer
 	*lineEncoder
 }
 
-// resumeLog opens plan's log at path for appending and returns what it
-// already holds. An existing log must carry a compatible plan; an absent
-// one is created with the plan header and replays as empty.
-func resumeLog(path string, plan *Plan) (*logWriter, *replay, error) {
-	rp, err := readLog(path)
+// OpenDurableLog opens plan's log at path for appending and returns what
+// it already holds. An existing log must carry a compatible plan; an
+// absent one is created with the plan header and reads as empty.
+func OpenDurableLog(path string, plan *Plan) (*DurableLog, *LogData, error) {
+	d, err := ReadLog(path)
 	fresh := false
 	switch {
 	case err == nil:
-		if err := plan.Compatible(rp.Plan); err != nil {
+		if err := plan.Compatible(d.Plan); err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", path, err)
 		}
 	case os.IsNotExist(err):
 		fresh = true
-		rp = &replay{Plan: plan, Records: make(map[int64]fi.Record)}
+		d = newLogData(plan)
 	default:
 		return nil, nil, err
 	}
-	w, err := openLog(path, plan, fresh)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("campaign: opening log: %w", err)
+	}
+	if !fresh {
+		return newDurableLog(f), d, nil
+	}
+	l, err := startLog(f, plan)
 	if err != nil {
 		return nil, nil, err
 	}
-	return w, rp, nil
+	return l, d, nil
 }
 
-// openLog opens (creating if needed) a log for appending. When the file is
-// fresh, the plan header is written first; when it already has content,
-// the caller is expected to have replayed it and verified the plan.
-func openLog(path string, plan *Plan, fresh bool) (*logWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: opening log: %w", err)
-	}
-	return startLog(f, plan, fresh)
+func newDurableLog(f *os.File) *DurableLog {
+	return &DurableLog{f: f, buf: bufio.NewWriterSize(f, 1<<16), lineEncoder: newLineEncoder()}
 }
 
-// startLog wraps f in a log writer, writing and syncing the plan header
-// first when the log is fresh. It closes f when it fails.
-func startLog(f *os.File, plan *Plan, fresh bool) (*logWriter, error) {
-	w := &logWriter{f: f, buf: bufio.NewWriterSize(f, 1<<16), lineEncoder: newLineEncoder()}
-	if fresh {
-		if err := w.append(logRecord{Kind: kindHeader, Plan: plan}); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := w.checkpoint(); err != nil {
-			f.Close()
-			return nil, err
-		}
+// startLog starts a log in the empty file f: it writes and syncs the
+// plan header. It closes f when it fails.
+func startLog(f *os.File, plan *Plan) (*DurableLog, error) {
+	l := newDurableLog(f)
+	if err := l.append(logRecord{Kind: kindHeader, Plan: plan}); err != nil {
+		f.Close()
+		return nil, err
 	}
-	return w, nil
+	if err := l.checkpoint(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return l, nil
 }
 
 // append writes one record, or nothing when its line would exceed
 // maxLogLine.
-func (w *logWriter) append(rec logRecord) error {
-	line, err := w.encode(rec)
+func (l *DurableLog) append(rec logRecord) error {
+	line, err := l.encode(rec)
 	if err != nil {
 		return err
 	}
-	if _, err := w.buf.Write(line); err != nil {
+	if _, err := l.buf.Write(line); err != nil {
 		return fmt.Errorf("campaign: appending log record: %w", err)
 	}
 	return nil
@@ -207,25 +206,25 @@ func (w *logWriter) append(rec logRecord) error {
 // as halves, recursively. Readers dedup spans by ID, so the split is
 // invisible to them. A span too large for a line of its own refuses the
 // batch before anything is written.
-func (w *logWriter) appendSpans(spans []obs.SpanRecord) error {
-	err := w.append(logRecord{Kind: kindSpans, Spans: spans})
+func (l *DurableLog) appendSpans(spans []obs.SpanRecord) error {
+	err := l.append(logRecord{Kind: kindSpans, Spans: spans})
 	if !errors.Is(err, errLineTooLong) {
 		return err
 	}
 	if err := CheckSpans(spans); err != nil {
 		return err
 	}
-	return w.appendHalves(spans)
+	return l.appendHalves(spans)
 }
 
 // appendHalves writes spans, each of which fits a line alone, as two
 // halves, splitting further any half that does not fit.
-func (w *logWriter) appendHalves(spans []obs.SpanRecord) error {
+func (l *DurableLog) appendHalves(spans []obs.SpanRecord) error {
 	mid := len(spans) / 2
 	for _, half := range [][]obs.SpanRecord{spans[:mid], spans[mid:]} {
-		err := w.append(logRecord{Kind: kindSpans, Spans: half})
+		err := l.append(logRecord{Kind: kindSpans, Spans: half})
 		if errors.Is(err, errLineTooLong) {
-			err = w.appendHalves(half)
+			err = l.appendHalves(half)
 		}
 		if err != nil {
 			return err
@@ -235,64 +234,103 @@ func (w *logWriter) appendHalves(spans []obs.SpanRecord) error {
 }
 
 // checkpoint makes everything appended so far durable.
-func (w *logWriter) checkpoint() error {
-	if err := w.buf.Flush(); err != nil {
+func (l *DurableLog) checkpoint() error {
+	if err := l.buf.Flush(); err != nil {
 		return fmt.Errorf("campaign: flushing log: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("campaign: fsync log: %w", err)
 	}
 	return nil
 }
 
-func (w *logWriter) close() error {
-	if err := w.buf.Flush(); err != nil {
-		w.f.Close()
+// AppendShard durably records one completed shard: its run records, the
+// shard_done marker, and a checkpoint. After it returns, a crashed and
+// restarted reader replays the shard as done.
+func (l *DurableLog) AppendShard(shard int, recs []RunRec) error {
+	for _, r := range recs {
+		if err := l.append(runLine(r)); err != nil {
+			return err
+		}
+	}
+	if err := l.append(logRecord{Kind: kindShardDone, Shard: shard}); err != nil {
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
+	return l.checkpoint()
 }
 
-// replay is the parsed state of a campaign log.
-type replay struct {
+// AppendAttr durably records an attribution-ledger snapshot. The log may
+// carry several (one per checkpoint); replay keeps the last.
+func (l *DurableLog) AppendAttr(s *attr.Snapshot) error {
+	if s == nil {
+		return nil
+	}
+	if err := l.append(logRecord{Kind: kindAttr, Attr: s}); err != nil {
+		return err
+	}
+	return l.checkpoint()
+}
+
+// AppendSpans durably records a batch of trace spans (a shard's subtree,
+// a campaign root, a daemon's handling spans). Readers dedup by span ID,
+// so the caller only filters for economy, not correctness.
+func (l *DurableLog) AppendSpans(spans []obs.SpanRecord) error {
+	if len(spans) == 0 {
+		return nil
+	}
+	if err := l.appendSpans(spans); err != nil {
+		return err
+	}
+	return l.checkpoint()
+}
+
+// Close checkpoints and closes the log.
+func (l *DurableLog) Close() error {
+	if err := l.checkpoint(); err != nil {
+		l.f.Close()
+		return err
+	}
+	return l.f.Close()
+}
+
+// LogData is the parsed form of a campaign log: what resume, status,
+// merge, `campaign attr`, `campaign trace` and a restarted dist
+// coordinator read back.
+type LogData struct {
 	Plan *Plan
 	// Records maps run index to its result for every logged run.
 	Records map[int64]fi.Record
-	// ShardsDone marks shards with a durable completion checkpoint.
-	ShardsDone map[int]bool
 	// Stopped is set when the log carries an adaptive-stop decision.
 	Stopped bool
 	Saved   int64
 	Reason  string
-	// Attr is the last attribution snapshot in the log, if any.
+	// Attr is the last attribution snapshot in the log, nil when the
+	// campaign ran without a ledger.
 	Attr *attr.Snapshot
 	// Spans are the persisted trace spans, deduplicated by span ID in
-	// first-appearance order.
+	// first-appearance order; empty when the campaign ran untraced.
+	// `campaign trace` assembles them into cross-process trees.
 	Spans []obs.SpanRecord
-	// spanSeen backs the span dedup while scanning.
+	// spanSeen backs the span dedup.
 	spanSeen map[string]bool
 	// logged counts the distinct runs read so far per shard.
 	logged map[int]int64
 }
 
-// readLog parses a campaign log. A trailing partial line (torn write from
+func newLogData(plan *Plan) *LogData {
+	return &LogData{Plan: plan, Records: make(map[int64]fi.Record), logged: make(map[int]int64)}
+}
+
+// ReadLog parses a campaign log. A trailing partial line (torn write from
 // a crash) is tolerated and ignored; any other malformed content is an
 // error. Returns os.ErrNotExist when the file is absent.
-func readLog(path string) (*replay, error) {
+func ReadLog(path string) (*LogData, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	rp := &replay{
-		Records:    make(map[int64]fi.Record),
-		ShardsDone: make(map[int]bool),
-		logged:     make(map[int]int64),
-	}
+	d := newLogData(nil)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), maxLogLine)
 	line := 0
@@ -311,27 +349,28 @@ func readLog(path string) (*replay, error) {
 			}
 			break
 		}
-		if err := rp.check(rec); err != nil {
+		if err := d.check(rec); err != nil {
 			return nil, fmt.Errorf("campaign: %s:%d: %w", path, line, err)
 		}
 		switch rec.Kind {
 		case kindHeader:
-			rp.Plan = rec.Plan
+			d.Plan = rec.Plan
 		case kindRun:
-			if _, dup := rp.Records[rec.Index]; !dup {
-				rp.logged[int(rec.Index/rp.Plan.ShardSize)]++
+			if _, dup := d.Records[rec.Index]; !dup {
+				d.logged[int(rec.Index/d.Plan.ShardSize)]++
 			}
-			rp.Records[rec.Index] = rec.fiRecord()
+			d.Records[rec.Index] = rec.run().Record()
 		case kindShardDone:
-			rp.ShardsDone[rec.Shard] = true
+			// check has verified it; CompleteShards derives completion
+			// from the runs alone.
 		case kindStop:
-			rp.Stopped = true
-			rp.Saved = rec.Saved
-			rp.Reason = rec.Reason
+			d.Stopped = true
+			d.Saved = rec.Saved
+			d.Reason = rec.Reason
 		case kindAttr:
-			rp.Attr = rec.Attr
+			d.Attr = rec.Attr
 		case kindSpans:
-			rp.addSpans(rec.Spans)
+			d.addSpans(rec.Spans)
 		default:
 			return nil, fmt.Errorf("campaign: %s:%d: unknown record kind %q", path, line, rec.Kind)
 		}
@@ -339,21 +378,21 @@ func readLog(path string) (*replay, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("campaign: reading log %s: %w", path, err)
 	}
-	if rp.Plan == nil {
+	if d.Plan == nil {
 		return nil, fmt.Errorf("campaign: log %s has no plan header", path)
 	}
-	return rp, nil
+	return d, nil
 }
 
 // check rejects a parsed record that no campaign writes: a second or
 // empty header, a plan with no runs or shards or whose shard count
 // overflows, run or shard_done records before the header or outside its
 // plan's geometry and enums, and a shard_done ahead of any of its runs.
-func (rp *replay) check(rec logRecord) error {
+func (d *LogData) check(rec logRecord) error {
 	switch rec.Kind {
 	case kindHeader:
 		switch {
-		case rp.Plan != nil:
+		case d.Plan != nil:
 			return fmt.Errorf("duplicate header")
 		case rec.Plan == nil:
 			return fmt.Errorf("header carries no plan")
@@ -363,66 +402,30 @@ func (rp *replay) check(rec logRecord) error {
 			return fmt.Errorf("plan has %d runs in shards of %d, too many to count shards", rec.Plan.Runs, rec.Plan.ShardSize)
 		}
 	case kindRun:
-		if rp.Plan == nil {
+		if d.Plan == nil {
 			return fmt.Errorf("run record before the plan header")
 		}
-		return RunRec{Index: rec.Index, Outcome: rec.Outcome, Exc: rec.Exc}.Check(rp.Plan)
+		return rec.run().Check(d.Plan)
 	case kindShardDone:
 		switch {
-		case rp.Plan == nil:
+		case d.Plan == nil:
 			return fmt.Errorf("shard_done record before the plan header")
-		case rec.Shard < 0 || rec.Shard >= rp.Plan.NumShards():
-			return fmt.Errorf("shard %d outside [0, %d)", rec.Shard, rp.Plan.NumShards())
+		case rec.Shard < 0 || rec.Shard >= d.Plan.NumShards():
+			return fmt.Errorf("shard %d outside [0, %d)", rec.Shard, d.Plan.NumShards())
 		}
-		if lo, hi := rp.Plan.ShardRange(rec.Shard); rp.logged[rec.Shard] != hi-lo {
-			return fmt.Errorf("shard_done %d after %d of its %d runs", rec.Shard, rp.logged[rec.Shard], hi-lo)
+		if lo, hi := d.Plan.ShardRange(rec.Shard); d.logged[rec.Shard] != hi-lo {
+			return fmt.Errorf("shard_done %d after %d of its %d runs", rec.Shard, d.logged[rec.Shard], hi-lo)
 		}
 	}
 	return nil
 }
 
-// LogData is the exported view of a parsed campaign log, for tools (like
-// `campaign attr`) that consume logs outside the engine.
-type LogData struct {
-	Plan *Plan
-	// Records maps run index to its result for every logged run.
-	Records map[int64]fi.Record
-	// Attr is the last persisted attribution snapshot, nil when the
-	// campaign ran without a ledger.
-	Attr *attr.Snapshot
-	// Spans are the persisted trace spans (deduplicated), empty when the
-	// campaign ran untraced. `campaign trace` assembles them into
-	// cross-process trees.
-	Spans   []obs.SpanRecord
-	Stopped bool
-	Saved   int64
-	Reason  string
-}
-
-// ReadLogData parses a campaign log into its exported form.
-func ReadLogData(path string) (*LogData, error) {
-	rp, err := readLog(path)
-	if err != nil {
-		return nil, err
-	}
-	return &LogData{
-		Plan:    rp.Plan,
-		Records: rp.Records,
-		Attr:    rp.Attr,
-		Spans:   rp.Spans,
-		Stopped: rp.Stopped,
-		Saved:   rp.Saved,
-		Reason:  rp.Reason,
-	}, nil
-}
+// Done returns the number of distinct logged runs.
+func (d *LogData) Done() int64 { return int64(len(d.Records)) }
 
 // SortedRecords returns the log's records in run-index order.
 func (d *LogData) SortedRecords() []fi.Record {
-	idxs := make([]int64, 0, len(d.Records))
-	for i := range d.Records {
-		idxs = append(idxs, i)
-	}
-	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
+	idxs := d.sortedIndices()
 	out := make([]fi.Record, 0, len(idxs))
 	for _, i := range idxs {
 		out = append(out, d.Records[i])
@@ -430,24 +433,32 @@ func (d *LogData) SortedRecords() []fi.Record {
 	return out
 }
 
-// addSpans folds a span batch into the replay, deduplicating by
-// (trace, span) ID — first occurrence wins, so a requeued shard's
-// re-shipped subtree or a resumed campaign's re-emitted deterministic
-// root changes nothing.
-func (rp *replay) addSpans(spans []obs.SpanRecord) {
-	if rp.spanSeen == nil {
-		rp.spanSeen = make(map[string]bool)
+func (d *LogData) sortedIndices() []int64 {
+	idxs := make([]int64, 0, len(d.Records))
+	for i := range d.Records {
+		idxs = append(idxs, i)
+	}
+	slices.Sort(idxs)
+	return idxs
+}
+
+// addSpans folds a span batch in, deduplicating by (trace, span) ID —
+// first occurrence wins, so a requeued shard's re-shipped subtree or a
+// resumed campaign's re-emitted deterministic root changes nothing.
+func (d *LogData) addSpans(spans []obs.SpanRecord) {
+	if d.spanSeen == nil {
+		d.spanSeen = make(map[string]bool)
 	}
 	for _, sp := range spans {
 		if sp.SpanID == "" {
 			continue
 		}
 		key := sp.TraceID + "/" + sp.SpanID
-		if rp.spanSeen[key] {
+		if d.spanSeen[key] {
 			continue
 		}
-		rp.spanSeen[key] = true
-		rp.Spans = append(rp.Spans, sp)
+		d.spanSeen[key] = true
+		d.Spans = append(d.Spans, sp)
 	}
 }
 
@@ -457,14 +468,14 @@ func moreData(sc *bufio.Scanner) bool {
 	return sc.Scan()
 }
 
-// completeShards returns, in ascending order, the shards whose every run
-// is among the records; readLog has checked that each shard_done shard is
+// CompleteShards returns, in ascending order, the shards whose every run
+// is among the records; ReadLog has checked that each shard_done shard is
 // one of them. It visits only the shards the records name, so its cost
 // follows the log, not the plan's run count.
-func (rp *replay) completeShards() []int {
-	p := rp.Plan
+func (d *LogData) CompleteShards() []int {
+	p := d.Plan
 	logged := make(map[int]int64)
-	for idx := range rp.Records {
+	for idx := range d.Records {
 		logged[int(idx/p.ShardSize)]++
 	}
 	var out []int
@@ -484,7 +495,7 @@ func (rp *replay) completeShards() []int {
 // tallying: complete shards by their content hash (ShardHash), loose runs
 // by index. A duplicate whose content *differs* is rejected loudly, since
 // identical plans must produce identical records; silent double-counting
-// is impossible either way. Returns the merged status.
+// is impossible either way. Returns the merged log as read back.
 //
 // The merged log is written to a temporary file beside out, synced, and
 // renamed over out only once complete, so out may already exist or be
@@ -494,33 +505,33 @@ func (rp *replay) completeShards() []int {
 // input logs may cover overlapping record sets, and a cached ledger says
 // nothing about which records produced it — `campaign attr` recomputes
 // the ledger from the merged run records, which is always exact.
-func MergeLogs(out string, inputs []string) (*Status, error) {
+func MergeLogs(out string, inputs []string) (*LogData, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("campaign: merge needs at least one input log")
 	}
 	var plan *Plan
 	// merged accumulates the union; addSpans dedups spans across inputs.
-	merged := &replay{Records: make(map[int64]fi.Record)}
+	merged := newLogData(nil)
 	records := merged.Records
 	recordSrc := make(map[int64]string)
 	shardHashes := make(map[int]string)
 	shardSrc := make(map[int]string)
 	for _, in := range inputs {
-		rp, err := readLog(in)
+		d, err := ReadLog(in)
 		if err != nil {
 			return nil, err
 		}
 		if plan == nil {
-			plan = rp.Plan
-		} else if err := plan.Compatible(rp.Plan); err != nil {
+			plan = d.Plan
+		} else if err := plan.Compatible(d.Plan); err != nil {
 			return nil, fmt.Errorf("%s: %w", in, err)
 		}
 		// Complete shards dedupe wholesale by content hash.
-		for _, s := range rp.completeShards() {
+		for _, s := range d.CompleteShards() {
 			lo, hi := plan.ShardRange(s)
 			recs := make([]RunRec, 0, hi-lo)
 			for idx := lo; idx < hi; idx++ {
-				recs = append(recs, NewRunRec(idx, rp.Records[idx]))
+				recs = append(recs, NewRunRec(idx, d.Records[idx]))
 			}
 			h := ShardHash(plan.ID, s, recs)
 			if prev, ok := shardHashes[s]; ok {
@@ -533,7 +544,7 @@ func MergeLogs(out string, inputs []string) (*Status, error) {
 			shardHashes[s] = h
 			shardSrc[s] = in
 		}
-		for idx, rec := range rp.Records {
+		for idx, rec := range d.Records {
 			if old, ok := records[idx]; ok {
 				if old != rec {
 					return nil, fmt.Errorf("campaign: merge conflict: run %d differs between %s and %s (plan %s)",
@@ -544,12 +555,12 @@ func MergeLogs(out string, inputs []string) (*Status, error) {
 			records[idx] = rec
 			recordSrc[idx] = in
 		}
-		if rp.Stopped {
+		if d.Stopped {
 			merged.Stopped = true
-			merged.Saved = rp.Saved
-			merged.Reason = rp.Reason
+			merged.Saved = d.Saved
+			merged.Reason = d.Reason
 		}
-		merged.addSpans(rp.Spans)
+		merged.addSpans(d.Spans)
 	}
 	merged.Plan = plan
 	f, err := os.CreateTemp(filepath.Dir(out), filepath.Base(out)+".tmp-")
@@ -557,12 +568,12 @@ func MergeLogs(out string, inputs []string) (*Status, error) {
 		return nil, fmt.Errorf("campaign: merge: %w", err)
 	}
 	defer os.Remove(f.Name()) // fails harmlessly once renamed over out
-	w, err := startLog(f, plan, true)
+	l, err := startLog(f, plan)
 	if err != nil {
 		return nil, err
 	}
-	err = merged.writeTo(w)
-	if cerr := w.close(); err == nil {
+	err = merged.writeTo(l)
+	if cerr := l.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
@@ -571,35 +582,30 @@ func MergeLogs(out string, inputs []string) (*Status, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ReadStatus(out)
+	return ReadLog(out)
 }
 
 // writeTo appends a merge's body to a log whose header is written: the
 // runs in index order, the complete shards, the stop decision if any
 // input carried one, and the deduplicated spans.
-func (rp *replay) writeTo(w *logWriter) error {
-	idxs := make([]int64, 0, len(rp.Records))
-	for idx := range rp.Records {
-		idxs = append(idxs, idx)
-	}
-	slices.Sort(idxs)
-	for _, idx := range idxs {
-		if err := w.append(runToLog(idx, rp.Records[idx])); err != nil {
+func (d *LogData) writeTo(l *DurableLog) error {
+	for _, idx := range d.sortedIndices() {
+		if err := l.append(runLine(NewRunRec(idx, d.Records[idx]))); err != nil {
 			return err
 		}
 	}
-	for _, s := range rp.completeShards() {
-		if err := w.append(logRecord{Kind: kindShardDone, Shard: s}); err != nil {
+	for _, s := range d.CompleteShards() {
+		if err := l.append(logRecord{Kind: kindShardDone, Shard: s}); err != nil {
 			return err
 		}
 	}
-	if rp.Stopped {
-		if err := w.append(logRecord{Kind: kindStop, Done: int64(len(rp.Records)), Saved: rp.Saved, Reason: rp.Reason}); err != nil {
+	if d.Stopped {
+		if err := l.append(logRecord{Kind: kindStop, Done: d.Done(), Saved: d.Saved, Reason: d.Reason}); err != nil {
 			return err
 		}
 	}
-	if len(rp.Spans) > 0 {
-		return w.appendSpans(rp.Spans)
+	if len(d.Spans) > 0 {
+		return l.appendSpans(d.Spans)
 	}
 	return nil
 }

@@ -74,10 +74,10 @@ func corrupt(tb testing.TB, data []byte, c logCorruption) ([]byte, int) {
 	return nil, 0
 }
 
-// TestReadLogRejectsCorruption: each corruption fails readLog with an
-// error naming the rewritten line, and the status and merge paths — which
-// once divided by a zero shard size — return that error instead of
-// panicking.
+// TestReadLogRejectsCorruption: each corruption fails ReadLog — which
+// `campaign status` reads through — with an error naming the rewritten
+// line, and merge, which once divided by a zero shard size, returns that
+// error instead of panicking.
 func TestReadLogRejectsCorruption(t *testing.T) {
 	base := realLog(t)
 	dir := t.TempDir()
@@ -88,15 +88,12 @@ func TestReadLogRejectsCorruption(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := readLog(path)
+			_, err := ReadLog(path)
 			if err == nil {
 				t.Fatal("corrupt log accepted")
 			}
 			if at := fmt.Sprintf("%s:%d: ", path, line); !strings.Contains(err.Error(), at) || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %q, want %q at %q", err, c.want, at)
-			}
-			if _, err := ReadStatus(path); err == nil {
-				t.Error("status accepted the corrupt log")
 			}
 			if _, err := MergeLogs(filepath.Join(t.TempDir(), "m.jsonl"), []string{path}); err == nil {
 				t.Error("merge accepted the corrupt log")
@@ -129,7 +126,7 @@ func TestReadLogRejectsMisorderedRecords(t *testing.T) {
 		if err := os.WriteFile(path, []byte(c.log), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := readLog(path); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := ReadLog(path); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
 		}
 	}
@@ -141,33 +138,33 @@ func TestReadLogRejectsMisorderedRecords(t *testing.T) {
 func TestStatusAndMergeFollowTheLog(t *testing.T) {
 	dir := t.TempDir()
 	base := realLog(t)
-	want, err := ReadStatus(writeLog(t, dir, "real.jsonl", base))
+	want, err := ReadLog(writeLog(t, dir, "real.jsonl", base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	data, _ := corrupt(t, base, logCorruption{"huge plan", kindHeader, func(r *logRecord) { r.Plan.Runs = 1e18 }, ""})
 	path := writeLog(t, dir, "huge.jsonl", data)
-	got, err := ReadStatus(path)
+	got, err := ReadLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Done != want.Done || got.ShardsComplete != want.ShardsComplete {
+	if got.Done() != want.Done() || len(got.CompleteShards()) != len(want.CompleteShards()) {
 		t.Fatalf("status of the huge plan: %d runs, %d shards complete; want %d and %d",
-			got.Done, got.ShardsComplete, want.Done, want.ShardsComplete)
+			got.Done(), len(got.CompleteShards()), want.Done(), len(want.CompleteShards()))
 	}
 	merged, err := MergeLogs(filepath.Join(dir, "merged.jsonl"), []string{path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Done != want.Done || merged.ShardsComplete != want.ShardsComplete {
+	if merged.Done() != want.Done() || len(merged.CompleteShards()) != len(want.CompleteShards()) {
 		t.Fatalf("merge of the huge plan: %d runs, %d shards complete; want %d and %d",
-			merged.Done, merged.ShardsComplete, want.Done, want.ShardsComplete)
+			merged.Done(), len(merged.CompleteShards()), want.Done(), len(want.CompleteShards()))
 	}
 }
 
 // TestLogLineLimitSharedByWriterAndReader: a record whose line is exactly
 // maxLogLine bytes is written and reads back; one byte more is refused
-// with nothing written, and AppendSpans splits a batch of that size into
+// with nothing written, and DurableLog.AppendSpans splits a batch of that size into
 // records that fit.
 func TestLogLineLimitSharedByWriterAndReader(t *testing.T) {
 	path := writeLog(t, t.TempDir(), "limit.jsonl", realLog(t))
@@ -181,7 +178,7 @@ func TestLogLineLimitSharedByWriterAndReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	fits := span(strings.Repeat("x", maxLogLine-len(base)))
-	if err := AppendSpans(path, []obs.SpanRecord{fits}); err != nil {
+	if err := appendSpans(t, path, []obs.SpanRecord{fits}); err != nil {
 		t.Fatalf("line of exactly %d bytes: %v", maxLogLine, err)
 	}
 	before, err := os.ReadFile(path)
@@ -189,7 +186,7 @@ func TestLogLineLimitSharedByWriterAndReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	tooLong := span(strings.Repeat("x", maxLogLine-len(base)+1))
-	if err := AppendSpans(path, []obs.SpanRecord{span("small"), tooLong}); !errors.Is(err, errLineTooLong) {
+	if err := appendSpans(t, path, []obs.SpanRecord{span("small"), tooLong}); !errors.Is(err, errLineTooLong) {
 		t.Fatalf("line of %d bytes: err = %v, want errLineTooLong", maxLogLine+1, err)
 	}
 	after, err := os.ReadFile(path)
@@ -202,10 +199,10 @@ func TestLogLineLimitSharedByWriterAndReader(t *testing.T) {
 	// Two spans that fit alone but not together land in two records.
 	half := maxLogLine/2 + 1
 	pair := []obs.SpanRecord{span(strings.Repeat("a", half)), span(strings.Repeat("b", half+1))}
-	if err := AppendSpans(path, pair); err != nil {
+	if err := appendSpans(t, path, pair); err != nil {
 		t.Fatal(err)
 	}
-	rp, err := readLog(path)
+	rp, err := ReadLog(path)
 	if err != nil {
 		t.Fatalf("reading the log back: %v", err)
 	}
@@ -220,6 +217,22 @@ func TestLogLineLimitSharedByWriterAndReader(t *testing.T) {
 	}
 }
 
+// appendSpans appends spans to the log at path through a DurableLog
+// opened with the log's own plan.
+func appendSpans(tb testing.TB, path string, spans []obs.SpanRecord) error {
+	tb.Helper()
+	d, err := ReadLog(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l, _, err := OpenDurableLog(path, d.Plan)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer l.Close()
+	return l.AppendSpans(spans)
+}
+
 // writeLog writes data as the log name in dir and returns its path.
 func writeLog(tb testing.TB, dir, name string, data []byte) string {
 	tb.Helper()
@@ -230,7 +243,7 @@ func writeLog(tb testing.TB, dir, name string, data []byte) string {
 	return path
 }
 
-// FuzzReadLog: no input panics readLog, and every log it accepts is
+// FuzzReadLog: no input panics ReadLog, and every log it accepts is
 // consistent with its own plan — the guarantee the status, merge and
 // resume paths build on. Status and merge then run on it, and the merged
 // log reads back with the same runs and complete shards.
@@ -247,7 +260,7 @@ func FuzzReadLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := writeLog(t, dir, "log.jsonl", data)
-		rp, err := readLog(path)
+		rp, err := ReadLog(path)
 		if err != nil {
 			if errors.Is(err, os.ErrNotExist) {
 				t.Fatal(err)
@@ -263,26 +276,33 @@ func FuzzReadLog(f *testing.F) {
 				t.Fatalf("accepted run %d: %+v", idx, rec)
 			}
 		}
-		for s := range rp.ShardsDone {
+		complete := map[int]bool{}
+		for _, s := range rp.CompleteShards() {
 			if s < 0 || s >= p.NumShards() {
-				t.Fatalf("accepted shard_done %d of %d", s, p.NumShards())
+				t.Fatalf("complete shard %d of %d", s, p.NumShards())
+			}
+			for lo, hi := p.ShardRange(s); lo < hi; lo++ {
+				if _, ok := rp.Records[lo]; !ok {
+					t.Fatalf("shard %d counted complete without run %d", s, lo)
+				}
+			}
+			complete[s] = true
+		}
+		// Every shard_done line ReadLog accepted names a complete shard.
+		for _, ln := range strings.Split(string(data), "\n") {
+			var rec logRecord
+			if json.Unmarshal([]byte(ln), &rec) == nil && rec.Kind == kindShardDone && !complete[rec.Shard] {
+				t.Fatalf("accepted shard_done %d of a shard that is not complete", rec.Shard)
 			}
 		}
-		st, err := ReadStatus(path)
-		if err != nil {
-			t.Fatalf("status of an accepted log: %v", err)
-		}
-		if st.Done != int64(len(rp.Records)) || st.ShardsComplete < len(rp.ShardsDone) {
-			t.Fatalf("status counts %d runs and %d complete shards of a log with %d runs and %d shard_done",
-				st.Done, st.ShardsComplete, len(rp.Records), len(rp.ShardsDone))
-		}
+		_, _ = rp.Render(), rp.JSON() // `campaign status` of the log
 		merged, err := MergeLogs(filepath.Join(dir, "merged.jsonl"), []string{path})
 		if err != nil {
 			t.Fatalf("merge of an accepted log: %v", err)
 		}
-		if merged.Done != st.Done || merged.ShardsComplete != st.ShardsComplete {
+		if merged.Done() != rp.Done() || len(merged.CompleteShards()) != len(complete) {
 			t.Fatalf("merged log has %d runs and %d complete shards, want %d and %d",
-				merged.Done, merged.ShardsComplete, st.Done, st.ShardsComplete)
+				merged.Done(), len(merged.CompleteShards()), rp.Done(), len(complete))
 		}
 	})
 }

@@ -233,9 +233,9 @@ func (m *Monitor) stop(saved int64, reason string) {
 }
 
 // timedCheckpoint runs a log checkpoint under the fsync-latency histogram.
-func (m *Monitor) timedCheckpoint(w *logWriter) error {
+func (m *Monitor) timedCheckpoint(l *DurableLog) error {
 	t0 := m.now()
-	err := w.checkpoint()
+	err := l.checkpoint()
 	m.reg.Histogram("epvf_campaign_checkpoint_sync_seconds", nil, "id", m.planID()).
 		Observe(m.now().Sub(t0).Seconds())
 	return err

@@ -183,7 +183,7 @@ func TestMonitorStatusMatchesLogStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ReadStatus(logPath)
+	st, err := ReadLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/attr"
 	"repro/internal/content"
 	"repro/internal/fi"
 	"repro/internal/interp"
-	"repro/internal/obs"
 )
 
 // RunRec is the wire- and log-level form of one run's result: the same
@@ -77,85 +75,6 @@ func ShardHash(planID string, shard int, recs []RunRec) string {
 	}
 	return h.Sum()
 }
-
-// LogState is the replayed content of a campaign log: what a restarted
-// coordinator needs to rebuild its merge state and lease table.
-type LogState struct {
-	// Records maps run index to its logged result.
-	Records map[int64]fi.Record
-	// ShardsDone marks shards whose every index is present.
-	ShardsDone map[int]bool
-	// Spans are the replayed trace spans (deduplicated by span ID) — a
-	// restarted coordinator uses them to keep rejecting duplicate span
-	// subtrees from requeued shards.
-	Spans []obs.SpanRecord
-}
-
-// DurableLog is the coordinator-side handle on a standard campaign log:
-// whole shards are appended atomically (runs, then the shard_done marker,
-// then an fsync checkpoint), so the file is always a valid input to
-// `campaign status`, `campaign merge` and `campaign resume`.
-type DurableLog struct {
-	w    *logWriter
-	plan *Plan
-}
-
-// OpenDurableLog opens (or resumes) the merged result log for a plan and
-// returns the replayed state. An existing log must carry the same plan.
-func OpenDurableLog(path string, plan *Plan) (*DurableLog, *LogState, error) {
-	w, rp, err := resumeLog(path, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	st := &LogState{Records: rp.Records, ShardsDone: make(map[int]bool), Spans: rp.Spans}
-	for _, i := range rp.completeShards() {
-		st.ShardsDone[i] = true
-	}
-	return &DurableLog{w: w, plan: plan}, st, nil
-}
-
-// AppendShard durably records one completed shard: its run records, the
-// shard_done marker, and an fsync checkpoint. After it returns, a crashed
-// and restarted coordinator will replay the shard as done.
-func (l *DurableLog) AppendShard(shard int, recs []RunRec) error {
-	for _, r := range recs {
-		if err := l.w.append(runToLog(r.Index, r.Record())); err != nil {
-			return err
-		}
-	}
-	if err := l.w.append(logRecord{Kind: kindShardDone, Shard: shard}); err != nil {
-		return err
-	}
-	return l.w.checkpoint()
-}
-
-// AppendAttr durably records an attribution-ledger snapshot. The log may
-// carry several (one per checkpoint); replay keeps the last.
-func (l *DurableLog) AppendAttr(s *attr.Snapshot) error {
-	if s == nil {
-		return nil
-	}
-	if err := l.w.append(logRecord{Kind: kindAttr, Attr: s}); err != nil {
-		return err
-	}
-	return l.w.checkpoint()
-}
-
-// AppendSpans durably records a batch of trace spans (a worker's shipped
-// shard subtree, the coordinator's own merge spans). Readers dedup by
-// span ID, so the caller only filters for economy, not correctness.
-func (l *DurableLog) AppendSpans(spans []obs.SpanRecord) error {
-	if len(spans) == 0 {
-		return nil
-	}
-	if err := l.w.appendSpans(spans); err != nil {
-		return err
-	}
-	return l.w.checkpoint()
-}
-
-// Close flushes and closes the log.
-func (l *DurableLog) Close() error { return l.w.close() }
 
 // Assemble builds a campaign Result from an externally collected record
 // set (the dist coordinator's merge), using the same tallying path as the

@@ -46,17 +46,16 @@ func InjectionSpanID(planID string, index int64) string {
 // exemplar spans, besides the first injection of each crash class.
 const exemplarSlowest = 4
 
-// Exemplars picks a shard's notable injections — the exemplarSlowest
+// exemplarSet picks a shard's notable injections — the exemplarSlowest
 // slowest plus the first of each crash class — for the exemplar spans
 // that ship with its results. It is bounded by construction (one entry
-// per distinct crash class). The zero value is ready to use; Observe on
-// a nil *Exemplars no-ops, so untraced shards pay one nil check per run.
-type Exemplars struct {
+// per distinct crash class). The zero value is ready to use.
+type exemplarSet struct {
 	slowest []exemplar // descending wall
 	classes []exemplar // first of each crash class, first-seen order
 }
 
-// exemplar is one completed injection an Exemplars retains.
+// exemplar is one completed injection an exemplarSet retains.
 type exemplar struct {
 	index int64
 	rec   fi.Record
@@ -64,11 +63,8 @@ type exemplar struct {
 	wall  time.Duration
 }
 
-// Observe feeds one completed injection.
-func (s *Exemplars) Observe(index int64, rec fi.Record, start time.Time, wall time.Duration) {
-	if s == nil {
-		return
-	}
+// observe feeds one completed injection.
+func (s *exemplarSet) observe(index int64, rec fi.Record, start time.Time, wall time.Duration) {
 	e := exemplar{index, rec, start, wall}
 	if i := sort.Search(len(s.slowest), func(i int) bool { return s.slowest[i].wall < wall }); i < exemplarSlowest {
 		s.slowest = slices.Insert(s.slowest, i, e)[:min(len(s.slowest)+1, exemplarSlowest)]
@@ -78,15 +74,10 @@ func (s *Exemplars) Observe(index int64, rec fi.Record, start time.Time, wall ti
 	}
 }
 
-// Spans renders the notable injections, by index, as spans parented
+// spans renders the notable injections, by index, as spans parented
 // under the shard span, with deterministic IDs and names such as
-// "run 17 (crash/segmentation fault)". Both the in-process engine and
-// dist workers use it, so single-process and distributed logs carry
-// identically-shaped trees.
-func (s *Exemplars) Spans(plan *Plan, shard int, proc string) []obs.SpanRecord {
-	if s == nil {
-		return nil
-	}
+// "run 17 (crash/segmentation fault)".
+func (s *exemplarSet) spans(plan *Plan, shard int, proc string) []obs.SpanRecord {
 	notable := slices.Concat(s.slowest, s.classes)
 	slices.SortFunc(notable, func(a, b exemplar) int { return cmp.Compare(a.index, b.index) })
 	notable = slices.CompactFunc(notable, func(a, b exemplar) bool { return a.index == b.index })
@@ -112,24 +103,62 @@ func (s *Exemplars) Spans(plan *Plan, shard int, proc string) []obs.SpanRecord {
 	return out
 }
 
-// AppendSpans appends one span batch to an existing campaign log and
-// checkpoints it — how CLIs persist spans produced after the engine has
-// closed the log (e.g. the daemon publish hop). Readers dedup by span
-// ID, so overlapping batches are harmless.
-func AppendSpans(path string, spans []obs.SpanRecord) error {
-	if len(spans) == 0 {
+// ShardTrace traces one executed shard: its span, with the plan's
+// deterministic identity, and its exemplar injections. The in-process
+// engine and dist workers both trace shards through it, so their spans
+// carry the same IDs and names. Methods on a nil *ShardTrace no-op, so
+// an untraced shard pays one nil check per run.
+type ShardTrace struct {
+	tracer    *obs.Tracer
+	span      *obs.Span
+	exemplars exemplarSet
+	plan      *Plan
+	shard     int
+}
+
+// StartShardTrace opens shard's span on tr: a child of root when the
+// caller holds the campaign root span, else a span parented to the
+// plan's deterministic root context. It returns nil when tr is nil.
+func StartShardTrace(tr *obs.Tracer, root *obs.Span, plan *Plan, shard int) *ShardTrace {
+	if tr == nil {
 		return nil
 	}
-	if _, err := readLog(path); err != nil {
-		return fmt.Errorf("campaign: appending spans: %w", err)
+	name, id := fmt.Sprintf("shard %d", shard), ShardSpanID(plan.ID, shard)
+	var span *obs.Span
+	if root != nil {
+		span = root.ChildExact(name, id)
+	} else {
+		ctx := TraceContext(plan.ID)
+		span = tr.StartExact(name, obs.SpanContext{TraceID: ctx.TraceID, SpanID: id}, ctx.SpanID)
 	}
-	w, err := openLog(path, nil, false)
-	if err != nil {
-		return err
+	return &ShardTrace{tracer: tr, span: span, plan: plan, shard: shard}
+}
+
+// Context returns the shard span's identity, zero for a nil trace.
+func (t *ShardTrace) Context() obs.SpanContext {
+	if t == nil {
+		return obs.SpanContext{}
 	}
-	if err := w.appendSpans(spans); err != nil {
-		w.close()
-		return err
+	return t.span.Context()
+}
+
+// Observe feeds one completed injection to the exemplar picker.
+func (t *ShardTrace) Observe(index int64, rec fi.Record, start time.Time, wall time.Duration) {
+	if t == nil {
+		return
 	}
-	return w.close()
+	t.exemplars.observe(index, rec, start, wall)
+}
+
+// End closes the shard span, ingests its exemplar spans into the tracer
+// and returns the shard's subtree: the shard span, then its exemplars.
+// A nil trace returns nil.
+func (t *ShardTrace) End() []obs.SpanRecord {
+	if t == nil {
+		return nil
+	}
+	rec := t.span.EndRecord()
+	spans := append([]obs.SpanRecord{rec}, t.exemplars.spans(t.plan, t.shard, rec.Proc)...)
+	t.tracer.Ingest(spans[1:]...)
+	return spans
 }

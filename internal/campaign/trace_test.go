@@ -47,7 +47,7 @@ func TestCutShortShardKeepsExemplarSpans(t *testing.T) {
 	if !res.Interrupted || res.Executed <= 20 || res.Executed >= 40 {
 		t.Fatalf("interrupted=%v after %d runs; want a cut inside shard 1", res.Interrupted, res.Executed)
 	}
-	d, err := ReadLogData(logPath)
+	d, err := ReadLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}

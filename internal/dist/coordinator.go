@@ -113,7 +113,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		doneCh:  make(chan struct{}),
 	}
 	if cfg.LogPath != "" {
-		log, st, err := campaign.OpenDurableLog(cfg.LogPath, cfg.Plan)
+		log, d, err := campaign.OpenDurableLog(cfg.LogPath, cfg.Plan)
 		if err != nil {
 			return nil, err
 		}
@@ -121,16 +121,16 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		// Replayed spans keep the dedup set restart-safe: a worker
 		// redelivering a subtree the previous coordinator incarnation
 		// already logged is dropped as a duplicate, not logged twice.
-		for _, sp := range st.Spans {
+		for _, sp := range d.Spans {
 			if sp.SpanID != "" {
 				c.spanIDs[sp.TraceID+"/"+sp.SpanID] = true
 			}
 		}
-		for shard := range st.ShardsDone {
+		for _, shard := range d.CompleteShards() {
 			lo, hi := cfg.Plan.ShardRange(shard)
 			recs := make([]campaign.RunRec, 0, hi-lo)
 			for idx := lo; idx < hi; idx++ {
-				rec := st.Records[idx]
+				rec := d.Records[idx]
 				c.records[idx] = rec
 				recs = append(recs, campaign.NewRunRec(idx, rec))
 			}

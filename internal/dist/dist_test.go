@@ -191,12 +191,12 @@ func TestDistributedCampaignSurvivesWorkerCrash(t *testing.T) {
 	}
 
 	// The durable log is a standard campaign log: status and merge work.
-	logStatus, err := campaign.ReadStatus(logPath)
+	logStatus, err := campaign.ReadLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if logStatus.Done != plan.Runs || logStatus.ShardsComplete != plan.NumShards() {
-		t.Errorf("durable log incomplete: %d runs, %d shards", logStatus.Done, logStatus.ShardsComplete)
+	if logStatus.Done() != plan.Runs || len(logStatus.CompleteShards()) != plan.NumShards() {
+		t.Errorf("durable log incomplete: %d runs, %d shards", logStatus.Done(), len(logStatus.CompleteShards()))
 	}
 
 	// Fleet metrics made it into the registry.
@@ -856,7 +856,7 @@ func TestTraceSurvivesRequeueAndRedelivery(t *testing.T) {
 	// The durable log carries each span exactly once: one connected tree,
 	// no orphans, both processes, and deterministic shard/merge spans
 	// despite requeue and redelivery.
-	d, err := campaign.ReadLogData(logPath)
+	d, err := campaign.ReadLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1000,7 +1000,7 @@ func TestLargeSpanBatchKeepsLogReadable(t *testing.T) {
 		t.Fatalf("restart on the log: %v", err)
 	}
 	defer second.Shutdown(context.Background())
-	d, err := campaign.ReadLogData(logPath)
+	d, err := campaign.ReadLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}

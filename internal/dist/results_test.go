@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/attr"
@@ -132,12 +133,12 @@ func FuzzResultsBody(f *testing.F) {
 		if !accepted {
 			return
 		}
-		log, st, err := campaign.OpenDurableLog(logPath, plan)
+		log, d, err := campaign.OpenDurableLog(logPath, plan)
 		if err != nil {
 			t.Fatalf("log of an accepted delivery does not reopen: %v", err)
 		}
 		defer log.Close()
-		if !st.ShardsDone[shard] {
+		if !slices.Contains(d.CompleteShards(), shard) {
 			t.Fatalf("accepted shard %d is not done in the reopened log", shard)
 		}
 	})

@@ -233,16 +233,9 @@ func (w *Worker) executeShard(ctx context.Context, lease LeaseResponse) (bool, e
 	// previous worker already shipped — the coordinator dedups it like a
 	// redelivered record. Outgoing requests (heartbeats, the delivery)
 	// propagate it via the Traceparent header while it is open.
-	var span *obs.Span
-	var exemplars *campaign.Exemplars
-	if w.cfg.Tracer != nil {
-		root := campaign.TraceContext(w.plan.ID)
-		sctx := obs.SpanContext{TraceID: root.TraceID, SpanID: campaign.ShardSpanID(w.plan.ID, lease.Shard)}
-		span = w.cfg.Tracer.StartExact(fmt.Sprintf("shard %d", lease.Shard), sctx, root.SpanID)
-		w.traceCtx = sctx
-		exemplars = new(campaign.Exemplars)
-		defer func() { w.traceCtx = obs.SpanContext{} }()
-	}
+	trace := campaign.StartShardTrace(w.cfg.Tracer, nil, w.plan, lease.Shard)
+	w.traceCtx = trace.Context()
+	defer func() { w.traceCtx = obs.SpanContext{} }()
 
 	stop := make(chan struct{})
 	beatDone := make(chan struct{})
@@ -263,7 +256,7 @@ func (w *Worker) executeShard(ctx context.Context, lease LeaseResponse) (bool, e
 	// set needs no lock.
 	_ = w.runner.Run(context.WithoutCancel(ctx), idxs, w.cfg.Workers, func(index int64, rec fi.Record, start time.Time, wall time.Duration) error {
 		records[index-lease.Lo] = rec
-		exemplars.Observe(index, rec, start, wall)
+		trace.Observe(index, rec, start, wall)
 		if w.cfg.Registry != nil {
 			w.cfg.Registry.Histogram("epvf_injection_latency_seconds", obs.LatencyBuckets,
 				"id", w.plan.ID, "stage", "dist", "outcome", rec.Outcome.String()).Observe(wall.Seconds())
@@ -275,12 +268,7 @@ func (w *Worker) executeShard(ctx context.Context, lease LeaseResponse) (bool, e
 	// The shard span ends with its execution; its exemplar spans join the
 	// worker's own tracer as well as the subtree shipped to the
 	// coordinator.
-	var subtree []obs.SpanRecord
-	if span != nil {
-		rec := span.EndRecord()
-		subtree = append([]obs.SpanRecord{rec}, exemplars.Spans(w.plan, lease.Shard, rec.Proc)...)
-		w.cfg.Tracer.Ingest(subtree[1:]...)
-	}
+	subtree := trace.End()
 
 	recs := make([]campaign.RunRec, len(records))
 	for i, rec := range records {

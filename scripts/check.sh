@@ -94,6 +94,17 @@ go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|T
 go test ./internal/mem/ -run 'TestFastPath|TestReleaseRecyclesOnlyUnsharedPages' -count=1
 go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch|TestConvergedResumeMatchesScratch|TestLuleshSnapshotViewPinned|TestDrawMatchesFreshSource|TestFinishedRunnerFreesChain' -count=1
 
+# The durable campaign log. TestLogBytesPinned pins the SHA-256 of a
+# one-worker log (header, run, shard_done, stop and attr records) and of
+# the merge of two shard logs, so a change to what DurableLog, the one
+# writer, puts in a file fails here. FuzzReadLog's seeds (a real log, a
+# torn one, a 1e18-run header and each corruption) run ReadLog, status
+# and merge; FuzzResultsBody's seeds deliver shard bodies to a dist
+# coordinator and reopen its log.
+echo "== campaign log smoke (pinned log and merge bytes; ReadLog, status and merge fuzz seeds; coordinator delivery fuzz seeds)"
+go test ./internal/campaign/ -run 'TestLogBytesPinned|FuzzReadLog' -count=1
+go test ./internal/dist/ -run 'FuzzResultsBody' -count=1
+
 # The benchmark's selftest: every workload runs once at a small size and
 # its pinned digests and deterministic counts must match.
 echo "== perfbench selftest"
