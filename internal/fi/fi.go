@@ -228,8 +228,22 @@ func (s *Sampler) SampleMulti(rng *rand.Rand, k int) (Target, bool) {
 	if k > width {
 		k = width
 	}
+	// rng.Perm(width)[:k], shuffled in place: the same Intn calls in the
+	// same order, without allocating the permutation.
+	var buf [64]int
+	perm := buf[:]
+	if width > len(buf) {
+		// An array-typed register wider than a word.
+		perm = make([]int, width)
+	}
+	perm = perm[:width]
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
 	mask := uint64(0)
-	for _, b := range rng.Perm(width)[:k] {
+	for _, b := range perm[:k] {
 		mask |= 1 << uint(b)
 	}
 	tgt.Mask = mask
@@ -398,10 +412,10 @@ func (r *Runner) SnapshotView() *snapshot.View {
 	return &v
 }
 
-// rngs recycles the generators Draw seeds: a fresh source costs a ~5 KB
-// allocation, and Seed leaves a generator in exactly the state
-// rand.NewSource would.
-var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngs recycles the generators Draw seeds. Their jumpSource draws what
+// rand.NewSource would, and seeds in O(1) where math/rand's source steps
+// its seeding generator about 1,840 times.
+var rngs = sync.Pool{New: func() any { return rand.New(new(jumpSource)) }}
 
 // Draw deterministically derives run index's target and memory layout.
 func (r *Runner) Draw(index int64) (Target, mem.Layout) {

@@ -3,6 +3,7 @@ package fi
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"strings"
@@ -476,11 +477,18 @@ func TestRunTargetEnginesAgree(t *testing.T) {
 	}
 }
 
-// freshDraw is Draw on a generator of its own, the reference the pooled
-// generators must match.
+// freshDraw is Draw on a generator of its own, the reference Draw must
+// match: a fresh rand.NewSource per run, and the multi-bit mask taken from
+// rng.Perm as SampleMulti's in-place shuffle must reproduce.
 func freshDraw(r *Runner, index int64) (Target, mem.Layout) {
 	rng := rand.New(rand.NewSource(TargetSeed(r.cfg.Seed, index)))
-	tgt, _ := r.sampler.SampleMulti(rng, r.cfg.FaultBits)
+	tgt, _ := r.sampler.Sample(rng)
+	if k := r.cfg.FaultBits; k > 1 {
+		width := r.sampler.tr.Instr(tgt.Event).Type().BitWidth()
+		for _, b := range rng.Perm(width)[:min(k, width)] {
+			tgt.Mask |= 1 << uint(b)
+		}
+	}
 	layout := mem.DefaultLayout()
 	if r.cfg.JitterWindow > 0 {
 		layout = layout.Jitter(rng, r.cfg.JitterWindow)
@@ -488,40 +496,114 @@ func freshDraw(r *Runner, index int64) (Target, mem.Layout) {
 	return tgt, layout
 }
 
-// TestDrawMatchesFreshSource checks that Draw's pooled, re-seeded
-// generators draw exactly what a fresh rand.NewSource per run draws, with
-// and without jitter, for single- and multi-bit faults, while 4
-// goroutines share the pool.
+// sourceSeeds are seeds where math/rand's seed reduction has edges: zero
+// and the multiples of 2³¹−1 (which it replaces with a fixed seed),
+// negative seeds, the extremes of int64 and large seeds.
+var sourceSeeds = []int64{
+	0, 1, -1, lehmerMod, -lehmerMod, 2 * lehmerMod, -3 * lehmerMod, lehmerMod * lehmerMod,
+	lehmerMod - 1, lehmerMod + 1, lehmerZero, math.MinInt64, math.MaxInt64,
+	1 << 40, -(1 << 62) + 12345, 2016, 7,
+}
+
+// TestJumpSourceMatchesMathRand checks that jumpSource's stream is
+// rand.NewSource's, value for value, for 2,000 values per seed (past the
+// 273 it computes by jumping ahead, so the fallback runs too), through
+// Uint64 and Int63, on the edge seeds, 200 random seeds and run seeds
+// TargetSeed derives. One source serves every seed, so reseeding a source
+// that took the fallback is covered as well.
+func TestJumpSourceMatchesMathRand(t *testing.T) {
+	seeds := append([]int64(nil), sourceSeeds...)
+	pick := rand.New(rand.NewSource(1))
+	for i := range 200 {
+		seeds = append(seeds, pick.Int63()-pick.Int63(), TargetSeed(2016, int64(i)))
+	}
+	var js jumpSource
+	for _, seed := range seeds {
+		js.Seed(seed)
+		ref := rand.NewSource(seed).(rand.Source64)
+		for k := range 2000 {
+			var got, want uint64
+			if k%3 == 2 {
+				got, want = uint64(js.Int63()), uint64(ref.Int63())
+			} else {
+				got, want = js.Uint64(), ref.Uint64()
+			}
+			if got != want {
+				t.Fatalf("seed %d, value %d: jumpSource %#x, rand.NewSource %#x", seed, k, got, want)
+			}
+		}
+	}
+}
+
+// TestDrawMatchesFreshSource checks that Draw draws exactly what a fresh
+// rand.NewSource per run draws, for campaign seeds at the source's edges,
+// for 1-, 2-, 3-, 8- and 64-bit faults, with and without jitter, while 4
+// goroutines share Draw's generators.
 func TestDrawMatchesFreshSource(t *testing.T) {
 	g := golden(t, kernelSrc)
-	for _, jitter := range []uint64{0, 64 * mem.PageSize} {
-		for _, bits := range []int{1, 2} {
-			cfg := Config{Seed: 2016, JitterWindow: jitter, FaultBits: bits, Engine: EngineWalker}
-			r, err := NewRunner(g.Trace.Module, g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const n, workers = 4096, 4
-			errs := make(chan error, workers)
-			for w := range workers {
-				go func() {
-					for i := int64(w); i < n; i += workers {
-						gt, gl := r.Draw(i)
-						wt, wl := freshDraw(r, i)
-						if gt != wt || gl != wl {
-							errs <- fmt.Errorf("jitter %d, bits %d, index %d: Draw = %+v %+v, fresh source %+v %+v",
-								jitter, bits, i, gt, gl, wt, wl)
-							return
-						}
-					}
-					errs <- nil
-				}()
-			}
-			for range workers {
-				if err := <-errs; err != nil {
+	for _, seed := range sourceSeeds {
+		for _, jitter := range []uint64{0, 64 * mem.PageSize} {
+			for _, bits := range []int{1, 2, 3, 8, 64} {
+				cfg := Config{Seed: seed, JitterWindow: jitter, FaultBits: bits, Engine: EngineWalker}
+				r, err := NewRunner(g.Trace.Module, g, cfg)
+				if err != nil {
 					t.Fatal(err)
+				}
+				const n, workers = 256, 4
+				errs := make(chan error, workers)
+				for w := range workers {
+					go func() {
+						for i := int64(w); i < n; i += workers {
+							gt, gl := r.Draw(i)
+							wt, wl := freshDraw(r, i)
+							if gt != wt || gl != wl {
+								errs <- fmt.Errorf("seed %d, jitter %d, bits %d, index %d: Draw = %+v %+v, fresh source %+v %+v",
+									seed, jitter, bits, i, gt, gl, wt, wl)
+								return
+							}
+						}
+						errs <- nil
+					}()
+				}
+				for range workers {
+					if err := <-errs; err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkDraw measures one run's target and layout draw: seeding the
+// generator and drawing a bit-uniform target, as a campaign's run does,
+// and with an 8-bit mask and a jittered layout on top.
+func BenchmarkDraw(b *testing.B) {
+	m, err := lang.Compile("k", kernelSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := interp.Run(m, interp.Config{Record: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"single-bit", Config{Seed: 2016}},
+		{"8-bit-jitter", Config{Seed: 2016, JitterWindow: 64 * mem.PageSize, FaultBits: 8}},
+	} {
+		bc.cfg.Engine = EngineWalker
+		r, err := NewRunner(m, g, bc.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := range b.N {
+				r.Draw(int64(i))
+			}
+		})
 	}
 }

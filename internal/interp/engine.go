@@ -98,17 +98,6 @@ func ComputeFrameLayout(fn *ir.Function) (size uint64, offsets map[*ir.Instr]uin
 	return size, offsets
 }
 
-// FloatArithOp evaluates two-operand floating-point arithmetic exactly as
-// the walker does (width and operation from the instruction).
-func FloatArithOp(in *ir.Instr, a, b uint64) uint64 { return floatArith(in, a, b) }
-
-// FCmpOp evaluates an ordered float comparison exactly as the walker does.
-func FCmpOp(in *ir.Instr, a, b uint64) uint64 { return fcmp(in, a, b) }
-
-// ConvertOp evaluates a conversion exactly as the walker does (including
-// the saturating fptosi the walker uses where LLVM would be undefined).
-func ConvertOp(in *ir.Instr, a uint64) uint64 { return convert(in, a) }
-
 // MathUnaryOp evaluates a unary libm intrinsic exactly as the walker does.
 func MathUnaryOp(in *ir.Instr, a uint64) uint64 { return mathUnary(in, a) }
 

@@ -977,6 +977,10 @@ func fcmp(in *ir.Instr, a, b uint64) uint64 {
 	return 0
 }
 
+// convert evaluates a conversion from its instruction's opcode and types,
+// read per event. The VM fixes both at compile time; this
+// instruction-driven form, like floatArith and fcmp, is the oracle its
+// differential tests compare against.
 func convert(in *ir.Instr, a uint64) uint64 {
 	from := in.Args[0].Type()
 	to := in.Ty

@@ -216,7 +216,7 @@ func (c *fnCompiler) emit(in *ir.Instr) error {
 		if len(in.Args) != 2 {
 			return c.badArity(in)
 		}
-		op = vopFArith
+		op = floatArithVop(in.Op, in.Ty.Bits)
 	case in.Op.IsMathUnary():
 		if len(in.Args) != 1 {
 			return c.badArity(in)
@@ -236,18 +236,21 @@ func (c *fnCompiler) emit(in *ir.Instr) error {
 		if w <= 0 || w > 64 {
 			return fmt.Errorf("%w: icmp operand width %d", ErrUnsupported, w)
 		}
-		aux = uint32(in.Pred)<<8 | uint32(w)
+		aux = uint32(in.Pred)<<8 | uint32(64-w)
 	case in.Op == ir.OpFCmp:
 		if len(in.Args) != 2 {
 			return c.badArity(in)
 		}
-		op = vopFCmp
+		op = vopFCmp64
+		if in.Args[0].Type().Bits == 32 {
+			op = vopFCmp32
+		}
+		aux = uint32(in.Pred)
 	case in.Op.IsConversion():
 		if len(in.Args) != 1 {
 			return c.badArity(in)
 		}
-		op = vopConvert
-		aux = maskWidth(in.Ty)
+		op, cc, aux = convertVop(in)
 	case in.Op == ir.OpAlloca:
 		op = vopAlloca
 		off := c.offsets[in]
@@ -264,21 +267,21 @@ func (c *fnCompiler) emit(in *ir.Instr) error {
 			return c.badArity(in)
 		}
 		op = vopLoad
-		sz, al := in.Elem.Size(), in.Elem.Align()
-		if sz <= 0 || sz > 255 || al <= 0 || al > 255 {
-			return fmt.Errorf("%w: load size %d align %d", ErrUnsupported, sz, al)
+		sz, al, err := accessShape(in)
+		if err != nil {
+			return err
 		}
-		aux = uint32(al)<<16 | maskWidth(in.Ty)<<8 | uint32(sz)
+		aux = al<<16 | maskWidth(in.Ty)<<8 | sz
 	case in.Op == ir.OpStore:
 		if len(in.Args) != 2 {
 			return c.badArity(in)
 		}
 		op = vopStore
-		sz, al := in.Elem.Size(), in.Elem.Align()
-		if sz <= 0 || sz > 255 || al <= 0 || al > 255 {
-			return fmt.Errorf("%w: store size %d align %d", ErrUnsupported, sz, al)
+		sz, al, err := accessShape(in)
+		if err != nil {
+			return err
 		}
-		aux = uint32(al)<<8 | uint32(sz)
+		aux = al<<8 | sz
 	case in.Op == ir.OpGEP:
 		if len(in.Args) != 2 {
 			return c.badArity(in)
@@ -290,11 +293,11 @@ func (c *fnCompiler) emit(in *ir.Instr) error {
 			return fmt.Errorf("%w: gep index width %d", ErrUnsupported, w)
 		}
 		if !auxFits(stride) {
-			op, cc, aux = vopGEPWide, c.fc.constBase+c.constSlot[uint64(stride)], uint32(w)
+			op, cc, aux = vopGEPWide, c.fc.constBase+c.constSlot[uint64(stride)], uint32(64-w)
 			break
 		}
 		aux = uint32(stride)
-		cc = w
+		cc = 64 - w
 	case in.Op == ir.OpSelect:
 		if len(in.Args) != 3 {
 			return c.badArity(in)
@@ -388,6 +391,65 @@ func intArithVop(op ir.Opcode) vop {
 		return vopURem
 	}
 	return vopInvalid
+}
+
+// floatArithVop returns the vop for float arithmetic op on values of
+// bits bits; like the walker, anything but 32 bits is a double.
+func floatArithVop(op ir.Opcode, bits int) vop {
+	base := vopFAdd64
+	if bits == 32 {
+		base = vopFAdd32
+	}
+	switch op {
+	case ir.OpFSub:
+		return base + 1
+	case ir.OpFMul:
+		return base + 2
+	case ir.OpFDiv:
+		return base + 3
+	}
+	return base
+}
+
+// convertVop fixes a conversion's vop and its widths at compile time,
+// where the walker reads them from the instruction per event: the vop
+// picks the kind and the float format, c and aux carry the integer widths
+// (as sext shifts where the dispatch loop sign-extends).
+func convertVop(in *ir.Instr) (op vop, c int, aux uint32) {
+	from, to := in.Args[0].Type(), in.Ty
+	switch in.Op {
+	case ir.OpSExt:
+		return vopSExt, 64 - from.Bits, maskWidth(to)
+	case ir.OpFPToSI:
+		if from.Bits == 32 {
+			return vopFPToSI32, 0, uint32(to.Bits)
+		}
+		return vopFPToSI64, 0, uint32(to.Bits)
+	case ir.OpSIToFP:
+		if to.Bits == 32 {
+			return vopSIToFP32, 0, uint32(64 - from.Bits)
+		}
+		return vopSIToFP64, 0, uint32(64 - from.Bits)
+	case ir.OpFPTrunc:
+		return vopFPTrunc, 0, 0
+	case ir.OpFPExt:
+		return vopFPExt, 0, 0
+	default:
+		// trunc, zext, bitcast, ptrtoint and inttoptr keep the bits; the
+		// result mask does a trunc's work.
+		return vopConvMask, 0, maskWidth(to)
+	}
+}
+
+// accessShape returns a load's or store's size and natural alignment in
+// bytes. A type's alignment never exceeds its size, so a one-byte access,
+// which the walker never traps, has alignment 1, which no policy traps.
+func accessShape(in *ir.Instr) (size, align uint32, err error) {
+	sz, al := in.Elem.Size(), in.Elem.Align()
+	if sz <= 0 || sz > 8 || al <= 0 || al > sz {
+		return 0, 0, fmt.Errorf("%w: %s size %d align %d", ErrUnsupported, in.Op, sz, al)
+	}
+	return uint32(sz), uint32(al), nil
 }
 
 func (c *fnCompiler) badArity(in *ir.Instr) error {

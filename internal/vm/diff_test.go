@@ -426,57 +426,6 @@ func TestDifferentialEdgeCases(t *testing.T) {
 			}
 		})
 	}
-	// Odd-width accesses whose natural alignment is no power of two (an
-	// i24 asks for 3 bytes, an i56 for 7, or 4 under AlignFourByte), at
-	// every offset of a 16-byte-aligned block, under every policy.
-	traps := map[interp.AlignPolicy]int{}
-	for _, ty := range []string{"i24", "i56"} {
-		for _, op := range []string{"load", "store"} {
-			for off := range 8 {
-				m, err := ir.Parse(oddAlignModule(ty, op, off))
-				if err != nil {
-					t.Fatalf("%s %s +%d: parse: %v", ty, op, off, err)
-				}
-				for _, pol := range []interp.AlignPolicy{interp.AlignFourByte, interp.AlignNatural, interp.AlignNone} {
-					name := fmt.Sprintf("%s_%s_%d_align%d", ty, op, off, pol)
-					c := cfg
-					c.Align = pol
-					walker, vmr := runBoth(t, m, c)
-					diffResults(t, name, walker, vmr)
-					if e := vmr.Exception; e != nil {
-						if e.Kind != interp.ExcMisaligned {
-							t.Fatalf("%s: exception %v, want none or misaligned", name, e)
-						}
-						traps[pol]++
-					}
-				}
-			}
-		}
-	}
-	// Of 8 offsets, a 3-byte rule traps 2/3, a 7-byte rule 7/8 and a
-	// 4-byte rule 3/4, for loads and stores alike.
-	if traps[interp.AlignNone] != 0 || traps[interp.AlignNatural] < 20 || traps[interp.AlignFourByte] < 20 {
-		t.Fatalf("misaligned traps by policy = %v", traps)
-	}
-}
-
-// oddAlignModule returns a module that accesses a value of integer type
-// ty at byte offset off of a fresh heap block, by a load or by a store
-// then a load, and outputs what it loaded.
-func oddAlignModule(ty, op string, off int) string {
-	access := fmt.Sprintf("  %%v = load %s, %s* %%q\n", ty, ty)
-	if op == "store" {
-		access = fmt.Sprintf("  store %s 1193046, %s* %%q\n", ty, ty) + access
-	}
-	return fmt.Sprintf(`define void @main() {
-entry:
-  %%buf = malloc i8*, i64 64
-  %%p = getelementptr i8, i8* %%buf, i64 %d
-  %%q = bitcast i8* %%p to %s*
-%s  output %s %%v
-  ret void
-}
-`, off, ty, access, ty)
 }
 
 // TestDifferentialSavedTraces checks recordings through the saved format

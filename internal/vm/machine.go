@@ -96,6 +96,9 @@ type machine struct {
 
 	phiVals []uint64
 	phiIdx  []int64
+	// alignMask is the run's alignment rule (alignMasks), by an access's
+	// natural alignment.
+	alignMask [9]uint64
 }
 
 // machine takes a machine from the program's pool, or builds one, and
@@ -116,6 +119,7 @@ func (p *Program) machine(cfg interp.Config, as *mem.AddressSpace, globals map[*
 		}
 	}
 	m.cfg, m.as, m.globals = cfg, as, globals
+	m.alignMask = alignMasks(cfg.Align)
 	if cfg.Layout != m.layout {
 		m.layout = cfg.Layout
 		clear(m.fixed)
@@ -468,18 +472,48 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			} else {
 				r = truncTo(x%y, aux)
 			}
-		case vopFArith:
-			r = interp.FloatArithOp(fc.instrs[src], regs[a], regs[b])
+		case vopFAdd32:
+			r = f32bits(f32(regs[a]) + f32(regs[b]))
+		case vopFSub32:
+			r = f32bits(f32(regs[a]) - f32(regs[b]))
+		case vopFMul32:
+			r = f32bits(f32(regs[a]) * f32(regs[b]))
+		case vopFDiv32:
+			r = f32bits(f32(regs[a]) / f32(regs[b]))
+		case vopFAdd64:
+			r = math.Float64bits(math.Float64frombits(regs[a]) + math.Float64frombits(regs[b]))
+		case vopFSub64:
+			r = math.Float64bits(math.Float64frombits(regs[a]) - math.Float64frombits(regs[b]))
+		case vopFMul64:
+			r = math.Float64bits(math.Float64frombits(regs[a]) * math.Float64frombits(regs[b]))
+		case vopFDiv64:
+			r = math.Float64bits(math.Float64frombits(regs[a]) / math.Float64frombits(regs[b]))
 		case vopMathUnary:
 			r = interp.MathUnaryOp(fc.instrs[src], regs[a])
 		case vopMathBinary:
 			r = interp.MathBinaryOp(fc.instrs[src], regs[a], regs[b])
 		case vopICmp:
 			r = icmpBits(aux, regs[a], regs[b])
-		case vopFCmp:
-			r = interp.FCmpOp(fc.instrs[src], regs[a], regs[b])
-		case vopConvert:
-			r = truncTo(interp.ConvertOp(fc.instrs[src], regs[a]), aux)
+		case vopFCmp32:
+			r = fcmpBits(aux, float64(f32(regs[a])), float64(f32(regs[b])))
+		case vopFCmp64:
+			r = fcmpBits(aux, math.Float64frombits(regs[a]), math.Float64frombits(regs[b]))
+		case vopConvMask:
+			r = truncTo(regs[a], aux)
+		case vopSExt:
+			r = truncTo(uint64(sext(regs[a], cc)), aux)
+		case vopFPToSI32:
+			r = fptosi(float64(f32(regs[a])), aux)
+		case vopFPToSI64:
+			r = fptosi(math.Float64frombits(regs[a]), aux)
+		case vopSIToFP32:
+			r = f32bits(float32(float64(sext(regs[a], int(aux)))))
+		case vopSIToFP64:
+			r = math.Float64bits(float64(sext(regs[a], int(aux))))
+		case vopFPTrunc:
+			r = f32bits(float32(math.Float64frombits(regs[a])))
+		case vopFPExt:
+			r = math.Float64bits(float64(f32(regs[a])))
 		case vopAlloca:
 			r = fr.base + uint64(aux)
 		case vopLoad:
@@ -494,9 +528,9 @@ func inner(m *machine, fr *vframe, fc *fnCode, code []uint64, regs []uint64, def
 			}
 			continue
 		case vopGEP:
-			r = regs[a] + uint64(aux)*uint64(ir.SignExtend(regs[b], cc))
+			r = regs[a] + uint64(aux)*uint64(sext(regs[b], cc))
 		case vopGEPWide:
-			r = regs[a] + regs[cc]*uint64(ir.SignExtend(regs[b], int(aux)))
+			r = regs[a] + regs[cc]*uint64(sext(regs[b], int(aux)))
 		case vopAllocaWide:
 			r = fr.base + regs[a]
 		case vopSelect:
@@ -592,9 +626,64 @@ func truncTo(v uint64, w uint32) uint64 {
 	return v & (1<<w - 1)
 }
 
+// f32 reads the float in a register's low 32 bits; f32bits writes one.
+func f32(x uint64) float32 { return math.Float32frombits(uint32(x)) }
+
+func f32bits(f float32) uint64 { return uint64(math.Float32bits(f)) }
+
+// fcmpBits evaluates an ordered float compare with predicate pred.
+func fcmpBits(pred uint32, x, y float64) uint64 {
+	var r bool
+	switch ir.Pred(pred) {
+	case ir.FOEQ:
+		r = x == y
+	case ir.FONE:
+		r = x != y && !math.IsNaN(x) && !math.IsNaN(y)
+	case ir.FOLT:
+		r = x < y
+	case ir.FOLE:
+		r = x <= y
+	case ir.FOGT:
+		r = x > y
+	case ir.FOGE:
+		r = x >= y
+	}
+	if r {
+		return 1
+	}
+	return 0
+}
+
+// fptosi converts f to a w-bit signed integer exactly as the walker's
+// clamp does, NaN to 0 and saturating at the bounds, and masks the result
+// to w bits. At w = 64, top wraps to math.MinInt64, so the low bound
+// -float64(top) is +2⁶³ and every finite f below 2⁶³ saturates to the
+// minimum, as it does on the walker.
+func fptosi(f float64, w uint32) uint64 {
+	if math.IsNaN(f) {
+		return 0
+	}
+	top := int64(1) << (w - 1)
+	var v int64
+	switch {
+	case f >= float64(top-1):
+		v = top - 1
+	case f <= -float64(top):
+		v = -top
+	default:
+		v = int64(f)
+	}
+	return truncTo(uint64(v), w)
+}
+
+// sext sign-extends the low 64-sh bits of v. For sext and sitofp
+// operands, GEP indices and icmp operands the bytecode holds that shift,
+// sh = 64 - width, instead of the width.
+func sext(v uint64, sh int) int64 { return int64(v<<(sh&63)) >> (sh & 63) }
+
 func icmpBits(aux uint32, x, y uint64) uint64 {
 	pred := ir.Pred(aux >> 8)
-	w := int(aux & 0xff)
+	sh := int(aux & 0xff)
 	var r bool
 	switch pred {
 	case ir.IEQ:
@@ -610,7 +699,7 @@ func icmpBits(aux uint32, x, y uint64) uint64 {
 	case ir.IUGE:
 		r = x >= y
 	default:
-		sx, sy := ir.SignExtend(x, w), ir.SignExtend(y, w)
+		sx, sy := sext(x, sh), sext(y, sh)
 		switch pred {
 		case ir.ISLT:
 			r = sx < sy
@@ -725,11 +814,11 @@ func (m *machine) load(in *ir.Instr, idx int64, addr uint64, aux uint32) (uint64
 	m.loads++
 	size := int64(aux & 0xff)
 	mw := aux >> 8 & 0xff
-	align := int64(aux >> 16 & 0xff)
+	align := aux >> 16 & 0xff
 	if m.rec != nil {
 		m.rec.SetAccess(idx, addr, m.as.SP(), m.as.Version())
 	}
-	if !m.alignOK(size, align, addr) {
+	if m.misaligned(align, addr) {
 		m.raise(interp.ExcMisaligned, in, addr, "misaligned load")
 		return 0, false
 	}
@@ -748,11 +837,11 @@ func (m *machine) load(in *ir.Instr, idx int64, addr uint64, aux uint32) (uint64
 func (m *machine) store(in *ir.Instr, idx int64, val, addr uint64, aux uint32) bool {
 	m.stores++
 	size := int64(aux & 0xff)
-	align := int64(aux >> 8 & 0xff)
+	align := aux >> 8 & 0xff
 	if m.rec != nil {
 		m.rec.SetAccess(idx, addr, m.as.SP(), m.as.Version())
 	}
-	if !m.alignOK(size, align, addr) {
+	if m.misaligned(align, addr) {
 		m.raise(interp.ExcMisaligned, in, addr, "misaligned store")
 		return false
 	}
@@ -766,30 +855,37 @@ func (m *machine) store(in *ir.Instr, idx int64, val, addr uint64, aux uint32) b
 	return true
 }
 
-// alignOK mirrors the walker's alignment policy on precomputed element
-// size and natural alignment.
-func (m *machine) alignOK(size, align int64, addr uint64) bool {
-	if size <= 1 {
-		return true
+// oddAlign marks an alignment rule that is no power of two: an i24 asks
+// for 3 bytes, and an i40, i48 or i56 under AlignNatural for 5, 6 or 7.
+const oddAlign = ^uint64(0)
+
+// alignMasks fixes a run's alignment rule under policy: for each natural
+// alignment al of an access (1 to 8), the mask of address bits that must
+// be zero, or oddAlign when the rule is al itself and no power of two.
+func alignMasks(policy interp.AlignPolicy) (masks [9]uint64) {
+	if policy == interp.AlignNone {
+		return masks
 	}
-	var req int64
-	switch m.cfg.Align {
-	case interp.AlignNone:
-		return true
-	case interp.AlignNatural:
-		req = align
-	default: // AlignFourByte
-		req = align
-		if req > 4 {
-			req = 4
+	for al := uint64(1); al < uint64(len(masks)); al++ {
+		req := al
+		if policy != interp.AlignNatural {
+			// AlignFourByte, the default.
+			req = min(al, 4)
+		}
+		if req&(req-1) == 0 {
+			masks[al] = req - 1
+		} else {
+			masks[al] = oddAlign
 		}
 	}
-	if req&(req-1) == 0 {
-		return addr&uint64(req-1) == 0
-	}
-	// Type.Align is the size for types up to 8 bytes, so an i24 or i56
-	// asks for 3 or 7.
-	return addr%uint64(req) == 0
+	return masks
+}
+
+// misaligned reports whether an access of natural alignment al at addr
+// breaks the run's alignment rule, as the walker's check would.
+func (m *machine) misaligned(al uint32, addr uint64) bool {
+	mask := m.alignMask[al]
+	return addr&mask != 0 && (mask != oddAlign || addr%uint64(al) != 0)
 }
 
 // flushObs publishes one run's tallies (see metrics.go).

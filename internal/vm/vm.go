@@ -45,9 +45,11 @@ import (
 	"repro/internal/ir"
 )
 
-// vop is a bytecode operation. The set is deliberately flatter than
-// ir.Opcode: widths, predicates and element sizes move into aux so the
-// dispatch switch stays small and each handler straight-line.
+// vop is a bytecode operation. Integer widths, predicates and element
+// sizes move into aux, so one vop serves every width. Where a width picks
+// the float format, or a conversion's kind picks its arithmetic, each
+// choice has a vop of its own, so no conversion, float arithmetic or
+// float compare reads its instruction at run time.
 type vop uint8
 
 const (
@@ -67,19 +69,42 @@ const (
 	vopUDiv
 	vopSRem
 	vopURem
-	// Float arithmetic and libm intrinsics; evaluated via the shared
-	// interp helpers on fc.instrs[src] so rounding is identical.
-	vopFArith
+	// Float arithmetic, one vop per operation and width, each width's in
+	// the order add, sub, mul, div (floatArithVop counts on it).
+	vopFAdd32
+	vopFSub32
+	vopFMul32
+	vopFDiv32
+	vopFAdd64
+	vopFSub64
+	vopFMul64
+	vopFDiv64
+	// libm intrinsics; evaluated via the shared interp helpers on
+	// fc.instrs[src] so rounding is identical.
 	vopMathUnary
 	vopMathBinary
-	// Comparisons; vopICmp aux = pred<<8 | operand width.
+	// Comparisons; vopICmp aux = pred<<8 | (64 - operand width),
+	// vopFCmp32 and vopFCmp64 aux = pred.
 	vopICmp
-	vopFCmp
-	// Conversions; aux = result mask width (0 = no mask).
-	vopConvert
+	vopFCmp32
+	vopFCmp64
+	// Conversions, one vop per kind and float width. vopConvMask (trunc,
+	// zext, bitcast, ptrtoint, inttoptr) keeps the operand's bits, masked
+	// to aux = the result's mask width (0 = no mask); vopSExt c = 64 -
+	// operand width and aux = result mask width; vopFPToSI32/64 aux =
+	// result width; vopSIToFP32/64 aux = 64 - operand width.
+	vopConvMask
+	vopSExt
+	vopFPToSI32
+	vopFPToSI64
+	vopSIToFP32
+	vopSIToFP64
+	vopFPTrunc
+	vopFPExt
 	// Memory; vopAlloca aux = frame offset, vopLoad aux =
-	// align<<16|maskWidth<<8|size, vopStore aux = align<<8|size,
-	// vopGEP aux = stride and c = index width.
+	// align<<16|maskWidth<<8|size, vopStore aux = align<<8|size, with
+	// the access's natural alignment; vopGEP aux = stride and c = 64 -
+	// index width.
 	vopAlloca
 	vopLoad
 	vopStore
@@ -103,7 +128,7 @@ const (
 	vopTrap
 	// Memory with an immediate too wide for aux, read from the constant
 	// pool instead: vopAllocaWide a = offset slot; vopGEPWide c = stride
-	// slot and aux = index width.
+	// slot and aux = 64 - index width.
 	vopAllocaWide
 	vopGEPWide
 )

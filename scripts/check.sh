@@ -53,10 +53,8 @@ go test -race ./internal/obs/... \
 # and 20 random programs). TestDifferentialEdgeCases also runs the IR
 # modules MiniC never emits, which the VM once left to the walker: a phi
 # in an entry block, a 4.8 GB GEP stride, and frames over 4 GiB and over
-# the stack pointer; and i24/i56 loads and stores at every offset under
-# each alignment policy, whose 3- and 7-byte alignments take the VM's
-# modulo check instead of its power-of-two mask; and a compare read beyond
-# its block's branch and an address feeding a load and other users.
+# the stack pointer; and a compare read beyond its block's branch and an
+# address feeding a load and other users.
 # FuzzDifferentialIR runs its seed corpus: the kernels' and the edge-case
 # modules' printed IR, each with one injection. TestCheckpointsAtStridePoints
 # pins where Program.Checkpoints captures: exactly at each stride point,
@@ -78,8 +76,21 @@ go test -race ./internal/obs/... \
 # (two VMA-bounds entries, the 4-entry load and store page caches, word
 # accesses) is checked against the reference path by TestFastPath*,
 # including loads and stores over pages that collide in the page caches
-# and writes through cached pages after a fork, and Draw's pooled
-# generators against fresh sources by TestDrawMatchesFreshSource.
+# and writes through cached pages after a fork. TestDifferentialTypedOps
+# runs the VM's width-specialized vops against the walker event by event:
+# every conversion opcode on every (from, to) type pair the IR accepts
+# (i1, i8, i16, i24, i32, i56, i64, float, double, a pointer) and every
+# float arithmetic and compare op at 32 and 64 bits, on edge values
+# (sign bits, all ones, NaNs, infinities, -0, floats beyond the fptosi
+# clamp); TestDifferentialAlignedAccesses runs loads and stores of every
+# scalar width at every offset under each alignment policy, which the VM
+# fixes once per run. TestJumpSourceMatchesMathRand checks Draw's
+# jump-ahead source against rand.NewSource, 2,000 values per seed (past
+# the 273 it jumps to, so its fallback runs), and TestDrawMatchesFreshSource
+# checks whole draws (edge seeds, 1- to 64-bit faults, with and without
+# jitter) against a fresh rand.NewSource per run. The alignment test
+# includes the i24, i40, i48 and i56 accesses whose 3- to 7-byte
+# alignments take the VM's modulo check instead of its mask.
 # TestReleaseRecyclesOnlyUnsharedPages checks that a released fork gives
 # back only pages no other space holds, that its sibling still copies on
 # write, that refs counts the holders and that a recycled fresh page reads
@@ -89,10 +100,10 @@ go test -race ./internal/obs/... \
 # same runs on freshly compiled programs. TestFinishedRunnerFreesChain
 # checks that the machine pool keeps no finished runner's checkpoints
 # alive through a collection.
-echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB / i24 and i56 accesses at odd alignments / shared icmp and gep results, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds of MiniC and of IR, snapshot resumes, checkpoint placement and pinned lulesh chain stats, convergence liveness vs path search, snapshot runners, converged resumes vs scratch runs; pooled vs fresh machines, frames and pages; finished runners free their chains; mem fast path vs reference path incl. page-cache collisions and writes after fork; released pages recycled only when unshared; pooled vs fresh target draws)"
-go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialSavedTraces|FuzzDifferential|FuzzDifferentialIR|TestDifferentialResume|TestCheckpointsAtStridePoints|TestLivenessMatchesPathSearch|TestPooledRunsMatchFresh' -count=1
+echo "== vm differential smoke (walker vs bytecode VM: kernels, edge cases incl. IR entry-block phi / 4.8 GB GEP stride / frames over 4 GiB / shared icmp and gep results, saved-trace round trips of kernels, edge cases and random programs, fuzz corpus seeds of MiniC and of IR, snapshot resumes, checkpoint placement and pinned lulesh chain stats, convergence liveness vs path search, snapshot runners, converged resumes vs scratch runs; pooled vs fresh machines, frames and pages; finished runners free their chains; mem fast path vs reference path incl. page-cache collisions and writes after fork; released pages recycled only when unshared; width-specialized conversion and float vops and per-run alignment rules vs the walker incl. i24 to i56 accesses at odd alignments; jump-ahead draw source and draws vs fresh math/rand sources)"
+go test ./internal/vm/ -run 'TestDifferentialKernels|TestDifferentialEdgeCases|TestDifferentialSavedTraces|FuzzDifferential|FuzzDifferentialIR|TestDifferentialResume|TestCheckpointsAtStridePoints|TestLivenessMatchesPathSearch|TestPooledRunsMatchFresh|TestDifferentialTypedOps|TestDifferentialAlignedAccesses' -count=1
 go test ./internal/mem/ -run 'TestFastPath|TestReleaseRecyclesOnlyUnsharedPages' -count=1
-go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch|TestConvergedResumeMatchesScratch|TestLuleshSnapshotViewPinned|TestDrawMatchesFreshSource|TestFinishedRunnerFreesChain' -count=1
+go test ./internal/fi/ -run 'TestSnapshotRunnerMatchesWalkerScratch|TestConvergedResumeMatchesScratch|TestLuleshSnapshotViewPinned|TestJumpSourceMatchesMathRand|TestDrawMatchesFreshSource|TestDrawAllocatesNothing|TestFinishedRunnerFreesChain' -count=1
 
 # The durable campaign log. TestLogBytesPinned pins the SHA-256 of a
 # one-worker log (header, run, shard_done, stop and attr records) and of
